@@ -18,8 +18,10 @@ from __future__ import annotations
 import copy
 import json
 import logging
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import islice
 from pathlib import Path
 
 from .chains import ChainConfig, SearchChain, build_search_chains, format_chains_for_prompt
@@ -94,7 +96,6 @@ class RunConfig:
     early_stop_thresholds: dict[str, float] = field(default_factory=_default_thresholds)
     seed: int = 0
     variant: Variant = Variant.DUAL_GRAPH
-    language: str = "en"
     retry_budget: int = 2
     embed_dim: int = 32
 
@@ -136,7 +137,6 @@ class RunConfig:
             "early_stop_thresholds": dict(self.early_stop_thresholds),
             "seed": self.seed,
             "variant": self.variant.value,
-            "language": self.language,
             "retry_budget": self.retry_budget,
             "embed_dim": self.embed_dim,
         }
@@ -186,7 +186,7 @@ class RunState:
 
     def to_dict(self) -> dict:
         return {
-            "format_version": 1,
+            "format_version": 2,
             "root_query": self.root_query,
             "config": self.config.to_dict(),
             "stage": self.stage,
@@ -198,13 +198,15 @@ class RunState:
             "executed_queries": list(self.executed_queries),
             "early_stop_history": [r.to_dict() for r in self.early_stop_history],
             "events": list(self.events),
-            "audit": list(self.audit),
+            "audit_records": len(self.audit),
             "iteration_chains": {str(k): v for k, v in self.iteration_chains.items()},
             "report": self.report,
         }
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "RunState":
+    def from_dict(cls, doc: dict, audit: Iterable[dict]) -> "RunState":
+        if doc.get("format_version") != 2:
+            raise ConfigError(f"unsupported state format_version {doc.get('format_version')!r}")
         state = cls(
             root_query=doc["root_query"],
             config=RunConfig.from_dict(doc["config"]),
@@ -222,7 +224,9 @@ class RunState:
             EarlyStopReport.from_dict(r) for r in doc.get("early_stop_history", [])
         ]
         state.events = list(doc.get("events", []))
-        state.audit = list(doc.get("audit", []))
+        state.audit = list(islice(audit, doc["audit_records"]))
+        if len(state.audit) < doc["audit_records"]:
+            raise ConfigError("audit.jsonl is shorter than the checkpoint's audit_records")
         state.iteration_chains = {
             int(k): v for k, v in doc.get("iteration_chains", {}).items()
         }
@@ -760,50 +764,54 @@ class Runner:
         self.config = config
         self.providers = providers
         self.run_dir = Path(run_dir)
+        self._audit_written = 0  # records this Runner wrote; at 0 a checkpoint rewrites the log
+
+    def _replace(self, name: str, text: str) -> None:
+        (self.run_dir / f"{name}.tmp").write_text(text, encoding="utf-8")
+        (self.run_dir / f"{name}.tmp").replace(self.run_dir / name)
 
     def _checkpoint(self, state: RunState) -> None:
+        # state.json goes last: it commits the checkpoint, and the audit log by count.
         self.run_dir.mkdir(parents=True, exist_ok=True)
-        tmp = self.run_dir / (STATE_FILE + ".tmp")
-        tmp.write_text(
-            json.dumps(state.to_dict(), indent=2, ensure_ascii=False) + "\n",
-            encoding="utf-8",
-        )
-        tmp.replace(self.run_dir / STATE_FILE)
         if state.og is not None:
             text = render_outline(state.og)
-            (self.run_dir / "outline.txt").write_text(text, encoding="utf-8")
-            (self.run_dir / f"outline_iter{state.iteration}.txt").write_text(
-                text, encoding="utf-8"
-            )
+            self._replace("outline.txt", text)
+            self._replace(f"outline_iter{state.iteration}.txt", text)
         if state.kg is not None:
             doc = state.kg.to_document()
-            (self.run_dir / "kg.json").write_text(doc, encoding="utf-8")
-            (self.run_dir / f"kg_iter{state.iteration}.json").write_text(
-                doc, encoding="utf-8"
-            )
-        (self.run_dir / "bank.json").write_text(state.bank.to_document(), encoding="utf-8")
-        for it, payload in state.iteration_chains.items():
-            (self.run_dir / f"chains_iter{it}.json").write_text(
-                json.dumps(payload, indent=2, ensure_ascii=False) + "\n",
-                encoding="utf-8",
-            )
-        audit_lines = [json.dumps(entry, ensure_ascii=False) for entry in state.audit]
-        (self.run_dir / "audit.jsonl").write_text(
-            "\n".join(audit_lines) + ("\n" if audit_lines else ""), encoding="utf-8"
-        )
+            self._replace("kg.json", doc)
+            self._replace(f"kg_iter{state.iteration}.json", doc)
+        self._replace("bank.json", state.bank.to_document())
+        if state.iteration in state.iteration_chains:
+            text = json.dumps(state.iteration_chains[state.iteration], indent=2, ensure_ascii=False)
+            self._replace(f"chains_iter{state.iteration}.json", text + "\n")
+        rows = [json.dumps(e, ensure_ascii=False) + "\n" for e in state.audit[self._audit_written:]]
+        if self._audit_written:
+            with open(self.run_dir / "audit.jsonl", "a", encoding="utf-8") as log_file:
+                log_file.writelines(rows)
+        else:
+            self._replace("audit.jsonl", "".join(rows))
+        self._audit_written = len(state.audit)
         if state.report is not None:
-            (self.run_dir / REPORT_FILE).write_text(state.report, encoding="utf-8")
+            self._replace(REPORT_FILE, state.report)
+        self._replace(STATE_FILE, json.dumps(state.to_dict(), indent=2, ensure_ascii=False) + "\n")
 
     def load_state(self) -> RunState:
         doc = json.loads((self.run_dir / STATE_FILE).read_text(encoding="utf-8"))
-        return RunState.from_dict(doc)
+        with open(self.run_dir / "audit.jsonl", encoding="utf-8", newline="\n") as log_file:
+            return RunState.from_dict(doc, map(json.loads, log_file))
 
     def start(self, root_query: str) -> RunState:
+        # A forced rerun must not leave a longer earlier run's files behind.
+        for stem in ("outline", "kg", "chains"):
+            for path in self.run_dir.glob(f"{stem}_iter[0-9]*"):
+                path.unlink()
         state = RunState(root_query=root_query, config=self.config)
         self._checkpoint(state)
         return self._drive(state)
 
     def resume(self) -> RunState:
+        self._audit_written = 0  # drop any tail past the committed count
         state = self.load_state()
         self.config = state.config
         return self._drive(state)

@@ -227,10 +227,6 @@ def render_outline(og: OutlineGraph, with_citations: bool = True) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _node_depth(node: OutlineNode, parent_depth: dict[int, int]) -> int:
-    return parent_depth[id(node)]
-
-
 def apply_revision(
     og_old: OutlineGraph,
     revised_text: str,

@@ -94,10 +94,6 @@ class World:
     def all_names(self) -> list[str]:
         return sorted(n for members in self.communities for n in members)
 
-    @property
-    def core_names(self) -> set[str]:
-        return {n for n in self.all_names if n.startswith("core")}
-
 
 def generate_world(
     seed: int = 0,

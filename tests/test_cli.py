@@ -36,6 +36,14 @@ class TestRun:
         assert "--force" in capsys.readouterr().err
         assert _run_demo(demo_run, "--force") == 0
 
+    def test_force_rerun_drops_a_longer_runs_files(self, demo_run, capsys):
+        (demo_run / "notes_iter2.md").write_text("kept\n", encoding="utf-8")
+        assert _run_demo(demo_run, "--force", "--max-iter", "1") == 0
+        assert [p.name for p in demo_run.glob("*_iter2.*")] == ["notes_iter2.md"]
+        capsys.readouterr()
+        assert main(["chains", "--run-dir", str(demo_run)]) == 0
+        assert "iteration 1" in capsys.readouterr().out
+
     def test_variant_must_match_fixture_recording(self, tmp_path, capsys):
         code = _run_demo(tmp_path / "run", "--variant", "outline-only")
         assert code == 1
@@ -104,6 +112,21 @@ class TestResume:
         (demo_run / "state.json").write_text("{broken", encoding="utf-8")
         assert main(["resume", "--run-dir", str(demo_run)]) == 3
         assert "internal error" in capsys.readouterr().err
+
+    def test_old_format_version_is_rejected(self, demo_run, capsys):
+        path = demo_run / "state.json"
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc["format_version"] = 1
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["resume", "--run-dir", str(demo_run)]) == 1
+        assert "format_version 1" in capsys.readouterr().err
+
+    def test_short_audit_log_is_rejected(self, demo_run, capsys):
+        path = demo_run / "audit.jsonl"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_text("".join(lines[:-1]), encoding="utf-8")
+        assert main(["resume", "--run-dir", str(demo_run)]) == 1
+        assert "audit.jsonl" in capsys.readouterr().err
 
 
 class TestInspect:

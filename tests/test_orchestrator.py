@@ -336,6 +336,46 @@ def _demo_runner(run_dir) -> Runner:
     return Runner(config, fixture.providers(), run_dir)
 
 
+def _assert_interrupted_run_resumes_identically(tmp_path, make_fixture, reuse_runner=False):
+    fixture = make_fixture()
+    Runner(
+        RunConfig.from_dict(fixture.config), fixture.providers(), tmp_path / "clean"
+    ).start(fixture.root_query)
+
+    # Cut the script after the first loop pass: the revision call of the
+    # second pass matches only the content-specific entry, so emptying it
+    # surfaces as a provider failure mid-iteration.
+    broken = make_fixture()
+    providers = broken.providers()
+    revise_entries = [
+        e for e in providers.chat.entries
+        if any("revising the outline" in m for m in e.match)
+    ]
+    revise_entries[0].responses = []
+    runner = Runner(
+        RunConfig.from_dict(broken.config), providers, tmp_path / "resumed"
+    )
+    with pytest.raises(ProviderError):
+        runner.start(broken.root_query)
+    # A crash between the audit append and the state.json replace leaves
+    # records past the committed count; resume must drop them.
+    stray = {"call": -1, "name": "stray", "prompt": "", "response": ""}
+    with open(tmp_path / "resumed" / "audit.jsonl", "a", encoding="utf-8") as log_file:
+        log_file.write(json.dumps(stray) + "\n")
+    boundary = runner.load_state()
+    assert boundary.stage == "loop"
+    assert boundary.iteration == 1
+
+    fresh = make_fixture()
+    if reuse_runner:
+        runner.providers = fresh.providers()
+    else:
+        runner = Runner(RunConfig.from_dict(fresh.config), fresh.providers(), tmp_path / "resumed")
+    resumed = runner.resume()
+    assert resumed.stage == "done"
+    assert dir_snapshot(tmp_path / "clean") == dir_snapshot(tmp_path / "resumed")
+
+
 class TestRunnerOnDemoFixture:
     def test_full_run_produces_expected_artifacts(self, tmp_path):
         fixture = load_fixture(DEMO_FIXTURE)
@@ -394,8 +434,33 @@ class TestRunnerOnDemoFixture:
         fixture = load_fixture(DEMO_FIXTURE)
         state = _demo_runner(tmp_path / "run").start(fixture.root_query)
         doc = state.to_dict()
-        clone = RunState.from_dict(copy.deepcopy(doc))
+        clone = RunState.from_dict(copy.deepcopy(doc), state.audit)
         assert clone.to_dict() == doc
+        assert clone.audit == state.audit
+
+    def test_checkpoints_keep_one_audit_and_write_files_once(self, tmp_path):
+        inodes = []
+
+        class WatchingRunner(Runner):
+            def _checkpoint(self, state):
+                super()._checkpoint(state)
+                chains = self.run_dir / "chains_iter1.json"
+                if chains.exists():
+                    inodes.append(chains.stat().st_ino)
+
+        fixture = load_fixture(DEMO_FIXTURE)
+        run_dir = tmp_path / "run"
+        WatchingRunner(
+            RunConfig.from_dict(fixture.config), fixture.providers(), run_dir
+        ).start(fixture.root_query)
+        doc = json.loads((run_dir / "state.json").read_text(encoding="utf-8"))
+        assert "audit" not in doc
+        log = (run_dir / "audit.jsonl").read_text(encoding="utf-8")
+        assert log.endswith("\n")
+        assert doc["audit_records"] == log.count("\n") > 0
+        assert not list(run_dir.glob("*.tmp"))
+        # Written after iteration 1, then left alone by the later checkpoints.
+        assert len(inodes) >= 2 and len(set(inodes)) == 1
 
     def test_reruns_are_byte_identical(self, tmp_path):
         for name in ("a", "b"):
@@ -404,31 +469,35 @@ class TestRunnerOnDemoFixture:
         assert dir_snapshot(tmp_path / "a") == dir_snapshot(tmp_path / "b")
 
     def test_interrupted_run_resumes_to_identical_result(self, tmp_path):
+        _assert_interrupted_run_resumes_identically(tmp_path, lambda: load_fixture(DEMO_FIXTURE))
+
+    def test_resumed_runner_rewrites_the_log_it_already_wrote_to(self, tmp_path):
+        _assert_interrupted_run_resumes_identically(
+            tmp_path, lambda: load_fixture(DEMO_FIXTURE), reuse_runner=True
+        )
+
+    def test_runner_reused_for_a_new_run_rewrites_the_log(self, tmp_path):
         fixture = load_fixture(DEMO_FIXTURE)
         _demo_runner(tmp_path / "clean").start(fixture.root_query)
+        runner = _demo_runner(tmp_path / "reused")
+        runner.start(fixture.root_query)
+        with open(tmp_path / "reused" / "audit.jsonl", "a", encoding="utf-8") as log_file:
+            log_file.write(json.dumps({"call": -1, "name": "stray"}) + "\n")
+        runner.providers = load_fixture(DEMO_FIXTURE).providers()
+        runner.start(fixture.root_query)
+        assert dir_snapshot(tmp_path / "clean") == dir_snapshot(tmp_path / "reused")
 
-        # Cut the script after the first loop pass: the revision call of the
-        # second pass matches only the content-specific entry, so emptying it
-        # surfaces as a provider failure mid-iteration.
-        broken = load_fixture(DEMO_FIXTURE)
-        providers = broken.providers()
-        revise_entries = [
-            e for e in providers.chat.entries
-            if any("revising the outline" in m for m in e.match)
-        ]
-        revise_entries[0].responses = []
-        runner = Runner(
-            RunConfig.from_dict(broken.config), providers, tmp_path / "resumed"
-        )
-        with pytest.raises(ProviderError):
-            runner.start(broken.root_query)
-        boundary = runner.load_state()
-        assert boundary.stage == "loop"
-        assert boundary.iteration == 1
+    def test_resume_reads_records_holding_unicode_line_breaks(self, tmp_path):
+        # Page text reaches the recorded prompts verbatim; json.dumps leaves
+        # U+2028 and U+0085 unescaped, so the log must split on "\n" only.
+        def fixture_with_line_breaks():
+            fixture = load_fixture(DEMO_FIXTURE)
+            fixture.pages = {
+                url: text + "\u2028line\u0085break" for url, text in fixture.pages.items()
+            }
+            return fixture
 
-        fresh = load_fixture(DEMO_FIXTURE)
-        resumed = Runner(
-            RunConfig.from_dict(fresh.config), fresh.providers(), tmp_path / "resumed"
-        ).resume()
-        assert resumed.stage == "done"
-        assert dir_snapshot(tmp_path / "clean") == dir_snapshot(tmp_path / "resumed")
+        _assert_interrupted_run_resumes_identically(tmp_path, fixture_with_line_breaks)
+        log = (tmp_path / "resumed" / "audit.jsonl").read_text(encoding="utf-8")
+        assert "\u2028" in log and "\u0085" in log
+
