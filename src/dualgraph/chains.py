@@ -18,8 +18,12 @@ structural-hole. All orderings are total, so output is deterministic.
 
 from __future__ import annotations
 
+import heapq
 import math
+from bisect import bisect_right
+from collections.abc import Container, Iterator
 from dataclasses import dataclass, field
+from itertools import groupby, islice
 
 import numpy as np
 
@@ -27,10 +31,11 @@ from .instrumentation import KG_OPS
 from .kg import (
     CommunityPartition,
     EmbeddingMissingError,
+    KnowledgeEdge,
     KnowledgeGraph,
     bridging_score,
     degree_in_community,
-    edge_num,
+    gram_margin,
     node_importance,
     node_num,
 )
@@ -135,8 +140,12 @@ def enrichment_score(
     kg: KnowledgeGraph, partition: CommunityPartition, edge_id: str
 ) -> float:
     edge = kg.edges[edge_id]
-    importance = node_importance(kg, edge.source_id, edge.target_id)
     crossing = cross_community_score(kg, partition, edge.source_id, edge.target_id)
+    return _enrichment(kg, edge, crossing)
+
+
+def _enrichment(kg: KnowledgeGraph, edge: KnowledgeEdge, crossing: float) -> float:
+    importance = node_importance(kg, edge.source_id, edge.target_id)
     return (1.0 + importance + crossing) / (1.0 + len(edge.evidence_ids))
 
 
@@ -157,11 +166,20 @@ def rank_enrich(
         for eid in kg.edge_ids()
         if len(kg.edges[eid].evidence_ids) <= evidence_threshold
     ]
-    scored = {eid: enrichment_score(kg, partition, eid) for eid in pool}
+    bscore: dict[str, float] = {}
+    scored: dict[str, float] = {}
+    for eid in pool:
+        e = kg.edges[eid]
+        for v in (e.source_id, e.target_id):
+            if v not in bscore:
+                bscore[v] = bridging_score(kg, partition, v)
+        # Same sum as cross_community_score, from one bridging score per node.
+        scored[eid] = _enrichment(kg, e, 0.5 * (bscore[e.source_id] + bscore[e.target_id]))
     zero = [eid for eid in pool if not kg.edges[eid].evidence_ids]
     rest = [eid for eid in pool if kg.edges[eid].evidence_ids]
-    zero.sort(key=lambda eid: (-scored[eid], edge_num(eid)))
-    rest.sort(key=lambda eid: (-scored[eid], edge_num(eid)))
+    # The pool is in edge id order and the sort is stable, so ties stay in it.
+    zero.sort(key=lambda eid: -scored[eid])
+    rest.sort(key=lambda eid: -scored[eid])
     ordered = zero + rest
     if quota is not None:
         ordered = ordered[:quota]
@@ -184,17 +202,22 @@ def rank_enrich(
 
 @dataclass
 class SbmBlockMatrix:
-    """Smoothed block-model link probabilities between community pairs."""
+    """Smoothed block-model link probabilities between community pairs.
+
+    The matrix is symmetric: prob(ci, cj) == prob(cj, ci).
+    """
 
     labels: list[int]
     matrix: np.ndarray
     alpha: float
     sizes: dict[int, int] = field(default_factory=dict)
+    _index: dict[int, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._index = {c: i for i, c in enumerate(self.labels)}
 
     def prob(self, ci: int, cj: int) -> float:
-        i = self.labels.index(ci)
-        j = self.labels.index(cj)
-        return float(self.matrix[i, j])
+        return float(self.matrix[self._index[ci], self._index[cj]])
 
 
 def sbm_block_matrix(
@@ -238,29 +261,52 @@ def bernoulli_entropy(p: float) -> float:
     return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
 
 
-def _pair_key(a: str, b: str) -> tuple[str, str]:
-    return tuple(sorted((a, b), key=node_num))  # type: ignore[return-value]
-
-
 def explore_similarity(kg: KnowledgeGraph, quota: int | None = None) -> list[SearchChain]:
-    """Unconnected (core entity, concept) pairs by name-embedding cosine."""
+    """Unconnected (core entity, concept) pairs by name-embedding cosine.
+
+    Ranked by descending cosine, ties by ascending node ids. quota=None returns
+    every such pair, otherwise the first quota of that ranking. Each score is
+    the per-pair ``np.dot``; one matrix product only narrows down the pairs
+    that can reach the quota.
+    """
     KG_OPS.bump("explore_similarity")
-    adjacent = kg.undirected_pairs()
-    cores = [nid for nid in kg.node_ids() if kg.nodes[nid].is_core_entity]
-    concepts = [nid for nid in kg.node_ids() if not kg.nodes[nid].is_core_entity]
-    candidates: list[tuple[float, int, int, str, str]] = []
-    for c in cores:
-        for k in concepts:
-            if _pair_key(c, k) in adjacent:
-                continue
-            vc = kg.nodes[c].embedding
-            vk = kg.nodes[k].embedding
-            if vc is None or vk is None:
-                raise EmbeddingMissingError(
-                    f"similarity exploration needs embeddings for {c} and {k}"
-                )
-            sim = float(np.dot(vc, vk))
-            candidates.append((sim, node_num(c), node_num(k), c, k))
+    ids = kg.node_ids()
+    cores = [v for v in ids if kg.nodes[v].is_core_entity]
+    concepts = [v for v in ids if not kg.nodes[v].is_core_entity]
+    column = {k: j for j, k in enumerate(concepts)}
+    unlinked = np.ones((len(cores), len(concepts)), dtype=bool)
+    for i, c in enumerate(cores):
+        for k in kg.neighbors(c):
+            if k in column:
+                unlinked[i, column[k]] = False
+    core_missing = np.array([kg.nodes[c].embedding is None for c in cores], dtype=bool)
+    concept_missing = np.array([kg.nodes[k].embedding is None for k in concepts], dtype=bool)
+    missing = unlinked & (core_missing[:, None] | concept_missing[None, :])
+    if missing.any():
+        i, j = np.argwhere(missing)[0]
+        raise EmbeddingMissingError(
+            f"similarity exploration needs embeddings for {cores[i]} and {concepts[j]}"
+        )
+    # Past that check a node without an embedding has no unlinked partner;
+    # dropping it lets the rest stack into matrices.
+    cores = [c for c, gone in zip(cores, core_missing) if not gone]
+    concepts = [k for k, gone in zip(concepts, concept_missing) if not gone]
+    unlinked = unlinked[~core_missing][:, ~concept_missing]
+
+    if quota is not None and quota < int(unlinked.sum()):
+        if quota <= 0:
+            return []
+        core_vecs = np.array([kg.nodes[c].embedding for c in cores])
+        concept_vecs = np.array([kg.nodes[k].embedding for k in concepts])
+        approx = np.where(unlinked, core_vecs @ concept_vecs.T, -np.inf)
+        cut = np.partition(approx, -quota, axis=None)[-quota]
+        unlinked &= approx >= cut - gram_margin(core_vecs, concept_vecs)
+
+    # Row and column order is numeric node order, so indices break ties.
+    candidates: list[tuple[float, int, int]] = [
+        (float(np.dot(kg.nodes[cores[i]].embedding, kg.nodes[concepts[j]].embedding)), i, j)
+        for i, j in zip(*np.nonzero(unlinked))
+    ]
     candidates.sort(key=lambda t: (-t[0], t[1], t[2]))
     if quota is not None:
         candidates = candidates[:quota]
@@ -268,13 +314,28 @@ def explore_similarity(kg: KnowledgeGraph, quota: int | None = None) -> list[Sea
         SearchChain(
             kind="explore",
             basis="similarity",
-            source_id=c,
-            target_id=k,
+            source_id=cores[i],
+            target_id=concepts[j],
             relation=EXPLORE_RELATION_HINT,
             score=sim,
         )
-        for sim, _, _, c, k in candidates
+        for sim, i, j in candidates
     ]
+
+
+def _cross_pairs(
+    first: list[str], second: list[str], rank: dict[str, int]
+) -> Iterator[tuple[int, int, str, str]]:
+    """Node pairs with one end in each list, as (rank a, rank b, a, b) with
+    rank a < rank b, in ascending order. Both lists are sorted by rank."""
+    first_ranks = [rank[v] for v in first]
+    second_ranks = [rank[v] for v in second]
+    partners = {v: (second, second_ranks) for v in first}
+    partners.update((v, (first, first_ranks)) for v in second)
+    for a in heapq.merge(first, second, key=rank.__getitem__):
+        others, others_ranks = partners[a]
+        for b in others[bisect_right(others_ranks, rank[a]) :]:
+            yield rank[a], rank[b], a, b
 
 
 def explore_block(
@@ -282,80 +343,78 @@ def explore_block(
     partition: CommunityPartition,
     block: SbmBlockMatrix,
     quota: int,
-    exclude_pairs: set[tuple[str, str]] = frozenset(),
+    exclude_pairs: Container[tuple[str, str]] = frozenset(),
+    limit: int | None = None,
 ) -> list[SearchChain]:
     """Cross-community non-edges split between likely and uncertain links.
 
     ceil(quota/2) slots go to the highest block probabilities, floor(quota/2)
     to the highest entropies among the rest; any extension past the quota
     continues down the probability ranking. Ties order by the numeric node
-    pair. Returns the full ordered list; callers truncate.
+    pair. Returns the first ``limit`` chains of that list, or all of it when
+    limit is None.
+
+    A pair's probability, and so its entropy, depends only on its two
+    communities. Both rankings therefore walk community pairs best first and,
+    within a run of equal values, merge those community pairs' node pairs in
+    numeric order, producing only as many as the returned list needs.
     """
     KG_OPS.bump("explore_block")
-    adjacent = kg.undirected_pairs()
     ids = kg.node_ids()
-    pool: list[tuple[str, str, float]] = []
-    for i, a in enumerate(ids):
-        for b in ids[i + 1 :]:
-            if partition.community_of(a) == partition.community_of(b):
-                continue
-            pair = _pair_key(a, b)
-            if pair in adjacent or pair in exclude_pairs:
-                continue
-            p = block.prob(partition.community_of(a), partition.community_of(b))
-            pool.append((pair[0], pair[1], p))
+    rank = {v: i for i, v in enumerate(ids)}  # numeric node order
+    members: dict[int, list[str]] = {}
+    for v in ids:
+        members.setdefault(partition.community_of(v), []).append(v)
+    labels = sorted(members)
+    prob = {
+        (c, d): block.prob(c, d) for i, c in enumerate(labels) for d in labels[i + 1 :]
+    }
+    entropy = {cd: bernoulli_entropy(p) for cd, p in prob.items()}
+    linked: dict[str, set[str]] = {}
 
-    def pair_nums(entry: tuple[str, str, float]) -> tuple[int, int]:
-        return (node_num(entry[0]), node_num(entry[1]))
+    def ranked(value: dict[tuple[int, int], float]) -> Iterator[tuple[str, str, float]]:
+        best_first = sorted(value, key=lambda cd: -value[cd])
+        for v, tied in groupby(best_first, key=value.__getitem__):
+            runs = [_cross_pairs(members[c], members[d], rank) for c, d in tied]
+            for _, _, a, b in heapq.merge(*runs):
+                if a not in linked:
+                    linked[a] = kg.neighbors(a)
+                if b not in linked[a] and (a, b) not in exclude_pairs:
+                    yield a, b, v
 
-    by_prob = sorted(pool, key=lambda t: (-t[2], pair_nums(t)))
+    room = len(ids) ** 2 if limit is None else limit  # len(ids) ** 2 > every pair
     prob_quota = quota - quota // 2
     ent_quota = quota // 2
-    picked_prob = by_prob[:prob_quota]
-    picked_set = {(a, b) for a, b, _ in picked_prob}
-    remaining = [t for t in pool if (t[0], t[1]) not in picked_set]
-    by_entropy = sorted(
-        remaining, key=lambda t: (-bernoulli_entropy(t[2]), pair_nums(t))
+    by_prob = ranked(prob)
+    picked_prob = list(islice(by_prob, min(prob_quota, room)))
+    taken = {(a, b) for a, b, _ in picked_prob}
+    room -= len(picked_prob)
+    picked_ent = list(
+        islice(
+            ((a, b, h) for a, b, h in ranked(entropy) if (a, b) not in taken),
+            min(ent_quota, room),
+        )
     )
-    picked_ent = by_entropy[:ent_quota]
-    picked_set |= {(a, b) for a, b, _ in picked_ent}
-    extension = [t for t in by_prob if (t[0], t[1]) not in picked_set]
+    taken |= {(a, b) for a, b, _ in picked_ent}
+    room -= len(picked_ent)
+    extension = list(islice(((a, b, p) for a, b, p in by_prob if (a, b) not in taken), room))
 
-    chains = []
-    for a, b, p in picked_prob:
-        chains.append(
-            SearchChain(
-                kind="explore",
-                basis="block_probability",
-                source_id=a,
-                target_id=b,
-                relation=EXPLORE_RELATION_HINT,
-                score=p,
-            )
+    return [
+        SearchChain(
+            kind="explore",
+            basis=basis,
+            source_id=a,
+            target_id=b,
+            relation=EXPLORE_RELATION_HINT,
+            score=score,
         )
-    for a, b, p in picked_ent:
-        chains.append(
-            SearchChain(
-                kind="explore",
-                basis="block_entropy",
-                source_id=a,
-                target_id=b,
-                relation=EXPLORE_RELATION_HINT,
-                score=bernoulli_entropy(p),
-            )
+        for basis, picked in (
+            ("block_probability", picked_prob),
+            ("block_entropy", picked_ent),
+            ("block_probability", extension),
         )
-    for a, b, p in extension:
-        chains.append(
-            SearchChain(
-                kind="explore",
-                basis="block_probability",
-                source_id=a,
-                target_id=b,
-                relation=EXPLORE_RELATION_HINT,
-                score=p,
-            )
-        )
-    return chains
+        for a, b, score in picked
+    ]
 
 
 def explore_structural_holes(
@@ -373,7 +432,7 @@ def explore_structural_holes(
     """
     KG_OPS.bump("explore_structural_holes")
     comms = partition.communities()
-    adjacent = kg.undirected_pairs()
+    num = {v: node_num(v) for v in partition.assignment}
     bscore = {v: bridging_score(kg, partition, v) for v in partition.assignment}
     din = {v: degree_in_community(kg, partition, v) for v in partition.assignment}
 
@@ -382,12 +441,13 @@ def explore_structural_holes(
     rep: dict[int, str] = {}
     for c, members in comms.items():
         crossing = [v for v in members if bscore[v] > 0.0]
-        crossing.sort(key=lambda v: (-bscore[v], node_num(v)))
+        crossing.sort(key=lambda v: (-bscore[v], num[v]))
         bridges[c] = crossing[:3]
         rest = [v for v in members if v not in bridges[c]]
-        rest.sort(key=lambda v: (-din[v], node_num(v)))
+        rest.sort(key=lambda v: (-din[v], num[v]))
         hubs[c] = rest[:2]
-        rep[c] = min(members, key=lambda v: (-din[v], node_num(v)))
+        rep[c] = min(members, key=lambda v: (-din[v], num[v]))
+    linked = {a: kg.neighbors(a) for c in comms for a in bridges[c] + hubs[c]}
 
     seen: set[tuple[str, str]] = set()
     candidates: list[tuple[float, int, int, str, str]] = []
@@ -397,12 +457,10 @@ def explore_structural_holes(
                 continue
             for a in bridges[c1] + hubs[c1]:
                 b = rep[c2]
-                if a == b or _pair_key(a, b) in adjacent:
+                if a == b or b in linked[a] or (a, b) in seen:
                     continue
-                if _pair_key(a, b) in seen:
-                    continue
-                seen.add(_pair_key(a, b))
-                candidates.append((bscore[a], node_num(a), node_num(b), a, b))
+                seen.update(((a, b), (b, a)))
+                candidates.append((bscore[a], num[a], num[b], a, b))
     candidates.sort(key=lambda t: (-t[0], t[1], t[2]))
     return [
         SearchChain(
@@ -415,6 +473,25 @@ def explore_structural_holes(
         )
         for score, _, _, a, b in candidates
     ]
+
+
+class _ProposedElsewhere:
+    """The node pairs the similarity and structural-hole families propose.
+
+    Similarity proposes every unlinked pair of one core entity and one
+    concept. Block exploration only asks about unlinked pairs, so for it that
+    family is the rule "one core entity, one concept", not a list of pairs.
+    """
+
+    def __init__(self, kg: KnowledgeGraph, holes: list[SearchChain]) -> None:
+        self._kg = kg
+        self._holes = {(c.source_id, c.target_id) for c in holes}
+        self._holes |= {(b, a) for a, b in self._holes}
+
+    def __contains__(self, pair: tuple[str, str]) -> bool:
+        a, b = pair
+        nodes = self._kg.nodes
+        return nodes[a].is_core_entity != nodes[b].is_core_entity or pair in self._holes
 
 
 def build_search_chains(
@@ -430,19 +507,24 @@ def build_search_chains(
     """
     KG_OPS.bump("build_search_chains")
     plan = allocate_quotas(config.total)
-    enrich_full = rank_enrich(
-        kg, partition, evidence_threshold=config.enrich_evidence_threshold, quota=None
+    # No family can fill more than the whole budget, so every ranking is cut
+    # there; the counts below come out the same as on the uncut lists.
+    enrich = rank_enrich(
+        kg, partition, evidence_threshold=config.enrich_evidence_threshold, quota=config.total
     )
-    sim_full = explore_similarity(kg, quota=None)
-    hole_full = explore_structural_holes(kg, partition)
-    exclude = {_pair_key(c.source_id, c.target_id) for c in sim_full}
-    exclude |= {_pair_key(c.source_id, c.target_id) for c in hole_full}
+    similar = explore_similarity(kg, quota=config.total)
+    holes = explore_structural_holes(kg, partition)
     block = sbm_block_matrix(kg, partition, alpha=config.sbm_alpha)
-    block_full = explore_block(
-        kg, partition, block, quota=plan.per_explore, exclude_pairs=exclude
+    blocks = explore_block(
+        kg,
+        partition,
+        block,
+        quota=plan.per_explore,
+        exclude_pairs=_ProposedElsewhere(kg, holes),
+        limit=config.total,
     )
 
-    lists = [enrich_full, sim_full, block_full, hole_full]
+    lists = [enrich, similar, blocks, holes]
     quotas = [plan.enrich, plan.per_explore, plan.per_explore, plan.per_explore]
     counts = [min(q, len(lst)) for q, lst in zip(quotas, lists)]
     leftover = config.total - sum(counts)

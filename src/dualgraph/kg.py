@@ -5,6 +5,11 @@ carry a relation name and the set of evidence ids that ground them. Edge
 identity is the exact (source, target, relation) triple: re-observing a triple
 unions evidence instead of duplicating the edge. Ids are issued sequentially
 and never reused, including ids retired by node merges.
+
+Every graph keeps an adjacency index next to its edges: for each node, the
+nodes it shares a non-loop edge with, in either direction, and how many edges
+join them. Every operation that adds or rewires edges maintains it, so
+``neighbors`` is a lookup.
 """
 
 from __future__ import annotations
@@ -45,6 +50,7 @@ __all__ = [
     "bridging_score",
     "degree_in_community",
     "node_importance",
+    "gram_margin",
 ]
 
 
@@ -160,6 +166,8 @@ class KnowledgeGraph:
         self.nodes: dict[str, KnowledgeNode] = {}
         self.edges: dict[str, KnowledgeEdge] = {}
         self._triples: dict[tuple[str, str, str], str] = {}
+        # node -> {neighbour: edges joining the two}; isolated nodes are absent.
+        self._adjacency: dict[str, dict[str, int]] = {}
         self.next_node_num: int = 1
         self.next_edge_num: int = 1
 
@@ -186,14 +194,7 @@ class KnowledgeGraph:
         """Distinct adjacent nodes, ignoring direction and multiplicity."""
         if v not in self.nodes:
             raise UnknownNodeError(f"unknown node {v!r}")
-        out: set[str] = set()
-        for e in self.edges.values():
-            if e.source_id == v:
-                out.add(e.target_id)
-            elif e.target_id == v:
-                out.add(e.source_id)
-        out.discard(v)
-        return out
+        return set(self._adjacency.get(v, ()))
 
     def undirected_pairs(self) -> set[tuple[str, str]]:
         """Adjacent node pairs on the simple projection, numerically ordered."""
@@ -231,6 +232,7 @@ class KnowledgeGraph:
                 evidence_ids=set(e.evidence_ids),
             )
         g._triples = dict(self._triples)
+        g._adjacency = {v: dict(nbrs) for v, nbrs in self._adjacency.items()}
         g.next_node_num = self.next_node_num
         g.next_edge_num = self.next_edge_num
         return g
@@ -264,7 +266,16 @@ class KnowledgeGraph:
             evidence_ids=set(evidence_ids or set()),
         )
         self._triples[(source, target, relation)] = eid
+        self._link(source, target)
         return eid
+
+    def _link(self, a: str, b: str) -> None:
+        """Record one more edge between a and b in the adjacency index."""
+        if a == b:
+            return
+        for u, v in ((a, b), (b, a)):
+            nbrs = self._adjacency.setdefault(u, {})
+            nbrs[v] = nbrs.get(v, 0) + 1
 
     # -- serialization -------------------------------------------------
 
@@ -333,20 +344,27 @@ class KnowledgeGraph:
             for endpoint in (edge.source_id, edge.target_id):
                 if endpoint not in g.nodes:
                     raise UnknownNodeError(f"edge {edge.edge_id} references {endpoint!r}")
+            if edge.triple in g._triples:
+                raise DuplicateIdError(
+                    f"edges {g._triples[edge.triple]} and {edge.edge_id} repeat {edge.triple}"
+                )
             g.edges[edge.edge_id] = edge
             g._triples[edge.triple] = edge.edge_id
-        g.next_node_num = int(
-            doc.get(
-                "next_node_num",
-                max((node_num(i) for i in g.nodes), default=0) + 1,
+            g._link(edge.source_id, edge.target_id)
+        # Counters past the largest id are legal (merges retire ids); counters
+        # at or below it would reissue an id that is still in use.
+        last_node = max((node_num(i) for i in g.nodes), default=0)
+        last_edge = max((edge_num(i) for i in g.edges), default=0)
+        g.next_node_num = int(doc.get("next_node_num", last_node + 1))
+        g.next_edge_num = int(doc.get("next_edge_num", last_edge + 1))
+        if g.next_node_num <= last_node:
+            raise DuplicateIdError(
+                f"next_node_num {g.next_node_num} would reissue n{last_node}"
             )
-        )
-        g.next_edge_num = int(
-            doc.get(
-                "next_edge_num",
-                max((edge_num(i) for i in g.edges), default=0) + 1,
+        if g.next_edge_num <= last_edge:
+            raise DuplicateIdError(
+                f"next_edge_num {g.next_edge_num} would reissue e{last_edge}"
             )
-        )
         return g
 
     @classmethod
@@ -466,6 +484,7 @@ def apply_extraction(
             relation=ed.relation,
         )
         g._triples[triple] = ed.edge_id
+        g._link(ed.source_id, ed.target_id)
         g.next_edge_num += 1
         alias[ed.edge_id] = ed.edge_id
 
@@ -530,6 +549,7 @@ def merge_nodes(kg: KnowledgeGraph, clusters: list[MergeCluster]) -> KnowledgeGr
 
     new_edges: dict[str, KnowledgeEdge] = {}
     new_triples: dict[tuple[str, str, str], str] = {}
+    g._adjacency = {}
     for eid in sorted(g.edges, key=edge_num):
         e = g.edges[eid]
         src = canonical.get(e.source_id, e.source_id)
@@ -551,9 +571,32 @@ def merge_nodes(kg: KnowledgeGraph, clusters: list[MergeCluster]) -> KnowledgeGr
         e.target_id = tgt
         new_edges[eid] = e
         new_triples[triple] = eid
+        g._link(src, tgt)
     g.edges = new_edges
     g._triples = new_triples
     return g
+
+
+# Rows of the Gram matrix formed at once, so memory stays linear in nodes.
+_GRAM_ROWS = 512
+
+
+def gram_margin(a: np.ndarray, b: np.ndarray) -> float:
+    """A bound on how far an entry of ``a @ b.T`` may sit from ``np.dot`` of
+    its two rows, for all entries.
+
+    Both are float sums of the same n products in some order, so each lies
+    within gamma_n * |a_i| * |b_j| of the exact value, gamma_n ~ n * eps / 2
+    (Higham, Accuracy and Stability of Numerical Algorithms, 3.1), and the two
+    differ by about n * eps * |a_i| * |b_j|. The bound doubles that at the
+    largest row norms: a cut placed at a computed entry is off by one such
+    distance and the entries it compares by another.
+    """
+    dtype = np.result_type(a, b)
+    eps = np.finfo(dtype if dtype.kind == "f" else float).eps
+    norm_a = float(np.max(np.linalg.norm(a, axis=1), initial=0.0))
+    norm_b = float(np.max(np.linalg.norm(b, axis=1), initial=0.0))
+    return 4.0 * a.shape[1] * eps * norm_a * norm_b
 
 
 def cluster_semantic(kg: KnowledgeGraph, threshold: float = 0.85) -> dict[str, int]:
@@ -561,7 +604,8 @@ def cluster_semantic(kg: KnowledgeGraph, threshold: float = 0.85) -> dict[str, i
 
     Connected components of the graph over node pairs with cosine >= threshold;
     labels contiguous from 0 in numeric node order. Every node must already
-    carry an embedding.
+    carry an embedding. The decision for each pair is the per-pair
+    ``np.dot``; a Gram-matrix product only picks the pairs worth deciding.
     """
     KG_OPS.bump("cluster_semantic")
     ids = kg.node_ids()
@@ -576,14 +620,19 @@ def cluster_semantic(kg: KnowledgeGraph, threshold: float = 0.85) -> dict[str, i
             x = parent[x]
         return x
 
-    for i, a in enumerate(ids):
-        va = kg.nodes[a].embedding
-        for b in ids[i + 1 :]:
-            vb = kg.nodes[b].embedding
-            if float(np.dot(va, vb)) >= threshold:
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    parent[max(ra, rb, key=node_num)] = min(ra, rb, key=node_num)
+    vectors = [kg.nodes[nid].embedding for nid in ids]
+    if ids:
+        stack = np.array(vectors)
+        floor = threshold - gram_margin(stack, stack)
+        for start in range(0, len(ids), _GRAM_ROWS):
+            close = stack[start : start + _GRAM_ROWS] @ stack.T >= floor
+            # Row r is node start + r; keep only its pairs with later nodes.
+            for r, j in zip(*np.nonzero(np.triu(close, start + 1))):
+                i = start + int(r)
+                if float(np.dot(vectors[i], vectors[j])) >= threshold:
+                    ra, rb = find(ids[i]), find(ids[j])
+                    if ra != rb:
+                        parent[max(ra, rb, key=node_num)] = min(ra, rb, key=node_num)
 
     labels: dict[str, int] = {}
     out: dict[str, int] = {}

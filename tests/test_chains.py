@@ -37,6 +37,7 @@ from .oracles import (
     make_case,
     ref_chain_pipeline,
     ref_entropy,
+    ref_block_list,
     ref_hole_list,
 )
 
@@ -331,6 +332,29 @@ class TestExploreStructuralHoles:
                 assert got.score == pytest.approx(want.score, rel=1e-9)
 
 
+def _share_embeddings(kg: KnowledgeGraph, case, rng: random.Random) -> None:
+    """Give half the nodes a copy of one of four embeddings, some of them
+    nudged by one ulp per coordinate: cosines then tie exactly or differ in
+    the last bits, where a matrix product and per-pair np.dot disagree."""
+    ids = kg.node_ids()
+    for nid in ids:
+        if rng.random() < 0.5:
+            vec = kg.nodes[rng.choice(ids[:4])].embedding.copy()
+            if rng.random() < 0.5:
+                vec = np.nextafter(vec, vec * rng.choice((-2.0, 2.0)))
+            kg.nodes[nid].embedding = vec
+            case.vectors[nid] = vec
+
+
+def _assert_similarity_cuts(kg: KnowledgeGraph) -> None:
+    full = explore_similarity(kg)
+    for c in full:
+        vc, vk = kg.nodes[c.source_id].embedding, kg.nodes[c.target_id].embedding
+        assert c.score == float(np.dot(vc, vk))
+    for quota in {*range(40), max(len(full) - 1, 0), len(full), len(full) + 1}:
+        assert explore_similarity(kg, quota=quota) == full[:quota]
+
+
 class TestBuildSearchChains:
     def test_matches_reference_pipeline_on_random_graphs(self, rng):
         config_pool = [
@@ -368,6 +392,48 @@ class TestBuildSearchChains:
             assert [c.chain_id for c in chains] == [
                 f"chain_{i + 1}" for i in range(len(chains))
             ]
+
+    @pytest.mark.parametrize("edge_factor", [0.4, 4.0])
+    def test_cut_rankings_are_prefixes_on_many_communities(self, rng, edge_factor):
+        # Eight communities over at most 60 nodes: many community pairs share
+        # one block probability, so the lazy rankings merge tie groups.
+        shared = 0
+        for _ in range(12):
+            kg, part, case = make_case(
+                rng, max_nodes=60, max_communities=8, edge_factor=edge_factor
+            )
+            block = sbm_block_matrix(kg, part, alpha=0.1)
+            probs = [block.prob(c, d) for c in block.labels for d in block.labels if c < d]
+            shared += len(probs) - len(set(probs))
+            for quota in (1, 4, 5):
+                full = explore_block(kg, part, block, quota=quota)
+                expected = ref_block_list(case, 0.1, quota, set())
+                assert [(c.basis, c.source_id, c.target_id) for c in full] == [
+                    (r.basis, r.source, r.target) for r in expected
+                ]
+                for got, want in zip(full, expected):
+                    assert got.score == pytest.approx(want.score, rel=1e-12)
+                for limit in (0, 1, quota, quota + 3, len(full) + 1):
+                    assert explore_block(kg, part, block, quota=quota, limit=limit) == (
+                        full[:limit]
+                    )
+            _assert_similarity_cuts(kg)
+            for total in (10, 16):
+                assert_chain_lists_equal(
+                    build_search_chains(kg, part, ChainConfig(total=total)),
+                    ref_chain_pipeline(case, total, 1, 0.1),
+                )
+        assert shared > 0
+
+    def test_similarity_ties_at_the_cut(self, rng):
+        for _ in range(12):
+            kg, part, case = make_case(rng, max_nodes=60, max_communities=8, dim=32)
+            _share_embeddings(kg, case, rng)
+            _assert_similarity_cuts(kg)
+            assert_chain_lists_equal(
+                build_search_chains(kg, part, ChainConfig(total=16)),
+                ref_chain_pipeline(case, 16, 1, 0.1),
+            )
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -25,7 +25,8 @@ from dualgraph.kg import (
     merge_nodes,
 )
 
-from .oracles import make_case, ref_semantic_clusters
+from . import oracles
+from .oracles import CaseGraph, make_case, ref_semantic_clusters
 
 
 def _small_graph() -> KnowledgeGraph:
@@ -76,6 +77,31 @@ class TestGraphBasics:
         # The triple index is rebuilt, not just copied.
         assert clone.add_edge("n1", "n2", "reduces") == "e1"
 
+    def test_from_dict_rejects_node_counter_that_reissues_an_id(self):
+        doc = _small_graph().to_dict()
+        doc["next_node_num"] = 2
+        with pytest.raises(DuplicateIdError):
+            KnowledgeGraph.from_dict(doc)
+        # Ids past the largest one, as merges leave behind, stay legal.
+        doc["next_node_num"] = 9
+        assert KnowledgeGraph.from_dict(doc).add_node("x", False) == "n9"
+
+    def test_from_dict_rejects_edge_counter_that_reissues_an_id(self):
+        doc = _small_graph().to_dict()
+        doc["next_edge_num"] = 1
+        with pytest.raises(DuplicateIdError):
+            KnowledgeGraph.from_dict(doc)
+        doc["next_edge_num"] = 7
+        assert KnowledgeGraph.from_dict(doc).add_edge("n3", "n1", "r") == "e7"
+
+    def test_from_dict_rejects_repeated_triple(self):
+        doc = _small_graph().to_dict()
+        twin = dict(doc["knowledge_edges"][0], edge_id="e3", evidence_ids=[2])
+        doc["knowledge_edges"].append(twin)
+        doc["next_edge_num"] = 4
+        with pytest.raises(DuplicateIdError):
+            KnowledgeGraph.from_dict(doc)
+
     def test_prompt_payload_shape(self):
         payload = _small_graph().to_prompt_payload()
         assert [n["id"] for n in payload["nodes"]] == ["n1", "n2", "n3"]
@@ -84,6 +110,93 @@ class TestGraphBasics:
             "id": "e1",
             "representation": "storage - reduces -> curtailment",
         }
+
+
+def _mirror(kg: KnowledgeGraph) -> CaseGraph:
+    """The graph's edges as oracle data, read without the adjacency index."""
+    return CaseGraph(
+        nodes=list(kg.nodes),
+        edges={
+            eid: (e.source_id, e.target_id, e.relation, frozenset(e.evidence_ids))
+            for eid, e in kg.edges.items()
+        },
+    )
+
+
+def _assert_index_matches_edges(kg: KnowledgeGraph) -> None:
+    case = _mirror(kg)
+    for v in kg.nodes:
+        assert kg.neighbors(v) == oracles.neighbors(case, v), v
+
+
+def _random_step(kg: KnowledgeGraph, gen: random.Random) -> KnowledgeGraph:
+    """One random mutation; returns the graph to continue from."""
+    ids = list(kg.nodes)
+    op = gen.choice(("node", "edge", "edge", "extract", "extract", "merge", "copy", "dict"))
+    if op == "node" or len(ids) < 2:
+        kg.add_node(f"x{kg.next_node_num}", gen.random() < 0.3)
+    elif op == "edge":
+        src, tgt = gen.choice(ids), gen.choice(ids)  # self-loops included
+        if gen.random() < 0.3 and kg.edges:
+            # Reverse or restate an existing edge.
+            e = kg.edges[gen.choice(list(kg.edges))]
+            src, tgt = e.source_id, e.target_id
+            if gen.random() < 0.5:
+                src, tgt = tgt, src
+        kg.add_edge(src, tgt, gen.choice(("r", "s")), {gen.randrange(5)})
+    elif op == "extract":
+        nodes = [ExtractedNode(f"n{kg.next_node_num}", f"x{kg.next_node_num}", False)]
+        pool = ids + [nodes[0].node_id]
+        edges, num = [], kg.next_edge_num
+        for _ in range(gen.randint(1, 4)):
+            if gen.random() < 0.3 and kg.edges:
+                e = kg.edges[gen.choice(list(kg.edges))]  # re-observed triple
+                src, tgt, rel = e.source_id, e.target_id, e.relation
+            else:
+                src, tgt, rel = gen.choice(pool), gen.choice(pool), gen.choice(("r", "s"))
+            if any((d.source_id, d.target_id, d.relation) == (src, tgt, rel) for d in edges):
+                continue
+            edges.append(ExtractedEdge(f"e{num}", src, tgt, rel))
+            num += 1
+        batch = ExtractionResult(
+            new_nodes=nodes, new_edges=edges, evidences_map={"EN1": [edges[0].edge_id]}
+        )
+        kg = apply_extraction(kg, batch, {"EN1": 1})
+    elif op == "merge":
+        concepts = [v for v in ids if not kg.nodes[v].is_core_entity]
+        if len(concepts) >= 2:
+            group = gen.sample(concepts, min(len(concepts), gen.randint(2, 3)))
+            kg = merge_nodes(kg, [MergeCluster("merged", group)])
+    elif op == "copy":
+        kg = kg.copy()
+    else:
+        kg = KnowledgeGraph.from_dict(kg.to_dict())
+    return kg
+
+
+class TestAdjacencyIndex:
+    def test_index_follows_every_mutation(self, rng):
+        for _ in range(30):
+            kg = KnowledgeGraph()
+            for _ in range(40):
+                kg = _random_step(kg, rng)
+                _assert_index_matches_edges(kg)
+
+    def test_derived_graphs_leave_the_original_index_alone(self):
+        kg = _merge_fixture()
+        before = {v: kg.neighbors(v) for v in kg.nodes}
+        clone = kg.copy()
+        clone.add_edge("n1", "n4", "funds")
+        clone.add_edge("n4", clone.add_node("grid", False), "feeds")
+        merge_nodes(kg, [MergeCluster("storage cost", ["n2", "n3", "n4"])])
+        apply_extraction(
+            kg,
+            ExtractionResult(new_edges=[ExtractedEdge("e5", "n3", "n4", "funds")]),
+            {},
+        )
+        assert {v: kg.neighbors(v) for v in kg.nodes} == before
+        assert clone.neighbors("n1") == {"n2", "n3", "n4"}
+        _assert_index_matches_edges(clone)
 
 
 class TestApplyExtraction:
@@ -238,6 +351,42 @@ class TestClusterSemantic:
         kg.add_node("a", False)
         with pytest.raises(EmbeddingMissingError):
             cluster_semantic(kg)
+
+    def test_pair_exactly_at_threshold_is_clustered(self, rng):
+        # A Gram-matrix entry can round below the per-pair dot product. At a
+        # threshold equal to that product the pair must still be clustered;
+        # the closest pairs are the ones no other pair joins transitively.
+        for _ in range(5):
+            kg, _, case = make_case(rng, max_nodes=60, dim=32)
+            ids = kg.node_ids()
+            closest = sorted(
+                (
+                    (float(np.dot(case.vectors[a], case.vectors[b])), a, b)
+                    for i, a in enumerate(ids)
+                    for b in ids[i + 1 :]
+                ),
+                reverse=True,
+            )[:30]
+            for threshold, a, b in closest:
+                labels = cluster_semantic(kg, threshold)
+                assert labels[a] == labels[b], (a, b)
+            for threshold, _, _ in closest[::10]:
+                assert cluster_semantic(kg, threshold) == ref_semantic_clusters(
+                    case.nodes, case.vectors, threshold
+                )
+
+    def test_shared_embeddings_match_union_find_oracle(self, rng):
+        for _ in range(10):
+            kg, _, case = make_case(rng, max_nodes=60, dim=32)
+            ids = kg.node_ids()
+            for nid in ids:
+                if rng.random() < 0.5:
+                    vec = kg.nodes[rng.choice(ids[:4])].embedding
+                    kg.nodes[nid].embedding = case.vectors[nid] = vec.copy()
+            for threshold in (0.6, 0.85, 1.0):
+                assert cluster_semantic(kg, threshold) == ref_semantic_clusters(
+                    case.nodes, case.vectors, threshold
+                )
 
     def test_transitive_closure_merges_chains(self):
         kg = KnowledgeGraph()
