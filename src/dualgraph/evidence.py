@@ -172,17 +172,14 @@ class EvidenceBank:
         return [u.evidence_id for u in self.units]
 
     def to_document(self) -> str:
-        doc = {
-            "units": [u.to_dict() for u in self.units],
-            "seen_urls": sorted(self._seen_urls),
-        }
+        doc = {"units": [u.to_dict() for u in self.units]}
         return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
 
     @classmethod
-    def from_document(cls, text: str) -> "EvidenceBank":
-        doc = json.loads(text)
+    def from_document(cls, text: str, units: int | None = None) -> "EvidenceBank":
+        """Parse ``to_document`` output; ``units`` keeps at most that many leading units."""
         bank = cls()
-        for entry in doc["units"]:
+        for entry in json.loads(text)["units"][:units]:
             unit = EvidenceUnit.from_dict(entry)
             if unit.evidence_id != bank.next_id:
                 raise EvidenceError(
@@ -191,8 +188,4 @@ class EvidenceBank:
             bank.units.append(unit)
             bank._by_id[unit.evidence_id] = unit
             bank._seen_urls.add(normalize_url(unit.url))
-        # Stored url set may contain extra entries only if the document was
-        # hand-edited; trust the declared set when it is a superset.
-        for key in doc.get("seen_urls", []):
-            bank._seen_urls.add(key)
         return bank

@@ -18,7 +18,7 @@ from __future__ import annotations
 import copy
 import json
 import logging
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import islice
@@ -124,22 +124,9 @@ class RunConfig:
             raise ConfigError("retry_budget must be >= 0")
 
     def to_dict(self) -> dict:
-        return {
-            "max_iter": self.max_iter,
-            "og_query_budget": self.og_query_budget,
-            "kg_query_budget": self.kg_query_budget,
-            "urls_per_query": self.urls_per_query,
-            "enrich_evidence_threshold": self.enrich_evidence_threshold,
-            "sbm_alpha": self.sbm_alpha,
-            "semantic_cluster_threshold": self.semantic_cluster_threshold,
-            "community_resolution": self.community_resolution,
-            "near_duplicate_threshold": self.near_duplicate_threshold,
-            "early_stop_thresholds": dict(self.early_stop_thresholds),
-            "seed": self.seed,
-            "variant": self.variant.value,
-            "retry_budget": self.retry_budget,
-            "embed_dim": self.embed_dim,
-        }
+        doc = {name: getattr(self, name) for name in self.__dataclass_fields__}
+        doc.update(early_stop_thresholds=dict(self.early_stop_thresholds), variant=self.variant.value)
+        return doc
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
@@ -178,34 +165,36 @@ class RunState:
     early_stop_history: list[EarlyStopReport] = field(default_factory=list)
     events: list[str] = field(default_factory=list)
     audit: list[dict] = field(default_factory=list)
-    iteration_chains: dict[int, dict] = field(default_factory=dict)
+    chain_record: dict | None = None  # this iteration's chains, kept in chains_iterN.json
     report: str | None = None
 
     def clone(self) -> "RunState":
         return copy.deepcopy(self)
 
     def to_dict(self) -> dict:
+        """What only state.json holds; the checkpoint's other files hold the rest."""
         return {
-            "format_version": 2,
+            "format_version": 3,
             "root_query": self.root_query,
             "config": self.config.to_dict(),
             "stage": self.stage,
             "iteration": self.iteration,
             "stopped": self.stopped,
-            "outline": render_outline(self.og) if self.og is not None else None,
-            "kg": self.kg.to_dict() if self.kg is not None else None,
-            "bank": json.loads(self.bank.to_document()),
             "executed_queries": list(self.executed_queries),
             "early_stop_history": [r.to_dict() for r in self.early_stop_history],
             "events": list(self.events),
             "audit_records": len(self.audit),
-            "iteration_chains": {str(k): v for k, v in self.iteration_chains.items()},
-            "report": self.report,
+            "bank_units": len(self.bank),
         }
 
     @classmethod
-    def from_dict(cls, doc: dict, audit: Iterable[dict]) -> "RunState":
-        if doc.get("format_version") != 2:
+    def from_dict(cls, doc: dict, audit: Iterable[dict], read: Callable[[str], str]) -> "RunState":
+        """Rebuild a checkpoint; ``read(name)`` returns the text of a run-dir file.
+
+        The files of the committed iteration never change later, and bank.json
+        and the audit only grow, so a checkpoint that never committed is ignored.
+        """
+        if doc.get("format_version") != 3:
             raise ConfigError(f"unsupported state format_version {doc.get('format_version')!r}")
         state = cls(
             root_query=doc["root_query"],
@@ -214,23 +203,21 @@ class RunState:
             iteration=int(doc["iteration"]),
             stopped=bool(doc["stopped"]),
         )
-        if doc.get("outline") is not None:
-            state.og = parse_outline(doc["outline"])
-        if doc.get("kg") is not None:
-            state.kg = KnowledgeGraph.from_dict(doc["kg"])
-        state.bank = EvidenceBank.from_document(json.dumps(doc["bank"]))
-        state.executed_queries = list(doc.get("executed_queries", []))
-        state.early_stop_history = [
-            EarlyStopReport.from_dict(r) for r in doc.get("early_stop_history", [])
-        ]
-        state.events = list(doc.get("events", []))
+        if state.stage != "init":
+            state.og = parse_outline(read(f"outline_iter{state.iteration}.txt"))
+            if state.config.variant is Variant.DUAL_GRAPH:
+                state.kg = KnowledgeGraph.from_document(read(f"kg_iter{state.iteration}.json"))
+        if state.stage == "done":
+            state.report = read(REPORT_FILE)
+        state.bank = EvidenceBank.from_document(read("bank.json"), doc["bank_units"])
+        if len(state.bank) < doc["bank_units"]:
+            raise ConfigError("bank.json is shorter than the checkpoint's bank_units")
+        state.executed_queries = list(doc["executed_queries"])
+        state.early_stop_history = [EarlyStopReport.from_dict(r) for r in doc["early_stop_history"]]
+        state.events = list(doc["events"])
         state.audit = list(islice(audit, doc["audit_records"]))
         if len(state.audit) < doc["audit_records"]:
             raise ConfigError("audit.jsonl is shorter than the checkpoint's audit_records")
-        state.iteration_chains = {
-            int(k): v for k, v in doc.get("iteration_chains", {}).items()
-        }
-        state.report = doc.get("report")
         return state
 
 
@@ -269,30 +256,29 @@ def normalize_query(query: str) -> str:
 
 
 def dedup_queries(
-    new: list[str],
-    executed: list[str],
-    pending: list[str],
-    embed,
-    threshold: float = 0.95,
+    new: list[str], executed: list[str], embed, threshold: float = 0.95
 ) -> list[str]:
-    """Drop exact (normalized) and near-duplicate queries, preserving order."""
-    prior_norms = [normalize_query(q) for q in executed + pending]
-    kept: list[str] = []
-    kept_norms: list[str] = []
+    """Drop exact (normalized) and near-duplicate queries, preserving order.
+
+    Near-duplicate: cosine >= ``threshold`` with an executed query or an
+    earlier kept candidate. One embed call covers all of them.
+    """
+    prior = dict.fromkeys(normalize_query(q) for q in executed)
+    candidates: dict[str, str] = {}
     for q in new:
         nq = normalize_query(q)
-        if not nq:
+        if nq and nq not in candidates and nq not in prior:
+            candidates[nq] = q.strip()
+    if not candidates or (not prior and len(candidates) == 1):
+        return list(candidates.values())
+    vectors = embed(list(prior) + list(candidates))
+    reference = list(range(len(prior)))
+    kept: list[str] = []
+    for row, q in enumerate(candidates.values(), start=len(prior)):
+        if reference and float((vectors[reference] @ vectors[row]).max()) >= threshold:
             continue
-        if nq in prior_norms or nq in kept_norms:
-            continue
-        reference = prior_norms + kept_norms
-        if reference:
-            vectors = embed([nq] + reference)
-            sims = vectors[1:] @ vectors[0]
-            if float(sims.max()) >= threshold:
-                continue
-        kept.append(q.strip())
-        kept_norms.append(nq)
+        reference.append(row)
+        kept.append(q)
     return kept
 
 
@@ -685,7 +671,7 @@ def init_run(state: RunState, providers: Providers) -> None:
     state.events.append("init:gen_from_og")
     queries = gen_queries_from_og(state, providers, config, pending=[])
     queries = dedup_queries(
-        queries, state.executed_queries, [], providers.embed.embed,
+        queries, state.executed_queries, providers.embed.embed,
         state.config.near_duplicate_threshold,
     )
     state.events.append("init:search")
@@ -717,7 +703,6 @@ def run_iteration(state: RunState, config: RunConfig, providers: Providers) -> R
         queries = dedup_queries(
             kg_queries + og_queries,
             s.executed_queries,
-            [],
             providers.embed.embed,
             config.near_duplicate_threshold,
         )
@@ -727,7 +712,7 @@ def run_iteration(state: RunState, config: RunConfig, providers: Providers) -> R
         update_kg(s, providers, config, new_by_query)
         s.events.append(f"iter{t}:update_og")
         update_og(s, providers, config)
-        s.iteration_chains[t + 1] = {
+        s.chain_record = {
             "candidates": [c.to_dict() for c in chains],
             "selected": selected,
             "queries": kg_queries,
@@ -739,7 +724,7 @@ def run_iteration(state: RunState, config: RunConfig, providers: Providers) -> R
         raw = gen_queries_from_og(s, providers, config, pending=[])
         s.events.append(f"iter{t}:dedup")
         queries = dedup_queries(
-            raw, s.executed_queries, [], providers.embed.embed,
+            raw, s.executed_queries, providers.embed.embed,
             config.near_duplicate_threshold,
         )
         s.events.append(f"iter{t}:search")
@@ -771,7 +756,8 @@ class Runner:
         (self.run_dir / f"{name}.tmp").replace(self.run_dir / name)
 
     def _checkpoint(self, state: RunState) -> None:
-        # state.json goes last: it commits the checkpoint, and the audit log by count.
+        # state.json goes last and commits the checkpoint: it names the iteration whose
+        # files hold the outline and graph, and counts the audit records and bank units.
         self.run_dir.mkdir(parents=True, exist_ok=True)
         if state.og is not None:
             text = render_outline(state.og)
@@ -782,8 +768,8 @@ class Runner:
             self._replace("kg.json", doc)
             self._replace(f"kg_iter{state.iteration}.json", doc)
         self._replace("bank.json", state.bank.to_document())
-        if state.iteration in state.iteration_chains:
-            text = json.dumps(state.iteration_chains[state.iteration], indent=2, ensure_ascii=False)
+        if state.chain_record is not None:
+            text = json.dumps(state.chain_record, indent=2, ensure_ascii=False)
             self._replace(f"chains_iter{state.iteration}.json", text + "\n")
         rows = [json.dumps(e, ensure_ascii=False) + "\n" for e in state.audit[self._audit_written:]]
         if self._audit_written:
@@ -796,13 +782,27 @@ class Runner:
             self._replace(REPORT_FILE, state.report)
         self._replace(STATE_FILE, json.dumps(state.to_dict(), indent=2, ensure_ascii=False) + "\n")
 
+    def _open(self, name: str):
+        # newline="\n": lines end at "\n" only and nothing is translated.
+        try:
+            return open(self.run_dir / name, encoding="utf-8", newline="\n")
+        except FileNotFoundError:
+            raise ConfigError(f"run directory {self.run_dir} has no {name}") from None
+
+    def _read(self, name: str) -> str:
+        with self._open(name) as file:
+            return file.read()
+
     def load_state(self) -> RunState:
-        doc = json.loads((self.run_dir / STATE_FILE).read_text(encoding="utf-8"))
-        with open(self.run_dir / "audit.jsonl", encoding="utf-8", newline="\n") as log_file:
-            return RunState.from_dict(doc, map(json.loads, log_file))
+        doc = json.loads(self._read(STATE_FILE))
+        with self._open("audit.jsonl") as log_file:
+            return RunState.from_dict(doc, map(json.loads, log_file), self._read)
 
     def start(self, root_query: str) -> RunState:
-        # A forced rerun must not leave a longer earlier run's files behind.
+        # A forced rerun must leave nothing of an earlier run behind. state.json
+        # goes first, so no half-cleared directory still looks resumable.
+        for name in (STATE_FILE, REPORT_FILE, "kg.json", "outline.txt"):
+            (self.run_dir / name).unlink(missing_ok=True)
         for stem in ("outline", "kg", "chains"):
             for path in self.run_dir.glob(f"{stem}_iter[0-9]*"):
                 path.unlink()

@@ -116,10 +116,11 @@ class TestResume:
     def test_old_format_version_is_rejected(self, demo_run, capsys):
         path = demo_run / "state.json"
         doc = json.loads(path.read_text(encoding="utf-8"))
-        doc["format_version"] = 1
-        path.write_text(json.dumps(doc), encoding="utf-8")
-        assert main(["resume", "--run-dir", str(demo_run)]) == 1
-        assert "format_version 1" in capsys.readouterr().err
+        for version in (1, 2):
+            doc["format_version"] = version
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            assert main(["resume", "--run-dir", str(demo_run)]) == 1
+            assert f"format_version {version}" in capsys.readouterr().err
 
     def test_short_audit_log_is_rejected(self, demo_run, capsys):
         path = demo_run / "audit.jsonl"
@@ -127,6 +128,20 @@ class TestResume:
         path.write_text("".join(lines[:-1]), encoding="utf-8")
         assert main(["resume", "--run-dir", str(demo_run)]) == 1
         assert "audit.jsonl" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["outline_iter2.txt", "kg_iter2.json", "report.md"])
+    def test_missing_checkpoint_file_is_rejected(self, demo_run, capsys, name):
+        (demo_run / name).unlink()
+        assert main(["resume", "--run-dir", str(demo_run)]) == 1
+        assert name in capsys.readouterr().err
+
+    def test_short_bank_is_rejected(self, demo_run, capsys):
+        path = demo_run / "bank.json"
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc["units"].pop()
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["resume", "--run-dir", str(demo_run)]) == 1
+        assert "bank.json" in capsys.readouterr().err
 
 
 class TestInspect:

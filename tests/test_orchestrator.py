@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-import copy
 import json
+import random
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +24,7 @@ from dualgraph.orchestrator import (
     run_search_pipeline,
     write_report,
 )
-from dualgraph.outline import parse_outline
+from dualgraph.outline import parse_outline, render_outline
 from dualgraph.providers.base import (
     FetchError,
     ProviderError,
@@ -41,6 +41,7 @@ from dualgraph.providers.mock import (
     load_fixture,
 )
 from dualgraph.providers.parsers import SCORE_DIMENSIONS
+from dualgraph.simulate import DEFAULT_ROOT_QUERY, generate_world, sim_providers
 
 from .builders import dir_snapshot
 
@@ -121,6 +122,24 @@ class _MappedEmbed:
         return np.asarray(rows, dtype=float)
 
 
+def _dedup_reference(new, executed, embed, threshold):
+    """Each candidate embedded against the executed and earlier kept queries."""
+    prior = [normalize_query(q) for q in executed]
+    kept, kept_norms = [], []
+    for q in new:
+        nq = normalize_query(q)
+        if not nq or nq in prior or nq in kept_norms:
+            continue
+        reference = prior + kept_norms
+        if reference:
+            vectors = embed([nq] + reference)
+            if float((vectors[1:] @ vectors[0]).max()) >= threshold:
+                continue
+        kept.append(q.strip())
+        kept_norms.append(nq)
+    return kept
+
+
 class TestDedupQueries:
     def test_exact_duplicates_dropped_without_embedding(self):
         class _Boom:
@@ -130,7 +149,6 @@ class TestDedupQueries:
         kept = dedup_queries(
             ["Solar  curtailment TRENDS?", "solar curtailment trends"],
             ["solar curtailment trends"],
-            [],
             _Boom().embed,
         )
         assert kept == []
@@ -145,20 +163,54 @@ class TestDedupQueries:
             normalize_query(distinct): (0.90, float(np.sqrt(1 - 0.90**2))),
         }
         kept = dedup_queries(
-            [close, distinct], [base], [], _MappedEmbed(table).embed, threshold=0.95
+            [close, distinct], [base], _MappedEmbed(table).embed, threshold=0.95
         )
         assert kept == [distinct]
 
-    def test_pending_queries_also_block(self):
-        kept = dedup_queries(
-            ["alpha beta"], [], ["Alpha beta."],
-            HashEmbeddingProvider(dim=8).embed,
-        )
-        assert kept == []
+    def test_one_embed_call_still_drops_near_duplicates_of_kept_candidates(self):
+        base = "solar curtailment trends"
+        first = "grid storage costs"
+        echo = "storage costs of the grid"         # cosine 0.97 vs first
+        other = "battery fire safety rules"
+        table = {
+            normalize_query(base): (1.0, 0.0, 0.0),
+            normalize_query(first): (0.0, 1.0, 0.0),
+            normalize_query(echo): (0.0, 0.97, float(np.sqrt(1 - 0.97**2))),
+            normalize_query(other): (0.0, 0.0, 1.0),
+        }
+        mapped = _MappedEmbed(table)
+        calls = []
+
+        def embed(texts):
+            calls.append(list(texts))
+            return mapped.embed(texts)
+
+        kept = dedup_queries([first, echo, "Grid storage costs.", other], [base], embed)
+        assert kept == [first, other]
+        assert len(calls) == 1
+        assert calls[0] == [normalize_query(q) for q in (base, first, echo, other)]
+
+    def test_matches_per_candidate_reference_on_random_batches(self):
+        rng = random.Random(7)
+        words = ["grid", "solar", "storage", "cost", "battery", "wind", "price", "policy"]
+        embed = HashEmbeddingProvider(dim=8).embed
+
+        def query():
+            return " ".join(rng.sample(words, rng.randint(1, 4))) + rng.choice(["", "?", " "])
+
+        near_duplicates = 0
+        for _ in range(200):
+            executed = [query() for _ in range(rng.randint(0, 5))]
+            new = [query() for _ in range(rng.randint(0, 8))]
+            want = _dedup_reference(new, executed, embed, 0.9)
+            assert dedup_queries(new, executed, embed, 0.9) == want
+            # A threshold above 1 leaves only the exact-duplicate rule.
+            near_duplicates += want != dedup_queries(new, executed, embed, 2.0)
+        assert near_duplicates > 20
 
     def test_blank_queries_discarded(self):
         kept = dedup_queries(
-            ["   ", "real query"], [], [], HashEmbeddingProvider(dim=8).embed
+            ["   ", "real query"], [], HashEmbeddingProvider(dim=8).embed
         )
         assert kept == ["real query"]
 
@@ -336,27 +388,56 @@ def _demo_runner(run_dir) -> Runner:
     return Runner(config, fixture.providers(), run_dir)
 
 
-def _assert_interrupted_run_resumes_identically(tmp_path, make_fixture, reuse_runner=False):
+class _Crash(Exception):
+    """A process dying between two file replaces; not a provider failure."""
+
+
+class _CrashingRunner(Runner):
+    """Dies just before the n-th state.json replace, after the checkpoint's
+    other files are written."""
+
+    def __init__(self, *args, crash_before_commit):
+        super().__init__(*args)
+        self._crash_at = crash_before_commit
+        self._commits = 0
+
+    def _replace(self, name, text):
+        if name == "state.json":
+            self._commits += 1
+            if self._commits == self._crash_at:
+                raise _Crash
+        super()._replace(name, text)
+
+
+def _assert_interrupted_run_resumes_identically(
+    tmp_path, make_fixture, reuse_runner=False, crash_before_commit=None, boundary_iteration=1
+):
     fixture = make_fixture()
     Runner(
         RunConfig.from_dict(fixture.config), fixture.providers(), tmp_path / "clean"
     ).start(fixture.root_query)
 
-    # Cut the script after the first loop pass: the revision call of the
-    # second pass matches only the content-specific entry, so emptying it
-    # surfaces as a provider failure mid-iteration.
     broken = make_fixture()
     providers = broken.providers()
-    revise_entries = [
-        e for e in providers.chat.entries
-        if any("revising the outline" in m for m in e.match)
-    ]
-    revise_entries[0].responses = []
-    runner = Runner(
-        RunConfig.from_dict(broken.config), providers, tmp_path / "resumed"
-    )
-    with pytest.raises(ProviderError):
-        runner.start(broken.root_query)
+    if crash_before_commit is None:
+        # Cut the script after the first loop pass: the revision call of the
+        # second pass matches only the content-specific entry, so emptying it
+        # surfaces as a provider failure mid-iteration.
+        revise_entries = [
+            e for e in providers.chat.entries
+            if any("revising the outline" in m for m in e.match)
+        ]
+        revise_entries[0].responses = []
+        runner = Runner(RunConfig.from_dict(broken.config), providers, tmp_path / "resumed")
+        with pytest.raises(ProviderError):
+            runner.start(broken.root_query)
+    else:
+        runner = _CrashingRunner(
+            RunConfig.from_dict(broken.config), providers, tmp_path / "resumed",
+            crash_before_commit=crash_before_commit,
+        )
+        with pytest.raises(_Crash):
+            runner.start(broken.root_query)
     # A crash between the audit append and the state.json replace leaves
     # records past the committed count; resume must drop them.
     stray = {"call": -1, "name": "stray", "prompt": "", "response": ""}
@@ -364,7 +445,7 @@ def _assert_interrupted_run_resumes_identically(tmp_path, make_fixture, reuse_ru
         log_file.write(json.dumps(stray) + "\n")
     boundary = runner.load_state()
     assert boundary.stage == "loop"
-    assert boundary.iteration == 1
+    assert boundary.iteration == boundary_iteration
 
     fresh = make_fixture()
     if reuse_runner:
@@ -422,9 +503,12 @@ class TestRunnerOnDemoFixture:
 
     def test_iteration_chain_payloads_recorded(self, tmp_path):
         fixture = load_fixture(DEMO_FIXTURE)
-        state = _demo_runner(tmp_path / "run").start(fixture.root_query)
-        assert set(state.iteration_chains) == {1, 2}
-        for payload in state.iteration_chains.values():
+        run_dir = tmp_path / "run"
+        _demo_runner(run_dir).start(fixture.root_query)
+        names = sorted(p.name for p in run_dir.glob("chains_iter*"))
+        assert names == ["chains_iter1.json", "chains_iter2.json"]
+        for name in names:
+            payload = json.loads((run_dir / name).read_text(encoding="utf-8"))
             assert set(payload) == {"candidates", "selected", "queries"}
             assert len(payload["selected"]) == len(payload["queries"])
             candidate_ids = {c["chain_id"] for c in payload["candidates"]}
@@ -432,11 +516,15 @@ class TestRunnerOnDemoFixture:
 
     def test_state_round_trip_preserves_run(self, tmp_path):
         fixture = load_fixture(DEMO_FIXTURE)
-        state = _demo_runner(tmp_path / "run").start(fixture.root_query)
-        doc = state.to_dict()
-        clone = RunState.from_dict(copy.deepcopy(doc), state.audit)
-        assert clone.to_dict() == doc
-        assert clone.audit == state.audit
+        runner = _demo_runner(tmp_path / "run")
+        state = runner.start(fixture.root_query)
+        loaded = runner.load_state()
+        assert loaded.to_dict() == state.to_dict()
+        assert render_outline(loaded.og) == render_outline(state.og)
+        assert loaded.kg.to_dict() == state.kg.to_dict()
+        assert loaded.bank.to_document() == state.bank.to_document()
+        assert loaded.report == state.report
+        assert loaded.audit == state.audit
 
     def test_checkpoints_keep_one_audit_and_write_files_once(self, tmp_path):
         inodes = []
@@ -454,7 +542,11 @@ class TestRunnerOnDemoFixture:
             RunConfig.from_dict(fixture.config), fixture.providers(), run_dir
         ).start(fixture.root_query)
         doc = json.loads((run_dir / "state.json").read_text(encoding="utf-8"))
-        assert "audit" not in doc
+        # Other files hold these; state.json only commits them.
+        assert not {"audit", "outline", "kg", "bank", "iteration_chains", "report"} & set(doc)
+        bank = json.loads((run_dir / "bank.json").read_text(encoding="utf-8"))
+        assert doc["bank_units"] == len(bank["units"]) > 0
+        assert set(bank) == {"units"}
         log = (run_dir / "audit.jsonl").read_text(encoding="utf-8")
         assert log.endswith("\n")
         assert doc["audit_records"] == log.count("\n") > 0
@@ -470,6 +562,33 @@ class TestRunnerOnDemoFixture:
 
     def test_interrupted_run_resumes_to_identical_result(self, tmp_path):
         _assert_interrupted_run_resumes_identically(tmp_path, lambda: load_fixture(DEMO_FIXTURE))
+
+    @pytest.mark.parametrize("commit, boundary_iteration", [(4, 1), (5, 2)])
+    def test_crash_before_state_replace_resumes_from_last_commit(
+        self, tmp_path, commit, boundary_iteration
+    ):
+        # Commits: start, init, iteration 1, iteration 2, report.
+        _assert_interrupted_run_resumes_identically(
+            tmp_path, lambda: load_fixture(DEMO_FIXTURE),
+            crash_before_commit=commit, boundary_iteration=boundary_iteration,
+        )
+
+    def test_crash_window_leaves_uncommitted_files_ahead_of_state(self, tmp_path):
+        fixture = load_fixture(DEMO_FIXTURE)
+        run_dir = tmp_path / "run"
+        with pytest.raises(_Crash):
+            _CrashingRunner(
+                RunConfig.from_dict(fixture.config), fixture.providers(), run_dir,
+                crash_before_commit=4,
+            ).start(fixture.root_query)
+        # What the crash test above resumes through: the loader must take the
+        # committed iteration's files and only the committed bank units.
+        doc = json.loads((run_dir / "state.json").read_text(encoding="utf-8"))
+        assert doc["iteration"] == 1
+        bank = json.loads((run_dir / "bank.json").read_text(encoding="utf-8"))
+        assert len(bank["units"]) > doc["bank_units"]
+        for current, committed in (("kg.json", "kg_iter1.json"), ("outline.txt", "outline_iter1.txt")):
+            assert (run_dir / current).read_bytes() != (run_dir / committed).read_bytes()
 
     def test_resumed_runner_rewrites_the_log_it_already_wrote_to(self, tmp_path):
         _assert_interrupted_run_resumes_identically(
@@ -501,3 +620,42 @@ class TestRunnerOnDemoFixture:
         log = (tmp_path / "resumed" / "audit.jsonl").read_text(encoding="utf-8")
         assert "\u2028" in log and "\u0085" in log
 
+
+class TestStartClearsAnEarlierRun:
+    @staticmethod
+    def _sim_run(run_dir, variant):
+        world = generate_world(seed=1, n_communities=2, cores_per_community=1,
+                               concepts_per_community=2)
+        config = RunConfig(max_iter=3, og_query_budget=2, kg_query_budget=4,
+                           urls_per_query=8, variant=variant)
+        providers = sim_providers(world, config.embed_dim, config.seed)
+        Runner(config, providers, run_dir).start(DEFAULT_ROOT_QUERY)
+
+    def test_outline_only_rerun_drops_the_graph_files(self, tmp_path):
+        self._sim_run(tmp_path / "clean", "outline-only")
+        rerun = tmp_path / "rerun"
+        self._sim_run(rerun, "dualgraph")
+        assert (rerun / "kg.json").exists()
+        (rerun / "notes_iter2.md").write_text("kept\n", encoding="utf-8")
+        self._sim_run(rerun, "outline-only")
+        files = dir_snapshot(rerun)
+        assert files.pop("notes_iter2.md") == b"kept\n"
+        assert files == dir_snapshot(tmp_path / "clean")
+
+    def test_rerun_failing_on_its_first_chat_call_keeps_no_old_output(self, tmp_path):
+        class _Down:
+            def complete(self, prompt):
+                raise ProviderError("chat is down")
+
+        fixture = load_fixture(DEMO_FIXTURE)
+        run_dir = tmp_path / "run"
+        _demo_runner(run_dir).start(fixture.root_query)
+        (run_dir / "notes_iter2.md").write_text("kept\n", encoding="utf-8")
+        providers = fixture.providers()
+        providers.chat = _Down()
+        runner = Runner(RunConfig.from_dict(fixture.config), providers, run_dir)
+        with pytest.raises(ProviderError):
+            runner.start(fixture.root_query)
+        names = sorted(p.name for p in run_dir.iterdir())
+        assert names == ["audit.jsonl", "bank.json", "notes_iter2.md", "state.json"]
+        assert runner.load_state().stage == "init"

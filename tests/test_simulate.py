@@ -10,6 +10,7 @@ import pytest
 from dualgraph.evidence import EvidenceBank
 from dualgraph.kg import KnowledgeGraph
 from dualgraph.orchestrator import RunConfig
+from dualgraph.outline import render_outline
 from dualgraph.simulate import (
     BRIDGE_RELATION,
     MARKER_RE,
@@ -172,6 +173,9 @@ class TestRunSim:
         a = run_sim(world, _thorough_config("dualgraph"))
         b = run_sim(world, _thorough_config("dualgraph"))
         assert a.state.to_dict() == b.state.to_dict()
+        assert render_outline(a.state.og) == render_outline(b.state.og)
+        assert a.state.kg.to_dict() == b.state.kg.to_dict()
+        assert a.state.bank.to_document() == b.state.bank.to_document()
         assert a.coverage_by_iteration == b.coverage_by_iteration
 
 
