@@ -179,18 +179,22 @@ def _cmd_resume(args) -> int:
     return EXIT_OK
 
 
-def _checkpoint_file(run_dir: Path, stem: str, ext: str, iteration: int | None) -> Path:
+def _checkpoint_file(args, stem: str, ext: str) -> tuple[Path, int]:
+    """The file of ``--iter N`` if given, else of the iteration state.json commits."""
+    run_dir = Path(args.run_dir)
+    iteration = args.iteration
     if iteration is None:
-        path = run_dir / f"{stem}.{ext}"
-    else:
-        path = run_dir / f"{stem}_iter{iteration}.{ext}"
+        if not (run_dir / STATE_FILE).exists():
+            raise _UsageError(f"no run in {run_dir}")
+        iteration = json.loads((run_dir / STATE_FILE).read_text(encoding="utf-8"))["iteration"]
+    path = run_dir / f"{stem}_iter{iteration}.{ext}"
     if not path.exists():
         raise _UsageError(f"no checkpoint file {path}")
-    return path
+    return path, iteration
 
 
 def _cmd_inspect_kg(args) -> int:
-    path = _checkpoint_file(Path(args.run_dir), "kg", "json", args.iteration)
+    path, _ = _checkpoint_file(args, "kg", "json")
     text = path.read_text(encoding="utf-8")
     if args.json:
         sys.stdout.write(text)
@@ -217,23 +221,15 @@ def _cmd_inspect_kg(args) -> int:
 
 
 def _cmd_inspect_og(args) -> int:
-    path = _checkpoint_file(Path(args.run_dir), "outline", "txt", args.iteration)
+    path, _ = _checkpoint_file(args, "outline", "txt")
     sys.stdout.write(path.read_text(encoding="utf-8"))
     sys.stdout.write("\n")
     return EXIT_OK
 
 
 def _cmd_chains(args) -> int:
+    path, iteration = _checkpoint_file(args, "chains", "json")
     run_dir = Path(args.run_dir)
-    iteration = args.iteration
-    if iteration is None:
-        found = sorted(
-            int(p.stem.split("iter")[1]) for p in run_dir.glob("chains_iter*.json")
-        )
-        if not found:
-            raise _UsageError(f"no chain checkpoints in {run_dir}")
-        iteration = found[-1]
-    path = _checkpoint_file(run_dir, "chains", "json", iteration)
     doc = json.loads(path.read_text(encoding="utf-8"))
     names: dict[str, str] = {}
     kg_path = run_dir / f"kg_iter{iteration - 1}.json"

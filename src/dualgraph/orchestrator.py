@@ -398,6 +398,15 @@ def _partition_from_nodes(kg: KnowledgeGraph, seed: int) -> CommunityPartition:
     return CommunityPartition(assignment=assignment, seed=seed)
 
 
+def _embed_missing(kg: KnowledgeGraph, embed) -> None:
+    """Embed, in node order, the nodes with no vector: new, renamed, or read from disk."""
+    missing = [nid for nid in kg.node_ids() if kg.nodes[nid].embedding is None]
+    if missing:
+        vectors = embed([kg.nodes[nid].name for nid in missing])
+        for nid, vec in zip(missing, vectors):
+            kg.nodes[nid].embedding = vec
+
+
 def gen_queries_from_kg(
     state: RunState, providers: Providers, config: RunConfig
 ) -> tuple[list[str], list[SearchChain], list[str]]:
@@ -405,12 +414,7 @@ def gen_queries_from_kg(
     assert state.kg is not None and state.og is not None
     if len(state.kg) == 0:
         return [], [], []
-    # Embeddings are never checkpointed; a resumed run recomputes them.
-    node_ids = state.kg.node_ids()
-    if any(state.kg.nodes[nid].embedding is None for nid in node_ids):
-        vectors = providers.embed.embed([state.kg.nodes[nid].name for nid in node_ids])
-        for nid, vec in zip(node_ids, vectors):
-            state.kg.nodes[nid].embedding = vec
+    _embed_missing(state.kg, providers.embed.embed)
     partition = _partition_from_nodes(state.kg, config.seed)
     chains = build_search_chains(
         state.kg,
@@ -531,10 +535,7 @@ def update_kg(
 
     ids = kg.node_ids()
     if ids:
-        names = [kg.nodes[nid].name for nid in ids]
-        vectors = providers.embed.embed(names)
-        for nid, vec in zip(ids, vectors):
-            kg.nodes[nid].embedding = vec
+        _embed_missing(kg, providers.embed.embed)
         clusters = cluster_semantic(kg, threshold=config.semantic_cluster_threshold)
         partition = detect_communities(
             kg, seed=config.seed, resolution=config.community_resolution
@@ -758,17 +759,16 @@ class Runner:
     def _checkpoint(self, state: RunState) -> None:
         # state.json goes last and commits the checkpoint: it names the iteration whose
         # files hold the outline and graph, and counts the audit records and bank units.
+        # A loop checkpoint already wrote the last iteration's files, so the one that
+        # finishes the run writes the final outline and graph beside the report instead.
         self.run_dir.mkdir(parents=True, exist_ok=True)
+        suffix = "" if state.stage == "done" else f"_iter{state.iteration}"
         if state.og is not None:
-            text = render_outline(state.og)
-            self._replace("outline.txt", text)
-            self._replace(f"outline_iter{state.iteration}.txt", text)
+            self._replace(f"outline{suffix}.txt", render_outline(state.og))
         if state.kg is not None:
-            doc = state.kg.to_document()
-            self._replace("kg.json", doc)
-            self._replace(f"kg_iter{state.iteration}.json", doc)
+            self._replace(f"kg{suffix}.json", state.kg.to_document())
         self._replace("bank.json", state.bank.to_document())
-        if state.chain_record is not None:
+        if state.chain_record is not None and suffix:
             text = json.dumps(state.chain_record, indent=2, ensure_ascii=False)
             self._replace(f"chains_iter{state.iteration}.json", text + "\n")
         rows = [json.dumps(e, ensure_ascii=False) + "\n" for e in state.audit[self._audit_written:]]

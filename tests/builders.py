@@ -5,8 +5,13 @@ from __future__ import annotations
 import random
 from pathlib import Path
 
+import dualgraph
 from dualgraph.evidence import EvidenceBank
+from dualgraph.orchestrator import RunConfig, Runner
 from dualgraph.outline import OutlineGraph, OutlineNode
+from dualgraph.providers.mock import load_fixture
+
+DEMO_FIXTURE = Path(dualgraph.__file__).parent / "fixtures" / "demo" / "fixture.json"
 
 WORDS = (
     "signal", "margin", "coupling", "drift", "baseline", "window",
@@ -126,3 +131,39 @@ def dir_snapshot(root: Path) -> dict[str, bytes]:
         for p in sorted(root.rglob("*"))
         if p.is_file()
     }
+
+
+class Crash(Exception):
+    """A process dying between two file replaces; not a provider failure."""
+
+
+class CrashingRunner(Runner):
+    """Dies just before the n-th state.json replace, after the checkpoint's
+    other files are written."""
+
+    def __init__(self, *args, crash_before_commit):
+        super().__init__(*args)
+        self._crash_at = crash_before_commit
+        self._commits = 0
+
+    def _replace(self, name, text):
+        if name == "state.json":
+            self._commits += 1
+            if self._commits == self._crash_at:
+                raise Crash
+        super()._replace(name, text)
+
+
+def crash_demo_run(run_dir: Path) -> None:
+    """Run the demo fixture into the crash window of its iteration-2 checkpoint:
+    every iteration-2 file is written, but state.json still commits iteration 1."""
+    fixture = load_fixture(DEMO_FIXTURE)
+    runner = CrashingRunner(
+        RunConfig.from_dict(fixture.config), fixture.providers(), run_dir,
+        crash_before_commit=4,
+    )
+    try:
+        runner.start(fixture.root_query)
+    except Crash:
+        return
+    raise AssertionError("the demo run finished without reaching the crash")

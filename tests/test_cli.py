@@ -8,6 +8,8 @@ import pytest
 
 from dualgraph.cli import main
 
+from .builders import crash_demo_run
+
 LIVE_VARS = ("DUALGRAPH_CHAT_API_KEY", "DUALGRAPH_SEARCH_API_KEY")
 
 
@@ -178,6 +180,37 @@ class TestInspect:
         assert main(["inspect-kg", "--run-dir", str(empty)]) == 1
         assert main(["inspect-og", "--run-dir", str(empty)]) == 1
         assert main(["chains", "--run-dir", str(empty)]) == 1
+
+
+class TestInspectDefaultsToCommittedIteration:
+    COMMANDS = [["inspect-kg"], ["inspect-kg", "--json"], ["inspect-og"], ["chains"]]
+
+    @staticmethod
+    def _output(capsys, run_dir, command, *extra):
+        assert main([*command, "--run-dir", str(run_dir), *extra]) == 0
+        return capsys.readouterr().out
+
+    @staticmethod
+    def _committed(run_dir) -> str:
+        return str(json.loads((run_dir / "state.json").read_text(encoding="utf-8"))["iteration"])
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=" ".join)
+    def test_finished_run(self, demo_run, capsys, command):
+        committed = self._committed(demo_run)
+        assert committed == "2"
+        assert self._output(capsys, demo_run, command) == self._output(
+            capsys, demo_run, command, "--iter", committed
+        )
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=" ".join)
+    def test_crash_window_shows_what_resume_continues_from(self, tmp_path, capsys, command):
+        run_dir = tmp_path / "run"
+        crash_demo_run(run_dir)
+        assert self._committed(run_dir) == "1"
+        shown = self._output(capsys, run_dir, command)
+        assert shown == self._output(capsys, run_dir, command, "--iter", "1")
+        # The uncommitted iteration-2 files are there, and differ.
+        assert shown != self._output(capsys, run_dir, command, "--iter", "2")
 
 
 class TestSimulate:

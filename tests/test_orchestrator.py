@@ -4,13 +4,13 @@ from __future__ import annotations
 
 import json
 import random
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import dualgraph
+from dualgraph import orchestrator
 from dualgraph.evidence import EvidenceBank
+from dualgraph.kg import KnowledgeGraph
 from dualgraph.orchestrator import (
     ConfigError,
     ReportConsistencyError,
@@ -20,8 +20,11 @@ from dualgraph.orchestrator import (
     Variant,
     dedup_queries,
     evaluate_early_stop,
+    init_run,
     normalize_query,
+    run_iteration,
     run_search_pipeline,
+    update_kg,
     write_report,
 )
 from dualgraph.outline import parse_outline, render_outline
@@ -43,9 +46,7 @@ from dualgraph.providers.mock import (
 from dualgraph.providers.parsers import SCORE_DIMENSIONS
 from dualgraph.simulate import DEFAULT_ROOT_QUERY, generate_world, sim_providers
 
-from .builders import dir_snapshot
-
-DEMO_FIXTURE = Path(dualgraph.__file__).parent / "fixtures" / "demo" / "fixture.json"
+from .builders import DEMO_FIXTURE, Crash, CrashingRunner, crash_demo_run, dir_snapshot
 
 
 def _config(**overrides) -> RunConfig:
@@ -388,27 +389,6 @@ def _demo_runner(run_dir) -> Runner:
     return Runner(config, fixture.providers(), run_dir)
 
 
-class _Crash(Exception):
-    """A process dying between two file replaces; not a provider failure."""
-
-
-class _CrashingRunner(Runner):
-    """Dies just before the n-th state.json replace, after the checkpoint's
-    other files are written."""
-
-    def __init__(self, *args, crash_before_commit):
-        super().__init__(*args)
-        self._crash_at = crash_before_commit
-        self._commits = 0
-
-    def _replace(self, name, text):
-        if name == "state.json":
-            self._commits += 1
-            if self._commits == self._crash_at:
-                raise _Crash
-        super()._replace(name, text)
-
-
 def _assert_interrupted_run_resumes_identically(
     tmp_path, make_fixture, reuse_runner=False, crash_before_commit=None, boundary_iteration=1
 ):
@@ -432,11 +412,11 @@ def _assert_interrupted_run_resumes_identically(
         with pytest.raises(ProviderError):
             runner.start(broken.root_query)
     else:
-        runner = _CrashingRunner(
+        runner = CrashingRunner(
             RunConfig.from_dict(broken.config), providers, tmp_path / "resumed",
             crash_before_commit=crash_before_commit,
         )
-        with pytest.raises(_Crash):
+        with pytest.raises(Crash):
             runner.start(broken.root_query)
     # A crash between the audit append and the state.json replace leaves
     # records past the committed count; resume must drop them.
@@ -528,13 +508,19 @@ class TestRunnerOnDemoFixture:
 
     def test_checkpoints_keep_one_audit_and_write_files_once(self, tmp_path):
         inodes = []
+        checkpoints: list[tuple[str, list[str]]] = []
 
         class WatchingRunner(Runner):
             def _checkpoint(self, state):
+                checkpoints.append((state.stage, []))
                 super()._checkpoint(state)
                 chains = self.run_dir / "chains_iter1.json"
                 if chains.exists():
                     inodes.append(chains.stat().st_ino)
+
+            def _replace(self, name, text):
+                checkpoints[-1][1].append(name)
+                super()._replace(name, text)
 
         fixture = load_fixture(DEMO_FIXTURE)
         run_dir = tmp_path / "run"
@@ -553,6 +539,19 @@ class TestRunnerOnDemoFixture:
         assert not list(run_dir.glob("*.tmp"))
         # Written after iteration 1, then left alone by the later checkpoints.
         assert len(inodes) >= 2 and len(set(inodes)) == 1
+        # Outline, graph and chains files are written once per run; the final
+        # outline and graph only by the checkpoint that finishes it.
+        artifacts = [
+            name for _, names in checkpoints for name in names
+            if name not in ("state.json", "bank.json", "audit.jsonl")
+        ]
+        assert sorted(artifacts) == sorted(
+            [f"outline_iter{n}.txt" for n in range(3)]
+            + [f"kg_iter{n}.json" for n in range(3)]
+            + ["chains_iter1.json", "chains_iter2.json", "outline.txt", "kg.json", "report.md"]
+        )
+        assert [stage for stage, names in checkpoints if "kg.json" in names] == ["done"]
+        assert [stage for stage, names in checkpoints if "outline.txt" in names] == ["done"]
 
     def test_reruns_are_byte_identical(self, tmp_path):
         for name in ("a", "b"):
@@ -574,21 +573,19 @@ class TestRunnerOnDemoFixture:
         )
 
     def test_crash_window_leaves_uncommitted_files_ahead_of_state(self, tmp_path):
-        fixture = load_fixture(DEMO_FIXTURE)
         run_dir = tmp_path / "run"
-        with pytest.raises(_Crash):
-            _CrashingRunner(
-                RunConfig.from_dict(fixture.config), fixture.providers(), run_dir,
-                crash_before_commit=4,
-            ).start(fixture.root_query)
+        crash_demo_run(run_dir)
         # What the crash test above resumes through: the loader must take the
         # committed iteration's files and only the committed bank units.
         doc = json.loads((run_dir / "state.json").read_text(encoding="utf-8"))
         assert doc["iteration"] == 1
         bank = json.loads((run_dir / "bank.json").read_text(encoding="utf-8"))
         assert len(bank["units"]) > doc["bank_units"]
-        for current, committed in (("kg.json", "kg_iter1.json"), ("outline.txt", "outline_iter1.txt")):
-            assert (run_dir / current).read_bytes() != (run_dir / committed).read_bytes()
+        for newer, committed in (("kg_iter2.json", "kg_iter1.json"), ("outline_iter2.txt", "outline_iter1.txt")):
+            assert (run_dir / newer).read_bytes() != (run_dir / committed).read_bytes()
+        # The final graph and outline are written only when the run finishes.
+        assert not (run_dir / "kg.json").exists()
+        assert not (run_dir / "outline.txt").exists()
 
     def test_resumed_runner_rewrites_the_log_it_already_wrote_to(self, tmp_path):
         _assert_interrupted_run_resumes_identically(
@@ -659,3 +656,151 @@ class TestStartClearsAnEarlierRun:
         names = sorted(p.name for p in run_dir.iterdir())
         assert names == ["audit.jsonl", "bank.json", "notes_iter2.md", "state.json"]
         assert runner.load_state().stage == "init"
+
+
+class _RecordingEmbed:
+    """Passes texts through and records each batch under the current phase."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.phase = None
+        self.batches: list[tuple[str | None, list[str]]] = []
+
+    def embed(self, texts):
+        self.batches.append((self.phase, list(texts)))
+        return self.inner.embed(texts)
+
+    def texts(self, phase):
+        return [batch for p, batch in self.batches if p == phase]
+
+
+_NO_MERGE = json.dumps({"clusters": []})
+
+
+def _merge_response(sources, name):
+    cluster = {"cluster_id": "c1", "representative_concept": name,
+               "source_node_ids": sources, "similarity_justification": ""}
+    return json.dumps({"clusters": [cluster]})
+
+
+def _graph_state(*concepts: str) -> RunState:
+    state = _fresh_state(_config())
+    kg = KnowledgeGraph()
+    core = kg.add_node("grid storage", True)
+    for name in concepts:
+        kg.add_edge(core, kg.add_node(name, False), "involves")
+    state.kg = kg
+    return state
+
+
+def _kg_providers(embed, chat_response: str) -> Providers:
+    return Providers(
+        chat=StaticChatProvider(response=chat_response),
+        search=FixtureSearchProvider({}),
+        fetch=FixtureFetchProvider({}),
+        embed=embed,
+    )
+
+
+class TestEmbedOnce:
+    def test_pass_adding_no_node_embeds_nothing(self):
+        state = _graph_state("battery cost", "pumped hydro")
+        embed = _RecordingEmbed(HashEmbeddingProvider(dim=8))
+        providers = _kg_providers(embed, _NO_MERGE)
+        update_kg(state, providers, state.config, {})
+        assert embed.texts(None) == [["grid storage", "battery cost", "pumped hydro"]]
+        update_kg(state, providers, state.config, {"q": []})
+        assert len(embed.batches) == 1
+        assert all(n.embedding is not None for n in state.kg.nodes.values())
+
+    def test_node_renamed_by_a_merge_is_embedded_again(self):
+        state = _graph_state("battery cost", "battery price", "pumped hydro")
+        embed = _RecordingEmbed(HashEmbeddingProvider(dim=8))
+        update_kg(state, _kg_providers(embed, _NO_MERGE), state.config, {})
+        update_kg(
+            state, _kg_providers(embed, _merge_response(["n2", "n3"], "battery economics")),
+            state.config, {},
+        )
+        assert [n.name for n in state.kg.nodes.values()] == [
+            "grid storage", "battery economics", "pumped hydro"
+        ]
+        assert embed.texts(None)[1:] == [["battery economics"]]
+
+    def test_loaded_graph_is_embedded_once_then_only_new_nodes(self, tmp_path, monkeypatch):
+        run_dir = tmp_path / "run"
+        crash_demo_run(run_dir)
+        loaded = _demo_runner(run_dir).load_state()
+        assert loaded.iteration == 1
+        assert all(n.embedding is None for n in loaded.kg.nodes.values())
+
+        providers = load_fixture(DEMO_FIXTURE).providers()
+        embed = _RecordingEmbed(providers.embed)
+        providers.embed = embed
+        for name in ("gen_queries_from_kg", "update_kg"):
+            def tagged(*args, _real=getattr(orchestrator, name), _name=name):
+                embed.phase = _name
+                try:
+                    return _real(*args)
+                finally:
+                    embed.phase = None
+            monkeypatch.setattr(orchestrator, name, tagged)
+        after = run_iteration(loaded, loaded.config, providers)
+
+        before = loaded.kg.nodes
+        assert embed.texts("gen_queries_from_kg") == [
+            [before[nid].name for nid in loaded.kg.node_ids()]
+        ]
+        new = [
+            after.kg.nodes[nid].name for nid in after.kg.node_ids()
+            if nid not in before or before[nid].name != after.kg.nodes[nid].name
+        ]
+        assert new
+        assert embed.texts("update_kg") == [new]
+        # The vectors went to the iteration's copy, not to its input.
+        assert all(n.embedding is None for n in before.values())
+
+
+def _observable(state: RunState) -> tuple:
+    nodes = state.kg.nodes.values() if state.kg is not None else ()
+    return (
+        state.to_dict(),
+        render_outline(state.og),
+        state.kg.to_document() if state.kg is not None else None,
+        state.bank.to_document(),
+        json.dumps(state.audit),
+        json.dumps(state.chain_record),
+        [None if n.embedding is None else n.embedding.tobytes() for n in nodes],
+    )
+
+
+class TestRunIterationLeavesItsInputAlone:
+    @staticmethod
+    def _step_through(state: RunState, providers: Providers) -> int:
+        steps = 0
+        while not state.stopped and state.iteration < state.config.max_iter:
+            seen = _observable(state)
+            after = run_iteration(state, state.config, providers)
+            assert _observable(state) == seen
+            assert after.iteration == state.iteration + 1
+            assert len(after.audit) > len(state.audit)
+            state, steps = after, steps + 1
+        return steps
+
+    def test_dualgraph_iterations_on_the_demo_fixture(self):
+        fixture = load_fixture(DEMO_FIXTURE)
+        providers = fixture.providers()
+        state = RunState(root_query=fixture.root_query, config=RunConfig.from_dict(fixture.config))
+        init_run(state, providers)
+        assert len(state.kg) > 0
+        assert self._step_through(state, providers) == 2
+
+    def test_outline_only_iterations_on_a_small_world(self):
+        world = generate_world(seed=1, n_communities=2, cores_per_community=1,
+                               concepts_per_community=2)
+        config = RunConfig(max_iter=3, og_query_budget=2, urls_per_query=8,
+                           variant="outline-only")
+        providers = sim_providers(world, config.embed_dim, config.seed)
+        state = RunState(root_query=DEFAULT_ROOT_QUERY, config=config)
+        init_run(state, providers)
+        assert state.kg is None and len(state.bank) > 0
+        assert self._step_through(state, providers) >= 2
