@@ -3,8 +3,10 @@
 Nodes are entities or concepts (``n{k}`` ids); directed edges (``e{k}`` ids)
 carry a relation name and the set of evidence ids that ground them. Edge
 identity is the exact (source, target, relation) triple: re-observing a triple
-unions evidence instead of duplicating the edge. Ids are issued sequentially
-and never reused, including ids retired by node merges.
+unions evidence instead of duplicating the edge. The graph issues every id,
+sequentially, and never reuses one, including ids retired by node merges. In
+an extraction batch, an id the graph does not hold is only a handle local to
+the batch; ``apply_extraction`` gives it the next free id.
 
 Every graph keeps an adjacency index next to its edges: for each node, the
 nodes it shares a non-loop edge with, in either direction, and how many edges
@@ -147,7 +149,8 @@ class ExtractionResult:
     """Parsed output of one extraction call.
 
     evidences_map keys are the EN labels of the statements shown to the
-    provider; values list the edge ids each statement supports.
+    provider; values list the edges each statement supports. Ids the graph
+    does not hold are handles local to the batch (see ``apply_extraction``).
     """
 
     new_nodes: list[ExtractedNode] = field(default_factory=list)
@@ -417,88 +420,75 @@ def apply_extraction(
 ) -> KnowledgeGraph:
     """Fold one extraction batch into the graph; returns a new graph.
 
-    Applying the same batch twice yields the same graph: restated nodes and
-    edges are no-ops, re-observed triples union evidence into the surviving
-    edge, and evidences_map entries follow the surviving edge id.
+    The graph issues every id. A batch id that the input graph holds names
+    that node or edge. Any other id is a handle local to the batch: each new
+    handle gets the next ``n{k}`` or ``e{k}`` in batch order, except that an
+    edge handle whose triple the graph already holds names the surviving edge
+    and uses up no id. Restating an input id or a handle with other content
+    raises DuplicateIdError. Edge endpoints and evidences_map entries resolve
+    through the batch's handles first, then through the input graph's ids;
+    never through ids issued earlier in the same batch.
+
+    Fresh ids that run on from the graph's counters therefore keep their
+    numbers, and applying such a batch twice yields the same graph.
     """
     KG_OPS.bump("apply_extraction")
     g = kg.copy()
 
+    node_handles: dict[str, str] = {}
     for nd in result.new_nodes:
         node_num(nd.node_id)
-        existing = g.nodes.get(nd.node_id)
-        if existing is not None:
+        nid = nd.node_id if nd.node_id in kg.nodes else node_handles.get(nd.node_id)
+        if nid is not None:
+            existing = g.nodes[nid]
             if existing.name != nd.name or existing.is_core_entity != nd.is_core_entity:
                 raise DuplicateIdError(
                     f"node id {nd.node_id} already exists with different content"
                 )
             continue
-        expected = f"n{g.next_node_num}"
-        if nd.node_id != expected:
-            raise DuplicateIdError(
-                f"node id {nd.node_id} out of sequence (expected {expected})"
-            )
-        g.nodes[nd.node_id] = KnowledgeNode(
-            node_id=nd.node_id, name=nd.name, is_core_entity=nd.is_core_entity
-        )
+        nid = node_handles[nd.node_id] = f"n{g.next_node_num}"
         g.next_node_num += 1
+        g.nodes[nid] = KnowledgeNode(node_id=nid, name=nd.name, is_core_entity=nd.is_core_entity)
 
-    alias: dict[str, str] = {}
+    def node(ref: str, edge_id: str) -> str:
+        nid = node_handles.get(ref, ref if ref in kg.nodes else None)
+        if nid is None:
+            raise UnknownNodeError(f"edge {edge_id} references unknown node {ref!r}")
+        return nid
+
+    edge_handles: dict[str, str] = {}
     for ed in result.new_edges:
         edge_num(ed.edge_id)
-        for endpoint in (ed.source_id, ed.target_id):
-            if endpoint not in g.nodes:
-                raise UnknownNodeError(
-                    f"edge {ed.edge_id} references unknown node {endpoint!r}"
-                )
-        triple = (ed.source_id, ed.target_id, ed.relation)
-        existing = g.edges.get(ed.edge_id)
-        if existing is not None:
-            if existing.triple != triple:
+        triple = (node(ed.source_id, ed.edge_id), node(ed.target_id, ed.edge_id), ed.relation)
+        eid = ed.edge_id if ed.edge_id in kg.edges else edge_handles.get(ed.edge_id)
+        if eid is not None:
+            if g.edges[eid].triple != triple:
                 raise DuplicateIdError(
                     f"edge id {ed.edge_id} already exists with different content"
                 )
-            alias[ed.edge_id] = ed.edge_id
             continue
-        surviving = g._triples.get(triple)
-        if surviving is not None:
-            # Re-observed relation: the freshly generated id is consumed (never
-            # reused) but the original edge keeps the evidence.
-            alias[ed.edge_id] = surviving
-            if edge_num(ed.edge_id) >= g.next_edge_num:
-                if ed.edge_id != f"e{g.next_edge_num}":
-                    raise DuplicateIdError(
-                        f"edge id {ed.edge_id} out of sequence (expected e{g.next_edge_num})"
-                    )
-                g.next_edge_num += 1
-            continue
-        expected = f"e{g.next_edge_num}"
-        if ed.edge_id != expected:
-            raise DuplicateIdError(
-                f"edge id {ed.edge_id} out of sequence (expected {expected})"
+        eid = g._triples.get(triple)
+        if eid is None:
+            eid = f"e{g.next_edge_num}"
+            g.next_edge_num += 1
+            g.edges[eid] = KnowledgeEdge(
+                edge_id=eid, source_id=triple[0], target_id=triple[1], relation=ed.relation
             )
-        g.edges[ed.edge_id] = KnowledgeEdge(
-            edge_id=ed.edge_id,
-            source_id=ed.source_id,
-            target_id=ed.target_id,
-            relation=ed.relation,
-        )
-        g._triples[triple] = ed.edge_id
-        g._link(ed.source_id, ed.target_id)
-        g.next_edge_num += 1
-        alias[ed.edge_id] = ed.edge_id
+            g._triples[triple] = eid
+            g._link(triple[0], triple[1])
+        edge_handles[ed.edge_id] = eid
 
     for label, edge_ids in result.evidences_map.items():
         if label not in en_ids:
             raise UnknownEvidenceLabelError(f"unknown evidence label {label!r}")
         ev_id = en_ids[label]
-        for eid in edge_ids:
-            target = alias.get(eid, eid)
-            if target not in g.edges:
+        for ref in edge_ids:
+            eid = edge_handles.get(ref, ref if ref in kg.edges else None)
+            if eid is None:
                 raise DanglingReferenceError(
-                    f"evidences_map references absent edge {eid!r}"
+                    f"evidences_map references absent edge {ref!r}"
                 )
-            g.edges[target].evidence_ids.add(ev_id)
+            g.edges[eid].evidence_ids.add(ev_id)
 
     return g
 

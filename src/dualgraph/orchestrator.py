@@ -18,8 +18,9 @@ from __future__ import annotations
 import copy
 import json
 import logging
+import math
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from itertools import islice
 from pathlib import Path
@@ -82,6 +83,14 @@ def _default_thresholds() -> dict[str, float]:
     return {dim: 75.0 for dim in _THRESHOLD_DIMS}
 
 
+def _is_number(value) -> bool:
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
+
+
 @dataclass
 class RunConfig:
     max_iter: int = 5
@@ -100,9 +109,17 @@ class RunConfig:
     embed_dim: int = 32
 
     def __post_init__(self) -> None:
-        if isinstance(self.variant, str):
+        try:
             self.variant = Variant(self.variant)
-        if isinstance(self.early_stop_thresholds, (int, float)):
+        except (ValueError, TypeError):
+            raise ConfigError(f"unknown variant {self.variant!r}") from None
+        for f in fields(self):  # f.type is the annotation's text
+            value = getattr(self, f.name)
+            if f.type == "int" and (isinstance(value, bool) or not isinstance(value, int)):
+                raise ConfigError(f"{f.name} must be an integer, got {value!r}")
+            if f.type == "float" and not _is_number(value):
+                raise ConfigError(f"{f.name} must be a finite number, got {value!r}")
+        if _is_number(self.early_stop_thresholds):
             self.early_stop_thresholds = {
                 dim: float(self.early_stop_thresholds) for dim in _THRESHOLD_DIMS
             }
@@ -113,13 +130,14 @@ class RunConfig:
             raise ConfigError("enrich_evidence_threshold must be >= 0")
         if self.sbm_alpha <= 0:
             raise ConfigError("sbm_alpha must be > 0")
-        if set(self.early_stop_thresholds) != set(_THRESHOLD_DIMS):
+        thresholds = self.early_stop_thresholds
+        if not isinstance(thresholds, dict) or set(thresholds) != set(_THRESHOLD_DIMS):
             raise ConfigError(
                 f"early_stop_thresholds must cover exactly {sorted(_THRESHOLD_DIMS)}"
             )
-        for dim, value in self.early_stop_thresholds.items():
-            if not 0 <= value <= 100:
-                raise ConfigError(f"threshold {dim}={value} outside 0..100")
+        for dim, value in thresholds.items():
+            if not _is_number(value) or not 0 <= value <= 100:
+                raise ConfigError(f"threshold {dim}={value!r} is not a number in 0..100")
         if self.retry_budget < 0:
             raise ConfigError("retry_budget must be >= 0")
 

@@ -215,15 +215,9 @@ def _render_line(node: OutlineNode) -> str:
     return line
 
 
-def render_outline(og: OutlineGraph, with_citations: bool = True) -> str:
+def render_outline(og: OutlineGraph) -> str:
     """Canonical wire form: title then one line per node, no indentation."""
-    lines = [og.title]
-    for node in og.walk():
-        if with_citations:
-            lines.append(_render_line(node))
-        else:
-            bare = OutlineNode(number=node.number, title=node.title)
-            lines.append(_render_line(bare))
+    lines = [og.title] + [_render_line(node) for node in og.walk()]
     return "\n".join(lines) + "\n"
 
 

@@ -48,7 +48,7 @@ class MalformedOutputError(ParseError):
 
 
 class SchemaViolation(ParseError):
-    """Parseable, but keys, types, formats, or id sequences are wrong."""
+    """Parseable, but keys, types or formats are wrong."""
 
 
 class DanglingReference(ParseError):
@@ -161,19 +161,16 @@ def parse_extraction(
 ) -> ExtractionResult:
     """Parse an extraction response; with graph context, validate references.
 
-    Fresh node and edge ids must continue sequentially from the given graph's
-    maxima; restating an id the graph already holds is tolerated here and
-    checked for content equality when the batch is applied.
+    Ids the graph does not hold are handles local to the batch, in any order;
+    the graph issues the real ids when the batch is applied. Restating an id
+    the graph already holds is tolerated here and checked for content
+    equality when the batch is applied.
     """
     doc = _load_json(text, "extraction")
     doc = _require_object(doc, "extraction", {"new_nodes", "new_edges", "evidences_map"})
 
     nodes: list[ExtractedNode] = []
     batch_node_ids: set[str] = set()
-    max_node = max(
-        (int(i[1:]) for i in (existing_node_ids or set())), default=0
-    )
-    next_fresh_node = max_node + 1
     for i, entry in enumerate(_require_list(doc["new_nodes"], "new_nodes")):
         entry = _require_object(
             entry, f"new_nodes[{i}]", {"id", "node_name", "is_core_entity"}
@@ -184,12 +181,6 @@ def parse_extraction(
         if nid in batch_node_ids:
             raise SchemaViolation(f"new_nodes[{i}]: duplicate node id {nid}")
         batch_node_ids.add(nid)
-        if existing_node_ids is not None and nid not in existing_node_ids:
-            if int(nid[1:]) != next_fresh_node:
-                raise SchemaViolation(
-                    f"new_nodes[{i}]: id {nid} out of sequence (expected n{next_fresh_node})"
-                )
-            next_fresh_node += 1
         nodes.append(
             ExtractedNode(
                 node_id=nid,
@@ -202,10 +193,6 @@ def parse_extraction(
 
     edges: list[ExtractedEdge] = []
     batch_edge_ids: set[str] = set()
-    max_edge = max(
-        (int(i[1:]) for i in (existing_edge_ids or set())), default=0
-    )
-    next_fresh_edge = max_edge + 1
     known_nodes = batch_node_ids | (existing_node_ids or set())
     for i, entry in enumerate(_require_list(doc["new_edges"], "new_edges")):
         entry = _require_object(
@@ -217,12 +204,6 @@ def parse_extraction(
         if eid in batch_edge_ids:
             raise SchemaViolation(f"new_edges[{i}]: duplicate edge id {eid}")
         batch_edge_ids.add(eid)
-        if existing_edge_ids is not None and eid not in existing_edge_ids:
-            if int(eid[1:]) != next_fresh_edge:
-                raise SchemaViolation(
-                    f"new_edges[{i}]: id {eid} out of sequence (expected e{next_fresh_edge})"
-                )
-            next_fresh_edge += 1
         src = _require_str(entry["source_id"], f"new_edges[{i}].source_id")
         tgt = _require_str(entry["target_id"], f"new_edges[{i}].target_id")
         for endpoint in (src, tgt):

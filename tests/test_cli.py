@@ -7,6 +7,7 @@ import json
 import pytest
 
 from dualgraph.cli import main
+from dualgraph.providers.parsers import SCORE_DIMENSIONS
 
 from .builders import crash_demo_run
 
@@ -66,6 +67,31 @@ class TestRun:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(payload)
         assert _run_demo(tmp_path / "run", "--config", str(cfg)) == 1
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"variant": "bogus"},
+            {"variant": 1},
+            {"max_iter": "5"},
+            {"max_iter": True},
+            {"retry_budget": 1.5},
+            {"seed": None},
+            {"near_duplicate_threshold": "x"},
+            {"sbm_alpha": False},
+            {"community_resolution": float("nan")},
+            {"early_stop_thresholds": "high"},
+            {"early_stop_thresholds": None},
+            {"early_stop_thresholds": {d: "90" for d in SCORE_DIMENSIONS}},
+        ],
+    )
+    def test_bad_config_values_are_configuration_errors(self, tmp_path, capsys, overrides):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(overrides))
+        run_dir = tmp_path / "run"
+        assert _run_demo(run_dir, "--config", str(cfg)) == 1
+        assert "configuration error" in capsys.readouterr().err
+        assert not (run_dir / "state.json").exists()
 
     def test_missing_config_file_rejected(self, tmp_path):
         assert _run_demo(tmp_path / "run", "--config", str(tmp_path / "no.json")) == 1

@@ -9,6 +9,7 @@ import pytest
 
 from dualgraph.kg import (
     ClusterError,
+    DanglingReferenceError,
     DuplicateIdError,
     EmbeddingMissingError,
     ExtractedEdge,
@@ -232,25 +233,69 @@ class TestApplyExtraction:
         with pytest.raises(DuplicateIdError):
             apply_extraction(kg, batch, {})
 
-    def test_out_of_sequence_ids_rejected(self):
+    def test_handles_get_the_next_ids(self):
         kg = _small_graph()
         batch = ExtractionResult(
-            new_nodes=[ExtractedNode("n6", "gap", False)], new_edges=[]
+            new_nodes=[
+                ExtractedNode("n9", "gap", False),
+                ExtractedNode("n4", "blackouts", False),
+            ],
+            new_edges=[
+                ExtractedEdge("e7", "n4", "n9", "causes"),
+                ExtractedEdge("e3", "n1", "n4", "prevents"),
+            ],
+            evidences_map={"EN1": ["e3", "e7"]},
+        )
+        out = apply_extraction(kg, batch, {"EN1": 5})
+        assert out.nodes["n4"].name == "gap"
+        assert out.nodes["n5"].name == "blackouts"
+        assert out.representation("e3") == "blackouts - causes -> gap"
+        assert out.representation("e4") == "storage - prevents -> blackouts"
+        assert out.edges["e3"].evidence_ids == out.edges["e4"].evidence_ids == {5}
+        assert (out.next_node_num, out.next_edge_num) == (6, 5)
+
+    def test_ids_issued_earlier_in_the_batch_are_not_references(self):
+        kg = _small_graph()
+        batch = ExtractionResult(
+            new_nodes=[ExtractedNode("n9", "gap", False)],
+            new_edges=[ExtractedEdge("e3", "n1", "n4", "prevents")],  # n4 is n9's id
+        )
+        with pytest.raises(UnknownNodeError):
+            apply_extraction(kg, batch, {})
+        batch = ExtractionResult(
+            new_edges=[ExtractedEdge("e8", "n1", "n3", "funds")],
+            evidences_map={"EN1": ["e3"]},  # e3 is e8's id
+        )
+        with pytest.raises(DanglingReferenceError):
+            apply_extraction(kg, batch, {"EN1": 1})
+
+    def test_repeated_handle_with_new_content_rejected(self):
+        kg = _small_graph()
+        same = ExtractedNode("n7", "gap", False)
+        out = apply_extraction(kg, ExtractionResult(new_nodes=[same, same]), {})
+        assert out.node_ids() == ["n1", "n2", "n3", "n4"]
+        batch = ExtractionResult(
+            new_nodes=[same, ExtractedNode("n7", "other", False)]
         )
         with pytest.raises(DuplicateIdError):
             apply_extraction(kg, batch, {})
 
-    def test_reobserved_triple_consumes_id_but_keeps_original_edge(self):
+    def test_reobserved_handle_uses_up_no_id(self):
         kg = _small_graph()
         batch = ExtractionResult(
             new_nodes=[],
-            new_edges=[ExtractedEdge("e3", "n1", "n2", "reduces")],
-            evidences_map={"EN1": ["e3"]},
+            new_edges=[
+                ExtractedEdge("e3", "n1", "n2", "reduces"),
+                ExtractedEdge("e4", "n3", "n1", "constrains"),
+            ],
+            evidences_map={"EN1": ["e3", "e4"]},
         )
         out = apply_extraction(kg, batch, {"EN1": 9})
-        assert "e3" not in out.edges
+        assert out.edge_ids() == ["e1", "e2", "e3"]
         assert out.edges["e1"].evidence_ids == {1, 9}
-        assert out.next_edge_num == 4  # the spent id is never reissued
+        assert out.representation("e3") == "grid codes - constrains -> storage"
+        assert out.edges["e3"].evidence_ids == {9}
+        assert out.next_edge_num == 4
 
     def test_unknown_evidence_label_rejected(self):
         kg = _small_graph()

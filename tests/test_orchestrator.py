@@ -10,7 +10,7 @@ import pytest
 
 from dualgraph import orchestrator
 from dualgraph.evidence import EvidenceBank
-from dualgraph.kg import KnowledgeGraph
+from dualgraph.kg import KnowledgeGraph, MergeCluster, merge_nodes
 from dualgraph.orchestrator import (
     ConfigError,
     ReportConsistencyError,
@@ -758,6 +758,80 @@ class TestEmbedOnce:
         assert embed.texts("update_kg") == [new]
         # The vectors went to the iteration's copy, not to its input.
         assert all(n.embedding is None for n in before.values())
+
+
+class _PayloadNumberingChat:
+    """Extracts scripted triples per search query, numbering ids the way the
+    extraction template asks: new node and edge ids run on from the highest
+    ids in the prompt's graph payload, and every extracted edge gets a fresh
+    id, re-observed triples included. Merge prompts get no clusters."""
+
+    def __init__(self, triples_by_query):
+        self.triples_by_query = triples_by_query
+
+    def complete(self, prompt):
+        if "# Search Query" not in prompt:
+            return _NO_MERGE
+        query = prompt.split("# Search Query\n", 1)[1].split("\n", 1)[0]
+        payload = json.loads(prompt.split("# Current Knowledge Graph\n", 1)[1])
+        ids = {n["knowledge"]: n["id"] for n in payload["nodes"]}
+        next_node = 1 + max(int(n["id"][1:]) for n in payload["nodes"])
+        next_edge = 1 + max(int(e["id"][1:]) for e in payload["edges"])
+        nodes, edges = [], []
+        for src, relation, tgt in self.triples_by_query[query]:
+            for name in (src, tgt):
+                if name not in ids:
+                    ids[name] = f"n{next_node + len(nodes)}"
+                    nodes.append({"id": ids[name], "node_name": name, "is_core_entity": False})
+            edges.append({"id": f"e{next_edge + len(edges)}", "source_id": ids[src],
+                          "target_id": ids[tgt], "relation_name": relation})
+        return json.dumps({"new_nodes": nodes, "new_edges": edges,
+                           "evidences_map": {"EN1": [e["id"] for e in edges]}})
+
+
+def _extract(state: RunState, query: str, triples) -> int:
+    """One update_kg pass over a single new evidence unit; returns its id."""
+    ev_id = state.bank.add(f"https://example.org/{query}", query, query, "summary", "", 1)
+    providers = Providers(
+        chat=_PayloadNumberingChat({query: triples}),
+        search=FixtureSearchProvider({}),
+        fetch=FixtureFetchProvider({}),
+        embed=HashEmbeddingProvider(dim=8),
+    )
+    update_kg(state, providers, state.config, {query: [ev_id]})
+    return ev_id
+
+
+class TestGraphIssuesIds:
+    """A model that numbers ids from the payload keeps extracting after the
+    graph's counters have moved past the payload's highest ids."""
+
+    def test_new_node_after_a_merge_retired_the_highest_ids(self):
+        state = _graph_state("battery cost", "battery price")
+        state.kg = merge_nodes(state.kg, [MergeCluster("battery economics", ["n2", "n3"])])
+        assert (sorted(state.kg.nodes), sorted(state.kg.edges)) == (["n1", "n2"], ["e1"])
+        ev_id = _extract(state, "hydrogen", [("grid storage", "stores", "hydrogen")])
+        kg = state.kg
+        assert kg.node_ids() == ["n1", "n2", "n4"]
+        assert kg.nodes["n4"].name == "hydrogen"
+        assert kg.edge_ids() == ["e1", "e3"]
+        assert kg.representation("e3") == "grid storage - stores -> hydrogen"
+        assert kg.edges["e3"].evidence_ids == {ev_id}
+
+    def test_new_edge_after_a_reobserved_triple_under_a_fresh_id(self):
+        state = _graph_state("battery cost")
+        first = _extract(state, "storage", [
+            ("grid storage", "stores", "hydrogen"),
+            ("grid storage", "involves", "battery cost"),
+        ])
+        assert state.kg.edge_ids() == ["e1", "e2"]
+        assert state.kg.edges["e1"].evidence_ids == {first}
+        second = _extract(state, "hydrogen", [("hydrogen", "competes with", "battery cost")])
+        kg = state.kg
+        assert kg.edge_ids() == ["e1", "e2", "e3"]
+        assert kg.representation("e3") == "hydrogen - competes with -> battery cost"
+        assert kg.edges["e3"].evidence_ids == {second}
+        assert kg.next_edge_num == 4
 
 
 def _observable(state: RunState) -> tuple:

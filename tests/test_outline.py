@@ -97,7 +97,6 @@ class TestRendering:
         og.sections.append(OutlineNode(number="1", title="A", citations={9, 2}))
         text = render_outline(og)
         assert "<citation>id_2, id_9</citation>" in text
-        assert "citation" not in render_outline(og, with_citations=False)
 
     @pytest.mark.parametrize("seed", range(25))
     def test_random_outline_round_trip(self, seed):

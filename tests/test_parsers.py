@@ -87,11 +87,12 @@ class TestParseExtraction:
         text = f"```json\n{json.dumps(EXTRACTION_DOC)}\n```"
         assert parse_extraction(text, **CONTEXT).new_nodes[0].name == "flywheel"
 
-    def test_fresh_ids_must_continue_sequence(self):
-        doc = json.loads(json.dumps(EXTRACTION_DOC))
-        doc["new_nodes"][0]["id"] = "n5"
-        with pytest.raises(SchemaViolation):
-            parse_extraction(json.dumps(doc), **CONTEXT)
+    def test_out_of_sequence_fresh_ids_parse(self):
+        text = json.dumps(EXTRACTION_DOC).replace('"n3"', '"n5"').replace('"e2"', '"e9"')
+        result = parse_extraction(text, **CONTEXT)
+        assert [n.node_id for n in result.new_nodes] == ["n5", "n4"]
+        assert [e.edge_id for e in result.new_edges] == ["e9", "e3"]
+        assert result.evidences_map == {"EN1": ["e9"], "EN2": ["e9", "e3"]}
 
     def test_restating_existing_id_tolerated(self):
         doc = {
