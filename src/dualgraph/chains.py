@@ -27,7 +27,6 @@ from itertools import groupby, islice
 
 import numpy as np
 
-from .instrumentation import KG_OPS
 from .kg import (
     CommunityPartition,
     EmbeddingMissingError,
@@ -160,7 +159,6 @@ def rank_enrich(
     Both blocks order by descending score, ties by ascending edge id.
     quota=None returns the full ranked pool.
     """
-    KG_OPS.bump("rank_enrich")
     pool = [
         eid
         for eid in kg.edge_ids()
@@ -229,7 +227,6 @@ def sbm_block_matrix(
     possible pairs are n_i * n_j; diagonal is n_i * (n_i - 1) / 2. Smoothing
     keeps every entry strictly inside (0, 1).
     """
-    KG_OPS.bump("sbm_block_matrix")
     comms = partition.communities()
     labels = list(comms.keys())
     sizes = {c: len(members) for c, members in comms.items()}
@@ -269,7 +266,6 @@ def explore_similarity(kg: KnowledgeGraph, quota: int | None = None) -> list[Sea
     the per-pair ``np.dot``; one matrix product only narrows down the pairs
     that can reach the quota.
     """
-    KG_OPS.bump("explore_similarity")
     ids = kg.node_ids()
     cores = [v for v in ids if kg.nodes[v].is_core_entity]
     concepts = [v for v in ids if not kg.nodes[v].is_core_entity]
@@ -359,7 +355,6 @@ def explore_block(
     within a run of equal values, merge those community pairs' node pairs in
     numeric order, producing only as many as the returned list needs.
     """
-    KG_OPS.bump("explore_block")
     ids = kg.node_ids()
     rank = {v: i for i, v in enumerate(ids)}  # numeric node order
     members: dict[int, list[str]] = {}
@@ -430,7 +425,6 @@ def explore_structural_holes(
     list ranks by the first node's bridging score, ties by ascending node ids.
     Returns all candidates; callers truncate.
     """
-    KG_OPS.bump("explore_structural_holes")
     comms = partition.communities()
     num = {v: node_num(v) for v in partition.assignment}
     bscore = {v: bridging_score(kg, partition, v) for v in partition.assignment}
@@ -505,7 +499,6 @@ def build_search_chains(
     consumed) extend the family lists in fixed order. chain_1, chain_2, ...
     number the final concatenation.
     """
-    KG_OPS.bump("build_search_chains")
     plan = allocate_quotas(config.total)
     # No family can fill more than the whole budget, so every ranking is cut
     # there; the counts below come out the same as on the uncut lists.

@@ -184,9 +184,13 @@ def _checkpoint_file(args, stem: str, ext: str) -> tuple[Path, int]:
     run_dir = Path(args.run_dir)
     iteration = args.iteration
     if iteration is None:
-        if not (run_dir / STATE_FILE).exists():
+        state_path = run_dir / STATE_FILE
+        if not state_path.exists():
             raise _UsageError(f"no run in {run_dir}")
-        iteration = json.loads((run_dir / STATE_FILE).read_text(encoding="utf-8"))["iteration"]
+        try:
+            iteration = json.loads(state_path.read_text(encoding="utf-8"))["iteration"]
+        except (json.JSONDecodeError, TypeError, KeyError):
+            raise _UsageError(f"cannot read the committed iteration from {state_path}") from None
     path = run_dir / f"{stem}_iter{iteration}.{ext}"
     if not path.exists():
         raise _UsageError(f"no checkpoint file {path}")

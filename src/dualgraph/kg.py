@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .community import leiden_partition
-from .instrumentation import KG_OPS
 
 log = logging.getLogger(__name__)
 
@@ -432,7 +431,6 @@ def apply_extraction(
     Fresh ids that run on from the graph's counters therefore keep their
     numbers, and applying such a batch twice yields the same graph.
     """
-    KG_OPS.bump("apply_extraction")
     g = kg.copy()
 
     node_handles: dict[str, str] = {}
@@ -502,7 +500,6 @@ def merge_nodes(kg: KnowledgeGraph, clusters: list[MergeCluster]) -> KnowledgeGr
     self-loop drops the edge, and the dropped evidence ids are logged as the
     only permitted evidence loss.
     """
-    KG_OPS.bump("merge_nodes")
     seen: set[str] = set()
     for cluster in clusters:
         if not (2 <= len(cluster.source_node_ids) <= 5):
@@ -597,7 +594,6 @@ def cluster_semantic(kg: KnowledgeGraph, threshold: float = 0.85) -> dict[str, i
     carry an embedding. The decision for each pair is the per-pair
     ``np.dot``; a Gram-matrix product only picks the pairs worth deciding.
     """
-    KG_OPS.bump("cluster_semantic")
     ids = kg.node_ids()
     for nid in ids:
         if kg.nodes[nid].embedding is None:
@@ -638,7 +634,6 @@ def detect_communities(
     kg: KnowledgeGraph, seed: int, resolution: float = 1.0
 ) -> CommunityPartition:
     """Community structure of the undirected simple projection, unit weights."""
-    KG_OPS.bump("detect_communities")
     ids = kg.node_ids()
     assignment = leiden_partition(ids, kg.undirected_pairs(), seed=seed, resolution=resolution)
     return CommunityPartition(assignment=assignment, seed=seed)

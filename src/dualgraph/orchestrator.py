@@ -61,6 +61,11 @@ __all__ = [
 
 STATE_FILE = "state.json"
 REPORT_FILE = "report.md"
+# Every key RunState.to_dict writes besides format_version.
+_STATE_KEYS = (
+    "root_query", "config", "stage", "iteration", "stopped", "executed_queries",
+    "early_stop_history", "events", "audit_records", "bank_units",
+)
 
 
 class Variant(str, Enum):
@@ -123,7 +128,8 @@ class RunConfig:
             self.early_stop_thresholds = {
                 dim: float(self.early_stop_thresholds) for dim in _THRESHOLD_DIMS
             }
-        for name in ("max_iter", "og_query_budget", "kg_query_budget", "urls_per_query"):
+        positive = ("max_iter", "og_query_budget", "kg_query_budget", "urls_per_query", "embed_dim")
+        for name in positive:
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
         if self.enrich_evidence_threshold < 0:
@@ -212,8 +218,13 @@ class RunState:
         The files of the committed iteration never change later, and bank.json
         and the audit only grow, so a checkpoint that never committed is ignored.
         """
+        if not isinstance(doc, dict):
+            raise ConfigError(f"{STATE_FILE} must hold a JSON object")
         if doc.get("format_version") != 3:
             raise ConfigError(f"unsupported state format_version {doc.get('format_version')!r}")
+        missing = [key for key in _STATE_KEYS if key not in doc]
+        if missing:
+            raise ConfigError(f"{STATE_FILE} lacks {missing}")
         state = cls(
             root_query=doc["root_query"],
             config=RunConfig.from_dict(doc["config"]),
@@ -812,7 +823,10 @@ class Runner:
             return file.read()
 
     def load_state(self) -> RunState:
-        doc = json.loads(self._read(STATE_FILE))
+        try:
+            doc = json.loads(self._read(STATE_FILE))
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{STATE_FILE} is not valid JSON: {exc}") from None
         with self._open("audit.jsonl") as log_file:
             return RunState.from_dict(doc, map(json.loads, log_file), self._read)
 

@@ -56,10 +56,8 @@ class ScriptEntry:
 class ScriptedChatProvider:
     def __init__(self, entries: Sequence[ScriptEntry]):
         self.entries = list(entries)
-        self.calls: list[str] = []
 
     def complete(self, prompt: str) -> str:
-        self.calls.append(prompt)
         matched_but_spent = False
         for entry in self.entries:
             if entry.matches(prompt):

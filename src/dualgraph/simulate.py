@@ -277,11 +277,9 @@ class SimChatProvider:
 
     def __init__(self, world: World):
         self.world = world
-        self.calls: list[str] = []
         self._proposed_chain_queries: set[str] = set()
 
     def complete(self, prompt: str) -> str:
-        self.calls.append(prompt)
         if "Draft the outline of a deep-dive report" in prompt:
             return self._create_outline(prompt)
         if "revising the outline of an in-progress" in prompt:

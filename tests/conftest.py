@@ -11,8 +11,6 @@ import random
 import pytest
 from hypothesis import settings
 
-from dualgraph.instrumentation import KG_OPS
-
 settings.register_profile("suite", deadline=None)
 settings.load_profile("suite")
 
@@ -29,12 +27,6 @@ GATE_TITLES = {
     "test_c09_parser_totality_fuzz": "parser totality fuzz",
     "test_c10_full_coverage_on_synthetic_worlds": "full coverage on synthetic worlds",
 }
-
-
-@pytest.fixture(autouse=True)
-def _fresh_op_counter():
-    KG_OPS.reset()
-    yield
 
 
 @pytest.fixture

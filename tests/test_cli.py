@@ -25,6 +25,22 @@ def demo_run(tmp_path):
     return run_dir
 
 
+def _damage_state(run_dir, damage: str) -> str:
+    """Overwrite state.json with a damaged copy and return the damaged text."""
+    path = run_dir / "state.json"
+    text = path.read_text(encoding="utf-8")
+    if damage == "torn":
+        text = text[: len(text) // 2]
+    elif damage == "not-an-object":
+        text = "[1, 2]"
+    else:  # "no-<key>"
+        doc = json.loads(text)
+        del doc[damage.removeprefix("no-")]
+        text = json.dumps(doc)
+    path.write_text(text, encoding="utf-8")
+    return text
+
+
 class TestRun:
     def test_demo_fixture_completes(self, tmp_path, capsys):
         run_dir = tmp_path / "run"
@@ -83,6 +99,8 @@ class TestRun:
             {"early_stop_thresholds": "high"},
             {"early_stop_thresholds": None},
             {"early_stop_thresholds": {d: "90" for d in SCORE_DIMENSIONS}},
+            {"embed_dim": 0},
+            {"embed_dim": -3},
         ],
     )
     def test_bad_config_values_are_configuration_errors(self, tmp_path, capsys, overrides):
@@ -136,10 +154,12 @@ class TestResume:
         assert main(["resume", "--run-dir", str(demo_run)]) == 0
         assert "run complete: 2" in capsys.readouterr().out
 
-    def test_corrupt_checkpoint_is_internal_error(self, demo_run, capsys):
-        (demo_run / "state.json").write_text("{broken", encoding="utf-8")
-        assert main(["resume", "--run-dir", str(demo_run)]) == 3
-        assert "internal error" in capsys.readouterr().err
+    @pytest.mark.parametrize("damage", ["torn", "not-an-object", "no-events", "no-iteration"])
+    def test_damaged_state_is_a_configuration_error(self, demo_run, capsys, damage):
+        damaged = _damage_state(demo_run, damage)
+        assert main(["resume", "--run-dir", str(demo_run)]) == 1
+        assert "configuration error: state.json" in capsys.readouterr().err
+        assert (demo_run / "state.json").read_text(encoding="utf-8") == damaged
 
     def test_old_format_version_is_rejected(self, demo_run, capsys):
         path = demo_run / "state.json"
@@ -199,6 +219,14 @@ class TestInspect:
     def test_chains_explicit_iteration(self, demo_run, capsys):
         assert main(["chains", "--run-dir", str(demo_run), "--iter", "1"]) == 0
         assert "iteration 1" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("damage", ["torn", "not-an-object", "no-iteration"])
+    @pytest.mark.parametrize("command", ["inspect-kg", "inspect-og", "chains"])
+    def test_unreadable_state_is_a_usage_error(self, demo_run, capsys, command, damage):
+        damaged = _damage_state(demo_run, damage)
+        assert main([command, "--run-dir", str(demo_run)]) == 1
+        assert "cannot read the committed iteration" in capsys.readouterr().err
+        assert (demo_run / "state.json").read_text(encoding="utf-8") == damaged
 
     def test_missing_checkpoints_are_usage_errors(self, tmp_path):
         empty = tmp_path / "empty"
