@@ -36,7 +36,6 @@ from .kg import (
     degree_in_community,
     gram_margin,
     node_importance,
-    node_num,
 )
 
 __all__ = [
@@ -207,8 +206,6 @@ class SbmBlockMatrix:
 
     labels: list[int]
     matrix: np.ndarray
-    alpha: float
-    sizes: dict[int, int] = field(default_factory=dict)
     _index: dict[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -248,7 +245,7 @@ def sbm_block_matrix(
             else:
                 possible = float(sizes[ci] * sizes[cj])
             matrix[i, j] = (actual[i, j] + alpha) / (possible + 2.0 * alpha)
-    return SbmBlockMatrix(labels=labels, matrix=matrix, alpha=alpha, sizes=sizes)
+    return SbmBlockMatrix(labels=labels, matrix=matrix)
 
 
 def bernoulli_entropy(p: float) -> float:
@@ -426,7 +423,7 @@ def explore_structural_holes(
     Returns all candidates; callers truncate.
     """
     comms = partition.communities()
-    num = {v: node_num(v) for v in partition.assignment}
+    num = {v: i for i, v in enumerate(kg.node_ids())}
     bscore = {v: bridging_score(kg, partition, v) for v in partition.assignment}
     din = {v: degree_in_community(kg, partition, v) for v in partition.assignment}
 

@@ -197,13 +197,21 @@ def _checkpoint_file(args, stem: str, ext: str) -> tuple[Path, int]:
     return path, iteration
 
 
+def _parse(path: Path, parse):
+    """``parse`` of the file's text; a file that does not parse is a usage error."""
+    text = path.read_text(encoding="utf-8")
+    try:
+        return parse(text)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise _UsageError(f"{path} is damaged: {type(exc).__name__}: {exc}") from None
+
+
 def _cmd_inspect_kg(args) -> int:
     path, _ = _checkpoint_file(args, "kg", "json")
-    text = path.read_text(encoding="utf-8")
     if args.json:
-        sys.stdout.write(text)
+        sys.stdout.write(path.read_text(encoding="utf-8"))
         return EXIT_OK
-    kg = KnowledgeGraph.from_document(text)
+    kg = _parse(path, KnowledgeGraph.from_document)
     cores = sum(1 for n in kg.nodes.values() if n.is_core_entity)
     communities = {n.community_id for n in kg.nodes.values() if n.community_id is not None}
     clusters = {n.cluster_id for n in kg.nodes.values() if n.cluster_id is not None}
@@ -234,11 +242,11 @@ def _cmd_inspect_og(args) -> int:
 def _cmd_chains(args) -> int:
     path, iteration = _checkpoint_file(args, "chains", "json")
     run_dir = Path(args.run_dir)
-    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc = _parse(path, json.loads)
     names: dict[str, str] = {}
     kg_path = run_dir / f"kg_iter{iteration - 1}.json"
     if kg_path.exists():
-        kg = KnowledgeGraph.from_document(kg_path.read_text(encoding="utf-8"))
+        kg = _parse(kg_path, KnowledgeGraph.from_document)
         names = {nid: node.name for nid, node in kg.nodes.items()}
     selected = set(doc.get("selected", []))
     print(f"iteration {iteration}: {len(doc.get('candidates', []))} candidate chain(s)")

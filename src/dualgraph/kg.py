@@ -8,10 +8,14 @@ sequentially, and never reuses one, including ids retired by node merges. In
 an extraction batch, an id the graph does not hold is only a handle local to
 the batch; ``apply_extraction`` gives it the next free id.
 
+``nodes`` and ``edges`` list ids in ascending numeric order: the graph appends
+each id it issues and never reorders either dict, and ``from_dict`` rejects a
+document in any other order. So dict order is the graph's order.
+
 Every graph keeps an adjacency index next to its edges: for each node, the
 nodes it shares a non-loop edge with, in either direction, and how many edges
-join them. Every operation that adds or rewires edges maintains it, so
-``neighbors`` is a lookup.
+join them. ``_insert`` is the one path that files an edge, under its id and
+its triple and in that index, so ``neighbors`` is a lookup.
 """
 
 from __future__ import annotations
@@ -183,11 +187,11 @@ class KnowledgeGraph:
         return len(self.edges)
 
     def node_ids(self) -> list[str]:
-        """Node ids in ascending numeric order."""
-        return sorted(self.nodes, key=node_num)
+        """Node ids in ascending numeric order, which is dict order."""
+        return list(self.nodes)
 
     def edge_ids(self) -> list[str]:
-        return sorted(self.edges, key=edge_num)
+        return list(self.edges)
 
     def edge_for_triple(self, source: str, target: str, relation: str) -> str | None:
         return self._triples.get((source, target, relation))
@@ -200,12 +204,12 @@ class KnowledgeGraph:
 
     def undirected_pairs(self) -> set[tuple[str, str]]:
         """Adjacent node pairs on the simple projection, numerically ordered."""
+        rank = {nid: i for i, nid in enumerate(self.nodes)}
         pairs: set[tuple[str, str]] = set()
         for e in self.edges.values():
-            if e.source_id == e.target_id:
-                continue
-            a, b = sorted((e.source_id, e.target_id), key=node_num)
-            pairs.add((a, b))
+            a, b = e.source_id, e.target_id
+            if a != b:
+                pairs.add((a, b) if rank[a] < rank[b] else (b, a))
         return pairs
 
     def all_evidence_ids(self) -> set[int]:
@@ -260,24 +264,18 @@ class KnowledgeGraph:
             return existing
         eid = f"e{self.next_edge_num}"
         self.next_edge_num += 1
-        self.edges[eid] = KnowledgeEdge(
-            edge_id=eid,
-            source_id=source,
-            target_id=target,
-            relation=relation,
-            evidence_ids=set(evidence_ids or set()),
-        )
-        self._triples[(source, target, relation)] = eid
-        self._link(source, target)
+        self._insert(KnowledgeEdge(eid, source, target, relation, set(evidence_ids or ())))
         return eid
 
-    def _link(self, a: str, b: str) -> None:
-        """Record one more edge between a and b in the adjacency index."""
-        if a == b:
-            return
-        for u, v in ((a, b), (b, a)):
-            nbrs = self._adjacency.setdefault(u, {})
-            nbrs[v] = nbrs.get(v, 0) + 1
+    def _insert(self, edge: KnowledgeEdge) -> None:
+        """File a new edge by id and triple, and count it in the adjacency index."""
+        self.edges[edge.edge_id] = edge
+        self._triples[edge.triple] = edge.edge_id
+        a, b = edge.source_id, edge.target_id
+        if a != b:
+            for u, v in ((a, b), (b, a)):
+                nbrs = self._adjacency.setdefault(u, {})
+                nbrs[v] = nbrs.get(v, 0) + 1
 
     # -- serialization -------------------------------------------------
 
@@ -319,19 +317,21 @@ class KnowledgeGraph:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "KnowledgeGraph":
+        """Rebuild a graph from ``to_dict`` output; its ids must ascend."""
         g = cls()
+        last_node = last_edge = 0
         for nd in doc["knowledge_nodes"]:
-            node = KnowledgeNode(
+            num = node_num(nd["node_id"])
+            if num <= last_node:
+                raise DuplicateIdError(f"node id {nd['node_id']} does not follow n{last_node}")
+            last_node = num
+            g.nodes[nd["node_id"]] = KnowledgeNode(
                 node_id=nd["node_id"],
                 name=nd["knowledge"],
                 is_core_entity=bool(nd["is_core_entity"]),
                 cluster_id=nd.get("cluster_id"),
                 community_id=nd.get("community_id"),
             )
-            node_num(node.node_id)
-            if node.node_id in g.nodes:
-                raise DuplicateIdError(f"duplicate node id {node.node_id}")
-            g.nodes[node.node_id] = node
         for ed in doc["knowledge_edges"]:
             edge = KnowledgeEdge(
                 edge_id=ed["edge_id"],
@@ -340,9 +340,10 @@ class KnowledgeGraph:
                 relation=ed["relation_name"],
                 evidence_ids=set(int(i) for i in ed["evidence_ids"]),
             )
-            edge_num(edge.edge_id)
-            if edge.edge_id in g.edges:
-                raise DuplicateIdError(f"duplicate edge id {edge.edge_id}")
+            num = edge_num(edge.edge_id)
+            if num <= last_edge:
+                raise DuplicateIdError(f"edge id {edge.edge_id} does not follow e{last_edge}")
+            last_edge = num
             for endpoint in (edge.source_id, edge.target_id):
                 if endpoint not in g.nodes:
                     raise UnknownNodeError(f"edge {edge.edge_id} references {endpoint!r}")
@@ -350,13 +351,9 @@ class KnowledgeGraph:
                 raise DuplicateIdError(
                     f"edges {g._triples[edge.triple]} and {edge.edge_id} repeat {edge.triple}"
                 )
-            g.edges[edge.edge_id] = edge
-            g._triples[edge.triple] = edge.edge_id
-            g._link(edge.source_id, edge.target_id)
+            g._insert(edge)
         # Counters past the largest id are legal (merges retire ids); counters
         # at or below it would reissue an id that is still in use.
-        last_node = max((node_num(i) for i in g.nodes), default=0)
-        last_edge = max((edge_num(i) for i in g.edges), default=0)
         g.next_node_num = int(doc.get("next_node_num", last_node + 1))
         g.next_edge_num = int(doc.get("next_edge_num", last_edge + 1))
         if g.next_node_num <= last_node:
@@ -444,9 +441,7 @@ def apply_extraction(
                     f"node id {nd.node_id} already exists with different content"
                 )
             continue
-        nid = node_handles[nd.node_id] = f"n{g.next_node_num}"
-        g.next_node_num += 1
-        g.nodes[nid] = KnowledgeNode(node_id=nid, name=nd.name, is_core_entity=nd.is_core_entity)
+        node_handles[nd.node_id] = g.add_node(nd.name, nd.is_core_entity)
 
     def node(ref: str, edge_id: str) -> str:
         nid = node_handles.get(ref, ref if ref in kg.nodes else None)
@@ -465,16 +460,7 @@ def apply_extraction(
                     f"edge id {ed.edge_id} already exists with different content"
                 )
             continue
-        eid = g._triples.get(triple)
-        if eid is None:
-            eid = f"e{g.next_edge_num}"
-            g.next_edge_num += 1
-            g.edges[eid] = KnowledgeEdge(
-                edge_id=eid, source_id=triple[0], target_id=triple[1], relation=ed.relation
-            )
-            g._triples[triple] = eid
-            g._link(triple[0], triple[1])
-        edge_handles[ed.edge_id] = eid
+        edge_handles[ed.edge_id] = g.add_edge(*triple)
 
     for label, edge_ids in result.evidences_map.items():
         if label not in en_ids:
@@ -534,11 +520,9 @@ def merge_nodes(kg: KnowledgeGraph, clusters: list[MergeCluster]) -> KnowledgeGr
             if nid != keep:
                 del g.nodes[nid]
 
-    new_edges: dict[str, KnowledgeEdge] = {}
-    new_triples: dict[tuple[str, str, str], str] = {}
-    g._adjacency = {}
-    for eid in sorted(g.edges, key=edge_num):
-        e = g.edges[eid]
+    edges = g.edges
+    g.edges, g._triples, g._adjacency = {}, {}, {}
+    for e in edges.values():
         src = canonical.get(e.source_id, e.source_id)
         tgt = canonical.get(e.target_id, e.target_id)
         if src == tgt:
@@ -549,18 +533,13 @@ def merge_nodes(kg: KnowledgeGraph, clusters: list[MergeCluster]) -> KnowledgeGr
                 sorted(e.evidence_ids),
             )
             continue
-        triple = (src, tgt, e.relation)
-        surviving = new_triples.get(triple)
+        surviving = g._triples.get((src, tgt, e.relation))
         if surviving is not None:
-            new_edges[surviving].evidence_ids |= e.evidence_ids
+            g.edges[surviving].evidence_ids |= e.evidence_ids
             continue
         e.source_id = src
         e.target_id = tgt
-        new_edges[eid] = e
-        new_triples[triple] = eid
-        g._link(src, tgt)
-    g.edges = new_edges
-    g._triples = new_triples
+        g._insert(e)
     return g
 
 
@@ -598,9 +577,10 @@ def cluster_semantic(kg: KnowledgeGraph, threshold: float = 0.85) -> dict[str, i
     for nid in ids:
         if kg.nodes[nid].embedding is None:
             raise EmbeddingMissingError(f"node {nid} has no embedding")
-    parent = {nid: nid for nid in ids}
+    # Union-find on positions in node order; a root is its set's first node.
+    parent = list(range(len(ids)))
 
-    def find(x: str) -> str:
+    def find(x: int) -> int:
         while parent[x] != x:
             parent[x] = parent[parent[x]]
             x = parent[x]
@@ -616,14 +596,14 @@ def cluster_semantic(kg: KnowledgeGraph, threshold: float = 0.85) -> dict[str, i
             for r, j in zip(*np.nonzero(np.triu(close, start + 1))):
                 i = start + int(r)
                 if float(np.dot(vectors[i], vectors[j])) >= threshold:
-                    ra, rb = find(ids[i]), find(ids[j])
+                    ra, rb = find(i), find(int(j))
                     if ra != rb:
-                        parent[max(ra, rb, key=node_num)] = min(ra, rb, key=node_num)
+                        parent[max(ra, rb)] = min(ra, rb)
 
-    labels: dict[str, int] = {}
+    labels: dict[int, int] = {}
     out: dict[str, int] = {}
-    for nid in ids:
-        root = find(nid)
+    for i, nid in enumerate(ids):
+        root = find(i)
         if root not in labels:
             labels[root] = len(labels)
         out[nid] = labels[root]

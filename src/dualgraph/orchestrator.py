@@ -19,7 +19,7 @@ import copy
 import json
 import logging
 import math
-from collections.abc import Callable, Iterable
+from collections.abc import Callable
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from itertools import islice
@@ -212,8 +212,8 @@ class RunState:
         }
 
     @classmethod
-    def from_dict(cls, doc: dict, audit: Iterable[dict], read: Callable[[str], str]) -> "RunState":
-        """Rebuild a checkpoint; ``read(name)`` returns the text of a run-dir file.
+    def from_dict(cls, doc: dict, read: Callable) -> "RunState":
+        """Rebuild a checkpoint; ``read(name, parse)`` is ``parse`` of an open run-dir file.
 
         The files of the committed iteration never change later, and bank.json
         and the audit only grow, so a checkpoint that never committed is ignored.
@@ -225,29 +225,41 @@ class RunState:
         missing = [key for key in _STATE_KEYS if key not in doc]
         if missing:
             raise ConfigError(f"{STATE_FILE} lacks {missing}")
+        counts = ("iteration", "audit_records", "bank_units")
+        bad = [key for key in counts if type(doc[key]) is not int or doc[key] < 0]
+        if bad:
+            raise ConfigError(f"{STATE_FILE}: {bad} must be non-negative integers")
         state = cls(
             root_query=doc["root_query"],
             config=RunConfig.from_dict(doc["config"]),
             stage=doc["stage"],
-            iteration=int(doc["iteration"]),
+            iteration=doc["iteration"],
             stopped=bool(doc["stopped"]),
+            executed_queries=list(doc["executed_queries"]),
+            early_stop_history=[EarlyStopReport.from_dict(r) for r in doc["early_stop_history"]],
+            events=list(doc["events"]),
         )
         if state.stage != "init":
-            state.og = parse_outline(read(f"outline_iter{state.iteration}.txt"))
+            state.og = read(f"outline_iter{state.iteration}.txt", _text(parse_outline))
             if state.config.variant is Variant.DUAL_GRAPH:
-                state.kg = KnowledgeGraph.from_document(read(f"kg_iter{state.iteration}.json"))
+                state.kg = read(
+                    f"kg_iter{state.iteration}.json", _text(KnowledgeGraph.from_document)
+                )
         if state.stage == "done":
-            state.report = read(REPORT_FILE)
-        state.bank = EvidenceBank.from_document(read("bank.json"), doc["bank_units"])
-        if len(state.bank) < doc["bank_units"]:
+            state.report = read(REPORT_FILE, _text(str))
+        units, records = doc["bank_units"], doc["audit_records"]
+        state.bank = read("bank.json", _text(lambda text: EvidenceBank.from_document(text, units)))
+        if len(state.bank) < units:
             raise ConfigError("bank.json is shorter than the checkpoint's bank_units")
-        state.executed_queries = list(doc["executed_queries"])
-        state.early_stop_history = [EarlyStopReport.from_dict(r) for r in doc["early_stop_history"]]
-        state.events = list(doc["events"])
-        state.audit = list(islice(audit, doc["audit_records"]))
-        if len(state.audit) < doc["audit_records"]:
+        state.audit = read("audit.jsonl", lambda log: list(map(json.loads, islice(log, records))))
+        if len(state.audit) < records:
             raise ConfigError("audit.jsonl is shorter than the checkpoint's audit_records")
         return state
+
+
+def _text(parse: Callable) -> Callable:
+    """A parser of an open file from a parser of its text."""
+    return lambda file: parse(file.read())
 
 
 # -- provider call helpers ---------------------------------------------
@@ -650,7 +662,7 @@ def evaluate_early_stop(
 # -- report ------------------------------------------------------------
 
 
-def write_report(state: RunState, providers: Providers, config: RunConfig) -> str:
+def write_report(state: RunState, providers: Providers) -> str:
     """One chat call per top-level section; subsections are inlined."""
     assert state.og is not None
     og = state.og
@@ -811,24 +823,23 @@ class Runner:
             self._replace(REPORT_FILE, state.report)
         self._replace(STATE_FILE, json.dumps(state.to_dict(), indent=2, ensure_ascii=False) + "\n")
 
-    def _open(self, name: str):
-        # newline="\n": lines end at "\n" only and nothing is translated.
+    def _read(self, name: str, parse: Callable):
+        """``parse`` of an open run-dir file; a missing or damaged file is a ConfigError."""
         try:
-            return open(self.run_dir / name, encoding="utf-8", newline="\n")
+            # newline="\n": lines end at "\n" only and nothing is translated.
+            with open(self.run_dir / name, encoding="utf-8", newline="\n") as file:
+                return parse(file)
         except FileNotFoundError:
             raise ConfigError(f"run directory {self.run_dir} has no {name}") from None
-
-    def _read(self, name: str) -> str:
-        with self._open(name) as file:
-            return file.read()
+        except ConfigError:  # a file that parse read in turn, named already
+            raise
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ConfigError(f"{name} is damaged: {type(exc).__name__}: {exc}") from None
 
     def load_state(self) -> RunState:
-        try:
-            doc = json.loads(self._read(STATE_FILE))
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{STATE_FILE} is not valid JSON: {exc}") from None
-        with self._open("audit.jsonl") as log_file:
-            return RunState.from_dict(doc, map(json.loads, log_file), self._read)
+        return self._read(
+            STATE_FILE, lambda file: RunState.from_dict(json.load(file), self._read)
+        )
 
     def start(self, root_query: str) -> RunState:
         # A forced rerun must leave nothing of an earlier run behind. state.json
@@ -866,7 +877,7 @@ class Runner:
                 self._checkpoint(state)
             if state.stage == "loop":
                 working = state.clone()
-                write_report(working, self.providers, working.config)
+                write_report(working, self.providers)
                 working.stage = "done"
                 state = working
                 self._checkpoint(state)

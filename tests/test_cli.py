@@ -41,6 +41,44 @@ def _damage_state(run_dir, damage: str) -> str:
     return text
 
 
+def _half(text: str) -> str:
+    return text[: len(text) // 2]
+
+
+def _tear_first_record(text: str) -> str:
+    first, rest = text.split("\n", 1)
+    return _half(first) + "\n" + rest
+
+
+def _reorder_nodes(text: str) -> str:
+    doc = json.loads(text)
+    doc["knowledge_nodes"].reverse()
+    return json.dumps(doc)
+
+
+def _set_state(key: str, value):
+    def damage(text: str) -> str:
+        return json.dumps(dict(json.loads(text), **{key: value}))
+
+    return damage
+
+
+# (command, file, damage): a committed file that no longer parses.
+DAMAGED_FILES = {
+    "resume-torn-audit-record": ("resume", "audit.jsonl", _tear_first_record),
+    "resume-torn-bank": ("resume", "bank.json", _half),
+    "resume-torn-kg": ("resume", "kg_iter2.json", _half),
+    "resume-kg-out-of-order": ("resume", "kg_iter2.json", _reorder_nodes),
+    "resume-empty-outline": ("resume", "outline_iter2.txt", lambda text: ""),
+    "resume-iteration-not-an-int": ("resume", "state.json", _set_state("iteration", "two")),
+    "resume-audit-records-not-an-int": ("resume", "state.json", _set_state("audit_records", "x")),
+    "resume-negative-bank-units": ("resume", "state.json", _set_state("bank_units", -1)),
+    "inspect-kg-torn-kg": ("inspect-kg", "kg_iter2.json", _half),
+    "chains-torn-chains": ("chains", "chains_iter2.json", _half),
+    "chains-torn-previous-kg": ("chains", "kg_iter1.json", _half),
+}
+
+
 class TestRun:
     def test_demo_fixture_completes(self, tmp_path, capsys):
         run_dir = tmp_path / "run"
@@ -234,6 +272,17 @@ class TestInspect:
         assert main(["inspect-kg", "--run-dir", str(empty)]) == 1
         assert main(["inspect-og", "--run-dir", str(empty)]) == 1
         assert main(["chains", "--run-dir", str(empty)]) == 1
+
+
+class TestDamagedFiles:
+    @pytest.mark.parametrize("command, name, damage", DAMAGED_FILES.values(), ids=DAMAGED_FILES)
+    def test_exit_1_naming_the_file(self, demo_run, capsys, command, name, damage):
+        path = demo_run / name
+        path.write_text(damage(path.read_text(encoding="utf-8")), encoding="utf-8")
+        state = (demo_run / "state.json").read_text(encoding="utf-8")
+        assert main([command, "--run-dir", str(demo_run)]) == 1
+        assert name in capsys.readouterr().err
+        assert (demo_run / "state.json").read_text(encoding="utf-8") == state
 
 
 class TestInspectDefaultsToCommittedIteration:

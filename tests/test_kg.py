@@ -103,6 +103,17 @@ class TestGraphBasics:
         with pytest.raises(DuplicateIdError):
             KnowledgeGraph.from_dict(doc)
 
+    @pytest.mark.parametrize("key", ["knowledge_nodes", "knowledge_edges"])
+    @pytest.mark.parametrize("fault", ["first-moved-last", "last-repeated"])
+    def test_from_dict_rejects_ids_out_of_ascending_order(self, key, fault):
+        doc = _small_graph().to_dict()
+        if fault == "first-moved-last":
+            doc[key].append(doc[key].pop(0))
+        else:
+            doc[key].append(doc[key][-1])
+        with pytest.raises(DuplicateIdError, match="does not follow"):
+            KnowledgeGraph.from_dict(doc)
+
     def test_prompt_payload_shape(self):
         payload = _small_graph().to_prompt_payload()
         assert [n["id"] for n in payload["nodes"]] == ["n1", "n2", "n3"]
@@ -133,7 +144,9 @@ def _assert_index_matches_edges(kg: KnowledgeGraph) -> None:
 def _random_step(kg: KnowledgeGraph, gen: random.Random) -> KnowledgeGraph:
     """One random mutation; returns the graph to continue from."""
     ids = list(kg.nodes)
-    op = gen.choice(("node", "edge", "edge", "extract", "extract", "merge", "copy", "dict"))
+    op = gen.choice(
+        ("node", "edge", "edge", "extract", "extract", "merge", "retire", "copy", "dict")
+    )
     if op == "node" or len(ids) < 2:
         kg.add_node(f"x{kg.next_node_num}", gen.random() < 0.3)
     elif op == "edge":
@@ -168,11 +181,32 @@ def _random_step(kg: KnowledgeGraph, gen: random.Random) -> KnowledgeGraph:
         if len(concepts) >= 2:
             group = gen.sample(concepts, min(len(concepts), gen.randint(2, 3)))
             kg = merge_nodes(kg, [MergeCluster("merged", group)])
+    elif op == "retire":
+        # Retire the highest concept id, or the lowest edge between two concepts
+        # as a self-loop; each cluster lists the node it keeps last.
+        concepts = [v for v in ids if not kg.nodes[v].is_core_entity]
+        inner = [
+            e for e in kg.edges.values()
+            if e.source_id != e.target_id and {e.source_id, e.target_id} <= set(concepts)
+        ]
+        if inner and gen.random() < 0.5:
+            group = sorted((inner[0].source_id, inner[0].target_id), key=ids.index, reverse=True)
+            kg = merge_nodes(kg, [MergeCluster("merged", group)])
+        elif len(concepts) >= 2:
+            group = [concepts[-1], gen.choice(concepts[:-1])]
+            kg = merge_nodes(kg, [MergeCluster("merged", group)])
     elif op == "copy":
         kg = kg.copy()
     else:
         kg = KnowledgeGraph.from_dict(kg.to_dict())
     return kg
+
+
+def _assert_ids_ascend(kg: KnowledgeGraph) -> None:
+    nodes = [int(v[1:]) for v in kg.nodes]
+    edges = [int(e[1:]) for e in kg.edges]
+    assert nodes == sorted(nodes) and edges == sorted(edges)
+    assert kg.node_ids() == list(kg.nodes) and kg.edge_ids() == list(kg.edges)
 
 
 class TestAdjacencyIndex:
@@ -182,6 +216,7 @@ class TestAdjacencyIndex:
             for _ in range(40):
                 kg = _random_step(kg, rng)
                 _assert_index_matches_edges(kg)
+                _assert_ids_ascend(kg)
 
     def test_derived_graphs_leave_the_original_index_alone(self):
         kg = _merge_fixture()

@@ -380,7 +380,7 @@ class TestWriteReport:
             embed=HashEmbeddingProvider(dim=8),
         )
         with pytest.raises(ReportConsistencyError):
-            write_report(state, providers, state.config)
+            write_report(state, providers)
 
 
 def _demo_runner(run_dir) -> Runner:
