@@ -241,25 +241,31 @@ def _cmd_inspect_og(args) -> int:
 
 def _cmd_chains(args) -> int:
     path, iteration = _checkpoint_file(args, "chains", "json")
-    run_dir = Path(args.run_dir)
-    doc = _parse(path, json.loads)
     names: dict[str, str] = {}
-    kg_path = run_dir / f"kg_iter{iteration - 1}.json"
+    kg_path = Path(args.run_dir) / f"kg_iter{iteration - 1}.json"
     if kg_path.exists():
         kg = _parse(kg_path, KnowledgeGraph.from_document)
         names = {nid: node.name for nid, node in kg.nodes.items()}
-    selected = set(doc.get("selected", []))
-    print(f"iteration {iteration}: {len(doc.get('candidates', []))} candidate chain(s)")
-    for c in doc.get("candidates", []):
-        mark = "*" if c["chain_id"] in selected else " "
-        src = names.get(c["source_id"], c["source_id"])
-        tgt = names.get(c["target_id"], c["target_id"])
-        print(
-            f" {mark} {c['chain_id']} [{c['kind']}/{c['basis']}] "
-            f"{src} -> {c['relation']} -> {tgt} (score {c['score']:.4f})"
-        )
-    for cid, query in zip(doc.get("selected", []), doc.get("queries", [])):
-        print(f"   query for {cid}: {query}")
+
+    def render(text: str) -> list[str]:
+        doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise TypeError("expected a JSON object")
+        selected = set(doc.get("selected", []))
+        lines = [f"iteration {iteration}: {len(doc.get('candidates', []))} candidate chain(s)"]
+        for c in doc.get("candidates", []):
+            mark = "*" if c["chain_id"] in selected else " "
+            src = names.get(c["source_id"], c["source_id"])
+            tgt = names.get(c["target_id"], c["target_id"])
+            lines.append(
+                f" {mark} {c['chain_id']} [{c['kind']}/{c['basis']}] "
+                f"{src} -> {c['relation']} -> {tgt} (score {c['score']:.4f})"
+            )
+        for cid, query in zip(doc.get("selected", []), doc.get("queries", [])):
+            lines.append(f"   query for {cid}: {query}")
+        return lines
+
+    print("\n".join(_parse(path, render)))
     return EXIT_OK
 
 

@@ -102,15 +102,9 @@ class RunConfig:
     og_query_budget: int = 10
     kg_query_budget: int = 10  # doubles as CHAIN_NUM
     urls_per_query: int = 5
-    enrich_evidence_threshold: int = 1
-    sbm_alpha: float = 0.1
-    semantic_cluster_threshold: float = 0.85
-    community_resolution: float = 1.0
-    near_duplicate_threshold: float = 0.95
     early_stop_thresholds: dict[str, float] = field(default_factory=_default_thresholds)
     seed: int = 0
     variant: Variant = Variant.DUAL_GRAPH
-    retry_budget: int = 2
     embed_dim: int = 32
 
     def __post_init__(self) -> None:
@@ -122,8 +116,6 @@ class RunConfig:
             value = getattr(self, f.name)
             if f.type == "int" and (isinstance(value, bool) or not isinstance(value, int)):
                 raise ConfigError(f"{f.name} must be an integer, got {value!r}")
-            if f.type == "float" and not _is_number(value):
-                raise ConfigError(f"{f.name} must be a finite number, got {value!r}")
         if _is_number(self.early_stop_thresholds):
             self.early_stop_thresholds = {
                 dim: float(self.early_stop_thresholds) for dim in _THRESHOLD_DIMS
@@ -132,10 +124,6 @@ class RunConfig:
         for name in positive:
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
-        if self.enrich_evidence_threshold < 0:
-            raise ConfigError("enrich_evidence_threshold must be >= 0")
-        if self.sbm_alpha <= 0:
-            raise ConfigError("sbm_alpha must be > 0")
         thresholds = self.early_stop_thresholds
         if not isinstance(thresholds, dict) or set(thresholds) != set(_THRESHOLD_DIMS):
             raise ConfigError(
@@ -144,8 +132,6 @@ class RunConfig:
         for dim, value in thresholds.items():
             if not _is_number(value) or not 0 <= value <= 100:
                 raise ConfigError(f"threshold {dim}={value!r} is not a number in 0..100")
-        if self.retry_budget < 0:
-            raise ConfigError("retry_budget must be >= 0")
 
     def to_dict(self) -> dict:
         doc = {name: getattr(self, name) for name in self.__dataclass_fields__}
@@ -198,7 +184,7 @@ class RunState:
     def to_dict(self) -> dict:
         """What only state.json holds; the checkpoint's other files hold the rest."""
         return {
-            "format_version": 3,
+            "format_version": 4,
             "root_query": self.root_query,
             "config": self.config.to_dict(),
             "stage": self.stage,
@@ -220,11 +206,13 @@ class RunState:
         """
         if not isinstance(doc, dict):
             raise ConfigError(f"{STATE_FILE} must hold a JSON object")
-        if doc.get("format_version") != 3:
+        if doc.get("format_version") != 4:
             raise ConfigError(f"unsupported state format_version {doc.get('format_version')!r}")
         missing = [key for key in _STATE_KEYS if key not in doc]
         if missing:
             raise ConfigError(f"{STATE_FILE} lacks {missing}")
+        if doc["stage"] not in ("init", "loop", "done"):
+            raise ConfigError(f"{STATE_FILE}: unknown stage {doc['stage']!r}")
         counts = ("iteration", "audit_records", "bank_units")
         bad = [key for key in counts if type(doc[key]) is not int or doc[key] < 0]
         if bad:
@@ -273,7 +261,10 @@ def _chat(state: RunState, providers: Providers, name: str, prompt: str) -> str:
     return response
 
 
-def _chat_parsed(state, providers, name, prompt, parse_fn, attempts):
+_RETRIES = 2  # re-asks after a malformed chat response
+
+
+def _chat_parsed(state, providers, name, prompt, parse_fn, attempts=_RETRIES):
     """Call, parse, and re-ask the identical prompt on contract violations."""
     last_error: Exception | None = None
     for _ in range(attempts + 1):
@@ -362,7 +353,6 @@ def run_search_pipeline(
                 "filter_urls",
                 prompt,
                 lambda text: parsers.parse_index_selection(text, len(results)),
-                config.retry_budget,
             )
             for idx in sorted(indices):
                 result = results[idx]
@@ -383,7 +373,6 @@ def run_search_pipeline(
                     "assess_page",
                     assess_prompt,
                     parsers.parse_page_assessment,
-                    config.retry_budget,
                 )
                 if not assessment.useful:
                     continue
@@ -460,12 +449,7 @@ def gen_queries_from_kg(
     chains = build_search_chains(
         state.kg,
         partition,
-        ChainConfig(
-            total=config.kg_query_budget,
-            enrich_evidence_threshold=config.enrich_evidence_threshold,
-            sbm_alpha=config.sbm_alpha,
-            seed=config.seed,
-        ),
+        ChainConfig(total=config.kg_query_budget, seed=config.seed),
     )
     if not chains:
         return [], [], []
@@ -539,16 +523,11 @@ def update_kg(
                 "KG_PAYLOAD": json.dumps(kg.to_prompt_payload(), ensure_ascii=False),
             },
         )
-        node_ids = set(kg.nodes)
-        edge_ids = set(kg.edges)
 
         def parse_and_apply(text: str) -> KnowledgeGraph:
-            result = parsers.parse_extraction(text, node_ids, edge_ids)
-            return apply_extraction(kg, result, labels)
+            return apply_extraction(kg, parsers.parse_extraction(text), labels)
 
-        kg = _chat_parsed(
-            state, providers, "extract_knowledge", prompt, parse_and_apply, config.retry_budget
-        )
+        kg = _chat_parsed(state, providers, "extract_knowledge", prompt, parse_and_apply)
 
     concepts = [n for n in kg.nodes.values() if not n.is_core_entity]
     if len(concepts) >= 2:
@@ -567,9 +546,7 @@ def update_kg(
             return merge_nodes(kg, clusters)
 
         try:
-            kg = _chat_parsed(
-                state, providers, "merge_concepts", prompt, parse_and_merge, config.retry_budget
-            )
+            kg = _chat_parsed(state, providers, "merge_concepts", prompt, parse_and_merge)
         except ParseError as exc:
             # A bad merge proposal is rejected, never fatal: the graph stands.
             log.warning("merge batch rejected, keeping graph untouched: %s", exc)
@@ -577,10 +554,8 @@ def update_kg(
     ids = kg.node_ids()
     if ids:
         _embed_missing(kg, providers.embed.embed)
-        clusters = cluster_semantic(kg, threshold=config.semantic_cluster_threshold)
-        partition = detect_communities(
-            kg, seed=config.seed, resolution=config.community_resolution
-        )
+        clusters = cluster_semantic(kg)
+        partition = detect_communities(kg, seed=config.seed)
         for nid in ids:
             kg.nodes[nid].cluster_id = clusters[nid]
             kg.nodes[nid].community_id = partition.assignment[nid]
@@ -613,9 +588,7 @@ def update_og(state: RunState, providers: Providers, config: RunConfig) -> None:
     def parse_and_repair(text: str) -> OutlineGraph:
         return apply_revision(old, text, state.bank, providers.embed.embed)
 
-    state.og = _chat_parsed(
-        state, providers, "revise_outline", prompt, parse_and_repair, config.retry_budget
-    )
+    state.og = _chat_parsed(state, providers, "revise_outline", prompt, parse_and_repair)
 
 
 # -- early stop --------------------------------------------------------
@@ -706,16 +679,11 @@ def init_run(state: RunState, providers: Providers) -> None:
     config = state.config
     state.events.append("init:create_outline")
     prompt = parsers.render("create_outline", {"ROOT_QUERY": state.root_query})
-    state.og = _chat_parsed(
-        state, providers, "create_outline", prompt, parse_outline, config.retry_budget
-    )
+    state.og = _chat_parsed(state, providers, "create_outline", prompt, parse_outline)
 
     state.events.append("init:gen_from_og")
     queries = gen_queries_from_og(state, providers, config, pending=[])
-    queries = dedup_queries(
-        queries, state.executed_queries, providers.embed.embed,
-        state.config.near_duplicate_threshold,
-    )
+    queries = dedup_queries(queries, state.executed_queries, providers.embed.embed)
     state.events.append("init:search")
     new_by_query = run_search_pipeline(state, providers, config, queries, iteration=0)
 
@@ -742,12 +710,7 @@ def run_iteration(state: RunState, config: RunConfig, providers: Providers) -> R
             s.events.append(f"iter{t}:gen_from_og")
             og_queries = gen_queries_from_og(s, providers, config, pending=kg_queries)
         s.events.append(f"iter{t}:dedup")
-        queries = dedup_queries(
-            kg_queries + og_queries,
-            s.executed_queries,
-            providers.embed.embed,
-            config.near_duplicate_threshold,
-        )
+        queries = dedup_queries(kg_queries + og_queries, s.executed_queries, providers.embed.embed)
         s.events.append(f"iter{t}:search")
         new_by_query = run_search_pipeline(s, providers, config, queries, iteration=t + 1)
         s.events.append(f"iter{t}:update_kg")
@@ -765,10 +728,7 @@ def run_iteration(state: RunState, config: RunConfig, providers: Providers) -> R
         s.events.append(f"iter{t}:gen_from_og")
         raw = gen_queries_from_og(s, providers, config, pending=[])
         s.events.append(f"iter{t}:dedup")
-        queries = dedup_queries(
-            raw, s.executed_queries, providers.embed.embed,
-            config.near_duplicate_threshold,
-        )
+        queries = dedup_queries(raw, s.executed_queries, providers.embed.embed)
         s.events.append(f"iter{t}:search")
         run_search_pipeline(s, providers, config, queries, iteration=t + 1)
 

@@ -74,7 +74,12 @@ DAMAGED_FILES = {
     "resume-audit-records-not-an-int": ("resume", "state.json", _set_state("audit_records", "x")),
     "resume-negative-bank-units": ("resume", "state.json", _set_state("bank_units", -1)),
     "inspect-kg-torn-kg": ("inspect-kg", "kg_iter2.json", _half),
+    "resume-unknown-stage": ("resume", "state.json", _set_state("stage", "bogus")),
     "chains-torn-chains": ("chains", "chains_iter2.json", _half),
+    "chains-not-an-object": ("chains", "chains_iter2.json", lambda text: "[1]"),
+    "chains-candidate-not-an-object": (
+        "chains", "chains_iter2.json", lambda text: '{"candidates": [1]}'
+    ),
     "chains-torn-previous-kg": ("chains", "kg_iter1.json", _half),
 }
 
@@ -111,8 +116,10 @@ class TestRun:
 
     def test_config_file_overrides(self, tmp_path):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"retry_budget": 5}))
+        cfg.write_text(json.dumps({"max_iter": 1}))
         assert _run_demo(tmp_path / "run", "--config", str(cfg)) == 0
+        state = json.loads((tmp_path / "run" / "state.json").read_text(encoding="utf-8"))
+        assert (state["config"]["max_iter"], state["iteration"]) == (1, 1)
 
     @pytest.mark.parametrize(
         "payload", ["{not json", '["list"]', '{"mystery_knob": 1}']
@@ -129,11 +136,11 @@ class TestRun:
             {"variant": 1},
             {"max_iter": "5"},
             {"max_iter": True},
-            {"retry_budget": 1.5},
+            {"urls_per_query": 1.5},
+            {"kg_query_budget": "4"},
             {"seed": None},
-            {"near_duplicate_threshold": "x"},
-            {"sbm_alpha": False},
-            {"community_resolution": float("nan")},
+            {"retry_budget": 2},
+            {"early_stop_thresholds": float("nan")},
             {"early_stop_thresholds": "high"},
             {"early_stop_thresholds": None},
             {"early_stop_thresholds": {d: "90" for d in SCORE_DIMENSIONS}},
@@ -202,7 +209,7 @@ class TestResume:
     def test_old_format_version_is_rejected(self, demo_run, capsys):
         path = demo_run / "state.json"
         doc = json.loads(path.read_text(encoding="utf-8"))
-        for version in (1, 2):
+        for version in (1, 2, 3):
             doc["format_version"] = version
             path.write_text(json.dumps(doc), encoding="utf-8")
             assert main(["resume", "--run-dir", str(demo_run)]) == 1

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import random
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,7 +45,7 @@ from dualgraph.providers.mock import (
     StaticChatProvider,
     load_fixture,
 )
-from dualgraph.providers.parsers import SCORE_DIMENSIONS
+from dualgraph.providers.parsers import SCORE_DIMENSIONS, ParseError
 from dualgraph.simulate import DEFAULT_ROOT_QUERY, generate_world, sim_providers
 
 from .builders import DEMO_FIXTURE, Crash, CrashingRunner, crash_demo_run, dir_snapshot
@@ -72,9 +74,6 @@ class TestRunConfig:
             {"max_iter": 0},
             {"og_query_budget": 0},
             {"urls_per_query": 0},
-            {"sbm_alpha": 0.0},
-            {"enrich_evidence_threshold": -1},
-            {"retry_budget": -1},
             {"early_stop_thresholds": {"support": 50.0}},
             {"early_stop_thresholds": {d: 101.0 for d in SCORE_DIMENSIONS}},
         ],
@@ -86,6 +85,24 @@ class TestRunConfig:
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError):
             _config(variant="both")
+
+    def test_readme_table_lists_every_field_with_its_default(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        table = readme.split("| key | default | meaning |\n| --- | --- | --- |\n", 1)[1]
+        rows = [line.split(" | ")[:2] for line in table.split("\n\n", 1)[0].splitlines()]
+
+        def shown(value) -> str:
+            if isinstance(value, Variant):
+                return f"`{value.value}`"
+            if isinstance(value, dict):
+                (each,) = set(value.values())
+                return f"{each:g} each"
+            return str(value)
+
+        defaults = RunConfig()
+        assert rows == [
+            [f"| `{f.name}`", shown(getattr(defaults, f.name))] for f in fields(RunConfig)
+        ]
 
     def test_dict_round_trip_and_unknown_keys(self):
         config = _config(max_iter=3, variant="outline-only", seed=9)
@@ -321,7 +338,7 @@ class TestRunSearchPipeline:
             ),
         ]
         providers = _pipeline_providers("q1", results, pages, chat)
-        state = _fresh_state(_config(retry_budget=2))
+        state = _fresh_state(_config())
         new = run_search_pipeline(state, providers, state.config, ["q1"], iteration=0)
         assert new == {"q1": [1]}
         filter_calls = [a for a in state.audit if a["name"] == "filter_urls"]
@@ -832,6 +849,45 @@ class TestGraphIssuesIds:
         assert kg.representation("e3") == "hydrogen - competes with -> battery cost"
         assert kg.edges["e3"].evidence_ids == {second}
         assert kg.next_edge_num == 4
+
+
+_NO_EXTRACTION = {"new_nodes": [], "new_edges": [], "evidences_map": {}}
+_ABSENT_REFERENCES = {
+    "node": dict(_NO_EXTRACTION, new_edges=[
+        {"id": "e9", "source_id": "n1", "target_id": "n7", "relation_name": "feeds"}
+    ]),
+    "edge": dict(_NO_EXTRACTION, evidences_map={"EN1": ["e7"]}),
+}
+
+
+class TestExtractionReferences:
+    """apply_extraction resolves every endpoint and evidences_map entry."""
+
+    @staticmethod
+    def _update(state: RunState, responses: list[str]) -> int:
+        """update_kg over one new unit, with scripted extraction responses."""
+        ev_id = state.bank.add("https://example.org/q", "q", "q", "summary", "", 1)
+        entry = ScriptEntry(match=["# Search Query\nq\n"], responses=responses)
+        update_kg(state, _pipeline_providers("q", [], {}, [entry]), state.config, {"q": [ev_id]})
+        return ev_id
+
+    @pytest.mark.parametrize("reference", _ABSENT_REFERENCES)
+    def test_re_asked_with_the_same_prompt(self, reference):
+        state = _graph_state("battery cost")
+        good = dict(_NO_EXTRACTION, evidences_map={"EN1": ["e1"]})
+        ev_id = self._update(state, [json.dumps(_ABSENT_REFERENCES[reference]), json.dumps(good)])
+        assert state.kg.edges["e1"].evidence_ids == {ev_id}
+        prompts = [a["prompt"] for a in state.audit]
+        assert len(prompts) == 2 and prompts[0] == prompts[1]
+
+    @pytest.mark.parametrize("reference", _ABSENT_REFERENCES)
+    def test_every_attempt_absent_raises_and_leaves_the_graph(self, reference):
+        state = _graph_state("battery cost")
+        before = state.kg.to_document()
+        with pytest.raises(ParseError):
+            self._update(state, [json.dumps(_ABSENT_REFERENCES[reference])] * 3)
+        assert state.kg.to_document() == before
+        assert len(state.audit) == 3
 
 
 def _observable(state: RunState) -> tuple:
