@@ -74,6 +74,9 @@ class TestRunConfig:
             {"max_iter": 0},
             {"og_query_budget": 0},
             {"urls_per_query": 0},
+            {"kg_query_budget": 0},
+            {"embed_dim": 0},
+            {"urls_per_query": 1.5},
             {"early_stop_thresholds": {"support": 50.0}},
             {"early_stop_thresholds": {d: 101.0 for d in SCORE_DIMENSIONS}},
         ],
