@@ -98,19 +98,6 @@ class SearchChain:
             "edge_id": self.edge_id,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "SearchChain":
-        return cls(
-            kind=d["kind"],
-            basis=d["basis"],
-            source_id=d["source_id"],
-            target_id=d["target_id"],
-            relation=d["relation"],
-            score=float(d["score"]),
-            edge_id=d.get("edge_id"),
-            chain_id=d.get("chain_id"),
-        )
-
 
 @dataclass(frozen=True)
 class QuotaPlan:

@@ -103,7 +103,10 @@ def _load_fixture_arg(fixture_path: str | None) -> Fixture:
     path = Path(fixture_path)
     if not path.exists():
         raise _UsageError(f"fixture not found: {path}")
-    return load_fixture(path)
+    try:
+        return load_fixture(path)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise _UsageError(f"fixture {path} is damaged: {type(exc).__name__}: {exc}") from None
 
 
 def _live_providers() -> Providers:

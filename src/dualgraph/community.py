@@ -21,24 +21,16 @@ _EPS = 1e-12
 
 def _build_index(
     nodes: Sequence[Hashable], edges: Iterable[tuple[Hashable, Hashable]]
-) -> tuple[dict[Hashable, int], list[dict[int, float]], list[float]]:
+) -> tuple[dict[Hashable, int], list[dict[int, float]]]:
     idx = {v: i for i, v in enumerate(nodes)}
     adj: list[dict[int, float]] = [dict() for _ in nodes]
-    loops = [0.0 for _ in nodes]
-    seen: set[tuple[int, int]] = set()
     for u, v in edges:
         if u not in idx or v not in idx:
             raise ValueError(f"edge endpoint not in node list: {(u, v)!r}")
         a, b = idx[u], idx[v]
-        if a == b:
-            continue  # simple projection: self-loops are not part of the input
-        key = (min(a, b), max(a, b))
-        if key in seen:
-            continue
-        seen.add(key)
-        adj[a][b] = adj[a].get(b, 0.0) + 1.0
-        adj[b][a] = adj[b].get(a, 0.0) + 1.0
-    return idx, adj, loops
+        if a != b:  # simple projection: no self-loops, repeated pairs weigh 1
+            adj[a][b] = adj[b][a] = 1.0
+    return idx, adj
 
 
 def modularity(
@@ -48,7 +40,7 @@ def modularity(
     resolution: float = 1.0,
 ) -> float:
     """Standard undirected modularity; 0.0 for an edgeless graph."""
-    idx, adj, _ = _build_index(nodes, edges)
+    idx, adj = _build_index(nodes, edges)
     m = sum(sum(nbrs.values()) for nbrs in adj) / 2.0
     if m == 0:
         return 0.0
@@ -216,9 +208,9 @@ def leiden_partition(
         raise ValueError("duplicate node in node list")
     if not nodes:
         return {}
-    _, adj, loops = _build_index(nodes, edges)
+    _, adj = _build_index(nodes, edges)
     rng = random.Random(seed)
-    level = _Level(adj, loops)
+    level = _Level(adj, [0.0] * len(adj))
     comm = list(range(level.n))
     # membership chain maps original node index to current level node index
     chain = list(range(level.n))

@@ -3,6 +3,8 @@
 Every retrieved page that survives filtering becomes an EvidenceUnit with a
 monotonically increasing integer id. Ids are global across iterations and are
 rendered as ``id_N`` wherever the outline or a prompt refers to evidence.
+Id N is the unit at list position N - 1: ``add`` issues ``len + 1`` and
+``from_document`` rejects gaps, so the unit list is the id index.
 """
 
 from __future__ import annotations
@@ -117,14 +119,13 @@ class EvidenceBank:
     """Ordered store of evidence units; the only issuer of evidence ids."""
 
     units: list[EvidenceUnit] = field(default_factory=list)
-    _by_id: dict[int, EvidenceUnit] = field(default_factory=dict, repr=False)
     _seen_urls: set[str] = field(default_factory=set, repr=False)
 
     def __len__(self) -> int:
         return len(self.units)
 
     def __contains__(self, evidence_id: int) -> bool:
-        return evidence_id in self._by_id
+        return 0 < evidence_id <= len(self.units)
 
     @property
     def next_id(self) -> int:
@@ -155,7 +156,6 @@ class EvidenceBank:
             iteration=iteration,
         )
         self.units.append(unit)
-        self._by_id[unit.evidence_id] = unit
         self._seen_urls.add(key)
         return unit.evidence_id
 
@@ -163,10 +163,13 @@ class EvidenceBank:
         return normalize_url(url) in self._seen_urls
 
     def get(self, evidence_id: int) -> EvidenceUnit:
-        try:
-            return self._by_id[evidence_id]
-        except KeyError:
-            raise EvidenceNotFoundError(f"no evidence unit with id {evidence_id}") from None
+        if evidence_id not in self:
+            raise EvidenceNotFoundError(f"no evidence unit with id {evidence_id}")
+        return self.units[evidence_id - 1]
+
+    def copy(self) -> "EvidenceBank":
+        """A bank that can grow apart from this one; the units are shared."""
+        return EvidenceBank(list(self.units), set(self._seen_urls))
 
     def ids(self) -> list[int]:
         return [u.evidence_id for u in self.units]
@@ -186,6 +189,5 @@ class EvidenceBank:
                     f"non-contiguous evidence id {unit.evidence_id} (expected {bank.next_id})"
                 )
             bank.units.append(unit)
-            bank._by_id[unit.evidence_id] = unit
             bank._seen_urls.add(normalize_url(unit.url))
         return bank

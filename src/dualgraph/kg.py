@@ -13,9 +13,9 @@ each id it issues and never reorders either dict, and ``from_dict`` rejects a
 document in any other order. So dict order is the graph's order.
 
 Every graph keeps an adjacency index next to its edges: for each node, the
-nodes it shares a non-loop edge with, in either direction, and how many edges
-join them. ``_insert`` is the one path that files an edge, under its id and
-its triple and in that index, so ``neighbors`` is a lookup.
+nodes it shares a non-loop edge with, in either direction. ``_insert`` is the
+one path that files an edge, under its id and its triple and in that index,
+so ``neighbors`` is a lookup.
 """
 
 from __future__ import annotations
@@ -172,8 +172,8 @@ class KnowledgeGraph:
         self.nodes: dict[str, KnowledgeNode] = {}
         self.edges: dict[str, KnowledgeEdge] = {}
         self._triples: dict[tuple[str, str, str], str] = {}
-        # node -> {neighbour: edges joining the two}; isolated nodes are absent.
-        self._adjacency: dict[str, dict[str, int]] = {}
+        # node -> nodes it shares a non-loop edge with; isolated nodes are absent.
+        self._adjacency: dict[str, set[str]] = {}
         self.next_node_num: int = 1
         self.next_edge_num: int = 1
 
@@ -238,7 +238,7 @@ class KnowledgeGraph:
                 evidence_ids=set(e.evidence_ids),
             )
         g._triples = dict(self._triples)
-        g._adjacency = {v: dict(nbrs) for v, nbrs in self._adjacency.items()}
+        g._adjacency = {v: set(nbrs) for v, nbrs in self._adjacency.items()}
         g.next_node_num = self.next_node_num
         g.next_edge_num = self.next_edge_num
         return g
@@ -268,14 +268,13 @@ class KnowledgeGraph:
         return eid
 
     def _insert(self, edge: KnowledgeEdge) -> None:
-        """File a new edge by id and triple, and count it in the adjacency index."""
+        """File a new edge by id and triple, and in the adjacency index."""
         self.edges[edge.edge_id] = edge
         self._triples[edge.triple] = edge.edge_id
         a, b = edge.source_id, edge.target_id
         if a != b:
-            for u, v in ((a, b), (b, a)):
-                nbrs = self._adjacency.setdefault(u, {})
-                nbrs[v] = nbrs.get(v, 0) + 1
+            self._adjacency.setdefault(a, set()).add(b)
+            self._adjacency.setdefault(b, set()).add(a)
 
     # -- serialization -------------------------------------------------
 

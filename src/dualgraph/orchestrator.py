@@ -11,16 +11,21 @@ State is checkpointed at iteration boundaries only. run_iteration is
 functional (state in, new state out), so a provider failure mid-iteration
 loses nothing but in-flight work and a resumed run converges to the same bytes
 as an uninterrupted one.
+
+Phases change a state in place in three ways only: they append to its four
+lists (executed queries, early-stop history, events, audit), add units to its
+bank, and set fields on its graph's nodes. Everything else they replace whole,
+and no audit record changes once made. So ``RunState.clone`` copies the graph,
+the bank and the four lists, and shares the rest.
 """
 
 from __future__ import annotations
 
-import copy
 import json
 import logging
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from itertools import islice
 from pathlib import Path
@@ -179,7 +184,17 @@ class RunState:
     report: str | None = None
 
     def clone(self) -> "RunState":
-        return copy.deepcopy(self)
+        """A copy phases may change: they only append to the four lists, add to
+        the bank and set fields on graph nodes, so only those are copied."""
+        return replace(
+            self,
+            kg=None if self.kg is None else self.kg.copy(),
+            bank=self.bank.copy(),
+            executed_queries=list(self.executed_queries),
+            early_stop_history=list(self.early_stop_history),
+            events=list(self.events),
+            audit=list(self.audit),
+        )
 
     def to_dict(self) -> dict:
         """What only state.json holds; the checkpoint's other files hold the rest."""
@@ -227,15 +242,19 @@ class RunState:
             early_stop_history=[EarlyStopReport.from_dict(r) for r in doc["early_stop_history"]],
             events=list(doc["events"]),
         )
+        units, records = doc["bank_units"], doc["audit_records"]
         if state.stage != "init":
-            state.og = read(f"outline_iter{state.iteration}.txt", _text(parse_outline))
+            outline_file = f"outline_iter{state.iteration}.txt"
+            state.og = read(outline_file, _text(parse_outline))
+            absent = sorted(i for i in state.og.all_citations() if i > units)
+            if absent:
+                raise ConfigError(f"{outline_file} cites evidence beyond bank_units: {absent}")
             if state.config.variant is Variant.DUAL_GRAPH:
                 state.kg = read(
                     f"kg_iter{state.iteration}.json", _text(KnowledgeGraph.from_document)
                 )
         if state.stage == "done":
             state.report = read(REPORT_FILE, _text(str))
-        units, records = doc["bank_units"], doc["audit_records"]
         state.bank = read("bank.json", _text(lambda text: EvidenceBank.from_document(text, units)))
         if len(state.bank) < units:
             raise ConfigError("bank.json is shorter than the checkpoint's bank_units")

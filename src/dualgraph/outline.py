@@ -11,6 +11,10 @@ Wire format (plain text, no indentation, no blank lines):
 Decimal numbering goes at most three levels deep with no gaps and ascending
 order at every level. Lettered lines are leaf content points; they never carry
 children. A ``<citation>...</citation>`` suffix holds evidence ids.
+
+The title may begin with a digit ("5G rollout", "1.5 degrees of warming"). An
+outline that lost its title starts with section 1, so a first line whose
+heading number is exactly ``1`` is rejected.
 """
 
 from __future__ import annotations
@@ -131,8 +135,9 @@ def parse_outline(text: str) -> OutlineGraph:
         raise OutlineParseError("title line is empty")
     if title_cits:
         raise OutlineParseError("title line must not carry citations")
-    if _HEADING_RE.match(title) and title[0].isdigit():
-        # A numbered line cannot be the title; the outline lost its title.
+    heading_m = _HEADING_RE.match(title)
+    if heading_m and heading_m.group(1) == "1":
+        # Section 1 cannot be the title; the outline lost its title.
         raise OutlineParseError(f"first line looks like a heading, not a title: {title!r}")
 
     og = OutlineGraph(title=title)
@@ -254,19 +259,14 @@ def apply_revision(
     if not lost:
         return og_new
 
-    candidates: list[tuple[OutlineNode, int, int]] = []  # (node, depth, order)
-    order = 0
-    depth_of: dict[int, int] = {}
+    candidates: list[tuple[OutlineNode, int]] = []  # (node, depth) in document order
 
-    def assign_depths(nodes: Sequence[OutlineNode], depth: int) -> None:
+    def collect(nodes: Sequence[OutlineNode], depth: int) -> None:
         for n in nodes:
-            depth_of[id(n)] = depth
-            assign_depths(n.children, depth + 1)
+            candidates.append((n, depth))
+            collect(n.children, depth + 1)
 
-    assign_depths(og_new.sections, 1)
-    for node in og_new.walk():
-        candidates.append((node, depth_of[id(node)], order))
-        order += 1
+    collect(og_new.sections, 1)
     if not candidates:
         raise OutlineValidationError(
             "revision removed every section while preserved citations exist"
@@ -280,15 +280,8 @@ def apply_revision(
 
     for ev_id, host_title in sorted(lost.items()):
         hv = host_vecs[host_title]
-        best: tuple[float, int, int] | None = None
-        best_node: OutlineNode | None = None
-        for (node, depth, orderno), cv in zip(candidates, cand_vecs):
-            sim = float(np.dot(hv, cv))
-            key = (-sim, depth, orderno)
-            if best is None or key < best:
-                best = key
-                best_node = node
-        assert best_node is not None
-        best_node.citations.add(ev_id)
+        # Most similar, then shallowest, then earliest: the first of the minima.
+        keys = [(-float(np.dot(hv, cv)), depth) for (_, depth), cv in zip(candidates, cand_vecs)]
+        candidates[keys.index(min(keys))][0].citations.add(ev_id)
 
     return og_new

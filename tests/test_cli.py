@@ -63,6 +63,11 @@ def _set_state(key: str, value):
     return damage
 
 
+def _cite_absent_evidence(outline: str) -> str:
+    assert "</citation>" in outline
+    return outline.replace("</citation>", ", id_999</citation>", 1)
+
+
 # (command, file, damage): a committed file that no longer parses.
 DAMAGED_FILES = {
     "resume-torn-audit-record": ("resume", "audit.jsonl", _tear_first_record),
@@ -81,6 +86,16 @@ DAMAGED_FILES = {
         "chains", "chains_iter2.json", lambda text: '{"candidates": [1]}'
     ),
     "chains-torn-previous-kg": ("chains", "kg_iter1.json", _half),
+    "resume-outline-cites-absent-evidence": (
+        "resume", "outline_iter2.txt", _cite_absent_evidence
+    ),
+}
+
+# A --fixture file that load_fixture cannot read.
+DAMAGED_FIXTURES = {
+    "torn-json": '{"root_query": "q", "chat_scr',
+    "json-list": '["chat_script"]',
+    "no-chat-script": '{"root_query": "q", "variant": "dualgraph"}',
 }
 
 
@@ -235,6 +250,37 @@ class TestResume:
         path.write_text(json.dumps(doc), encoding="utf-8")
         assert main(["resume", "--run-dir", str(demo_run)]) == 1
         assert "bank.json" in capsys.readouterr().err
+
+    def test_crash_window_outline_citing_absent_evidence_is_rejected(self, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        crash_demo_run(run_dir)
+        path = run_dir / "outline_iter1.txt"
+        path.write_text(_cite_absent_evidence(path.read_text(encoding="utf-8")), encoding="utf-8")
+        assert main(["resume", "--run-dir", str(run_dir)]) == 1
+        assert "configuration error: outline_iter1.txt" in capsys.readouterr().err
+
+
+class TestDamagedFixture:
+    @staticmethod
+    def _fixture(tmp_path, payload: str) -> str:
+        path = tmp_path / "fixture.json"
+        path.write_text(payload, encoding="utf-8")
+        return str(path)
+
+    @pytest.mark.parametrize("payload", DAMAGED_FIXTURES.values(), ids=DAMAGED_FIXTURES)
+    def test_run_exits_1_and_makes_no_run_dir(self, tmp_path, capsys, payload):
+        fixture = self._fixture(tmp_path, payload)
+        assert _run_demo(tmp_path / "run", "--fixture", fixture) == 1
+        assert fixture in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("payload", DAMAGED_FIXTURES.values(), ids=DAMAGED_FIXTURES)
+    def test_resume_exits_1_and_leaves_the_run(self, demo_run, tmp_path, capsys, payload):
+        fixture = self._fixture(tmp_path, payload)
+        state = (demo_run / "state.json").read_text(encoding="utf-8")
+        assert main(["resume", "--run-dir", str(demo_run), "--fixture", fixture]) == 1
+        assert fixture in capsys.readouterr().err
+        assert (demo_run / "state.json").read_text(encoding="utf-8") == state
 
 
 class TestInspect:

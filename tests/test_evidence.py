@@ -95,6 +95,26 @@ class TestEvidenceBank:
         with pytest.raises(EvidenceNotFoundError):
             bank.get(1)
 
+    @pytest.mark.parametrize("evidence_id", [0, -1, -2, 3])
+    def test_ids_outside_the_bank_are_absent(self, evidence_id):
+        bank = EvidenceBank()
+        self._add(bank, "https://a.test/1")
+        self._add(bank, "https://a.test/2")
+        assert evidence_id not in bank
+        with pytest.raises(EvidenceNotFoundError):
+            bank.get(evidence_id)
+        assert [i in bank for i in (1, 2)] == [True, True]
+        assert [bank.get(i).url for i in (1, 2)] == ["https://a.test/1", "https://a.test/2"]
+
+    def test_copy_grows_apart_and_shares_units(self):
+        bank = EvidenceBank()
+        self._add(bank, "https://a.test/1")
+        copy = bank.copy()
+        assert copy.get(1) is bank.get(1)
+        assert self._add(copy, "https://a.test/2") == 2
+        assert (len(bank), bank.has_url("https://a.test/2"), 2 in bank) == (1, False, False)
+        assert self._add(bank, "https://a.test/2") == 2
+
     def test_empty_query_rejected(self):
         bank = EvidenceBank()
         with pytest.raises(EvidenceError):

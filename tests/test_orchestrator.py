@@ -15,6 +15,7 @@ from dualgraph.evidence import EvidenceBank
 from dualgraph.kg import KnowledgeGraph, MergeCluster, merge_nodes
 from dualgraph.orchestrator import (
     ConfigError,
+    EarlyStopReport,
     ReportConsistencyError,
     RunConfig,
     Runner,
@@ -904,6 +905,51 @@ def _observable(state: RunState) -> tuple:
         json.dumps(state.chain_record),
         [None if n.embedding is None else n.embedding.tobytes() for n in nodes],
     )
+
+
+def _demo_state(after: str) -> RunState:
+    fixture = load_fixture(DEMO_FIXTURE)
+    providers = fixture.providers()
+    state = RunState(root_query=fixture.root_query, config=RunConfig.from_dict(fixture.config))
+    init_run(state, providers)
+    if after == "run_iteration":
+        state = run_iteration(state, state.config, providers)
+    return state
+
+
+class TestRunStateClone:
+    """A clone copies what phases change in place and shares what they replace."""
+
+    @pytest.mark.parametrize("after", ["init_run", "run_iteration"])
+    def test_changing_every_mutable_part_leaves_the_source(self, after):
+        state = _demo_state(after)
+        seen = _observable(state)
+        first = state.kg.node_ids()[0]
+        neighbors = state.kg.neighbors(first)
+        clone = state.clone()
+        clone.executed_queries.append("clone query")
+        clone.early_stop_history.append(EarlyStopReport({}, {}, False))
+        clone.events.append("clone:event")
+        clone.audit.append({"call": len(clone.audit), "name": "clone"})
+        assert clone.bank.add("https://clone.test/new", "t", "q", "s", "c", 9) is not None
+        for node in clone.kg.nodes.values():
+            node.embedding = np.ones(4)
+            node.cluster_id = node.community_id = 99
+        added = clone.kg.add_node("clone only", True)
+        clone.kg.add_edge(added, first, "touches")
+        assert _observable(state) == seen
+        assert not state.bank.has_url("https://clone.test/new")
+        assert state.kg.neighbors(first) == neighbors
+
+    @pytest.mark.parametrize("after", ["init_run", "run_iteration"])
+    def test_shares_what_phases_replace_whole(self, after):
+        state = _demo_state(after)
+        clone = state.clone()
+        assert clone.og is state.og and clone.config is state.config
+        assert len(clone.audit) == len(state.audit) > 0
+        assert all(a is b for a, b in zip(clone.audit, state.audit))
+        assert all(a is b for a, b in zip(clone.bank.units, state.bank.units))
+        assert clone.audit is not state.audit and clone.kg is not state.kg
 
 
 class TestRunIterationLeavesItsInputAlone:

@@ -76,6 +76,21 @@ class TestParsing:
         with pytest.raises(OutlineParseError):
             parse_outline(text)
 
+    @pytest.mark.parametrize(
+        "title",
+        [
+            "5G rollout in rural areas",
+            "3D printing in construction",
+            "2024 grid storage outlook",
+            "1.5 degrees of warming",
+        ],
+    )
+    def test_title_may_begin_with_a_digit(self, title):
+        og = parse_outline(f"{title}\n1. A\n")
+        assert og.title == title
+        assert [s.number for s in og.sections] == ["1"]
+        assert render_outline(parse_outline(render_outline(og))) == render_outline(og)
+
     def test_node_kind_properties(self):
         og = parse_outline(SAMPLE)
         point = og.sections[0].children[0]

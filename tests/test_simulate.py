@@ -178,6 +178,12 @@ class TestRunSim:
         assert a.state.bank.to_document() == b.state.bank.to_document()
         assert a.coverage_by_iteration == b.coverage_by_iteration
 
+    def test_root_query_may_begin_with_a_digit(self):
+        query = "5G rollout in rural areas"
+        result = run_sim(_small_world(), RunConfig(max_iter=2), root_query=query)
+        assert result.state.og.title == query
+        assert result.termination_iteration == 2
+
 
 class TestRunAblation:
     def test_summary_shape_and_artifacts(self, tmp_path):
