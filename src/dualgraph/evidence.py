@@ -4,13 +4,14 @@ Every retrieved page that survives filtering becomes an EvidenceUnit with a
 monotonically increasing integer id. Ids are global across iterations and are
 rendered as ``id_N`` wherever the outline or a prompt refers to evidence.
 Id N is the unit at list position N - 1: ``add`` issues ``len + 1`` and
-``from_document`` rejects gaps, so the unit list is the id index.
+``from_dicts`` rejects gaps, so the unit list is the id index.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from urllib.parse import urlsplit, urlunsplit
 
@@ -176,13 +177,18 @@ class EvidenceBank:
 
     def to_document(self) -> str:
         doc = {"units": [u.to_dict() for u in self.units]}
-        return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+        return json.dumps(doc, ensure_ascii=False) + "\n"
 
     @classmethod
-    def from_document(cls, text: str, units: int | None = None) -> "EvidenceBank":
-        """Parse ``to_document`` output; ``units`` keeps at most that many leading units."""
+    def from_document(cls, text: str) -> "EvidenceBank":
+        """Parse ``to_document`` output."""
+        return cls.from_dicts(json.loads(text)["units"])
+
+    @classmethod
+    def from_dicts(cls, entries: Iterable[dict]) -> "EvidenceBank":
+        """A bank of ``EvidenceUnit.to_dict`` entries, which must list ids 1, 2, ... in order."""
         bank = cls()
-        for entry in json.loads(text)["units"][:units]:
+        for entry in entries:
             unit = EvidenceUnit.from_dict(entry)
             if unit.evidence_id != bank.next_id:
                 raise EvidenceError(

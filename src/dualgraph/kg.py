@@ -312,7 +312,7 @@ class KnowledgeGraph:
         }
 
     def to_document(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, ensure_ascii=False) + "\n"
+        return json.dumps(self.to_dict(), ensure_ascii=False) + "\n"
 
     @classmethod
     def from_dict(cls, doc: dict) -> "KnowledgeGraph":
@@ -413,34 +413,37 @@ class CommunityPartition:
 def apply_extraction(
     kg: KnowledgeGraph, result: ExtractionResult, en_ids: dict[str, int]
 ) -> KnowledgeGraph:
-    """Fold one extraction batch into the graph; returns a new graph.
+    """Fold one extraction batch into the graph in place; returns the graph.
 
-    The graph issues every id. A batch id that the input graph holds names
-    that node or edge. Any other id is a handle local to the batch: each new
-    handle gets the next ``n{k}`` or ``e{k}`` in batch order, except that an
-    edge handle whose triple the graph already holds names the surviving edge
-    and uses up no id. Restating an input id or a handle with other content
-    raises DuplicateIdError. Edge endpoints and evidences_map entries resolve
-    through the batch's handles first, then through the input graph's ids;
-    never through ids issued earlier in the same batch.
+    The graph issues every id. A batch id that the graph holds names that
+    node or edge. Any other id is a handle local to the batch: each new handle
+    gets the next ``n{k}`` or ``e{k}`` in batch order, except that an edge
+    handle whose triple the graph already holds names the surviving edge and
+    uses up no id. Restating a graph id or a handle with other content raises
+    DuplicateIdError. Edge endpoints and evidences_map entries resolve through
+    the batch's handles first, then through the ids the graph held before the
+    batch; never through ids issued earlier in the same batch.
 
-    Fresh ids that run on from the graph's counters therefore keep their
-    numbers, and applying such a batch twice yields the same graph.
+    The whole batch is checked before anything is inserted, so a rejected
+    batch leaves the graph exactly as it was and the caller may re-ask.
+    Fresh ids that run on from the graph's counters keep their numbers, and
+    applying such a batch twice changes nothing the second time.
     """
-    g = kg.copy()
-
+    new_nodes: dict[str, KnowledgeNode] = {}
     node_handles: dict[str, str] = {}
     for nd in result.new_nodes:
         node_num(nd.node_id)
         nid = nd.node_id if nd.node_id in kg.nodes else node_handles.get(nd.node_id)
         if nid is not None:
-            existing = g.nodes[nid]
+            existing = kg.nodes.get(nid) or new_nodes[nid]
             if existing.name != nd.name or existing.is_core_entity != nd.is_core_entity:
                 raise DuplicateIdError(
                     f"node id {nd.node_id} already exists with different content"
                 )
             continue
-        node_handles[nd.node_id] = g.add_node(nd.name, nd.is_core_entity)
+        nid = f"n{kg.next_node_num + len(new_nodes)}"
+        new_nodes[nid] = KnowledgeNode(nid, nd.name, nd.is_core_entity)
+        node_handles[nd.node_id] = nid
 
     def node(ref: str, edge_id: str) -> str:
         nid = node_handles.get(ref, ref if ref in kg.nodes else None)
@@ -448,32 +451,46 @@ def apply_extraction(
             raise UnknownNodeError(f"edge {edge_id} references unknown node {ref!r}")
         return nid
 
+    new_edges: dict[str, KnowledgeEdge] = {}
+    new_triples: dict[tuple[str, str, str], str] = {}
     edge_handles: dict[str, str] = {}
     for ed in result.new_edges:
         edge_num(ed.edge_id)
         triple = (node(ed.source_id, ed.edge_id), node(ed.target_id, ed.edge_id), ed.relation)
         eid = ed.edge_id if ed.edge_id in kg.edges else edge_handles.get(ed.edge_id)
         if eid is not None:
-            if g.edges[eid].triple != triple:
+            if (kg.edges.get(eid) or new_edges[eid]).triple != triple:
                 raise DuplicateIdError(
                     f"edge id {ed.edge_id} already exists with different content"
                 )
             continue
-        edge_handles[ed.edge_id] = g.add_edge(*triple)
+        eid = kg.edge_for_triple(*triple) or new_triples.get(triple)
+        if eid is None:
+            eid = f"e{kg.next_edge_num + len(new_edges)}"
+            new_edges[eid] = KnowledgeEdge(eid, *triple)
+            new_triples[triple] = eid
+        edge_handles[ed.edge_id] = eid
 
+    evidence: list[tuple[str, int]] = []
     for label, edge_ids in result.evidences_map.items():
         if label not in en_ids:
             raise UnknownEvidenceLabelError(f"unknown evidence label {label!r}")
-        ev_id = en_ids[label]
         for ref in edge_ids:
             eid = edge_handles.get(ref, ref if ref in kg.edges else None)
             if eid is None:
                 raise DanglingReferenceError(
                     f"evidences_map references absent edge {ref!r}"
                 )
-            g.edges[eid].evidence_ids.add(ev_id)
+            evidence.append((eid, en_ids[label]))
 
-    return g
+    kg.nodes.update(new_nodes)
+    kg.next_node_num += len(new_nodes)
+    for edge in new_edges.values():
+        kg._insert(edge)
+    kg.next_edge_num += len(new_edges)
+    for eid, ev_id in evidence:
+        kg.edges[eid].evidence_ids.add(ev_id)
+    return kg
 
 
 def merge_nodes(kg: KnowledgeGraph, clusters: list[MergeCluster]) -> KnowledgeGraph:

@@ -14,9 +14,14 @@ as an uninterrupted one.
 
 Phases change a state in place in three ways only: they append to its four
 lists (executed queries, early-stop history, events, audit), add units to its
-bank, and set fields on its graph's nodes. Everything else they replace whole,
-and no audit record changes once made. So ``RunState.clone`` copies the graph,
-the bank and the four lists, and shares the rest.
+bank, and add nodes and edges to its graph (``apply_extraction``) or set
+fields on the graph's nodes. Everything else they replace whole, and no audit
+record changes once made. So ``RunState.clone`` copies the graph, the bank and
+the four lists, and shares the rest.
+
+A checkpoint costs what the iteration changed: the audit records and bank
+units made since the last one are appended to ``audit.jsonl`` and
+``bank.jsonl``, and ``state.json`` commits both logs by count.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from itertools import islice
 from pathlib import Path
 
 from .chains import ChainConfig, SearchChain, build_search_chains, format_chains_for_prompt
-from .evidence import EvidenceBank, citation_token
+from .evidence import EvidenceBank, EvidenceUnit, citation_token
 from .kg import (
     CommunityPartition,
     KnowledgeGraph,
@@ -66,6 +71,11 @@ __all__ = [
 
 STATE_FILE = "state.json"
 REPORT_FILE = "report.md"
+BANK_FILE = "bank.json"  # the final bank, beside the report
+AUDIT_LOG = "audit.jsonl"
+BANK_LOG = "bank.jsonl"
+FORMAT_VERSION = 5
+_LOGS = (AUDIT_LOG, BANK_LOG)  # append-only; state.json commits each by count
 # Every key RunState.to_dict writes besides format_version.
 _STATE_KEYS = (
     "root_query", "config", "stage", "iteration", "stopped", "executed_queries",
@@ -199,7 +209,7 @@ class RunState:
     def to_dict(self) -> dict:
         """What only state.json holds; the checkpoint's other files hold the rest."""
         return {
-            "format_version": 4,
+            "format_version": FORMAT_VERSION,
             "root_query": self.root_query,
             "config": self.config.to_dict(),
             "stage": self.stage,
@@ -216,12 +226,12 @@ class RunState:
     def from_dict(cls, doc: dict, read: Callable) -> "RunState":
         """Rebuild a checkpoint; ``read(name, parse)`` is ``parse`` of an open run-dir file.
 
-        The files of the committed iteration never change later, and bank.json
-        and the audit only grow, so a checkpoint that never committed is ignored.
+        The files of the committed iteration never change later, and the bank
+        and audit logs only grow, so a checkpoint that never committed is ignored.
         """
         if not isinstance(doc, dict):
             raise ConfigError(f"{STATE_FILE} must hold a JSON object")
-        if doc.get("format_version") != 4:
+        if doc.get("format_version") != FORMAT_VERSION:
             raise ConfigError(f"unsupported state format_version {doc.get('format_version')!r}")
         missing = [key for key in _STATE_KEYS if key not in doc]
         if missing:
@@ -255,18 +265,28 @@ class RunState:
                 )
         if state.stage == "done":
             state.report = read(REPORT_FILE, _text(str))
-        state.bank = read("bank.json", _text(lambda text: EvidenceBank.from_document(text, units)))
+        state.bank = read(BANK_LOG, lambda log: EvidenceBank.from_dicts(_head(log, units)))
         if len(state.bank) < units:
-            raise ConfigError("bank.json is shorter than the checkpoint's bank_units")
-        state.audit = read("audit.jsonl", lambda log: list(map(json.loads, islice(log, records))))
+            raise ConfigError(f"{BANK_LOG} is shorter than the checkpoint's bank_units")
+        state.audit = read(AUDIT_LOG, lambda log: _head(log, records))
         if len(state.audit) < records:
-            raise ConfigError("audit.jsonl is shorter than the checkpoint's audit_records")
+            raise ConfigError(f"{AUDIT_LOG} is shorter than the checkpoint's audit_records")
         return state
 
 
 def _text(parse: Callable) -> Callable:
     """A parser of an open file from a parser of its text."""
     return lambda file: parse(file.read())
+
+
+def _head(log, count: int) -> list[dict]:
+    """The first ``count`` records of an open JSON-lines log; lines past them are not read."""
+    return list(map(json.loads, islice(log, count)))
+
+
+def _document(doc) -> str:
+    """The one encoding of run-dir JSON: compact, so CPython's C encoder writes it."""
+    return json.dumps(doc, ensure_ascii=False) + "\n"
 
 
 # -- provider call helpers ---------------------------------------------
@@ -770,37 +790,50 @@ class Runner:
         self.config = config
         self.providers = providers
         self.run_dir = Path(run_dir)
-        self._audit_written = 0  # records this Runner wrote; at 0 a checkpoint rewrites the log
+        # Entries this Runner wrote to each log; None until a checkpoint rewrites it whole.
+        self._written: dict[str, int | None] = dict.fromkeys(_LOGS)
 
     def _replace(self, name: str, text: str) -> None:
         (self.run_dir / f"{name}.tmp").write_text(text, encoding="utf-8")
         (self.run_dir / f"{name}.tmp").replace(self.run_dir / name)
 
+    def _append(self, name: str, entries: list, to_dict: Callable = lambda entry: entry) -> None:
+        """Write the entries past those this Runner wrote to a log, one JSON line each.
+
+        The first call after ``start`` or ``resume`` rewrites the log whole, which
+        drops any tail that a crash left past the committed count.
+        """
+        written = self._written[name]
+        rows = [_document(to_dict(e)) for e in entries[written or 0:]]
+        if written is None:
+            self._replace(name, "".join(rows))
+        else:
+            with open(self.run_dir / name, "a", encoding="utf-8") as log_file:
+                log_file.writelines(rows)
+        self._written[name] = len(entries)
+
     def _checkpoint(self, state: RunState) -> None:
         # state.json goes last and commits the checkpoint: it names the iteration whose
-        # files hold the outline and graph, and counts the audit records and bank units.
-        # A loop checkpoint already wrote the last iteration's files, so the one that
-        # finishes the run writes the final outline and graph beside the report instead.
+        # files hold the outline and graph, and counts the audit records and bank units
+        # in their logs. A loop checkpoint already wrote the last iteration's files, so
+        # the one that finishes the run writes the final outline, graph and bank beside
+        # the report instead.
         self.run_dir.mkdir(parents=True, exist_ok=True)
-        suffix = "" if state.stage == "done" else f"_iter{state.iteration}"
+        done = state.stage == "done"
+        suffix = "" if done else f"_iter{state.iteration}"
         if state.og is not None:
             self._replace(f"outline{suffix}.txt", render_outline(state.og))
         if state.kg is not None:
             self._replace(f"kg{suffix}.json", state.kg.to_document())
-        self._replace("bank.json", state.bank.to_document())
-        if state.chain_record is not None and suffix:
-            text = json.dumps(state.chain_record, indent=2, ensure_ascii=False)
-            self._replace(f"chains_iter{state.iteration}.json", text + "\n")
-        rows = [json.dumps(e, ensure_ascii=False) + "\n" for e in state.audit[self._audit_written:]]
-        if self._audit_written:
-            with open(self.run_dir / "audit.jsonl", "a", encoding="utf-8") as log_file:
-                log_file.writelines(rows)
-        else:
-            self._replace("audit.jsonl", "".join(rows))
-        self._audit_written = len(state.audit)
+        if state.chain_record is not None and not done:
+            self._replace(f"chains_iter{state.iteration}.json", _document(state.chain_record))
+        self._append(AUDIT_LOG, state.audit)
+        self._append(BANK_LOG, state.bank.units, EvidenceUnit.to_dict)
+        if done:
+            self._replace(BANK_FILE, state.bank.to_document())
         if state.report is not None:
             self._replace(REPORT_FILE, state.report)
-        self._replace(STATE_FILE, json.dumps(state.to_dict(), indent=2, ensure_ascii=False) + "\n")
+        self._replace(STATE_FILE, _document(state.to_dict()))
 
     def _read(self, name: str, parse: Callable):
         """``parse`` of an open run-dir file; a missing or damaged file is a ConfigError."""
@@ -823,17 +856,18 @@ class Runner:
     def start(self, root_query: str) -> RunState:
         # A forced rerun must leave nothing of an earlier run behind. state.json
         # goes first, so no half-cleared directory still looks resumable.
-        for name in (STATE_FILE, REPORT_FILE, "kg.json", "outline.txt"):
+        for name in (STATE_FILE, REPORT_FILE, BANK_FILE, "kg.json", "outline.txt"):
             (self.run_dir / name).unlink(missing_ok=True)
         for stem in ("outline", "kg", "chains"):
             for path in self.run_dir.glob(f"{stem}_iter[0-9]*"):
                 path.unlink()
+        self._written = dict.fromkeys(_LOGS)  # the first checkpoint rewrites both logs
         state = RunState(root_query=root_query, config=self.config)
         self._checkpoint(state)
         return self._drive(state)
 
     def resume(self) -> RunState:
-        self._audit_written = 0  # drop any tail past the committed count
+        self._written = dict.fromkeys(_LOGS)  # drop any tail past the committed counts
         state = self.load_state()
         self.config = state.config
         return self._drive(state)

@@ -2,7 +2,10 @@
 
 Everything here works on plain dicts and tuples, shares no code with the
 package under test, and favors obviousness over speed. The chain pipeline
-reference applies each selection rule literally and in isolation.
+reference applies each selection rule literally and in isolation. The one
+exception is ``ref_apply_extraction``: it folds a batch into a copy of the
+graph through the graph's own ``add_node`` and ``add_edge``, one entry at a
+time, which is what the package did before it checked whole batches first.
 """
 
 from __future__ import annotations
@@ -13,7 +16,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from dualgraph.kg import CommunityPartition, KnowledgeGraph
+from dualgraph.kg import (
+    CommunityPartition,
+    DanglingReferenceError,
+    DuplicateIdError,
+    ExtractionResult,
+    KnowledgeGraph,
+    KnowledgeGraphError,
+    UnknownEvidenceLabelError,
+    UnknownNodeError,
+)
 
 RELATIONS = ("supports", "contradicts", "depends on", "measures", "links")
 
@@ -328,6 +340,60 @@ def assert_chain_lists_equal(actual, expected: list[RefChain]) -> None:
         assert math.isclose(got.score, want.score, rel_tol=1e-9, abs_tol=1e-12), (
             f"{label}: score {got.score} vs reference {want.score}"
         )
+
+
+# -- extraction batches ------------------------------------------------
+
+
+def _check_id(ident: str, prefix: str) -> None:
+    digits = ident[1:]
+    if ident[:1] != prefix or not (digits.isascii() and digits.isdigit()) or digits[0] == "0":
+        raise KnowledgeGraphError(f"malformed id: {ident!r}")
+
+
+def ref_apply_extraction(
+    kg: KnowledgeGraph, result: ExtractionResult, en_ids: dict[str, int]
+) -> KnowledgeGraph:
+    """Copy-then-insert reference: the batch goes into a copy entry by entry,
+    so a rejected batch can only ever have changed the copy."""
+    g = kg.copy()
+    node_handles: dict[str, str] = {}
+    for nd in result.new_nodes:
+        _check_id(nd.node_id, "n")
+        nid = nd.node_id if nd.node_id in kg.nodes else node_handles.get(nd.node_id)
+        if nid is not None:
+            existing = g.nodes[nid]
+            if (existing.name, existing.is_core_entity) != (nd.name, nd.is_core_entity):
+                raise DuplicateIdError(f"node id {nd.node_id} restated with other content")
+            continue
+        node_handles[nd.node_id] = g.add_node(nd.name, nd.is_core_entity)
+
+    def node(ref: str) -> str:
+        nid = node_handles.get(ref, ref if ref in kg.nodes else None)
+        if nid is None:
+            raise UnknownNodeError(f"unknown node {ref!r}")
+        return nid
+
+    edge_handles: dict[str, str] = {}
+    for ed in result.new_edges:
+        _check_id(ed.edge_id, "e")
+        triple = (node(ed.source_id), node(ed.target_id), ed.relation)
+        eid = ed.edge_id if ed.edge_id in kg.edges else edge_handles.get(ed.edge_id)
+        if eid is not None:
+            if g.edges[eid].triple != triple:
+                raise DuplicateIdError(f"edge id {ed.edge_id} restated with other content")
+            continue
+        edge_handles[ed.edge_id] = g.add_edge(*triple)
+
+    for label, refs in result.evidences_map.items():
+        if label not in en_ids:
+            raise UnknownEvidenceLabelError(f"unknown evidence label {label!r}")
+        for ref in refs:
+            eid = edge_handles.get(ref, ref if ref in kg.edges else None)
+            if eid is None:
+                raise DanglingReferenceError(f"absent edge {ref!r}")
+            g.edges[eid].evidence_ids.add(en_ids[label])
+    return g
 
 
 # -- randomized case construction --------------------------------------

@@ -71,7 +71,7 @@ def _cite_absent_evidence(outline: str) -> str:
 # (command, file, damage): a committed file that no longer parses.
 DAMAGED_FILES = {
     "resume-torn-audit-record": ("resume", "audit.jsonl", _tear_first_record),
-    "resume-torn-bank": ("resume", "bank.json", _half),
+    "resume-torn-bank": ("resume", "bank.jsonl", _tear_first_record),
     "resume-torn-kg": ("resume", "kg_iter2.json", _half),
     "resume-kg-out-of-order": ("resume", "kg_iter2.json", _reorder_nodes),
     "resume-empty-outline": ("resume", "outline_iter2.txt", lambda text: ""),
@@ -224,7 +224,7 @@ class TestResume:
     def test_old_format_version_is_rejected(self, demo_run, capsys):
         path = demo_run / "state.json"
         doc = json.loads(path.read_text(encoding="utf-8"))
-        for version in (1, 2, 3):
+        for version in (1, 2, 3, 4):
             doc["format_version"] = version
             path.write_text(json.dumps(doc), encoding="utf-8")
             assert main(["resume", "--run-dir", str(demo_run)]) == 1
@@ -244,12 +244,11 @@ class TestResume:
         assert name in capsys.readouterr().err
 
     def test_short_bank_is_rejected(self, demo_run, capsys):
-        path = demo_run / "bank.json"
-        doc = json.loads(path.read_text(encoding="utf-8"))
-        doc["units"].pop()
-        path.write_text(json.dumps(doc), encoding="utf-8")
+        path = demo_run / "bank.jsonl"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_text("".join(lines[:-1]), encoding="utf-8")
         assert main(["resume", "--run-dir", str(demo_run)]) == 1
-        assert "bank.json" in capsys.readouterr().err
+        assert "bank.jsonl is shorter" in capsys.readouterr().err
 
     def test_crash_window_outline_citing_absent_evidence_is_rejected(self, tmp_path, capsys):
         run_dir = tmp_path / "run"

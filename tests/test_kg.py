@@ -16,6 +16,7 @@ from dualgraph.kg import (
     ExtractedNode,
     ExtractionResult,
     KnowledgeGraph,
+    KnowledgeGraphError,
     MergeCluster,
     ProtectedNodeError,
     UnknownEvidenceLabelError,
@@ -28,6 +29,29 @@ from dualgraph.kg import (
 
 from . import oracles
 from .oracles import CaseGraph, make_case, ref_semantic_clusters
+
+
+def _snapshot(kg: KnowledgeGraph) -> tuple:
+    """Everything a batch may change: content, id counters and adjacency index."""
+    neighbors = {v: kg.neighbors(v) for v in kg.nodes}
+    return kg.to_dict(), (kg.next_node_num, kg.next_edge_num), neighbors
+
+
+def _apply(kg: KnowledgeGraph, batch: ExtractionResult, en_ids: dict) -> KnowledgeGraph:
+    """apply_extraction, checked against the copy-then-insert reference: the
+    same graph on success, and on rejection the same error and an untouched graph."""
+    before = _snapshot(kg)
+    try:
+        expected = oracles.ref_apply_extraction(kg, batch, en_ids)
+    except KnowledgeGraphError as exc:
+        with pytest.raises(type(exc)):
+            apply_extraction(kg, batch, en_ids)
+        assert _snapshot(kg) == before
+        raise
+    out = apply_extraction(kg, batch, en_ids)
+    assert out is kg
+    assert _snapshot(out) == _snapshot(expected)
+    return out
 
 
 def _small_graph() -> KnowledgeGraph:
@@ -175,7 +199,7 @@ def _random_step(kg: KnowledgeGraph, gen: random.Random) -> KnowledgeGraph:
         batch = ExtractionResult(
             new_nodes=nodes, new_edges=edges, evidences_map={"EN1": [edges[0].edge_id]}
         )
-        kg = apply_extraction(kg, batch, {"EN1": 1})
+        kg = _apply(kg, batch, {"EN1": 1})
     elif op == "merge":
         concepts = [v for v in ids if not kg.nodes[v].is_core_entity]
         if len(concepts) >= 2:
@@ -225,13 +249,15 @@ class TestAdjacencyIndex:
         clone.add_edge("n1", "n4", "funds")
         clone.add_edge("n4", clone.add_node("grid", False), "feeds")
         merge_nodes(kg, [MergeCluster("storage cost", ["n2", "n3", "n4"])])
+        # A batch grows the graph it is given: here the clone, not the original.
         apply_extraction(
-            kg,
-            ExtractionResult(new_edges=[ExtractedEdge("e5", "n3", "n4", "funds")]),
+            clone,
+            ExtractionResult(new_edges=[ExtractedEdge("e9", "n3", "n5", "funds")]),
             {},
         )
         assert {v: kg.neighbors(v) for v in kg.nodes} == before
         assert clone.neighbors("n1") == {"n2", "n3", "n4"}
+        assert clone.neighbors("n5") == {"n3", "n4"}
         _assert_index_matches_edges(clone)
 
 
@@ -243,12 +269,12 @@ class TestApplyExtraction:
             new_edges=[ExtractedEdge("e3", "n1", "n4", "prevents")],
             evidences_map={"EN1": ["e3", "e1"]},
         )
-        out = apply_extraction(kg, batch, {"EN1": 7})
+        out = _apply(kg, batch, {"EN1": 7})
         assert out.nodes["n4"].name == "blackouts"
         assert out.edges["e3"].evidence_ids == {7}
         assert out.edges["e1"].evidence_ids == {1, 7}
-        # Input graph untouched.
-        assert "n4" not in kg.nodes
+        # The batch went into the graph it was given; no copy was made.
+        assert out is kg and "n4" in kg.nodes
 
     def test_restated_ids_are_noops(self):
         kg = _small_graph()
@@ -257,8 +283,8 @@ class TestApplyExtraction:
             new_edges=[ExtractedEdge("e1", "n1", "n2", "reduces")],
             evidences_map={},
         )
-        out = apply_extraction(kg, batch, {})
-        assert out.to_dict() == kg.to_dict()
+        before = kg.to_dict()
+        assert _apply(kg, batch, {}).to_dict() == before
 
     def test_restated_id_with_new_content_rejected(self):
         kg = _small_graph()
@@ -266,7 +292,7 @@ class TestApplyExtraction:
             new_nodes=[ExtractedNode("n1", "renamed", True)], new_edges=[]
         )
         with pytest.raises(DuplicateIdError):
-            apply_extraction(kg, batch, {})
+            _apply(kg, batch, {})
 
     def test_handles_get_the_next_ids(self):
         kg = _small_graph()
@@ -281,7 +307,7 @@ class TestApplyExtraction:
             ],
             evidences_map={"EN1": ["e3", "e7"]},
         )
-        out = apply_extraction(kg, batch, {"EN1": 5})
+        out = _apply(kg, batch, {"EN1": 5})
         assert out.nodes["n4"].name == "gap"
         assert out.nodes["n5"].name == "blackouts"
         assert out.representation("e3") == "blackouts - causes -> gap"
@@ -296,24 +322,24 @@ class TestApplyExtraction:
             new_edges=[ExtractedEdge("e3", "n1", "n4", "prevents")],  # n4 is n9's id
         )
         with pytest.raises(UnknownNodeError):
-            apply_extraction(kg, batch, {})
+            _apply(kg, batch, {})
         batch = ExtractionResult(
             new_edges=[ExtractedEdge("e8", "n1", "n3", "funds")],
             evidences_map={"EN1": ["e3"]},  # e3 is e8's id
         )
         with pytest.raises(DanglingReferenceError):
-            apply_extraction(kg, batch, {"EN1": 1})
+            _apply(kg, batch, {"EN1": 1})
 
     def test_repeated_handle_with_new_content_rejected(self):
         kg = _small_graph()
         same = ExtractedNode("n7", "gap", False)
-        out = apply_extraction(kg, ExtractionResult(new_nodes=[same, same]), {})
+        out = _apply(kg, ExtractionResult(new_nodes=[same, same]), {})
         assert out.node_ids() == ["n1", "n2", "n3", "n4"]
         batch = ExtractionResult(
             new_nodes=[same, ExtractedNode("n7", "other", False)]
         )
         with pytest.raises(DuplicateIdError):
-            apply_extraction(kg, batch, {})
+            _apply(kg, batch, {})
 
     def test_reobserved_handle_uses_up_no_id(self):
         kg = _small_graph()
@@ -325,7 +351,7 @@ class TestApplyExtraction:
             ],
             evidences_map={"EN1": ["e3", "e4"]},
         )
-        out = apply_extraction(kg, batch, {"EN1": 9})
+        out = _apply(kg, batch, {"EN1": 9})
         assert out.edge_ids() == ["e1", "e2", "e3"]
         assert out.edges["e1"].evidence_ids == {1, 9}
         assert out.representation("e3") == "grid codes - constrains -> storage"
@@ -336,7 +362,7 @@ class TestApplyExtraction:
         kg = _small_graph()
         batch = ExtractionResult(evidences_map={"EN3": ["e1"]})
         with pytest.raises(UnknownEvidenceLabelError):
-            apply_extraction(kg, batch, {"EN1": 1})
+            _apply(kg, batch, {"EN1": 1})
 
     def test_idempotent_application(self):
         kg = _small_graph()
@@ -345,9 +371,29 @@ class TestApplyExtraction:
             new_edges=[ExtractedEdge("e3", "n1", "n4", "prevents")],
             evidences_map={"EN1": ["e3"]},
         )
-        once = apply_extraction(kg, batch, {"EN1": 7})
-        twice = apply_extraction(once, batch, {"EN1": 7})
-        assert twice.to_dict() == once.to_dict()
+        once = _apply(kg, batch, {"EN1": 7}).to_dict()
+        assert _apply(kg, batch, {"EN1": 7}).to_dict() == once
+
+    def test_batch_failing_on_its_last_entry_leaves_the_graph_alone(self):
+        kg = _small_graph()
+        before = _snapshot(kg)
+        batch = ExtractionResult(
+            new_nodes=[ExtractedNode("n4", "blackouts", False), ExtractedNode("n5", "gap", True)],
+            new_edges=[
+                ExtractedEdge("e3", "n1", "n4", "prevents"),
+                ExtractedEdge("e4", "n4", "n5", "widens"),
+                ExtractedEdge("e5", "n1", "n2", "reduces"),  # re-observes e1
+            ],
+            evidences_map={"EN1": ["e3", "e1"], "EN2": ["e4", "e9"]},  # e9 is absent
+        )
+        with pytest.raises(DanglingReferenceError):
+            _apply(kg, batch, {"EN1": 3, "EN2": 4})
+        assert _snapshot(kg) == before
+        # The rejected batch used up no id: a re-asked batch numbers as if first.
+        batch.evidences_map["EN2"] = ["e4"]
+        _apply(kg, batch, {"EN1": 3, "EN2": 4})
+        assert kg.node_ids() == ["n1", "n2", "n3", "n4", "n5"]
+        assert kg.edge_ids() == ["e1", "e2", "e3", "e4"]
 
 
 def _merge_fixture() -> KnowledgeGraph:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 from dataclasses import fields
 from pathlib import Path
 
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from dualgraph import orchestrator
-from dualgraph.evidence import EvidenceBank
+from dualgraph.evidence import EvidenceBank, EvidenceUnit
 from dualgraph.kg import KnowledgeGraph, MergeCluster, merge_nodes
 from dualgraph.orchestrator import (
     ConfigError,
@@ -439,11 +440,14 @@ def _assert_interrupted_run_resumes_identically(
         )
         with pytest.raises(Crash):
             runner.start(broken.root_query)
-    # A crash between the audit append and the state.json replace leaves
-    # records past the committed count; resume must drop them.
+    # A crash between the log appends and the state.json replace leaves
+    # records past the committed counts, the last one maybe torn; resume
+    # must drop them.
     stray = {"call": -1, "name": "stray", "prompt": "", "response": ""}
     with open(tmp_path / "resumed" / "audit.jsonl", "a", encoding="utf-8") as log_file:
         log_file.write(json.dumps(stray) + "\n")
+    with open(tmp_path / "resumed" / "bank.jsonl", "a", encoding="utf-8") as log_file:
+        log_file.write('{"evidence_id": 999, "url": "https://torn.test/')
     boundary = runner.load_state()
     assert boundary.stage == "loop"
     assert boundary.iteration == boundary_iteration
@@ -470,6 +474,7 @@ class TestRunnerOnDemoFixture:
             "outline.txt",
             "kg.json",
             "bank.json",
+            "bank.jsonl",
             "audit.jsonl",
             "report.md",
             "chains_iter1.json",
@@ -551,9 +556,11 @@ class TestRunnerOnDemoFixture:
         doc = json.loads((run_dir / "state.json").read_text(encoding="utf-8"))
         # Other files hold these; state.json only commits them.
         assert not {"audit", "outline", "kg", "bank", "iteration_chains", "report"} & set(doc)
+        bank_log = (run_dir / "bank.jsonl").read_text(encoding="utf-8")
+        assert doc["bank_units"] == bank_log.count("\n") > 0
         bank = json.loads((run_dir / "bank.json").read_text(encoding="utf-8"))
-        assert doc["bank_units"] == len(bank["units"]) > 0
         assert set(bank) == {"units"}
+        assert bank["units"] == [json.loads(line) for line in bank_log.splitlines()]
         log = (run_dir / "audit.jsonl").read_text(encoding="utf-8")
         assert log.endswith("\n")
         assert doc["audit_records"] == log.count("\n") > 0
@@ -561,18 +568,22 @@ class TestRunnerOnDemoFixture:
         # Written after iteration 1, then left alone by the later checkpoints.
         assert len(inodes) >= 2 and len(set(inodes)) == 1
         # Outline, graph and chains files are written once per run; the final
-        # outline and graph only by the checkpoint that finishes it.
+        # outline, graph and bank only by the checkpoint that finishes it.
         artifacts = [
             name for _, names in checkpoints for name in names
-            if name not in ("state.json", "bank.json", "audit.jsonl")
+            if name not in ("state.json", "bank.jsonl", "audit.jsonl")
         ]
         assert sorted(artifacts) == sorted(
             [f"outline_iter{n}.txt" for n in range(3)]
             + [f"kg_iter{n}.json" for n in range(3)]
-            + ["chains_iter1.json", "chains_iter2.json", "outline.txt", "kg.json", "report.md"]
+            + ["chains_iter1.json", "chains_iter2.json", "outline.txt", "kg.json", "bank.json",
+               "report.md"]
         )
-        assert [stage for stage, names in checkpoints if "kg.json" in names] == ["done"]
-        assert [stage for stage, names in checkpoints if "outline.txt" in names] == ["done"]
+        for final in ("kg.json", "outline.txt", "bank.json"):
+            assert [stage for stage, names in checkpoints if final in names] == ["done"]
+        # The logs are replaced whole only by the first checkpoint; later ones append.
+        for log_name in ("audit.jsonl", "bank.jsonl"):
+            assert [i for i, (_, names) in enumerate(checkpoints) if log_name in names] == [0]
 
     def test_reruns_are_byte_identical(self, tmp_path):
         for name in ("a", "b"):
@@ -600,13 +611,15 @@ class TestRunnerOnDemoFixture:
         # committed iteration's files and only the committed bank units.
         doc = json.loads((run_dir / "state.json").read_text(encoding="utf-8"))
         assert doc["iteration"] == 1
-        bank = json.loads((run_dir / "bank.json").read_text(encoding="utf-8"))
-        assert len(bank["units"]) > doc["bank_units"]
+        bank_log = (run_dir / "bank.jsonl").read_text(encoding="utf-8")
+        assert bank_log.count("\n") > doc["bank_units"]
+        loaded = _demo_runner(run_dir).load_state()
+        assert len(loaded.bank) == doc["bank_units"]
         for newer, committed in (("kg_iter2.json", "kg_iter1.json"), ("outline_iter2.txt", "outline_iter1.txt")):
             assert (run_dir / newer).read_bytes() != (run_dir / committed).read_bytes()
-        # The final graph and outline are written only when the run finishes.
-        assert not (run_dir / "kg.json").exists()
-        assert not (run_dir / "outline.txt").exists()
+        # The final graph, outline and bank are written only when the run finishes.
+        for final in ("kg.json", "outline.txt", "bank.json"):
+            assert not (run_dir / final).exists()
 
     def test_resumed_runner_rewrites_the_log_it_already_wrote_to(self, tmp_path):
         _assert_interrupted_run_resumes_identically(
@@ -637,6 +650,62 @@ class TestRunnerOnDemoFixture:
         _assert_interrupted_run_resumes_identically(tmp_path, fixture_with_line_breaks)
         log = (tmp_path / "resumed" / "audit.jsonl").read_text(encoding="utf-8")
         assert "\u2028" in log and "\u0085" in log
+
+
+class TestCheckpointCostsWhatChanged:
+    def test_each_unit_is_encoded_once_for_the_log_and_once_for_the_final_bank(
+        self, tmp_path, monkeypatch
+    ):
+        encoded: Counter = Counter()
+        documents: list[int] = []
+        to_dict, to_document = EvidenceUnit.to_dict, EvidenceBank.to_document
+
+        def counting_to_dict(unit):
+            encoded[unit.evidence_id] += 1
+            return to_dict(unit)
+
+        def counting_to_document(bank):
+            documents.append(len(bank))
+            return to_document(bank)
+
+        monkeypatch.setattr(EvidenceUnit, "to_dict", counting_to_dict)
+        monkeypatch.setattr(EvidenceBank, "to_document", counting_to_document)
+        state = _demo_runner(tmp_path / "run").start(load_fixture(DEMO_FIXTURE).root_query)
+        assert state.iteration == 2 and len(state.bank) > 0
+        # One bank.json, for the finished run; each loop checkpoint encodes only its new units.
+        assert documents == [len(state.bank)]
+        assert encoded == {ev_id: 2 for ev_id in state.bank.ids()}
+
+    def test_only_clones_and_merges_copy_the_graph(self, tmp_path, monkeypatch):
+        active: list[str] = []
+        copied_by: list[str | None] = []
+        calls: Counter = Counter()
+
+        def tracked(owner, fn, counts=lambda *args: True):
+            def wrapper(*args):
+                calls[owner] += bool(counts(*args))
+                active.append(owner)
+                try:
+                    return fn(*args)
+                finally:
+                    active.pop()
+            return wrapper
+
+        copy = KnowledgeGraph.copy
+
+        def recording_copy(kg):
+            copied_by.append(active[-1] if active else None)
+            return copy(kg)
+
+        monkeypatch.setattr(KnowledgeGraph, "copy", recording_copy)
+        monkeypatch.setattr(
+            RunState, "clone", tracked("clone", RunState.clone, lambda s: s.kg is not None)
+        )
+        for name in ("apply_extraction", "merge_nodes"):
+            monkeypatch.setattr(orchestrator, name, tracked(name, getattr(orchestrator, name)))
+        _demo_runner(tmp_path / "run").start(load_fixture(DEMO_FIXTURE).root_query)
+        assert calls["apply_extraction"] > 0 and calls["clone"] > 0
+        assert Counter(copied_by) == {"clone": calls["clone"], "merge_nodes": calls["merge_nodes"]}
 
 
 class TestStartClearsAnEarlierRun:
@@ -675,7 +744,7 @@ class TestStartClearsAnEarlierRun:
         with pytest.raises(ProviderError):
             runner.start(fixture.root_query)
         names = sorted(p.name for p in run_dir.iterdir())
-        assert names == ["audit.jsonl", "bank.json", "notes_iter2.md", "state.json"]
+        assert names == ["audit.jsonl", "bank.jsonl", "notes_iter2.md", "state.json"]
         assert runner.load_state().stage == "init"
 
 
