@@ -332,12 +332,17 @@ class KnowledgeGraph:
                 community_id=nd.get("community_id"),
             )
         for ed in doc["knowledge_edges"]:
+            bad = [i for i in ed["evidence_ids"] if type(i) is not int or i < 1]
+            if bad:
+                raise KnowledgeGraphError(
+                    f"edge {ed['edge_id']} cites evidence ids that are not integers >= 1: {bad}"
+                )
             edge = KnowledgeEdge(
                 edge_id=ed["edge_id"],
                 source_id=ed["source_id"],
                 target_id=ed["target_id"],
                 relation=ed["relation_name"],
-                evidence_ids=set(int(i) for i in ed["evidence_ids"]),
+                evidence_ids=set(ed["evidence_ids"]),
             )
             num = edge_num(edge.edge_id)
             if num <= last_edge:

@@ -19,6 +19,10 @@ fields on the graph's nodes. Everything else they replace whole, and no audit
 record changes once made. So ``RunState.clone`` copies the graph, the bank and
 the four lists, and shares the rest.
 
+In particular an outline in a state is never changed in place: a revision
+builds a new one. So a state renders each outline once (``RunState.outline_text``),
+and every prompt and checkpoint that shows the outline uses that text.
+
 A checkpoint costs what the iteration changed: the audit records and bank
 units made since the last one are appended to ``audit.jsonl`` and
 ``bank.jsonl``, and ``state.json`` commits both logs by count.
@@ -192,6 +196,17 @@ class RunState:
     audit: list[dict] = field(default_factory=list)
     chain_record: dict | None = None  # this iteration's chains, kept in chains_iterN.json
     report: str | None = None
+    # (og, its wire text), kept while og names the same outline; clone shares it.
+    _outline_memo: tuple[OutlineGraph, str] | None = field(
+        default=None, repr=False, compare=False
+    )
+
+    def outline_text(self) -> str:
+        """The wire text of the current outline, rendered once per outline object."""
+        memo = self._outline_memo
+        if memo is None or memo[0] is not self.og:
+            memo = self._outline_memo = (self.og, render_outline(self.og))
+        return memo[1]
 
     def clone(self) -> "RunState":
         """A copy phases may change: they only append to the four lists, add to
@@ -442,7 +457,7 @@ def gen_queries_from_og(
         {
             "QUERY_NUM": str(config.og_query_budget),
             "ROOT_QUERY": state.root_query,
-            "OUTLINE": render_outline(state.og),
+            "OUTLINE": state.outline_text(),
             "EXECUTED_QUERIES": "\n".join(state.executed_queries) or "(none)",
             "PENDING_QUERIES": "\n".join(pending) or "(none)",
         },
@@ -498,7 +513,7 @@ def gen_queries_from_kg(
         {
             "CHAIN_NUM": str(config.kg_query_budget),
             "ROOT_QUERY": state.root_query,
-            "OUTLINE": render_outline(state.og),
+            "OUTLINE": state.outline_text(),
             "KG_PAYLOAD": json.dumps(state.kg.to_prompt_payload(), ensure_ascii=False),
             "CANDIDATE_CHAINS": format_chains_for_prompt(chains, state.kg),
         },
@@ -617,7 +632,7 @@ def update_og(state: RunState, providers: Providers, config: RunConfig) -> None:
         "revise_outline",
         {
             "ROOT_QUERY": state.root_query,
-            "CURRENT_OUTLINE": render_outline(state.og),
+            "CURRENT_OUTLINE": state.outline_text(),
             "NEW_EVIDENCE": _evidence_block(state.bank, uncited),
             "KG_CONTEXT": kg_context,
         },
@@ -653,7 +668,7 @@ def evaluate_early_stop(
         "judge_outline",
         {
             "ROOT_QUERY": state.root_query,
-            "OUTLINE": render_outline(state.og),
+            "OUTLINE": state.outline_text(),
             "EVIDENCE_DIGEST": digest,
         },
     )
@@ -822,7 +837,7 @@ class Runner:
         done = state.stage == "done"
         suffix = "" if done else f"_iter{state.iteration}"
         if state.og is not None:
-            self._replace(f"outline{suffix}.txt", render_outline(state.og))
+            self._replace(f"outline{suffix}.txt", state.outline_text())
         if state.kg is not None:
             self._replace(f"kg{suffix}.json", state.kg.to_document())
         if state.chain_record is not None and not done:

@@ -25,7 +25,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .evidence import EvidenceBank, citation_token, parse_citation_token
+from .evidence import EvidenceBank, EvidenceError, citation_token, parse_citation_token
 
 __all__ = [
     "OutlineError",
@@ -106,7 +106,7 @@ class OutlineGraph:
         return None
 
 
-def _strip_citations(text: str) -> tuple[str, set[int]]:
+def _strip_citations(text: str, lineno: int) -> tuple[str, set[int]]:
     m = _CITATION_RE.search(text)
     if m is None:
         return text.rstrip(), set()
@@ -115,7 +115,12 @@ def _strip_citations(text: str) -> tuple[str, set[int]]:
     payload = m.group(1).strip()
     if payload:
         for token in payload.split(","):
-            ids.add(parse_citation_token(token))
+            try:
+                ids.add(parse_citation_token(token))
+            except EvidenceError:
+                raise OutlineParseError(
+                    f"line {lineno}: not a citation token: {token.strip()!r}"
+                ) from None
     return body, ids
 
 
@@ -130,7 +135,7 @@ def parse_outline(text: str) -> OutlineGraph:
     lines = [ln for ln in lines if ln]
     if not lines:
         raise OutlineParseError("empty outline: missing title line")
-    title, title_cits = _strip_citations(lines[0])
+    title, title_cits = _strip_citations(lines[0], 1)
     if not title:
         raise OutlineParseError("title line is empty")
     if title_cits:
@@ -146,7 +151,7 @@ def parse_outline(text: str) -> OutlineGraph:
     sibling_count: dict[tuple[int, ...], int] = {(): 0}
 
     for lineno, raw in enumerate(lines[1:], start=2):
-        body, cits = _strip_citations(raw)
+        body, cits = _strip_citations(raw, lineno)
         letter_m = _LETTER_RE.match(body)
         if letter_m and not body[0].isdigit():
             if not stack:

@@ -68,6 +68,17 @@ def _cite_absent_evidence(outline: str) -> str:
     return outline.replace("</citation>", ", id_999</citation>", 1)
 
 
+def _cite_evidence_id(value):
+    """Make the last edge of a graph document cite ``value`` as an evidence id."""
+
+    def damage(text: str) -> str:
+        doc = json.loads(text)
+        doc["knowledge_edges"][-1]["evidence_ids"] = [value]
+        return json.dumps(doc)
+
+    return damage
+
+
 # (command, file, damage): a committed file that no longer parses.
 DAMAGED_FILES = {
     "resume-torn-audit-record": ("resume", "audit.jsonl", _tear_first_record),
@@ -89,6 +100,11 @@ DAMAGED_FILES = {
     "resume-outline-cites-absent-evidence": (
         "resume", "outline_iter2.txt", _cite_absent_evidence
     ),
+    "inspect-kg-evidence-id-zero": ("inspect-kg", "kg_iter2.json", _cite_evidence_id(0)),
+    "resume-evidence-id-zero": ("resume", "kg_iter2.json", _cite_evidence_id(0)),
+    "resume-negative-evidence-id": ("resume", "kg_iter2.json", _cite_evidence_id(-2)),
+    "resume-fractional-evidence-id": ("resume", "kg_iter2.json", _cite_evidence_id(1.5)),
+    "inspect-kg-evidence-id-string": ("inspect-kg", "kg_iter2.json", _cite_evidence_id("3")),
 }
 
 # A --fixture file that load_fixture cannot read.

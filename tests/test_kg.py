@@ -181,7 +181,7 @@ def _random_step(kg: KnowledgeGraph, gen: random.Random) -> KnowledgeGraph:
             src, tgt = e.source_id, e.target_id
             if gen.random() < 0.5:
                 src, tgt = tgt, src
-        kg.add_edge(src, tgt, gen.choice(("r", "s")), {gen.randrange(5)})
+        kg.add_edge(src, tgt, gen.choice(("r", "s")), {gen.randint(1, 5)})
     elif op == "extract":
         nodes = [ExtractedNode(f"n{kg.next_node_num}", f"x{kg.next_node_num}", False)]
         pool = ids + [nodes[0].node_id]

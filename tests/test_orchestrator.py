@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import random
 from collections import Counter
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -708,15 +708,24 @@ class TestCheckpointCostsWhatChanged:
         assert Counter(copied_by) == {"clone": calls["clone"], "merge_nodes": calls["merge_nodes"]}
 
 
+def _small_sim(variant: str = "dualgraph") -> tuple[RunConfig, Providers, str]:
+    world = generate_world(seed=1, n_communities=2, cores_per_community=1,
+                           concepts_per_community=2)
+    config = RunConfig(max_iter=3, og_query_budget=2, kg_query_budget=4, urls_per_query=8,
+                       variant=variant)
+    return config, sim_providers(world, config.embed_dim, config.seed), DEFAULT_ROOT_QUERY
+
+
+def _demo() -> tuple[RunConfig, Providers, str]:
+    fixture = load_fixture(DEMO_FIXTURE)
+    return RunConfig.from_dict(fixture.config), fixture.providers(), fixture.root_query
+
+
 class TestStartClearsAnEarlierRun:
     @staticmethod
     def _sim_run(run_dir, variant):
-        world = generate_world(seed=1, n_communities=2, cores_per_community=1,
-                               concepts_per_community=2)
-        config = RunConfig(max_iter=3, og_query_budget=2, kg_query_budget=4,
-                           urls_per_query=8, variant=variant)
-        providers = sim_providers(world, config.embed_dim, config.seed)
-        Runner(config, providers, run_dir).start(DEFAULT_ROOT_QUERY)
+        config, providers, root_query = _small_sim(variant)
+        Runner(config, providers, run_dir).start(root_query)
 
     def test_outline_only_rerun_drops_the_graph_files(self, tmp_path):
         self._sim_run(tmp_path / "clean", "outline-only")
@@ -1052,3 +1061,153 @@ class TestRunIterationLeavesItsInputAlone:
         init_run(state, providers)
         assert state.kg is None and len(state.bank) > 0
         assert self._step_through(state, providers) >= 2
+
+
+_RUNS = {
+    "demo-dualgraph": _demo,
+    "sim-dualgraph": _small_sim,
+    "sim-outline-only": lambda: _small_sim("outline-only"),
+}
+
+
+class _BoundaryRunner(Runner):
+    """Records the stage, iteration, audit length and freshly rendered outline
+    of every checkpoint."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.boundaries: list[tuple[str, int, int, str | None]] = []
+
+    def _checkpoint(self, state):
+        outline = None if state.og is None else render_outline(state.og)
+        self.boundaries.append((state.stage, state.iteration, len(state.audit), outline))
+        super()._checkpoint(state)
+
+
+def _spy_renders(monkeypatch) -> list:
+    """Every outline passed to render_outline through the orchestrator, in order."""
+    rendered = []
+    render = orchestrator.render_outline
+
+    def spy(og):
+        rendered.append(og)
+        return render(og)
+
+    monkeypatch.setattr(orchestrator, "render_outline", spy)
+    return rendered
+
+
+class TestEachOutlineRenderedOnce:
+    @pytest.mark.parametrize("run", _RUNS)
+    def test_one_render_per_outline_and_per_report_section(self, tmp_path, monkeypatch, run):
+        rendered = _spy_renders(monkeypatch)
+        config, providers, root_query = _RUNS[run]()
+        state = Runner(config, providers, tmp_path / "run").start(root_query)
+        assert state.stage == "done" and state.iteration >= 2
+        # The created outline and one revision per pass, then write_report's
+        # one-section subtrees of the final outline.
+        sections = len(state.og.sections)
+        assert len(rendered) == state.iteration + 1 + sections
+        assert len({id(og) for og in rendered}) == len(rendered)
+        assert rendered[-sections - 1] is state.og
+        assert [og.sections for og in rendered[-sections:]] == [[s] for s in state.og.sections]
+
+    def test_outline_text_follows_the_outline_object(self, monkeypatch):
+        rendered = _spy_renders(monkeypatch)
+        state = RunState(root_query="q", config=RunConfig())
+        state.og = parse_outline("R\n  1. A\n\n")
+        first = state.outline_text()
+        assert first == "R\n1. A\n" and state.outline_text() is first
+        clone = state.clone()
+        assert clone.outline_text() is first
+        state.og = parse_outline("R\n1. A <citation>id_1</citation>\n2. B\n")
+        assert state.outline_text() == "R\n1. A <citation>id_1</citation>\n2. B\n"
+        assert clone.outline_text() is first
+        assert len(rendered) == 2
+        # The memo is no part of the state's value.
+        assert replace(state, _outline_memo=None) == state
+        assert "_outline_memo" not in repr(state)
+
+    def test_loaded_state_renders_a_hand_edited_outline_canonically(self, tmp_path):
+        run_dir = tmp_path / "run"
+        crash_demo_run(run_dir)
+        path = run_dir / "outline_iter1.txt"
+        canonical = path.read_text(encoding="utf-8")
+        edited = "\n".join(f"  {line}" for line in canonical.splitlines()) + "\n\n"
+        path.write_text(edited, encoding="utf-8")
+        assert _demo_runner(run_dir).load_state().outline_text() == canonical
+
+    @pytest.mark.parametrize("run", _RUNS)
+    def test_prompts_show_the_committed_outline_files(self, tmp_path, run):
+        config, providers, root_query = _RUNS[run]()
+        run_dir = tmp_path / "run"
+        runner = _BoundaryRunner(config, providers, run_dir)
+        state = runner.start(root_query)
+        files = [
+            (run_dir / f"outline_iter{n}.txt").read_text(encoding="utf-8")
+            for n in range(state.iteration + 1)
+        ]
+        with open(run_dir / "audit.jsonl", encoding="utf-8") as log_file:
+            audit = [json.loads(line) for line in log_file]
+        # In a pass these prompts come before update_og, so they show the
+        # outline of the pass before; the rest show the pass's own.
+        before_revision = {"select_chains", "revise_outline"}
+        if config.variant is Variant.DUAL_GRAPH:
+            before_revision.add("generate_queries")
+        checked: Counter = Counter()
+        start = 0
+        for stage, n, end, outline in runner.boundaries:
+            records, start = audit[start:end], end
+            if stage != "loop":
+                continue
+            assert files[n] == outline
+            for record in records:
+                name = record["name"]
+                if name in ("judge_outline", "generate_queries", *before_revision):
+                    shown = n - 1 if n > 0 and name in before_revision else n
+                    block = record["prompt"].split("# Current Outline\n", 1)[1]
+                    assert block.split("\n\n# ", 1)[0] == files[shown], (n, name)
+                    checked[name] += 1
+        expected = {"judge_outline", "generate_queries", "revise_outline"}
+        if config.variant is Variant.DUAL_GRAPH:
+            expected.add("select_chains")
+        assert set(checked) == expected
+
+
+class _BadCitationChat:
+    """Gives the first ``bad`` cited revise_outline answers a malformed citation token."""
+
+    def __init__(self, chat, bad: int):
+        self.chat, self.bad = chat, bad
+
+    def complete(self, prompt: str) -> str:
+        response = self.chat.complete(prompt)
+        if self.bad and "revising the outline" in prompt and "<citation>id_" in response:
+            self.bad -= 1
+            response = response.replace("<citation>id_", "<citation>id_x", 1)
+        return response
+
+
+class TestRevisionWithBadCitationToken:
+    @staticmethod
+    def _run(run_dir, bad: int) -> RunState:
+        config, providers, root_query = _small_sim()
+        providers = replace(providers, chat=_BadCitationChat(providers.chat, bad))
+        return Runner(config, providers, run_dir).start(root_query)
+
+    def test_one_bad_answer_is_re_asked_and_the_run_completes(self, tmp_path):
+        clean = self._run(tmp_path / "clean", bad=0)
+        state = self._run(tmp_path / "run", bad=1)
+        assert state.stage == "done"
+        revisions = [r for r in state.audit if r["name"] == "revise_outline"]
+        bad = [i for i, r in enumerate(revisions) if "<citation>id_x" in r["response"]]
+        assert len(bad) == 1
+        rejected, retried = revisions[bad[0]], revisions[bad[0] + 1]
+        assert retried["prompt"] == rejected["prompt"]
+        assert len(state.audit) == len(clean.audit) + 1
+        assert state.outline_text() == clean.outline_text()
+        assert state.bank.to_document() == clean.bank.to_document()
+
+    def test_bad_answers_on_every_attempt_end_in_a_parse_error(self, tmp_path):
+        with pytest.raises(ParseError, match="revise_outline"):
+            self._run(tmp_path / "run", bad=10**6)

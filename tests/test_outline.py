@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import copy
 import random
+import string
 
 import pytest
 
 from dualgraph.outline import (
+    OutlineError,
     OutlineGraph,
     OutlineNode,
     OutlineParseError,
@@ -70,10 +72,20 @@ class TestParsing:
             "Title\n1.\n",
             "Title\n1. A\n0. zero component\n",
             "Title\n1. A\n?? noise line\n",
+            "Title\n1. A <citation>id_x</citation>\n",
+            "Title\n1. A <citation>id_0</citation>\n",
+            "Title\n1. A <citation>id_01</citation>\n",
+            "Title\n1. A <citation>id_1,,id_2</citation>\n",
+            "Title <citation>id_x</citation>\n1. A\n",
         ],
     )
     def test_malformed_rejected(self, text):
         with pytest.raises(OutlineParseError):
+            parse_outline(text)
+
+    def test_bad_citation_token_names_its_line_and_token(self):
+        text = "Title\n1. A <citation>id_1</citation>\na. B <citation>id_x1</citation>\n"
+        with pytest.raises(OutlineParseError, match=r"^line 3: not a citation token: 'id_x1'$"):
             parse_outline(text)
 
     @pytest.mark.parametrize(
@@ -163,3 +175,39 @@ class TestRevision:
         revised = mutate_outline(copy.deepcopy(old), gen, bank_size=8)
         new = apply_revision(old, render_outline(revised), bank, _embed())
         assert new.all_citations() >= old.all_citations()
+
+
+def _corrupt(text: str, gen: random.Random) -> str:
+    """One random edit, biased towards the citation markers and their tokens."""
+    i = gen.randrange(len(text) + 1)
+    op = gen.choice(("insert", "delete", "truncate", "token", "marker", "unicode"))
+    if op == "insert":
+        return text[:i] + gen.choice(string.printable + ",_<>/") + text[i:]
+    if op == "delete":
+        return text[:i] + text[i + 1:]
+    if op == "truncate":
+        return text[:i]
+    if op == "token":
+        starts = [n for n in range(len(text)) if text.startswith("id_", n)] or [i]
+        j = gen.choice(starts) + gen.randint(0, 4)
+        return text[:j] + gen.choice(("x", "0", ",", "", " ", "id_", "-1")) + text[j + 1:]
+    if op == "marker":
+        return text.replace(gen.choice(("<citation>", "</citation>", ", ")), gen.choice(
+            ("", "<citation>", "</citation>", ",,", ", id_")), 1)
+    return text[:i] + "\u2603\x00\x1b" + text[i:]
+
+
+def test_parser_total_under_corruption_of_a_cited_outline():
+    gen = random.Random(20240601)
+    parsed = 0
+    for _ in range(10_000):
+        text = SAMPLE
+        for _ in range(gen.randint(1, 3)):
+            text = _corrupt(text, gen)
+        try:
+            parse_outline(text)
+            parsed += 1
+        except OutlineError:
+            pass
+        # Anything else is a crash and fails the test by propagating.
+    assert 0 < parsed < 10_000
