@@ -109,6 +109,18 @@ def edge_num(edge_id: str) -> int:
     return int(m.group(1))
 
 
+def _check_evidence_ids(ids, edge) -> None:
+    """Evidence ids are bank ids: integers >= 1, and a bool is not one.
+
+    ``edge`` names the edge in the error, by id or by triple.
+    """
+    bad = [i for i in ids if type(i) is not int or i < 1]
+    if bad:
+        raise KnowledgeGraphError(
+            f"edge {edge} cites evidence ids that are not integers >= 1: {bad}"
+        )
+
+
 @dataclass
 class KnowledgeNode:
     node_id: str
@@ -258,6 +270,7 @@ class KnowledgeGraph:
             raise UnknownNodeError(f"unknown source {source!r}")
         if target not in self.nodes:
             raise UnknownNodeError(f"unknown target {target!r}")
+        _check_evidence_ids(evidence_ids or (), (source, target, relation))
         existing = self._triples.get((source, target, relation))
         if existing is not None:
             self.edges[existing].evidence_ids |= evidence_ids or set()
@@ -332,11 +345,7 @@ class KnowledgeGraph:
                 community_id=nd.get("community_id"),
             )
         for ed in doc["knowledge_edges"]:
-            bad = [i for i in ed["evidence_ids"] if type(i) is not int or i < 1]
-            if bad:
-                raise KnowledgeGraphError(
-                    f"edge {ed['edge_id']} cites evidence ids that are not integers >= 1: {bad}"
-                )
+            _check_evidence_ids(ed["evidence_ids"], ed["edge_id"])
             edge = KnowledgeEdge(
                 edge_id=ed["edge_id"],
                 source_id=ed["source_id"],

@@ -9,8 +9,9 @@ graph.
 
 State is checkpointed at iteration boundaries only. run_iteration is
 functional (state in, new state out), so a provider failure mid-iteration
-loses nothing but in-flight work and a resumed run converges to the same bytes
-as an uninterrupted one.
+loses nothing but in-flight work, writes no file (the state it interrupted is
+already committed), and a resumed run converges to the same bytes as an
+uninterrupted one.
 
 Phases change a state in place in three ways only: they append to its four
 lists (executed queries, early-stop history, events, audit), add units to its
@@ -25,7 +26,9 @@ and every prompt and checkpoint that shows the outline uses that text.
 
 A checkpoint costs what the iteration changed: the audit records and bank
 units made since the last one are appended to ``audit.jsonl`` and
-``bank.jsonl``, and ``state.json`` commits both logs by count.
+``bank.jsonl``, and ``state.json`` commits both logs by count. No log is ever
+rewritten: ``Runner.start`` empties both, and ``Runner.resume`` cuts each in
+place after its committed count, so a resume costs what the fault lost.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import os
 from collections.abc import Callable
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
@@ -51,7 +55,7 @@ from .kg import (
     merge_nodes,
 )
 from .outline import OutlineGraph, OutlineError, apply_revision, parse_outline, render_outline
-from .providers.base import FetchError, ProviderError, Providers
+from .providers.base import FetchError, Providers
 from .providers import parsers
 from .providers.parsers import ParseError
 
@@ -805,27 +809,44 @@ class Runner:
         self.config = config
         self.providers = providers
         self.run_dir = Path(run_dir)
-        # Entries this Runner wrote to each log; None until a checkpoint rewrites it whole.
-        self._written: dict[str, int | None] = dict.fromkeys(_LOGS)
+        # Entries each log holds: start and resume set the count, each append advances it.
+        self._written: dict[str, int] = dict.fromkeys(_LOGS, 0)
 
     def _replace(self, name: str, text: str) -> None:
         (self.run_dir / f"{name}.tmp").write_text(text, encoding="utf-8")
         (self.run_dir / f"{name}.tmp").replace(self.run_dir / name)
 
     def _append(self, name: str, entries: list, to_dict: Callable = lambda entry: entry) -> None:
-        """Write the entries past those this Runner wrote to a log, one JSON line each.
+        """Append the entries past those the log already holds, one JSON line each.
 
-        The first call after ``start`` or ``resume`` rewrites the log whole, which
-        drops any tail that a crash left past the committed count.
+        ``start`` empties both logs and ``resume`` cuts each after its committed
+        count, so a log is only ever appended to, never rewritten.
         """
-        written = self._written[name]
-        rows = [_document(to_dict(e)) for e in entries[written or 0:]]
-        if written is None:
-            self._replace(name, "".join(rows))
-        else:
-            with open(self.run_dir / name, "a", encoding="utf-8") as log_file:
-                log_file.writelines(rows)
+        rows = [_document(to_dict(e)) for e in entries[self._written[name]:]]
+        with open(self.run_dir / name, "a", encoding="utf-8") as log_file:
+            log_file.writelines(rows)
         self._written[name] = len(entries)
+
+    def _cut(self, name: str, count: int) -> None:
+        """Drop a log's lines past its first ``count`` in place, found by a binary scan.
+
+        The committed prefix is neither re-encoded nor rewritten, and a log that
+        holds nothing past it is not opened for writing. A committed last line
+        that lost its newline gets it back, so the next append starts a line.
+        """
+        path = self.run_dir / name
+        last = b"\n"
+        with open(path, "rb") as log_file:
+            for last in islice(log_file, count):
+                pass
+            end = log_file.tell()
+            past = log_file.seek(0, os.SEEK_END) > end
+        if past:
+            os.truncate(path, end)
+        if not last.endswith(b"\n"):
+            with open(path, "ab") as log_file:
+                log_file.write(b"\n")
+        self._written[name] = count
 
     def _checkpoint(self, state: RunState) -> None:
         # state.json goes last and commits the checkpoint: it names the iteration whose
@@ -833,7 +854,6 @@ class Runner:
         # in their logs. A loop checkpoint already wrote the last iteration's files, so
         # the one that finishes the run writes the final outline, graph and bank beside
         # the report instead.
-        self.run_dir.mkdir(parents=True, exist_ok=True)
         done = state.stage == "done"
         suffix = "" if done else f"_iter{state.iteration}"
         if state.og is not None:
@@ -871,49 +891,48 @@ class Runner:
     def start(self, root_query: str) -> RunState:
         # A forced rerun must leave nothing of an earlier run behind. state.json
         # goes first, so no half-cleared directory still looks resumable.
+        self.run_dir.mkdir(parents=True, exist_ok=True)
         for name in (STATE_FILE, REPORT_FILE, BANK_FILE, "kg.json", "outline.txt"):
             (self.run_dir / name).unlink(missing_ok=True)
         for stem in ("outline", "kg", "chains"):
             for path in self.run_dir.glob(f"{stem}_iter[0-9]*"):
                 path.unlink()
-        self._written = dict.fromkeys(_LOGS)  # the first checkpoint rewrites both logs
+        for name in _LOGS:
+            (self.run_dir / name).write_bytes(b"")
+        self._written = dict.fromkeys(_LOGS, 0)
         state = RunState(root_query=root_query, config=self.config)
         self._checkpoint(state)
         return self._drive(state)
 
     def resume(self) -> RunState:
-        self._written = dict.fromkeys(_LOGS)  # drop any tail past the committed counts
         state = self.load_state()
+        self._cut(AUDIT_LOG, len(state.audit))
+        self._cut(BANK_LOG, len(state.bank))
         self.config = state.config
         return self._drive(state)
 
     def _drive(self, state: RunState) -> RunState:
-        # `state` always names the last clean boundary; phases that mutate in
-        # place work on a clone so an aborted phase leaves no partial writes.
-        try:
-            if state.stage == "init":
-                working = state.clone()
-                init_run(working, self.providers)
-                state = working
-                self._checkpoint(state)
-            while (
-                state.stage == "loop"
-                and not state.stopped
-                and state.iteration < state.config.max_iter
-            ):
-                state = run_iteration(state, state.config, self.providers)
-                self._checkpoint(state)
-            if state.stage == "loop":
-                working = state.clone()
-                write_report(working, self.providers)
-                working.stage = "done"
-                state = working
-                self._checkpoint(state)
-        except ProviderError:
+        # `state` always names the last committed boundary; phases that mutate in
+        # place work on a clone, so a provider failure leaves nothing to write.
+        if state.stage == "init":
+            working = state.clone()
+            init_run(working, self.providers)
+            state = working
             self._checkpoint(state)
-            raise
+        while (
+            state.stage == "loop"
+            and not state.stopped
+            and state.iteration < state.config.max_iter
+        ):
+            state = run_iteration(state, state.config, self.providers)
+            self._checkpoint(state)
+        if state.stage == "loop":
+            working = state.clone()
+            write_report(working, self.providers)
+            working.stage = "done"
+            state = working
+            self._checkpoint(state)
         return state
-
 
 def run(
     root_query: str,

@@ -79,6 +79,17 @@ class TestGraphBasics:
         assert kg.edges["e1"].evidence_ids == {1, 4}
         assert kg.n_edges == 2
 
+    @pytest.mark.parametrize("bad", [0, -3, True, 1.5, "2"])
+    @pytest.mark.parametrize("relation", ["reduces", "feeds"])  # existing triple, new edge
+    def test_edge_rejects_what_from_dict_rejects(self, bad, relation):
+        kg = _small_graph()
+        before = kg.to_dict()
+        with pytest.raises(KnowledgeGraphError, match="not integers >= 1"):
+            kg.add_edge("n1", "n2", relation, {2, bad})
+        # Nothing changed, so the graph still round-trips through its document.
+        assert kg.to_dict() == before
+        assert KnowledgeGraph.from_document(kg.to_document()).to_dict() == before
+
     def test_edge_to_unknown_node_rejected(self):
         kg = _small_graph()
         with pytest.raises(UnknownNodeError):

@@ -6,6 +6,7 @@ import json
 import random
 from collections import Counter
 from dataclasses import fields, replace
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -411,6 +412,26 @@ def _demo_runner(run_dir) -> Runner:
     return Runner(config, fixture.providers(), run_dir)
 
 
+def _cut_after_first_pass(providers: Providers) -> None:
+    """Cut the script after the first loop pass: the revision call of the
+    second pass matches only the content-specific entry, so emptying it
+    surfaces as a provider failure mid-iteration."""
+    revise_entries = [
+        e for e in providers.chat.entries if any("revising the outline" in m for m in e.match)
+    ]
+    revise_entries[0].responses = []
+
+
+def _add_uncommitted_tail(run_dir: Path) -> None:
+    """What a crash between the log appends and the state.json replace leaves:
+    records past the committed counts, the last one torn."""
+    stray = {"call": -1, "name": "stray", "prompt": "", "response": ""}
+    with open(run_dir / "audit.jsonl", "a", encoding="utf-8") as log_file:
+        log_file.write(json.dumps(stray) + "\n")
+    with open(run_dir / "bank.jsonl", "a", encoding="utf-8") as log_file:
+        log_file.write('{"evidence_id": 999, "url": "https://torn.test/')
+
+
 def _assert_interrupted_run_resumes_identically(
     tmp_path, make_fixture, reuse_runner=False, crash_before_commit=None, boundary_iteration=1
 ):
@@ -422,14 +443,7 @@ def _assert_interrupted_run_resumes_identically(
     broken = make_fixture()
     providers = broken.providers()
     if crash_before_commit is None:
-        # Cut the script after the first loop pass: the revision call of the
-        # second pass matches only the content-specific entry, so emptying it
-        # surfaces as a provider failure mid-iteration.
-        revise_entries = [
-            e for e in providers.chat.entries
-            if any("revising the outline" in m for m in e.match)
-        ]
-        revise_entries[0].responses = []
+        _cut_after_first_pass(providers)
         runner = Runner(RunConfig.from_dict(broken.config), providers, tmp_path / "resumed")
         with pytest.raises(ProviderError):
             runner.start(broken.root_query)
@@ -440,14 +454,8 @@ def _assert_interrupted_run_resumes_identically(
         )
         with pytest.raises(Crash):
             runner.start(broken.root_query)
-    # A crash between the log appends and the state.json replace leaves
-    # records past the committed counts, the last one maybe torn; resume
-    # must drop them.
-    stray = {"call": -1, "name": "stray", "prompt": "", "response": ""}
-    with open(tmp_path / "resumed" / "audit.jsonl", "a", encoding="utf-8") as log_file:
-        log_file.write(json.dumps(stray) + "\n")
-    with open(tmp_path / "resumed" / "bank.jsonl", "a", encoding="utf-8") as log_file:
-        log_file.write('{"evidence_id": 999, "url": "https://torn.test/')
+    # Resume must drop a tail past the committed counts.
+    _add_uncommitted_tail(tmp_path / "resumed")
     boundary = runner.load_state()
     assert boundary.stage == "loop"
     assert boundary.iteration == boundary_iteration
@@ -581,9 +589,9 @@ class TestRunnerOnDemoFixture:
         )
         for final in ("kg.json", "outline.txt", "bank.json"):
             assert [stage for stage, names in checkpoints if final in names] == ["done"]
-        # The logs are replaced whole only by the first checkpoint; later ones append.
+        # No checkpoint ever replaces a log; every one appends.
         for log_name in ("audit.jsonl", "bank.jsonl"):
-            assert [i for i, (_, names) in enumerate(checkpoints) if log_name in names] == [0]
+            assert [i for i, (_, names) in enumerate(checkpoints) if log_name in names] == []
 
     def test_reruns_are_byte_identical(self, tmp_path):
         for name in ("a", "b"):
@@ -650,6 +658,91 @@ class TestRunnerOnDemoFixture:
         _assert_interrupted_run_resumes_identically(tmp_path, fixture_with_line_breaks)
         log = (tmp_path / "resumed" / "audit.jsonl").read_text(encoding="utf-8")
         assert "\u2028" in log and "\u0085" in log
+
+
+def _file_states(run_dir: Path) -> dict[str, tuple[bytes, int, int]]:
+    """Name -> (bytes, inode, mtime in ns) of every file in a run directory."""
+    return {
+        p.name: (p.read_bytes(), p.stat().st_ino, p.stat().st_mtime_ns)
+        for p in sorted(run_dir.iterdir())
+    }
+
+
+def _committed_prefix(path: Path, count: int) -> bytes:
+    with open(path, "rb") as log_file:
+        return b"".join(islice(log_file, count))
+
+
+class _DownChat:
+    def complete(self, prompt):
+        raise ProviderError("chat is down")
+
+
+class TestResumeWritesOnlyWhatTheFaultLost:
+    def test_provider_failure_writes_nothing(self, tmp_path):
+        boundaries, snapshots = [], []
+
+        class SnapshottingRunner(Runner):
+            def _checkpoint(self, state):
+                super()._checkpoint(state)
+                boundaries.append((state.stage, state.iteration))
+                snapshots.append(_file_states(self.run_dir))
+
+        fixture = load_fixture(DEMO_FIXTURE)
+        providers = fixture.providers()
+        _cut_after_first_pass(providers)
+        run_dir = tmp_path / "run"
+        runner = SnapshottingRunner(RunConfig.from_dict(fixture.config), providers, run_dir)
+        with pytest.raises(ProviderError):
+            runner.start(fixture.root_query)
+        # Checkpoints commit start, init and the first pass; the failure takes none.
+        assert boundaries == [("init", 0), ("loop", 0), ("loop", 1)]
+        assert _file_states(run_dir) == snapshots[-1]
+
+    def test_resume_cuts_the_uncommitted_tail_in_place(self, tmp_path):
+        run_dir = tmp_path / "run"
+        crash_demo_run(run_dir)
+        _add_uncommitted_tail(run_dir)
+        doc = json.loads((run_dir / "state.json").read_text(encoding="utf-8"))
+        counts = {"audit.jsonl": doc["audit_records"], "bank.jsonl": doc["bank_units"]}
+        prefixes = {name: _committed_prefix(run_dir / name, n) for name, n in counts.items()}
+        inodes = {name: (run_dir / name).stat().st_ino for name in counts}
+        for name, prefix in prefixes.items():
+            assert len(prefix) < (run_dir / name).stat().st_size
+
+        # A resume that fails on its first chat call has cut each log, and written nothing else.
+        providers = load_fixture(DEMO_FIXTURE).providers()
+        providers.chat = _DownChat()
+        with pytest.raises(ProviderError):
+            Runner(RunConfig(), providers, run_dir).resume()
+        for name, prefix in prefixes.items():
+            assert (run_dir / name).read_bytes() == prefix
+            assert (run_dir / name).stat().st_ino == inodes[name]
+
+        state = _demo_runner(run_dir).resume()
+        assert state.stage == "done"
+        for name, prefix in prefixes.items():
+            assert (run_dir / name).read_bytes().startswith(prefix)
+            assert (run_dir / name).stat().st_ino == inodes[name]
+        assert not list(run_dir.glob("*.tmp"))
+
+    def test_resume_of_a_finished_run_writes_nothing(self, tmp_path):
+        run_dir = tmp_path / "run"
+        runner = _demo_runner(run_dir)
+        runner.start(load_fixture(DEMO_FIXTURE).root_query)
+        before = _file_states(run_dir)
+        assert runner.resume().stage == "done"
+        assert _file_states(run_dir) == before
+
+    def test_committed_line_that_lost_its_newline_gets_it_back(self, tmp_path):
+        _demo_runner(tmp_path / "clean").start(load_fixture(DEMO_FIXTURE).root_query)
+        run_dir = tmp_path / "resumed"
+        crash_demo_run(run_dir)
+        doc = json.loads((run_dir / "state.json").read_text(encoding="utf-8"))
+        prefix = _committed_prefix(run_dir / "audit.jsonl", doc["audit_records"])
+        (run_dir / "audit.jsonl").write_bytes(prefix[:-1])
+        assert _demo_runner(run_dir).resume().stage == "done"
+        assert dir_snapshot(tmp_path / "clean") == dir_snapshot(run_dir)
 
 
 class TestCheckpointCostsWhatChanged:
