@@ -77,7 +77,6 @@ class ChainConfig:
 
 @dataclass
 class SearchChain:
-    kind: str  # "enrich" | "explore"
     basis: str  # enrichment | similarity | block_probability | block_entropy | structural_hole
     source_id: str
     target_id: str
@@ -85,6 +84,11 @@ class SearchChain:
     score: float
     edge_id: str | None = None
     chain_id: str | None = None
+
+    @property
+    def kind(self) -> str:
+        """"enrich" for an enrichment chain, "explore" for every other family."""
+        return "enrich" if self.basis == "enrichment" else "explore"
 
     def to_dict(self) -> dict:
         return {
@@ -172,7 +176,6 @@ def rank_enrich(
         e = kg.edges[eid]
         chains.append(
             SearchChain(
-                kind="enrich",
                 basis="enrichment",
                 source_id=e.source_id,
                 target_id=e.target_id,
@@ -292,7 +295,6 @@ def explore_similarity(kg: KnowledgeGraph, quota: int | None = None) -> list[Sea
         candidates = candidates[:quota]
     return [
         SearchChain(
-            kind="explore",
             basis="similarity",
             source_id=cores[i],
             target_id=concepts[j],
@@ -380,7 +382,6 @@ def explore_block(
 
     return [
         SearchChain(
-            kind="explore",
             basis=basis,
             source_id=a,
             target_id=b,
@@ -442,7 +443,6 @@ def explore_structural_holes(
     candidates.sort(key=lambda t: (-t[0], t[1], t[2]))
     return [
         SearchChain(
-            kind="explore",
             basis="structural_hole",
             source_id=a,
             target_id=b,

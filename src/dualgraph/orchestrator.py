@@ -7,11 +7,17 @@ stop. The outline-only variant revises the outline first, generates queries
 from it, searches, and checks the early stop; it never touches a knowledge
 graph.
 
+Each fact of a run has one home, the run state, and nothing keeps a second
+copy: phases read the config from ``state.config``, whether the run stopped is
+the last early-stop report's verdict, and the thresholds behind that verdict
+are the config's.
+
 State is checkpointed at iteration boundaries only. run_iteration is
 functional (state in, new state out), so a provider failure mid-iteration
 loses nothing but in-flight work, writes no file (the state it interrupted is
 already committed), and a resumed run converges to the same bytes as an
-uninterrupted one.
+uninterrupted one. ``Runner._drive`` holds one state object: init_run and
+write_report change it in place, and only run_iteration clones.
 
 Phases change a state in place in three ways only: they append to its four
 lists (executed queries, early-stop history, events, audit), add units to its
@@ -54,7 +60,14 @@ from .kg import (
     detect_communities,
     merge_nodes,
 )
-from .outline import OutlineGraph, OutlineError, apply_revision, parse_outline, render_outline
+from .outline import (
+    OutlineError,
+    OutlineGraph,
+    apply_revision,
+    check_citations,
+    parse_outline,
+    render_outline,
+)
 from .providers.base import FetchError, Providers
 from .providers import parsers
 from .providers.parsers import ParseError
@@ -82,11 +95,11 @@ REPORT_FILE = "report.md"
 BANK_FILE = "bank.json"  # the final bank, beside the report
 AUDIT_LOG = "audit.jsonl"
 BANK_LOG = "bank.jsonl"
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 _LOGS = (AUDIT_LOG, BANK_LOG)  # append-only; state.json commits each by count
 # Every key RunState.to_dict writes besides format_version.
 _STATE_KEYS = (
-    "root_query", "config", "stage", "iteration", "stopped", "executed_queries",
+    "root_query", "config", "stage", "iteration", "executed_queries",
     "early_stop_history", "events", "audit_records", "bank_units",
 )
 
@@ -173,15 +186,14 @@ class RunConfig:
 @dataclass
 class EarlyStopReport:
     scores: dict[str, float]
-    thresholds: dict[str, float]
-    stop: bool
+    stop: bool  # every score at its threshold in the run's config
 
     def to_dict(self) -> dict:
-        return {"scores": dict(self.scores), "thresholds": dict(self.thresholds), "stop": self.stop}
+        return {"scores": dict(self.scores), "stop": self.stop}
 
     @classmethod
     def from_dict(cls, d: dict) -> "EarlyStopReport":
-        return cls(scores=dict(d["scores"]), thresholds=dict(d["thresholds"]), stop=bool(d["stop"]))
+        return cls(scores=dict(d["scores"]), stop=bool(d["stop"]))
 
 
 @dataclass
@@ -190,7 +202,6 @@ class RunState:
     config: RunConfig
     stage: str = "init"  # init | loop | done
     iteration: int = 0  # completed loop passes
-    stopped: bool = False
     og: OutlineGraph | None = None
     kg: KnowledgeGraph | None = None
     bank: EvidenceBank = field(default_factory=EvidenceBank)
@@ -204,6 +215,11 @@ class RunState:
     _outline_memo: tuple[OutlineGraph, str] | None = field(
         default=None, repr=False, compare=False
     )
+
+    @property
+    def stopped(self) -> bool:
+        """Whether the last early-stop report says stop."""
+        return bool(self.early_stop_history) and self.early_stop_history[-1].stop
 
     def outline_text(self) -> str:
         """The wire text of the current outline, rendered once per outline object."""
@@ -233,7 +249,6 @@ class RunState:
             "config": self.config.to_dict(),
             "stage": self.stage,
             "iteration": self.iteration,
-            "stopped": self.stopped,
             "executed_queries": list(self.executed_queries),
             "early_stop_history": [r.to_dict() for r in self.early_stop_history],
             "events": list(self.events),
@@ -266,7 +281,6 @@ class RunState:
             config=RunConfig.from_dict(doc["config"]),
             stage=doc["stage"],
             iteration=doc["iteration"],
-            stopped=bool(doc["stopped"]),
             executed_queries=list(doc["executed_queries"]),
             early_stop_history=[EarlyStopReport.from_dict(r) for r in doc["early_stop_history"]],
             events=list(doc["events"]),
@@ -372,6 +386,11 @@ def dedup_queries(
     return kept
 
 
+def _executed_block(state: RunState) -> str:
+    """The executed queries, one per line, as every query-writing prompt shows them."""
+    return "\n".join(state.executed_queries) or "(none)"
+
+
 # -- retrieval pipeline ------------------------------------------------
 
 
@@ -387,7 +406,6 @@ def _format_results(results) -> str:
 def run_search_pipeline(
     state: RunState,
     providers: Providers,
-    config: RunConfig,
     queries: list[str],
     iteration: int,
 ) -> dict[str, list[int]]:
@@ -399,7 +417,7 @@ def run_search_pipeline(
     new_by_query: dict[str, list[int]] = {}
     for query in queries:
         new_ids: list[int] = []
-        results = providers.search.search(query, config.urls_per_query)
+        results = providers.search.search(query, state.config.urls_per_query)
         if results:
             prompt = parsers.render(
                 "filter_urls",
@@ -452,17 +470,16 @@ def run_search_pipeline(
 # -- query generation --------------------------------------------------
 
 
-def gen_queries_from_og(
-    state: RunState, providers: Providers, config: RunConfig, pending: list[str]
-) -> list[str]:
+def gen_queries_from_og(state: RunState, providers: Providers, pending: list[str]) -> list[str]:
     assert state.og is not None
+    budget = state.config.og_query_budget
     prompt = parsers.render(
         "generate_queries",
         {
-            "QUERY_NUM": str(config.og_query_budget),
+            "QUERY_NUM": str(budget),
             "ROOT_QUERY": state.root_query,
             "OUTLINE": state.outline_text(),
-            "EXECUTED_QUERIES": "\n".join(state.executed_queries) or "(none)",
+            "EXECUTED_QUERIES": _executed_block(state),
             "PENDING_QUERIES": "\n".join(pending) or "(none)",
         },
     )
@@ -471,7 +488,7 @@ def gen_queries_from_og(
         providers,
         "generate_queries",
         prompt,
-        lambda text: parsers.parse_query_lines(text, config.og_query_budget),
+        lambda text: parsers.parse_query_lines(text, budget),
         1,
     )
 
@@ -496,12 +513,13 @@ def _embed_missing(kg: KnowledgeGraph, embed) -> None:
 
 
 def gen_queries_from_kg(
-    state: RunState, providers: Providers, config: RunConfig
+    state: RunState, providers: Providers
 ) -> tuple[list[str], list[SearchChain], list[str]]:
     """Build chains, have the provider select some, return aligned queries."""
     assert state.kg is not None and state.og is not None
     if len(state.kg) == 0:
         return [], [], []
+    config = state.config
     _embed_missing(state.kg, providers.embed.embed)
     partition = _partition_from_nodes(state.kg, config.seed)
     chains = build_search_chains(
@@ -518,6 +536,7 @@ def gen_queries_from_kg(
             "CHAIN_NUM": str(config.kg_query_budget),
             "ROOT_QUERY": state.root_query,
             "OUTLINE": state.outline_text(),
+            "EXECUTED_QUERIES": _executed_block(state),
             "KG_PAYLOAD": json.dumps(state.kg.to_prompt_payload(), ensure_ascii=False),
             "CANDIDATE_CHAINS": format_chains_for_prompt(chains, state.kg),
         },
@@ -557,7 +576,6 @@ def _flatten(text: str) -> str:
 def update_kg(
     state: RunState,
     providers: Providers,
-    config: RunConfig,
     new_by_query: dict[str, list[int]],
 ) -> None:
     """Extraction per query, concept merge, clustering, community detection."""
@@ -613,7 +631,7 @@ def update_kg(
     if ids:
         _embed_missing(kg, providers.embed.embed)
         clusters = cluster_semantic(kg)
-        partition = detect_communities(kg, seed=config.seed)
+        partition = detect_communities(kg, seed=state.config.seed)
         for nid in ids:
             kg.nodes[nid].cluster_id = clusters[nid]
             kg.nodes[nid].community_id = partition.assignment[nid]
@@ -623,7 +641,7 @@ def update_kg(
 # -- outline update ----------------------------------------------------
 
 
-def update_og(state: RunState, providers: Providers, config: RunConfig) -> None:
+def update_og(state: RunState, providers: Providers) -> None:
     """Revise the outline against all not-yet-cited evidence."""
     assert state.og is not None
     cited = state.og.all_citations()
@@ -687,7 +705,7 @@ def evaluate_early_stop(
         scores["support"] = 0.0
     thresholds = config.early_stop_thresholds
     stop = all(scores[dim] >= thresholds[dim] for dim in parsers.SCORE_DIMENSIONS)
-    return EarlyStopReport(scores=scores, thresholds=dict(thresholds), stop=stop)
+    return EarlyStopReport(scores=scores, stop=stop)
 
 
 # -- report ------------------------------------------------------------
@@ -734,47 +752,50 @@ def write_report(state: RunState, providers: Providers) -> str:
 
 def init_run(state: RunState, providers: Providers) -> None:
     """Create the outline, run the first retrieval round, build the graph."""
-    config = state.config
     state.events.append("init:create_outline")
     prompt = parsers.render("create_outline", {"ROOT_QUERY": state.root_query})
-    state.og = _chat_parsed(state, providers, "create_outline", prompt, parse_outline)
+
+    def parse_created(text: str) -> OutlineGraph:
+        return check_citations(parse_outline(text), state.bank)
+
+    state.og = _chat_parsed(state, providers, "create_outline", prompt, parse_created)
 
     state.events.append("init:gen_from_og")
-    queries = gen_queries_from_og(state, providers, config, pending=[])
+    queries = gen_queries_from_og(state, providers, pending=[])
     queries = dedup_queries(queries, state.executed_queries, providers.embed.embed)
     state.events.append("init:search")
-    new_by_query = run_search_pipeline(state, providers, config, queries, iteration=0)
+    new_by_query = run_search_pipeline(state, providers, queries, iteration=0)
 
-    if config.variant is Variant.DUAL_GRAPH:
+    if state.config.variant is Variant.DUAL_GRAPH:
         state.events.append("init:build_kg")
         state.kg = KnowledgeGraph()
-        update_kg(state, providers, config, new_by_query)
+        update_kg(state, providers, new_by_query)
     state.stage = "loop"
 
 
-def run_iteration(state: RunState, config: RunConfig, providers: Providers) -> RunState:
+def run_iteration(state: RunState, providers: Providers) -> RunState:
     """Execute one loop pass; returns the next state, input untouched."""
-    if state.iteration >= config.max_iter:
+    if state.iteration >= state.config.max_iter:
         raise ValueError("run already at max_iter")
     if state.stopped:
         raise ValueError("run already stopped")
     s = state.clone()
     t = s.iteration
-    if config.variant is Variant.DUAL_GRAPH:
+    if s.config.variant is Variant.DUAL_GRAPH:
         s.events.append(f"iter{t}:gen_from_kg")
-        kg_queries, chains, selected = gen_queries_from_kg(s, providers, config)
+        kg_queries, chains, selected = gen_queries_from_kg(s, providers)
         og_queries: list[str] = []
         if t > 0:
             s.events.append(f"iter{t}:gen_from_og")
-            og_queries = gen_queries_from_og(s, providers, config, pending=kg_queries)
+            og_queries = gen_queries_from_og(s, providers, pending=kg_queries)
         s.events.append(f"iter{t}:dedup")
         queries = dedup_queries(kg_queries + og_queries, s.executed_queries, providers.embed.embed)
         s.events.append(f"iter{t}:search")
-        new_by_query = run_search_pipeline(s, providers, config, queries, iteration=t + 1)
+        new_by_query = run_search_pipeline(s, providers, queries, iteration=t + 1)
         s.events.append(f"iter{t}:update_kg")
-        update_kg(s, providers, config, new_by_query)
+        update_kg(s, providers, new_by_query)
         s.events.append(f"iter{t}:update_og")
-        update_og(s, providers, config)
+        update_og(s, providers)
         s.chain_record = {
             "candidates": [c.to_dict() for c in chains],
             "selected": selected,
@@ -782,19 +803,17 @@ def run_iteration(state: RunState, config: RunConfig, providers: Providers) -> R
         }
     else:
         s.events.append(f"iter{t}:update_og")
-        update_og(s, providers, config)
+        update_og(s, providers)
         s.events.append(f"iter{t}:gen_from_og")
-        raw = gen_queries_from_og(s, providers, config, pending=[])
+        raw = gen_queries_from_og(s, providers, pending=[])
         s.events.append(f"iter{t}:dedup")
         queries = dedup_queries(raw, s.executed_queries, providers.embed.embed)
         s.events.append(f"iter{t}:search")
-        run_search_pipeline(s, providers, config, queries, iteration=t + 1)
+        run_search_pipeline(s, providers, queries, iteration=t + 1)
 
     if t >= 1:
         s.events.append(f"iter{t}:early_stop")
-        verdict = evaluate_early_stop(s, providers, config)
-        s.early_stop_history.append(verdict)
-        s.stopped = verdict.stop
+        s.early_stop_history.append(evaluate_early_stop(s, providers, s.config))
     s.iteration = t + 1
     return s
 
@@ -912,25 +931,22 @@ class Runner:
         return self._drive(state)
 
     def _drive(self, state: RunState) -> RunState:
-        # `state` always names the last committed boundary; phases that mutate in
-        # place work on a clone, so a provider failure leaves nothing to write.
+        # One state object, changed in place by init_run and write_report. A
+        # provider failure writes nothing, and nothing reads the state it
+        # interrupted: the files already hold the last committed boundary.
         if state.stage == "init":
-            working = state.clone()
-            init_run(working, self.providers)
-            state = working
+            init_run(state, self.providers)
             self._checkpoint(state)
         while (
             state.stage == "loop"
             and not state.stopped
             and state.iteration < state.config.max_iter
         ):
-            state = run_iteration(state, state.config, self.providers)
+            state = run_iteration(state, self.providers)
             self._checkpoint(state)
         if state.stage == "loop":
-            working = state.clone()
-            write_report(working, self.providers)
-            working.stage = "done"
-            state = working
+            write_report(state, self.providers)
+            state.stage = "done"
             self._checkpoint(state)
         return state
 

@@ -35,6 +35,7 @@ __all__ = [
     "OutlineGraph",
     "parse_outline",
     "render_outline",
+    "check_citations",
     "apply_revision",
 ]
 
@@ -231,6 +232,18 @@ def render_outline(og: OutlineGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def check_citations(og: OutlineGraph, bank: EvidenceBank) -> OutlineGraph:
+    """``og`` itself; citing an id the bank does not hold is a validation error."""
+    for node in og.walk():
+        for ev_id in node.citations:
+            if ev_id not in bank:
+                raise OutlineValidationError(
+                    f"outline cites unknown evidence {citation_token(ev_id)} "
+                    f"on node {node.number}"
+                )
+    return og
+
+
 def apply_revision(
     og_old: OutlineGraph,
     revised_text: str,
@@ -245,15 +258,7 @@ def apply_revision(
     shallower node, then earlier document order. Citing an id the bank never
     issued is a validation error.
     """
-    og_new = parse_outline(revised_text)
-    for node in og_new.walk():
-        for ev_id in node.citations:
-            if ev_id not in bank:
-                raise OutlineValidationError(
-                    f"revision cites unknown evidence {citation_token(ev_id)} "
-                    f"on node {node.number}"
-                )
-
+    og_new = check_citations(parse_outline(revised_text), bank)
     new_ids = og_new.all_citations()
     # First former host in document order anchors the similarity match.
     lost: dict[int, str] = {}

@@ -273,11 +273,13 @@ class SimChatProvider:
     Dispatches on fixed phrases of the rendered templates, reads the labeled
     blocks of the prompt, and answers from the world. Extraction is perfect:
     every marker in the evidence becomes a node pair and an edge.
+
+    An answer is a function of the world and the prompt alone, so a resumed
+    run's fresh provider answers exactly as the interrupted one would have.
     """
 
     def __init__(self, world: World):
         self.world = world
-        self._proposed_chain_queries: set[str] = set()
 
     def complete(self, prompt: str) -> str:
         if "Draft the outline of a deep-dive report" in prompt:
@@ -397,15 +399,19 @@ class SimChatProvider:
         # Hypothesized relations probe unvisited territory; verified-but-weak
         # edges mostly re-fetch known documents. Explore first.
         candidates.sort(key=lambda c: 0 if c[1] == "explore" else 1)
+        # A query with the words of an executed one, a swapped pair included,
+        # would only be dropped by the engine's dedup, so it is not proposed.
+        taken = {frozenset(q.split()) for q in parts["Executed Search Queries"].splitlines()}
         chains: list[str] = []
         queries: list[str] = []
         for cid, _, src, rel, tgt in candidates:
             if len(chains) >= budget:
                 break
             query = f"{src} {tgt} {rel}"
-            if query in self._proposed_chain_queries:
+            words = frozenset(query.split())
+            if words in taken:
                 continue
-            self._proposed_chain_queries.add(query)
+            taken.add(words)
             chains.append(cid)
             queries.append(query)
         return json.dumps({"chains": chains, "search queries": queries})
@@ -585,7 +591,7 @@ def run_sim(
     init_run(state, providers)
     curve = {0: bank_coverage(state.bank, world)}
     while not state.stopped and state.iteration < config.max_iter:
-        state = run_iteration(state, config, providers)
+        state = run_iteration(state, providers)
         curve[state.iteration] = bank_coverage(state.bank, world)
     return SimRunResult(state=state, coverage_by_iteration=curve)
 

@@ -9,7 +9,7 @@ import pytest
 from dualgraph.cli import main
 from dualgraph.providers.parsers import SCORE_DIMENSIONS
 
-from .builders import crash_demo_run
+from .builders import DEMO_FIXTURE, crash_demo_run
 
 LIVE_VARS = ("DUALGRAPH_CHAT_API_KEY", "DUALGRAPH_SEARCH_API_KEY")
 
@@ -142,6 +142,17 @@ class TestRun:
         assert code == 1
         assert "variant" in capsys.readouterr().err
 
+    def test_created_outline_citing_evidence_is_a_parse_error(self, tmp_path, capsys):
+        doc = json.loads(DEMO_FIXTURE.read_text(encoding="utf-8"))
+        create = doc["chat_script"][0]
+        assert create["match"] == ["Draft the outline of a deep-dive report"]
+        title, first, rest = create["responses"][0].split("\n", 2)
+        create["responses"] = [f"{title}\n{first} <citation>id_7</citation>\n{rest}"] * 3
+        fixture = tmp_path / "citing.json"
+        fixture.write_text(json.dumps(doc), encoding="utf-8")
+        assert _run_demo(tmp_path / "run", "--fixture", str(fixture)) == 2
+        assert "create_outline" in capsys.readouterr().err
+
     def test_missing_fixture_is_usage_error(self, tmp_path):
         assert _run_demo(tmp_path / "run", "--fixture", str(tmp_path / "no.json")) == 1
 
@@ -240,7 +251,7 @@ class TestResume:
     def test_old_format_version_is_rejected(self, demo_run, capsys):
         path = demo_run / "state.json"
         doc = json.loads(path.read_text(encoding="utf-8"))
-        for version in (1, 2, 3, 4):
+        for version in (1, 2, 3, 4, 5):
             doc["format_version"] = version
             path.write_text(json.dumps(doc), encoding="utf-8")
             assert main(["resume", "--run-dir", str(demo_run)]) == 1

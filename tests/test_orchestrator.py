@@ -291,7 +291,7 @@ class TestRunSearchPipeline:
         ]
         providers = _pipeline_providers("q1", results, pages, chat)
         state = _fresh_state(_config(urls_per_query=3))
-        new = run_search_pipeline(state, providers, state.config, ["q1"], iteration=0)
+        new = run_search_pipeline(state, providers, ["q1"], iteration=0)
         # Index 1 was filtered out; index 2 fetched but judged useless.
         assert new == {"q1": [1]}
         assert state.bank.get(1).url == "https://s.test/0"
@@ -307,7 +307,7 @@ class TestRunSearchPipeline:
         providers = _pipeline_providers("q1", results, {}, chat)
         state = _fresh_state(_config())
         state.bank.add("https://s.test/0", "t", "old", "s", "c", 0)
-        new = run_search_pipeline(state, providers, state.config, ["q1"], iteration=1)
+        new = run_search_pipeline(state, providers, ["q1"], iteration=1)
         assert new == {"q1": []}
         assert providers.fetch.calls == []
 
@@ -326,7 +326,7 @@ class TestRunSearchPipeline:
         ]
         providers = _pipeline_providers("q1", results, pages, chat)
         state = _fresh_state(_config())
-        new = run_search_pipeline(state, providers, state.config, ["q1"], iteration=0)
+        new = run_search_pipeline(state, providers, ["q1"], iteration=0)
         assert new == {"q1": [1]}
         assert state.bank.get(1).url == "https://s.test/ok"
 
@@ -345,7 +345,7 @@ class TestRunSearchPipeline:
         ]
         providers = _pipeline_providers("q1", results, pages, chat)
         state = _fresh_state(_config())
-        new = run_search_pipeline(state, providers, state.config, ["q1"], iteration=0)
+        new = run_search_pipeline(state, providers, ["q1"], iteration=0)
         assert new == {"q1": [1]}
         filter_calls = [a for a in state.audit if a["name"] == "filter_urls"]
         assert len(filter_calls) == 2
@@ -899,19 +899,18 @@ class TestEmbedOnce:
         state = _graph_state("battery cost", "pumped hydro")
         embed = _RecordingEmbed(HashEmbeddingProvider(dim=8))
         providers = _kg_providers(embed, _NO_MERGE)
-        update_kg(state, providers, state.config, {})
+        update_kg(state, providers, {})
         assert embed.texts(None) == [["grid storage", "battery cost", "pumped hydro"]]
-        update_kg(state, providers, state.config, {"q": []})
+        update_kg(state, providers, {"q": []})
         assert len(embed.batches) == 1
         assert all(n.embedding is not None for n in state.kg.nodes.values())
 
     def test_node_renamed_by_a_merge_is_embedded_again(self):
         state = _graph_state("battery cost", "battery price", "pumped hydro")
         embed = _RecordingEmbed(HashEmbeddingProvider(dim=8))
-        update_kg(state, _kg_providers(embed, _NO_MERGE), state.config, {})
+        update_kg(state, _kg_providers(embed, _NO_MERGE), {})
         update_kg(
-            state, _kg_providers(embed, _merge_response(["n2", "n3"], "battery economics")),
-            state.config, {},
+            state, _kg_providers(embed, _merge_response(["n2", "n3"], "battery economics")), {}
         )
         assert [n.name for n in state.kg.nodes.values()] == [
             "grid storage", "battery economics", "pumped hydro"
@@ -936,7 +935,7 @@ class TestEmbedOnce:
                 finally:
                     embed.phase = None
             monkeypatch.setattr(orchestrator, name, tagged)
-        after = run_iteration(loaded, loaded.config, providers)
+        after = run_iteration(loaded, providers)
 
         before = loaded.kg.nodes
         assert embed.texts("gen_queries_from_kg") == [
@@ -990,7 +989,7 @@ def _extract(state: RunState, query: str, triples) -> int:
         fetch=FixtureFetchProvider({}),
         embed=HashEmbeddingProvider(dim=8),
     )
-    update_kg(state, providers, state.config, {query: [ev_id]})
+    update_kg(state, providers, {query: [ev_id]})
     return ev_id
 
 
@@ -1043,7 +1042,7 @@ class TestExtractionReferences:
         """update_kg over one new unit, with scripted extraction responses."""
         ev_id = state.bank.add("https://example.org/q", "q", "q", "summary", "", 1)
         entry = ScriptEntry(match=["# Search Query\nq\n"], responses=responses)
-        update_kg(state, _pipeline_providers("q", [], {}, [entry]), state.config, {"q": [ev_id]})
+        update_kg(state, _pipeline_providers("q", [], {}, [entry]), {"q": [ev_id]})
         return ev_id
 
     @pytest.mark.parametrize("reference", _ABSENT_REFERENCES)
@@ -1084,7 +1083,7 @@ def _demo_state(after: str) -> RunState:
     state = RunState(root_query=fixture.root_query, config=RunConfig.from_dict(fixture.config))
     init_run(state, providers)
     if after == "run_iteration":
-        state = run_iteration(state, state.config, providers)
+        state = run_iteration(state, providers)
     return state
 
 
@@ -1099,7 +1098,7 @@ class TestRunStateClone:
         neighbors = state.kg.neighbors(first)
         clone = state.clone()
         clone.executed_queries.append("clone query")
-        clone.early_stop_history.append(EarlyStopReport({}, {}, False))
+        clone.early_stop_history.append(EarlyStopReport({}, False))
         clone.events.append("clone:event")
         clone.audit.append({"call": len(clone.audit), "name": "clone"})
         assert clone.bank.add("https://clone.test/new", "t", "q", "s", "c", 9) is not None
@@ -1129,7 +1128,7 @@ class TestRunIterationLeavesItsInputAlone:
         steps = 0
         while not state.stopped and state.iteration < state.config.max_iter:
             seen = _observable(state)
-            after = run_iteration(state, state.config, providers)
+            after = run_iteration(state, providers)
             assert _observable(state) == seen
             assert after.iteration == state.iteration + 1
             assert len(after.audit) > len(state.audit)
@@ -1304,3 +1303,138 @@ class TestRevisionWithBadCitationToken:
     def test_bad_answers_on_every_attempt_end_in_a_parse_error(self, tmp_path):
         with pytest.raises(ParseError, match="revise_outline"):
             self._run(tmp_path / "run", bad=10**6)
+
+
+class _CitingOutlineChat:
+    """Makes the first ``bad`` created outlines cite id_7 on their first section."""
+
+    def __init__(self, chat, bad: int):
+        self.chat, self.bad = chat, bad
+
+    def complete(self, prompt: str) -> str:
+        response = self.chat.complete(prompt)
+        if self.bad and "Draft the outline of a deep-dive report" in prompt:
+            self.bad -= 1
+            title, first, rest = response.split("\n", 2)
+            response = f"{title}\n{first} <citation>id_7</citation>\n{rest}"
+        return response
+
+
+class TestCreatedOutlineCitingEvidence:
+    @staticmethod
+    def _run(run_dir, bad: int) -> RunState:
+        config, providers, root_query = _small_sim()
+        providers = replace(providers, chat=_CitingOutlineChat(providers.chat, bad))
+        return Runner(config, providers, run_dir).start(root_query)
+
+    def test_one_citing_answer_is_re_asked_and_the_run_completes(self, tmp_path):
+        clean = self._run(tmp_path / "clean", bad=0)
+        state = self._run(tmp_path / "run", bad=1)
+        assert state.stage == "done"
+        rejected, retried = state.audit[0], state.audit[1]
+        assert rejected["name"] == retried["name"] == "create_outline"
+        assert "<citation>id_7</citation>" in rejected["response"]
+        assert retried["prompt"] == rejected["prompt"]
+        assert retried["response"] == clean.audit[0]["response"]
+        assert len(state.audit) == len(clean.audit) + 1
+        assert state.outline_text() == clean.outline_text()
+        assert state.bank.to_document() == clean.bank.to_document()
+
+    def test_citing_answers_on_every_attempt_end_in_a_parse_error(self, tmp_path):
+        with pytest.raises(ParseError, match="create_outline"):
+            self._run(tmp_path / "run", bad=10**6)
+        assert Runner(RunConfig(), None, tmp_path / "run").load_state().stage == "init"
+
+
+class _StopWatchingRunner(Runner):
+    """Records, at every checkpoint, the state's stop flag and its last report's."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.flags: list[tuple[bool, bool]] = []
+
+    def _checkpoint(self, state):
+        history = state.early_stop_history
+        self.flags.append((state.stopped, bool(history) and history[-1].stop))
+        super()._checkpoint(state)
+
+
+class TestStopFlagIsDerived:
+    @staticmethod
+    def _run(run_dir) -> tuple[_StopWatchingRunner, RunState]:
+        world = generate_world(seed=1, n_communities=2, cores_per_community=1,
+                               concepts_per_community=2)
+        config = RunConfig(max_iter=6, og_query_budget=3, kg_query_budget=4, urls_per_query=6,
+                           early_stop_thresholds=90.0)
+        runner = _StopWatchingRunner(config, sim_providers(world, config.embed_dim, config.seed),
+                                     run_dir)
+        return runner, runner.start(DEFAULT_ROOT_QUERY)
+
+    def test_stopped_follows_the_last_report_at_every_checkpoint(self, tmp_path):
+        runner, state = self._run(tmp_path / "run")
+        assert state.stopped and state.iteration < state.config.max_iter
+        assert [derived for derived, _ in runner.flags] == [last for _, last in runner.flags]
+        assert runner.flags[0] == (False, False) and runner.flags[-1] == (True, True)
+        assert runner.load_state().stopped
+
+    def test_state_json_keeps_no_stop_flag_or_thresholds(self, tmp_path):
+        self._run(tmp_path / "run")
+        doc = json.loads((tmp_path / "run" / "state.json").read_text(encoding="utf-8"))
+        assert doc["format_version"] == 6
+        assert "stopped" not in doc
+        assert doc["early_stop_history"]
+        for report in doc["early_stop_history"]:
+            assert set(report) == {"scores", "stop"}
+        assert doc["early_stop_history"][-1]["stop"] is True
+        assert [f.name for f in fields(EarlyStopReport)] == ["scores", "stop"]
+        assert "stopped" not in {f.name for f in fields(RunState)}
+
+    def test_a_stopped_state_runs_no_further_pass(self):
+        state = RunState(root_query="q", config=RunConfig())
+        assert not state.stopped
+        state.early_stop_history.append(EarlyStopReport({}, True))
+        assert state.stopped
+        with pytest.raises(ValueError, match="stopped"):
+            run_iteration(state, None)
+        state.early_stop_history.append(EarlyStopReport({}, False))
+        assert not state.stopped
+
+
+def _block(prompt: str, heading: str) -> str:
+    return prompt.split(f"# {heading}\n", 1)[1].split("\n\n# ", 1)[0]
+
+
+class TestChainSelectionSeesExecutedQueries:
+    def test_select_chains_shows_the_executed_queries_as_generate_queries_does(self, tmp_path):
+        config, providers, root_query = _small_sim()
+        Runner(config, providers, tmp_path / "run").start(root_query)
+        with open(tmp_path / "run" / "audit.jsonl", encoding="utf-8") as log_file:
+            audit = [json.loads(line) for line in log_file]
+        compared = 0
+        for record, following in zip(audit, audit[1:]):
+            if record["name"] != "select_chains":
+                continue
+            shown = _block(record["prompt"], "Executed Search Queries")
+            assert shown != "(none)"  # the first round ran before any chain
+            # After the first pass, the pass's outline queries are written next.
+            if following["name"] == "generate_queries":
+                assert _block(following["prompt"], "Executed Search Queries") == shown
+                compared += 1
+        assert compared >= 1
+
+
+class TestDriveHoldsOneState:
+    @pytest.mark.parametrize("run", _RUNS)
+    def test_only_loop_passes_clone(self, tmp_path, monkeypatch, run):
+        cloned_at: list[int] = []
+        clone = RunState.clone
+
+        def spy(state):
+            cloned_at.append(state.iteration)
+            return clone(state)
+
+        monkeypatch.setattr(RunState, "clone", spy)
+        config, providers, root_query = _RUNS[run]()
+        state = Runner(config, providers, tmp_path / "run").start(root_query)
+        assert state.stage == "done"
+        assert cloned_at == list(range(state.iteration))

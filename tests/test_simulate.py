@@ -4,23 +4,31 @@ from __future__ import annotations
 
 import csv
 import json
+import shutil
+from dataclasses import replace
 
 import pytest
 
 from dualgraph.evidence import EvidenceBank
 from dualgraph.kg import KnowledgeGraph
-from dualgraph.orchestrator import RunConfig
+from dualgraph.orchestrator import RunConfig, Runner
 from dualgraph.outline import render_outline
+from dualgraph.providers.base import ProviderError
 from dualgraph.simulate import (
     BRIDGE_RELATION,
+    DEFAULT_ROOT_QUERY,
     MARKER_RE,
+    SimChatProvider,
     SimSearchProvider,
     bank_coverage,
     generate_world,
     kg_coverage,
     run_ablation,
     run_sim,
+    sim_providers,
 )
+
+from .builders import dir_snapshot
 
 
 class TestGenerateWorld:
@@ -215,3 +223,70 @@ class TestRunAblation:
         assert [r["seed"] for r in rows] == ["0", "1"]
         doc = json.loads((tmp_path / "ablation.json").read_text())
         assert doc["n_seeds"] == 2
+
+
+class _ChatFailingAt:
+    """Passes chat calls through and raises ProviderError on call number ``at`` (from 1)."""
+
+    def __init__(self, chat, at: int):
+        self.chat, self.at, self.calls = chat, at, 0
+
+    def complete(self, prompt: str) -> str:
+        self.calls += 1
+        if self.calls == self.at:
+            raise ProviderError(f"injected fault at chat call {self.at}")
+        return self.chat.complete(prompt)
+
+
+def _sweep_run(run_dir, variant: str, fail_at: int | None = None):
+    """A small sim run through Runner, with fresh providers; None: no fault."""
+    world = generate_world(seed=1, n_communities=2, cores_per_community=1,
+                           concepts_per_community=2)
+    config = RunConfig(max_iter=4, og_query_budget=3, kg_query_budget=4, urls_per_query=6,
+                       early_stop_thresholds=90.0, variant=variant)
+    providers = sim_providers(world, config.embed_dim, config.seed)
+    if fail_at is not None:
+        providers = replace(providers, chat=_ChatFailingAt(providers.chat, fail_at))
+    return Runner(config, providers, run_dir), world
+
+
+class TestResumeAfterAnyChatFault:
+    @pytest.mark.parametrize("variant", ["dualgraph", "outline-only"])
+    def test_every_fault_point_resumes_to_the_uninterrupted_bytes(self, tmp_path, variant):
+        runner, _ = _sweep_run(tmp_path / "clean", variant)
+        clean = runner.start(DEFAULT_ROOT_QUERY)
+        want = dir_snapshot(tmp_path / "clean")
+        names = [record["name"] for record in clean.audit]
+        if variant == "dualgraph":
+            # Faults land between chain selections of different passes.
+            assert names.count("select_chains") >= 2
+        diverged = []
+        for at in range(1, len(names) + 1):
+            run_dir = tmp_path / f"fault{at}"
+            runner, _ = _sweep_run(run_dir, variant, fail_at=at)
+            with pytest.raises(ProviderError):
+                runner.start(DEFAULT_ROOT_QUERY)
+            # A restarted process: providers that saw none of the first attempt.
+            runner, _ = _sweep_run(run_dir, variant)
+            assert runner.resume().stage == "done"
+            if dir_snapshot(run_dir) != want:
+                diverged.append((at, names[at - 1]))
+            shutil.rmtree(run_dir)
+        assert diverged == []
+
+
+class TestSimChatIsPure:
+    def test_holds_only_its_world(self):
+        world = _small_world()
+        assert vars(SimChatProvider(world)) == {"world": world}
+
+    @pytest.mark.parametrize("variant", ["dualgraph", "outline-only"])
+    def test_fresh_chat_answers_every_recorded_prompt_alike(self, tmp_path, variant):
+        runner, world = _sweep_run(tmp_path / "run", variant)
+        runner.start(DEFAULT_ROOT_QUERY)
+        with open(tmp_path / "run" / "audit.jsonl", encoding="utf-8") as log_file:
+            audit = [json.loads(line) for line in log_file]
+        fresh = SimChatProvider(world)
+        # Last prompt first: no answer may lean on an earlier call.
+        for record in reversed(audit):
+            assert fresh.complete(record["prompt"]) == record["response"], record["call"]
