@@ -23,10 +23,10 @@ from pathlib import Path
 
 from .evidence import citation_token
 from .kg import KnowledgeGraph
-from .orchestrator import ConfigError, RunConfig, Runner, STATE_FILE
+from .orchestrator import ConfigError, RunConfig, Runner, STATE_FILE, _text
 from .providers.base import ProviderError, Providers
 from .providers.mock import Fixture, load_fixture
-from .providers.parsers import ParseError
+from .providers.parsers import ParseError, _require_int
 from .simulate import run_ablation
 
 EXIT_OK = 0
@@ -172,8 +172,6 @@ def _cmd_resume(args) -> int:
     if args.providers == "live":
         _live_providers()
     run_dir = Path(args.run_dir)
-    if not (run_dir / STATE_FILE).exists():
-        raise _UsageError(f"no run to resume in {run_dir}")
     fixture = _load_fixture_arg(args.fixture)
     runner = Runner(RunConfig(), fixture.providers(), run_dir)
     state = runner.resume()
@@ -182,39 +180,24 @@ def _cmd_resume(args) -> int:
     return EXIT_OK
 
 
-def _checkpoint_file(args, stem: str, ext: str) -> tuple[Path, int]:
-    """The file of ``--iter N`` if given, else of the iteration state.json commits."""
-    run_dir = Path(args.run_dir)
+def _checkpoint_file(args, stem: str, ext: str) -> tuple[Runner, str, int]:
+    """The run directory's reader, and the file of ``--iter N`` if given, else of
+    the iteration state.json commits."""
+    runner = Runner(RunConfig(), None, args.run_dir)
     iteration = args.iteration
     if iteration is None:
-        state_path = run_dir / STATE_FILE
-        if not state_path.exists():
-            raise _UsageError(f"no run in {run_dir}")
-        try:
-            iteration = json.loads(state_path.read_text(encoding="utf-8"))["iteration"]
-        except (json.JSONDecodeError, TypeError, KeyError):
-            raise _UsageError(f"cannot read the committed iteration from {state_path}") from None
-    path = run_dir / f"{stem}_iter{iteration}.{ext}"
-    if not path.exists():
-        raise _UsageError(f"no checkpoint file {path}")
-    return path, iteration
-
-
-def _parse(path: Path, parse):
-    """``parse`` of the file's text; a file that does not parse is a usage error."""
-    text = path.read_text(encoding="utf-8")
-    try:
-        return parse(text)
-    except (ValueError, KeyError, TypeError) as exc:
-        raise _UsageError(f"{path} is damaged: {type(exc).__name__}: {exc}") from None
+        iteration = runner.read(
+            STATE_FILE, _text(lambda text: _require_int(json.loads(text)["iteration"], "iteration"))
+        )
+    return runner, f"{stem}_iter{iteration}.{ext}", iteration
 
 
 def _cmd_inspect_kg(args) -> int:
-    path, _ = _checkpoint_file(args, "kg", "json")
+    runner, name, _ = _checkpoint_file(args, "kg", "json")
     if args.json:
-        sys.stdout.write(path.read_text(encoding="utf-8"))
+        sys.stdout.write(runner.read(name, _text(str)))
         return EXIT_OK
-    kg = _parse(path, KnowledgeGraph.from_document)
+    kg = runner.read(name, _text(KnowledgeGraph.from_document))
     cores = sum(1 for n in kg.nodes.values() if n.is_core_entity)
     communities = {n.community_id for n in kg.nodes.values() if n.community_id is not None}
     clusters = {n.cluster_id for n in kg.nodes.values() if n.cluster_id is not None}
@@ -236,18 +219,18 @@ def _cmd_inspect_kg(args) -> int:
 
 
 def _cmd_inspect_og(args) -> int:
-    path, _ = _checkpoint_file(args, "outline", "txt")
-    sys.stdout.write(path.read_text(encoding="utf-8"))
+    runner, name, _ = _checkpoint_file(args, "outline", "txt")
+    sys.stdout.write(runner.read(name, _text(str)))
     sys.stdout.write("\n")
     return EXIT_OK
 
 
 def _cmd_chains(args) -> int:
-    path, iteration = _checkpoint_file(args, "chains", "json")
+    runner, name, iteration = _checkpoint_file(args, "chains", "json")
     names: dict[str, str] = {}
-    kg_path = Path(args.run_dir) / f"kg_iter{iteration - 1}.json"
-    if kg_path.exists():
-        kg = _parse(kg_path, KnowledgeGraph.from_document)
+    kg_name = f"kg_iter{iteration - 1}.json"
+    if (runner.run_dir / kg_name).exists():
+        kg = runner.read(kg_name, _text(KnowledgeGraph.from_document))
         names = {nid: node.name for nid, node in kg.nodes.items()}
 
     def render(text: str) -> list[str]:
@@ -268,7 +251,7 @@ def _cmd_chains(args) -> int:
             lines.append(f"   query for {cid}: {query}")
         return lines
 
-    print("\n".join(_parse(path, render)))
+    print("\n".join(runner.read(name, _text(render))))
     return EXIT_OK
 
 

@@ -15,6 +15,8 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field
 from urllib.parse import urlsplit, urlunsplit
 
+from .providers.parsers import _require_int, _require_str
+
 __all__ = [
     "EvidenceError",
     "EvidenceNotFoundError",
@@ -104,14 +106,15 @@ class EvidenceUnit:
 
     @classmethod
     def from_dict(cls, d: dict) -> "EvidenceUnit":
+        """Rebuild a unit from ``to_dict`` output, whose field types it checks."""
+        texts = {
+            name: _require_str(d[name], name, allow_empty=True)
+            for name in ("url", "title", "query", "summary", "content")
+        }
         return cls(
-            evidence_id=int(d["evidence_id"]),
-            url=d["url"],
-            title=d["title"],
-            query=d["query"],
-            summary=d["summary"],
-            content=d["content"],
-            iteration=int(d["iteration"]),
+            evidence_id=_require_int(d["evidence_id"], "evidence_id"),
+            iteration=_require_int(d["iteration"], "iteration"),
+            **texts,
         )
 
 

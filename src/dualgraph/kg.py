@@ -329,20 +329,28 @@ class KnowledgeGraph:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "KnowledgeGraph":
-        """Rebuild a graph from ``to_dict`` output; its ids must ascend."""
+        """Rebuild a graph from ``to_dict`` output; its ids must ascend and its
+        fields have the types ``to_dict`` writes."""
+        # Deferred: the parsers module imports this one.
+        from .providers.parsers import _require_bool, _require_int, _require_str
+
+        def optional_int(value, what: str) -> int | None:
+            return None if value is None else _require_int(value, what)
+
         g = cls()
         last_node = last_edge = 0
         for nd in doc["knowledge_nodes"]:
-            num = node_num(nd["node_id"])
+            nid = nd["node_id"]
+            num = node_num(nid)
             if num <= last_node:
-                raise DuplicateIdError(f"node id {nd['node_id']} does not follow n{last_node}")
+                raise DuplicateIdError(f"node id {nid} does not follow n{last_node}")
             last_node = num
-            g.nodes[nd["node_id"]] = KnowledgeNode(
-                node_id=nd["node_id"],
-                name=nd["knowledge"],
-                is_core_entity=bool(nd["is_core_entity"]),
-                cluster_id=nd.get("cluster_id"),
-                community_id=nd.get("community_id"),
+            g.nodes[nid] = KnowledgeNode(
+                node_id=nid,
+                name=_require_str(nd["knowledge"], f"{nid}.knowledge", allow_empty=True),
+                is_core_entity=_require_bool(nd["is_core_entity"], f"{nid}.is_core_entity"),
+                cluster_id=optional_int(nd.get("cluster_id"), f"{nid}.cluster_id"),
+                community_id=optional_int(nd.get("community_id"), f"{nid}.community_id"),
             )
         for ed in doc["knowledge_edges"]:
             _check_evidence_ids(ed["evidence_ids"], ed["edge_id"])
@@ -350,7 +358,9 @@ class KnowledgeGraph:
                 edge_id=ed["edge_id"],
                 source_id=ed["source_id"],
                 target_id=ed["target_id"],
-                relation=ed["relation_name"],
+                relation=_require_str(
+                    ed["relation_name"], f"{ed['edge_id']}.relation_name", allow_empty=True
+                ),
                 evidence_ids=set(ed["evidence_ids"]),
             )
             num = edge_num(edge.edge_id)
@@ -367,8 +377,8 @@ class KnowledgeGraph:
             g._insert(edge)
         # Counters past the largest id are legal (merges retire ids); counters
         # at or below it would reissue an id that is still in use.
-        g.next_node_num = int(doc.get("next_node_num", last_node + 1))
-        g.next_edge_num = int(doc.get("next_edge_num", last_edge + 1))
+        g.next_node_num = _require_int(doc.get("next_node_num", last_node + 1), "next_node_num")
+        g.next_edge_num = _require_int(doc.get("next_edge_num", last_edge + 1), "next_edge_num")
         if g.next_node_num <= last_node:
             raise DuplicateIdError(
                 f"next_node_num {g.next_node_num} would reissue n{last_node}"

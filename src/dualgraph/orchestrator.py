@@ -33,8 +33,13 @@ and every prompt and checkpoint that shows the outline uses that text.
 A checkpoint costs what the iteration changed: the audit records and bank
 units made since the last one are appended to ``audit.jsonl`` and
 ``bank.jsonl``, and ``state.json`` commits both logs by count. No log is ever
-rewritten: ``Runner.start`` empties both, and ``Runner.resume`` cuts each in
-place after its committed count, so a resume costs what the fault lost.
+rewritten: ``Runner.start`` deletes both, and ``Runner.resume`` cuts each in
+place where ``load_state`` stopped reading its committed lines, so a resume
+reads each log once and costs what the fault lost.
+
+``Runner.read`` is the one reader of the run directory: ``load_state``, resume
+and the CLI's inspect commands open every file through it, as bytes. A missing,
+undecodable or damaged file is a ``ConfigError`` that names it.
 """
 
 from __future__ import annotations
@@ -70,7 +75,14 @@ from .outline import (
 )
 from .providers.base import FetchError, Providers
 from .providers import parsers
-from .providers.parsers import ParseError
+from .providers.parsers import (
+    ParseError,
+    _require_bool,
+    _require_list,
+    _require_object,
+    _require_scores,
+    _require_str,
+)
 
 log = logging.getLogger(__name__)
 
@@ -193,7 +205,10 @@ class EarlyStopReport:
 
     @classmethod
     def from_dict(cls, d: dict) -> "EarlyStopReport":
-        return cls(scores=dict(d["scores"]), stop=bool(d["stop"]))
+        d = _require_object(d, "early-stop report", {"scores", "stop"})
+        return cls(
+            scores=_require_scores(d["scores"], "scores"), stop=_require_bool(d["stop"], "stop")
+        )
 
 
 @dataclass
@@ -258,7 +273,7 @@ class RunState:
 
     @classmethod
     def from_dict(cls, doc: dict, read: Callable) -> "RunState":
-        """Rebuild a checkpoint; ``read(name, parse)`` is ``parse`` of an open run-dir file.
+        """Rebuild a checkpoint; ``read(name, parse)`` is ``parse`` of a run-dir file.
 
         The files of the committed iteration never change later, and the bank
         and audit logs only grow, so a checkpoint that never committed is ignored.
@@ -276,14 +291,23 @@ class RunState:
         bad = [key for key in counts if type(doc[key]) is not int or doc[key] < 0]
         if bad:
             raise ConfigError(f"{STATE_FILE}: {bad} must be non-negative integers")
+        try:
+            config = RunConfig.from_dict(
+                _require_object(doc["config"], "config", set(RunConfig.__dataclass_fields__))
+            )
+        except ConfigError as exc:
+            raise ConfigError(f"{STATE_FILE}: {exc}") from None
         state = cls(
-            root_query=doc["root_query"],
-            config=RunConfig.from_dict(doc["config"]),
+            root_query=_require_str(doc["root_query"], "root_query", allow_empty=True),
+            config=config,
             stage=doc["stage"],
             iteration=doc["iteration"],
-            executed_queries=list(doc["executed_queries"]),
-            early_stop_history=[EarlyStopReport.from_dict(r) for r in doc["early_stop_history"]],
-            events=list(doc["events"]),
+            executed_queries=_strings(doc["executed_queries"], "executed_queries"),
+            early_stop_history=[
+                EarlyStopReport.from_dict(r)
+                for r in _require_list(doc["early_stop_history"], "early_stop_history")
+            ],
+            events=_strings(doc["events"], "events"),
         )
         units, records = doc["bank_units"], doc["audit_records"]
         if state.stage != "init":
@@ -307,14 +331,30 @@ class RunState:
         return state
 
 
+def _strings(value, what: str) -> list[str]:
+    return [_require_str(v, f"{what} entry", allow_empty=True) for v in _require_list(value, what)]
+
+
 def _text(parse: Callable) -> Callable:
-    """A parser of an open file from a parser of its text."""
-    return lambda file: parse(file.read())
+    """A parser of a file opened as bytes from a parser of its UTF-8 text.
+
+    Run-dir JSON is parsed from this text too: ``json.loads`` of bytes would
+    also take UTF-16, UTF-32 and lone surrogates, which no run writes.
+    """
+    return lambda file: parse(file.read().decode("utf-8"))
 
 
 def _head(log, count: int) -> list[dict]:
-    """The first ``count`` records of an open JSON-lines log; lines past them are not read."""
-    return list(map(json.loads, islice(log, count)))
+    """The first ``count`` records of a JSON-lines log opened as bytes; lines past
+    them are not read. The log is left where those lines end, which is one byte
+    past the file when the last one lost its newline.
+    """
+    records, line = [], b"\n"
+    for line in islice(log, count):
+        records.append(json.loads(line.decode("utf-8")))
+    if not line.endswith(b"\n"):
+        log.seek(1, os.SEEK_CUR)
+    return records
 
 
 def _document(doc) -> str:
@@ -830,6 +870,8 @@ class Runner:
         self.run_dir = Path(run_dir)
         # Entries each log holds: start and resume set the count, each append advances it.
         self._written: dict[str, int] = dict.fromkeys(_LOGS, 0)
+        # Where read's parse left each file; for a log, where its committed lines end.
+        self._read_to: dict[str, int] = {}
 
     def _replace(self, name: str, text: str) -> None:
         (self.run_dir / f"{name}.tmp").write_text(text, encoding="utf-8")
@@ -838,8 +880,8 @@ class Runner:
     def _append(self, name: str, entries: list, to_dict: Callable = lambda entry: entry) -> None:
         """Append the entries past those the log already holds, one JSON line each.
 
-        ``start`` empties both logs and ``resume`` cuts each after its committed
-        count, so a log is only ever appended to, never rewritten.
+        ``start`` deletes both logs and ``resume`` cuts each after its committed
+        lines, so a log is only ever appended to, never rewritten.
         """
         rows = [_document(to_dict(e)) for e in entries[self._written[name]:]]
         with open(self.run_dir / name, "a", encoding="utf-8") as log_file:
@@ -847,22 +889,18 @@ class Runner:
         self._written[name] = len(entries)
 
     def _cut(self, name: str, count: int) -> None:
-        """Drop a log's lines past its first ``count`` in place, found by a binary scan.
+        """Cut a log in place where ``load_state`` stopped reading its ``count`` committed lines.
 
         The committed prefix is neither re-encoded nor rewritten, and a log that
-        holds nothing past it is not opened for writing. A committed last line
-        that lost its newline gets it back, so the next append starts a line.
+        ends there is not opened for writing. A committed last line that lost its
+        newline ends one byte past the file, and gets it back so the next append
+        starts a line.
         """
         path = self.run_dir / name
-        last = b"\n"
-        with open(path, "rb") as log_file:
-            for last in islice(log_file, count):
-                pass
-            end = log_file.tell()
-            past = log_file.seek(0, os.SEEK_END) > end
-        if past:
+        end, size = self._read_to[name], path.stat().st_size
+        if size > end:
             os.truncate(path, end)
-        if not last.endswith(b"\n"):
+        elif size < end:
             with open(path, "ab") as log_file:
                 log_file.write(b"\n")
         self._written[name] = count
@@ -889,12 +927,14 @@ class Runner:
             self._replace(REPORT_FILE, state.report)
         self._replace(STATE_FILE, _document(state.to_dict()))
 
-    def _read(self, name: str, parse: Callable):
-        """``parse`` of an open run-dir file; a missing or damaged file is a ConfigError."""
+    def read(self, name: str, parse: Callable):
+        """``parse`` of a run-dir file opened as bytes; a missing, undecodable or
+        damaged file is a ConfigError that names it."""
         try:
-            # newline="\n": lines end at "\n" only and nothing is translated.
-            with open(self.run_dir / name, encoding="utf-8", newline="\n") as file:
-                return parse(file)
+            with open(self.run_dir / name, "rb") as file:
+                value = parse(file)
+                self._read_to[name] = file.tell()
+                return value
         except FileNotFoundError:
             raise ConfigError(f"run directory {self.run_dir} has no {name}") from None
         except ConfigError:  # a file that parse read in turn, named already
@@ -903,21 +943,19 @@ class Runner:
             raise ConfigError(f"{name} is damaged: {type(exc).__name__}: {exc}") from None
 
     def load_state(self) -> RunState:
-        return self._read(
-            STATE_FILE, lambda file: RunState.from_dict(json.load(file), self._read)
+        return self.read(
+            STATE_FILE, _text(lambda text: RunState.from_dict(json.loads(text), self.read))
         )
 
     def start(self, root_query: str) -> RunState:
         # A forced rerun must leave nothing of an earlier run behind. state.json
         # goes first, so no half-cleared directory still looks resumable.
         self.run_dir.mkdir(parents=True, exist_ok=True)
-        for name in (STATE_FILE, REPORT_FILE, BANK_FILE, "kg.json", "outline.txt"):
+        for name in (STATE_FILE, REPORT_FILE, BANK_FILE, "kg.json", "outline.txt", *_LOGS):
             (self.run_dir / name).unlink(missing_ok=True)
         for stem in ("outline", "kg", "chains"):
             for path in self.run_dir.glob(f"{stem}_iter[0-9]*"):
                 path.unlink()
-        for name in _LOGS:
-            (self.run_dir / name).write_bytes(b"")
         self._written = dict.fromkeys(_LOGS, 0)
         state = RunState(root_query=root_query, config=self.config)
         self._checkpoint(state)
@@ -927,7 +965,6 @@ class Runner:
         state = self.load_state()
         self._cut(AUDIT_LOG, len(state.audit))
         self._cut(BANK_LOG, len(state.bank))
-        self.config = state.config
         return self._drive(state)
 
     def _drive(self, state: RunState) -> RunState:

@@ -154,6 +154,26 @@ def _require_list(value, what: str) -> list:
     return value
 
 
+def _require_int(value, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SchemaViolation(f"{what}: expected an integer")
+    return value
+
+
+def _require_scores(value, what: str) -> dict[str, float]:
+    """The six rubric scores, each a number in 0..100, in ``SCORE_DIMENSIONS`` order."""
+    doc = _require_object(value, what, set(SCORE_DIMENSIONS))
+    out: dict[str, float] = {}
+    for dim in SCORE_DIMENSIONS:
+        score = doc[dim]
+        if isinstance(score, bool) or not isinstance(score, (int, float)):
+            raise SchemaViolation(f"{what}.{dim}: expected a number")
+        if not 0 <= score <= 100:
+            raise SchemaViolation(f"{what}.{dim}: {score} outside 0..100")
+        out[dim] = float(score)
+    return out
+
+
 def parse_extraction(
     text: str,
     existing_node_ids: set[str] | None = None,
@@ -327,8 +347,7 @@ def parse_index_selection(text: str, count: int) -> list[int]:
         raise SchemaViolation("index selection: expected a JSON array")
     out: list[int] = []
     for i, value in enumerate(doc):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise SchemaViolation(f"index selection[{i}]: expected an integer")
+        _require_int(value, f"index selection[{i}]")
         if not 0 <= value < count:
             raise SchemaViolation(
                 f"index selection[{i}]: index {value} outside 0..{count - 1}"
@@ -356,17 +375,7 @@ def parse_page_assessment(text: str) -> PageAssessment:
 
 
 def parse_scores(text: str) -> dict[str, float]:
-    doc = _load_json(text, "scores")
-    doc = _require_object(doc, "scores", set(SCORE_DIMENSIONS))
-    out: dict[str, float] = {}
-    for dim in SCORE_DIMENSIONS:
-        value = doc[dim]
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise SchemaViolation(f"scores.{dim}: expected a number")
-        if not 0 <= value <= 100:
-            raise SchemaViolation(f"scores.{dim}: {value} outside 0..100")
-        out[dim] = float(value)
-    return out
+    return _require_scores(_load_json(text, "scores"), "scores")
 
 
 def parse_query_lines(text: str, budget: int) -> list[str]:

@@ -63,6 +63,40 @@ def _set_state(key: str, value):
     return damage
 
 
+def _edit_json(edit):
+    """A damage that applies ``edit`` to a JSON document in place."""
+
+    def damage(text: str) -> str:
+        doc = json.loads(text)
+        edit(doc)
+        return json.dumps(doc)
+
+    return damage
+
+
+def _set_node(key: str, value):
+    """Set ``key`` of the first node of a graph document."""
+    return _edit_json(lambda doc: doc["knowledge_nodes"][0].update({key: value}))
+
+
+def _set_report(**report):
+    """Make the early-stop history one report."""
+    return _set_state("early_stop_history", [report])
+
+
+def _set_in_first_line(key: str, value):
+    """Set ``key`` of the first record of a JSON-lines log."""
+
+    def damage(text: str) -> str:
+        first, rest = text.split("\n", 1)
+        return json.dumps(dict(json.loads(first), **{key: value})) + "\n" + rest
+
+    return damage
+
+
+ZEROS = dict.fromkeys(SCORE_DIMENSIONS, 0)
+
+
 def _cite_absent_evidence(outline: str) -> str:
     assert "</citation>" in outline
     return outline.replace("</citation>", ", id_999</citation>", 1)
@@ -105,7 +139,72 @@ DAMAGED_FILES = {
     "resume-negative-evidence-id": ("resume", "kg_iter2.json", _cite_evidence_id(-2)),
     "resume-fractional-evidence-id": ("resume", "kg_iter2.json", _cite_evidence_id(1.5)),
     "inspect-kg-evidence-id-string": ("inspect-kg", "kg_iter2.json", _cite_evidence_id("3")),
+    "resume-executed-queries-a-string": (
+        "resume", "state.json", _set_state("executed_queries", "abc")
+    ),
+    "resume-events-an-object": ("resume", "state.json", _set_state("events", {"x": 1})),
+    "resume-event-not-a-string": ("resume", "state.json", _set_state("events", ["x", 1])),
+    "resume-stop-a-string": ("resume", "state.json", _set_report(scores=ZEROS, stop="false")),
+    "resume-score-not-a-number": (
+        "resume", "state.json", _set_report(scores={"depth": "high"}, stop=False)
+    ),
+    "resume-score-above-100": (
+        "resume", "state.json", _set_report(scores=dict(ZEROS, depth=101), stop=False)
+    ),
+    "resume-report-extra-key": (
+        "resume", "state.json", _set_report(scores=ZEROS, stop=False, x=1)
+    ),
+    "resume-root-query-a-number": ("resume", "state.json", _set_state("root_query", 5)),
+    "resume-config-lost-max-iter": (
+        "resume", "state.json", _edit_json(lambda doc: doc["config"].pop("max_iter"))
+    ),
+    "resume-config-max-iter-zero": (
+        "resume", "state.json", _edit_json(lambda doc: doc["config"].update(max_iter=0))
+    ),
+    "resume-community-id-string": ("resume", "kg_iter2.json", _set_node("community_id", "x")),
+    "inspect-kg-community-id-string": (
+        "inspect-kg", "kg_iter2.json", _set_node("community_id", "x")
+    ),
+    "resume-cluster-id-a-bool": ("resume", "kg_iter2.json", _set_node("cluster_id", True)),
+    "resume-knowledge-a-number": ("resume", "kg_iter2.json", _set_node("knowledge", 7)),
+    "inspect-kg-knowledge-a-number": ("inspect-kg", "kg_iter2.json", _set_node("knowledge", 7)),
+    "resume-core-flag-a-string": ("resume", "kg_iter2.json", _set_node("is_core_entity", "no")),
+    "inspect-kg-core-flag-a-string": (
+        "inspect-kg", "kg_iter2.json", _set_node("is_core_entity", "no")
+    ),
+    "inspect-kg-relation-a-number": (
+        "inspect-kg",
+        "kg_iter2.json",
+        _edit_json(lambda doc: doc["knowledge_edges"][0].update(relation_name=3)),
+    ),
+    "resume-next-node-num-a-string": ("resume", "kg_iter2.json", _set_state("next_node_num", "99")),
+    "inspect-kg-next-edge-num-a-float": (
+        "inspect-kg", "kg_iter2.json", _set_state("next_edge_num", 99.0)
+    ),
+    "resume-bank-url-a-number": ("resume", "bank.jsonl", _set_in_first_line("url", 7)),
+    "resume-bank-summary-a-number": ("resume", "bank.jsonl", _set_in_first_line("summary", 7)),
+    "resume-bank-iteration-a-string": (
+        "resume", "bank.jsonl", _set_in_first_line("iteration", "0")
+    ),
 }
+
+# (command, file): each command that reads the file.
+UNDECODABLE_FILES = [
+    ("inspect-og", "state.json"),
+    ("inspect-og", "outline_iter2.txt"),
+    ("inspect-kg", "state.json"),
+    ("inspect-kg", "kg_iter2.json"),
+    ("inspect-kg --json", "kg_iter2.json"),
+    ("chains", "state.json"),
+    ("chains", "chains_iter2.json"),
+    ("chains", "kg_iter1.json"),
+    ("resume", "state.json"),
+    ("resume", "outline_iter2.txt"),
+    ("resume", "kg_iter2.json"),
+    ("resume", "report.md"),
+    ("resume", "audit.jsonl"),
+    ("resume", "bank.jsonl"),
+]
 
 # A --fixture file that load_fixture cannot read.
 DAMAGED_FIXTURES = {
@@ -342,7 +441,7 @@ class TestInspect:
     def test_unreadable_state_is_a_usage_error(self, demo_run, capsys, command, damage):
         damaged = _damage_state(demo_run, damage)
         assert main([command, "--run-dir", str(demo_run)]) == 1
-        assert "cannot read the committed iteration" in capsys.readouterr().err
+        assert "state.json" in capsys.readouterr().err
         assert (demo_run / "state.json").read_text(encoding="utf-8") == damaged
 
     def test_missing_checkpoints_are_usage_errors(self, tmp_path):
@@ -362,6 +461,26 @@ class TestDamagedFiles:
         assert main([command, "--run-dir", str(demo_run)]) == 1
         assert name in capsys.readouterr().err
         assert (demo_run / "state.json").read_text(encoding="utf-8") == state
+
+    @pytest.mark.parametrize(
+        "undecodable",
+        # A byte no UTF-8 text starts with, and valid JSON or text in an
+        # encoding no run writes.
+        [lambda data: b"\xff" + data, lambda data: data.decode("utf-8").encode("utf-16")],
+        ids=["leading-0xff", "utf-16"],
+    )
+    @pytest.mark.parametrize(
+        "command, name", UNDECODABLE_FILES, ids=[" ".join(case) for case in UNDECODABLE_FILES]
+    )
+    def test_undecodable_file_exits_1_naming_it(
+        self, demo_run, capsys, command, name, undecodable
+    ):
+        path = demo_run / name
+        damaged = undecodable(path.read_bytes())
+        path.write_bytes(damaged)
+        assert main([*command.split(), "--run-dir", str(demo_run)]) == 1
+        assert f"configuration error: {name}" in capsys.readouterr().err
+        assert path.read_bytes() == damaged
 
 
 class TestInspectDefaultsToCommittedIteration:

@@ -726,6 +726,59 @@ class TestResumeWritesOnlyWhatTheFaultLost:
             assert (run_dir / name).stat().st_ino == inodes[name]
         assert not list(run_dir.glob("*.tmp"))
 
+    def test_resume_reads_each_committed_line_once(self, tmp_path, monkeypatch):
+        run_dir = tmp_path / "run"
+        crash_demo_run(run_dir)
+        _add_uncommitted_tail(run_dir)
+        doc = json.loads((run_dir / "state.json").read_text(encoding="utf-8"))
+        counts = {"audit.jsonl": doc["audit_records"], "bank.jsonl": doc["bank_units"]}
+        committed = {name: len(_committed_prefix(run_dir / name, n)) for name, n in counts.items()}
+        reads: dict[str, list[int]] = {name: [] for name in counts}  # bytes per reading open
+
+        class CountingFile:
+            def __init__(self, file, tally: list[int]):
+                self._file, self._tally = file, tally
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self._file.close()
+
+            def __iter__(self):
+                return self
+
+            def __next__(self):
+                line = next(self._file)
+                self._tally[-1] += len(line)
+                return line
+
+            def read(self, *args):
+                data = self._file.read(*args)
+                self._tally[-1] += len(data)
+                return data
+
+            def __getattr__(self, name):
+                return getattr(self._file, name)
+
+        def spy_open(path, mode="r", *args, **kwargs):
+            file = open(path, mode, *args, **kwargs)
+            tally = reads.get(Path(path).name)
+            if tally is None or "r" not in mode:
+                return file
+            tally.append(0)
+            return CountingFile(file, tally)
+
+        monkeypatch.setattr(orchestrator, "open", spy_open, raising=False)
+        providers = load_fixture(DEMO_FIXTURE).providers()
+        providers.chat = _DownChat()
+        with pytest.raises(ProviderError):
+            Runner(RunConfig(), providers, run_dir).resume()
+        # One open per log, reading its committed lines and nothing past them.
+        assert reads == {name: [size] for name, size in committed.items()}
+        for name, size in committed.items():
+            assert (run_dir / name).stat().st_size == size
+
     def test_resume_of_a_finished_run_writes_nothing(self, tmp_path):
         run_dir = tmp_path / "run"
         runner = _demo_runner(run_dir)
