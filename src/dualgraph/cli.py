@@ -26,7 +26,13 @@ from .kg import KnowledgeGraph
 from .orchestrator import ConfigError, RunConfig, Runner, STATE_FILE, _text
 from .providers.base import ProviderError, Providers
 from .providers.mock import Fixture, load_fixture
-from .providers.parsers import ParseError, _require_int
+from .providers.parsers import (
+    ParseError,
+    SchemaViolation,
+    _require_int,
+    _require_list,
+    _require_object,
+)
 from .simulate import run_ablation
 
 EXIT_OK = 0
@@ -58,7 +64,6 @@ def _build_parser() -> _ArgumentParser:
     run_p.add_argument("--providers", choices=("mock", "live"), default="mock")
     run_p.add_argument("--fixture", help="fixture JSON path (default: bundled demo)")
     run_p.add_argument("--config", help="JSON file with run configuration keys")
-    run_p.add_argument("--variant", choices=("dualgraph", "outline-only"))
     run_p.add_argument("--seed", type=int)
     run_p.add_argument("--max-iter", type=int)
     run_p.add_argument("--force", action="store_true", help="overwrite an existing run directory")
@@ -135,16 +140,15 @@ def _resolve_config(fixture: Fixture, args) -> RunConfig:
         if not isinstance(overrides, dict):
             raise _UsageError("config file must hold a JSON object")
         merged.update(overrides)
-    if args.variant is not None:
-        merged["variant"] = args.variant
     if args.seed is not None:
         merged["seed"] = args.seed
     if args.max_iter is not None:
         merged["max_iter"] = args.max_iter
     config = RunConfig.from_dict(merged)
-    if config.variant.value != fixture.variant:
+    recorded = RunConfig.from_dict(fixture.config).variant
+    if config.variant is not recorded:
         raise _UsageError(
-            f"fixture was recorded for variant {fixture.variant!r}, "
+            f"fixture was recorded for variant {recorded.value!r}, "
             f"requested {config.variant.value!r}"
         )
     return config
@@ -234,12 +238,15 @@ def _cmd_chains(args) -> int:
         names = {nid: node.name for nid, node in kg.nodes.items()}
 
     def render(text: str) -> list[str]:
-        doc = json.loads(text)
-        if not isinstance(doc, dict):
-            raise TypeError("expected a JSON object")
-        selected = set(doc.get("selected", []))
-        lines = [f"iteration {iteration}: {len(doc.get('candidates', []))} candidate chain(s)"]
-        for c in doc.get("candidates", []):
+        keys = ("candidates", "selected", "queries")
+        doc = _require_object(json.loads(text), "chains", set(keys))
+        candidates, selected, queries = (_require_list(doc[key], key) for key in keys)
+        known = {c["chain_id"] for c in candidates}
+        unknown = [cid for cid in selected if cid not in known]
+        if unknown:
+            raise SchemaViolation(f"selected ids name no candidate: {unknown}")
+        lines = [f"iteration {iteration}: {len(candidates)} candidate chain(s)"]
+        for c in candidates:
             mark = "*" if c["chain_id"] in selected else " "
             src = names.get(c["source_id"], c["source_id"])
             tgt = names.get(c["target_id"], c["target_id"])
@@ -247,7 +254,7 @@ def _cmd_chains(args) -> int:
                 f" {mark} {c['chain_id']} [{c['kind']}/{c['basis']}] "
                 f"{src} -> {c['relation']} -> {tgt} (score {c['score']:.4f})"
             )
-        for cid, query in zip(doc.get("selected", []), doc.get("queries", [])):
+        for cid, query in zip(selected, queries):
             lines.append(f"   query for {cid}: {query}")
         return lines
 

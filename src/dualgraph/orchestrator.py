@@ -9,14 +9,15 @@ graph.
 
 Each fact of a run has one home, the run state, and nothing keeps a second
 copy: phases read the config from ``state.config``, whether the run stopped is
-the last early-stop report's verdict, and the thresholds behind that verdict
-are the config's.
+the last early-stop report's verdict, and the stop bar behind that verdict is
+the config's.
 
-State is checkpointed at iteration boundaries only. run_iteration is
-functional (state in, new state out), so a provider failure mid-iteration
-loses nothing but in-flight work, writes no file (the state it interrupted is
-already committed), and a resumed run converges to the same bytes as an
-uninterrupted one. ``Runner._drive`` holds one state object: init_run and
+``drive`` yields the state after init_run, after each loop pass and after the
+report: ``Runner`` checkpoints there, and ``simulate.run_sim`` measures there.
+run_iteration is functional (state in, new state out), so a provider failure
+mid-iteration loses nothing but in-flight work, writes no file (the state it
+interrupted is already committed), and a resumed run converges to the same
+bytes as an uninterrupted one. ``drive`` holds one state object: init_run and
 write_report change it in place, and only run_iteration clones.
 
 Phases change a state in place in three ways only: they append to its four
@@ -46,9 +47,8 @@ from __future__ import annotations
 
 import json
 import logging
-import math
 import os
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from itertools import islice
@@ -96,6 +96,7 @@ __all__ = [
     "init_run",
     "run_iteration",
     "write_report",
+    "drive",
     "dedup_queries",
     "normalize_query",
     "Runner",
@@ -107,7 +108,7 @@ REPORT_FILE = "report.md"
 BANK_FILE = "bank.json"  # the final bank, beside the report
 AUDIT_LOG = "audit.jsonl"
 BANK_LOG = "bank.jsonl"
-FORMAT_VERSION = 6
+FORMAT_VERSION = 7
 _LOGS = (AUDIT_LOG, BANK_LOG)  # append-only; state.json commits each by count
 # Every key RunState.to_dict writes besides format_version.
 _STATE_KEYS = (
@@ -129,28 +130,13 @@ class ReportConsistencyError(ValueError):
     """The outline cites evidence the bank does not hold."""
 
 
-_THRESHOLD_DIMS = parsers.SCORE_DIMENSIONS
-
-
-def _default_thresholds() -> dict[str, float]:
-    return {dim: 75.0 for dim in _THRESHOLD_DIMS}
-
-
-def _is_number(value) -> bool:
-    return (
-        isinstance(value, (int, float))
-        and not isinstance(value, bool)
-        and math.isfinite(value)
-    )
-
-
 @dataclass
 class RunConfig:
     max_iter: int = 5
     og_query_budget: int = 10
     kg_query_budget: int = 10  # doubles as CHAIN_NUM
     urls_per_query: int = 5
-    early_stop_thresholds: dict[str, float] = field(default_factory=_default_thresholds)
+    early_stop_thresholds: float = 75.0  # the bar each of the six judge scores must reach
     seed: int = 0
     variant: Variant = Variant.DUAL_GRAPH
     embed_dim: int = 32
@@ -164,26 +150,18 @@ class RunConfig:
             value = getattr(self, f.name)
             if f.type == "int" and (isinstance(value, bool) or not isinstance(value, int)):
                 raise ConfigError(f"{f.name} must be an integer, got {value!r}")
-        if _is_number(self.early_stop_thresholds):
-            self.early_stop_thresholds = {
-                dim: float(self.early_stop_thresholds) for dim in _THRESHOLD_DIMS
-            }
         positive = ("max_iter", "og_query_budget", "kg_query_budget", "urls_per_query", "embed_dim")
         for name in positive:
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
-        thresholds = self.early_stop_thresholds
-        if not isinstance(thresholds, dict) or set(thresholds) != set(_THRESHOLD_DIMS):
-            raise ConfigError(
-                f"early_stop_thresholds must cover exactly {sorted(_THRESHOLD_DIMS)}"
-            )
-        for dim, value in thresholds.items():
-            if not _is_number(value) or not 0 <= value <= 100:
-                raise ConfigError(f"threshold {dim}={value!r} is not a number in 0..100")
+        bar = self.early_stop_thresholds
+        if isinstance(bar, bool) or not isinstance(bar, (int, float)) or not 0 <= bar <= 100:
+            raise ConfigError(f"early_stop_thresholds={bar!r} is not a number in 0..100")
+        self.early_stop_thresholds = float(bar)  # NaN fails the range test above
 
     def to_dict(self) -> dict:
         doc = {name: getattr(self, name) for name in self.__dataclass_fields__}
-        doc.update(early_stop_thresholds=dict(self.early_stop_thresholds), variant=self.variant.value)
+        doc["variant"] = self.variant.value
         return doc
 
     @classmethod
@@ -198,7 +176,7 @@ class RunConfig:
 @dataclass
 class EarlyStopReport:
     scores: dict[str, float]
-    stop: bool  # every score at its threshold in the run's config
+    stop: bool  # every score at the stop bar in the run's config
 
     def to_dict(self) -> dict:
         return {"scores": dict(self.scores), "stop": self.stop}
@@ -452,12 +430,16 @@ def run_search_pipeline(
     """Search, two-stage filter, fetch, and bank; returns new ids per query.
 
     Commit order is deterministic: queries in order, then selected results by
-    ascending rank. Already-banked URLs are skipped before fetching.
+    ascending rank. Results with a blank URL are dropped before the filter
+    prompt, and already-banked URLs are skipped before fetching.
     """
     new_by_query: dict[str, list[int]] = {}
     for query in queries:
         new_ids: list[int] = []
-        results = providers.search.search(query, state.config.urls_per_query)
+        found = providers.search.search(query, state.config.urls_per_query)
+        results = [r for r in found if r.url.strip()]
+        if len(results) < len(found):
+            log.warning("dropped %d blank-URL result(s) for %r", len(found) - len(results), query)
         if results:
             prompt = parsers.render(
                 "filter_urls",
@@ -713,7 +695,7 @@ def update_og(state: RunState, providers: Providers) -> None:
 def evaluate_early_stop(
     state: RunState, providers: Providers, config: RunConfig
 ) -> EarlyStopReport:
-    """Six-dimension rubric; stopping needs every score at its threshold.
+    """Six-dimension rubric; stopping needs every score at the config's stop bar.
 
     The support dimension is forced to zero locally whenever the outline
     carries no citations, so an uncited outline can never stop the run.
@@ -743,8 +725,7 @@ def evaluate_early_stop(
         scores = {dim: 0.0 for dim in parsers.SCORE_DIMENSIONS}
     if not cited:
         scores["support"] = 0.0
-    thresholds = config.early_stop_thresholds
-    stop = all(scores[dim] >= thresholds[dim] for dim in parsers.SCORE_DIMENSIONS)
+    stop = all(score >= config.early_stop_thresholds for score in scores.values())
     return EarlyStopReport(scores=scores, stop=stop)
 
 
@@ -858,6 +839,24 @@ def run_iteration(state: RunState, providers: Providers) -> RunState:
     return s
 
 
+def drive(state: RunState, providers: Providers) -> Iterator[RunState]:
+    """Run ``state`` to its report, yielding it at each boundary; a done run yields nothing."""
+    if state.stage == "init":
+        init_run(state, providers)
+        yield state
+    while (
+        state.stage == "loop"
+        and not state.stopped
+        and state.iteration < state.config.max_iter
+    ):
+        state = run_iteration(state, providers)
+        yield state
+    if state.stage == "loop":
+        write_report(state, providers)
+        state.stage = "done"
+        yield state
+
+
 # -- persistence -------------------------------------------------------
 
 
@@ -968,24 +967,12 @@ class Runner:
         return self._drive(state)
 
     def _drive(self, state: RunState) -> RunState:
-        # One state object, changed in place by init_run and write_report. A
-        # provider failure writes nothing, and nothing reads the state it
+        # A provider failure writes nothing, and nothing reads the state it
         # interrupted: the files already hold the last committed boundary.
-        if state.stage == "init":
-            init_run(state, self.providers)
-            self._checkpoint(state)
-        while (
-            state.stage == "loop"
-            and not state.stopped
-            and state.iteration < state.config.max_iter
-        ):
-            state = run_iteration(state, self.providers)
-            self._checkpoint(state)
-        if state.stage == "loop":
-            write_report(state, self.providers)
-            state.stage = "done"
+        for state in drive(state, self.providers):
             self._checkpoint(state)
         return state
+
 
 def run(
     root_query: str,

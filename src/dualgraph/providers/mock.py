@@ -145,7 +145,6 @@ class Fixture:
     """A self-contained scripted run: providers plus the run it was built for."""
 
     root_query: str
-    variant: str
     config: dict = field(default_factory=dict)
     chat_entries: list[ScriptEntry] = field(default_factory=list)
     search_results: dict[str, list[SearchResult]] = field(default_factory=dict)
@@ -179,7 +178,6 @@ def load_fixture(path: str | Path) -> Fixture:
     }
     return Fixture(
         root_query=doc["root_query"],
-        variant=doc["variant"],
         config=doc.get("config", {}),
         chat_entries=entries,
         search_results=results,

@@ -32,7 +32,7 @@ import numpy as np
 
 from .evidence import EvidenceBank
 from .kg import KnowledgeGraph
-from .orchestrator import RunConfig, RunState, Variant, init_run, run_iteration
+from .orchestrator import RunConfig, RunState, Variant, drive
 from .providers.base import Providers, SearchResult
 from .providers.mock import FixtureFetchProvider, HashEmbeddingProvider
 
@@ -584,14 +584,11 @@ class SimRunResult:
 def run_sim(
     world: World, config: RunConfig, root_query: str = DEFAULT_ROOT_QUERY
 ) -> SimRunResult:
-    """Drive a full in-memory run against the world, recording bank coverage
-    at every iteration boundary."""
+    """Drive a full in-memory run against the world, report included, recording
+    bank coverage at every boundary."""
     providers = sim_providers(world, embed_dim=config.embed_dim, embed_seed=config.seed)
-    state = RunState(root_query=root_query, config=config)
-    init_run(state, providers)
-    curve = {0: bank_coverage(state.bank, world)}
-    while not state.stopped and state.iteration < config.max_iter:
-        state = run_iteration(state, providers)
+    curve = {}
+    for state in drive(RunState(root_query=root_query, config=config), providers):
         curve[state.iteration] = bank_coverage(state.bank, world)
     return SimRunResult(state=state, coverage_by_iteration=curve)
 

@@ -128,7 +128,16 @@ DAMAGED_FILES = {
     "chains-torn-chains": ("chains", "chains_iter2.json", _half),
     "chains-not-an-object": ("chains", "chains_iter2.json", lambda text: "[1]"),
     "chains-candidate-not-an-object": (
-        "chains", "chains_iter2.json", lambda text: '{"candidates": [1]}'
+        "chains", "chains_iter2.json", _edit_json(lambda doc: doc.update(candidates=[1]))
+    ),
+    "chains-empty-object": ("chains", "chains_iter2.json", lambda text: "{}"),
+    "chains-queries-not-a-list": (
+        "chains", "chains_iter2.json", _edit_json(lambda doc: doc.update(queries="q"))
+    ),
+    "chains-selected-names-no-candidate": (
+        "chains",
+        "chains_iter2.json",
+        lambda text: '{"candidates": [], "selected": ["c9"], "queries": ["q"]}',
     ),
     "chains-torn-previous-kg": ("chains", "kg_iter1.json", _half),
     "resume-outline-cites-absent-evidence": (
@@ -210,7 +219,7 @@ UNDECODABLE_FILES = [
 DAMAGED_FIXTURES = {
     "torn-json": '{"root_query": "q", "chat_scr',
     "json-list": '["chat_script"]',
-    "no-chat-script": '{"root_query": "q", "variant": "dualgraph"}',
+    "no-chat-script": '{"root_query": "q", "config": {}}',
 }
 
 
@@ -237,9 +246,21 @@ class TestRun:
         assert "iteration 1" in capsys.readouterr().out
 
     def test_variant_must_match_fixture_recording(self, tmp_path, capsys):
-        code = _run_demo(tmp_path / "run", "--variant", "outline-only")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"variant": "outline-only"}))
+        code = _run_demo(tmp_path / "run", "--config", str(cfg))
         assert code == 1
-        assert "variant" in capsys.readouterr().err
+        assert "recorded for variant 'dualgraph'" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_fixture_states_its_variant_only_in_its_config(self, tmp_path):
+        doc = json.loads(DEMO_FIXTURE.read_text(encoding="utf-8"))
+        doc["variant"] = "outline-only"  # the retired top-level key
+        fixture = tmp_path / "fixture.json"
+        fixture.write_text(json.dumps(doc), encoding="utf-8")
+        assert _run_demo(tmp_path / "run", "--fixture", str(fixture)) == 0
+        state = json.loads((tmp_path / "run" / "state.json").read_text(encoding="utf-8"))
+        assert state["config"]["variant"] == "dualgraph"
 
     def test_created_outline_citing_evidence_is_a_parse_error(self, tmp_path, capsys):
         doc = json.loads(DEMO_FIXTURE.read_text(encoding="utf-8"))
@@ -350,7 +371,7 @@ class TestResume:
     def test_old_format_version_is_rejected(self, demo_run, capsys):
         path = demo_run / "state.json"
         doc = json.loads(path.read_text(encoding="utf-8"))
-        for version in (1, 2, 3, 4, 5):
+        for version in (1, 2, 3, 4, 5, 6):
             doc["format_version"] = version
             path.write_text(json.dumps(doc), encoding="utf-8")
             assert main(["resume", "--run-dir", str(demo_run)]) == 1

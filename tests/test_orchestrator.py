@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import logging
 import random
 from collections import Counter
 from dataclasses import fields, replace
@@ -24,6 +25,7 @@ from dualgraph.orchestrator import (
     RunState,
     Variant,
     dedup_queries,
+    drive,
     evaluate_early_stop,
     init_run,
     normalize_query,
@@ -63,9 +65,12 @@ def _scores_json(value: float) -> str:
 
 
 class TestRunConfig:
-    def test_scalar_threshold_expands_to_all_dimensions(self):
-        config = _config(early_stop_thresholds=90)
-        assert config.early_stop_thresholds == {d: 90.0 for d in SCORE_DIMENSIONS}
+    def test_stop_bar_is_one_number(self):
+        bar = _config(early_stop_thresholds=90).early_stop_thresholds
+        assert bar == 90.0 and type(bar) is float
+        assert _config().early_stop_thresholds == 75.0
+        with pytest.raises(ConfigError):
+            _config(early_stop_thresholds={d: 90.0 for d in SCORE_DIMENSIONS})
 
     def test_variant_accepts_wire_strings(self):
         assert _config(variant="outline-only").variant is Variant.OUTLINE_ONLY
@@ -100,9 +105,6 @@ class TestRunConfig:
         def shown(value) -> str:
             if isinstance(value, Variant):
                 return f"`{value.value}`"
-            if isinstance(value, dict):
-                (each,) = set(value.values())
-                return f"{each:g} each"
             return str(value)
 
         defaults = RunConfig()
@@ -329,6 +331,28 @@ class TestRunSearchPipeline:
         new = run_search_pipeline(state, providers, ["q1"], iteration=0)
         assert new == {"q1": [1]}
         assert state.bank.get(1).url == "https://s.test/ok"
+
+    def test_blank_url_results_dropped_before_the_filter(self, caplog):
+        results = [
+            SearchResult(url="   ", title="blank", snippet="s", rank=0),
+            SearchResult(url="https://s.test/ok", title="ok", snippet="s", rank=1),
+        ]
+        pages = {"https://s.test/ok": "body"}
+        chat = [
+            ScriptEntry(match=["screening search results"], responses=["[0]"]),
+            ScriptEntry(
+                match=["extracting evidence", "https://s.test/ok"],
+                responses=['{"useful": true, "summary": "s", "salient_content": ""}'],
+            ),
+        ]
+        providers = _pipeline_providers("q1", results, pages, chat)
+        state = _fresh_state(_config())
+        with caplog.at_level(logging.WARNING, logger="dualgraph.orchestrator"):
+            new = run_search_pipeline(state, providers, ["q1"], iteration=0)
+        assert new == {"q1": [1]}
+        assert state.bank.get(1).url == "https://s.test/ok"
+        assert "0. ok" in state.audit[0]["prompt"] and "blank" not in state.audit[0]["prompt"]
+        assert "blank-URL" in caplog.text
 
     def test_malformed_filter_response_retried_with_same_prompt(self):
         results = [SearchResult(url="https://s.test/0", title="t", snippet="s", rank=0)]
@@ -1433,7 +1457,8 @@ class TestStopFlagIsDerived:
     def test_state_json_keeps_no_stop_flag_or_thresholds(self, tmp_path):
         self._run(tmp_path / "run")
         doc = json.loads((tmp_path / "run" / "state.json").read_text(encoding="utf-8"))
-        assert doc["format_version"] == 6
+        assert doc["format_version"] == 7
+        assert doc["config"]["early_stop_thresholds"] == 90.0
         assert "stopped" not in doc
         assert doc["early_stop_history"]
         for report in doc["early_stop_history"]:
@@ -1491,3 +1516,25 @@ class TestDriveHoldsOneState:
         state = Runner(config, providers, tmp_path / "run").start(root_query)
         assert state.stage == "done"
         assert cloned_at == list(range(state.iteration))
+
+    @pytest.mark.parametrize("run", _RUNS)
+    def test_yields_each_boundary_once(self, run, monkeypatch):
+        phases: list[str] = []
+        for name in ("init_run", "run_iteration", "write_report"):
+            # Wrapped where the benchmark wraps them: the module's globals.
+            def spy(*args, _real=getattr(orchestrator, name), _name=name):
+                phases.append(_name)
+                return _real(*args)
+
+            monkeypatch.setattr(orchestrator, name, spy)
+        config, providers, root_query = _RUNS[run]()
+        states = drive(RunState(root_query=root_query, config=config), providers)
+        boundaries = [(state.stage, state.iteration) for state in states]
+        last = boundaries[-1][1]
+        assert boundaries == [("loop", i) for i in range(last + 1)] + [("done", last)]
+        assert phases == ["init_run"] + ["run_iteration"] * last + ["write_report"]
+
+    def test_a_finished_run_yields_nothing(self, tmp_path):
+        config, providers, root_query = _small_sim()
+        state = Runner(config, providers, tmp_path / "run").start(root_query)
+        assert list(drive(state, providers)) == []

@@ -132,7 +132,6 @@ class TestFixtureLoading:
     def test_round_trip_from_json(self, tmp_path):
         doc = {
             "root_query": "q",
-            "variant": "dualgraph",
             "config": {"max_iter": 2},
             "chat_script": [{"match": ["hello"], "responses": ["world"]}],
             "search_results": {

@@ -186,6 +186,27 @@ class TestRunSim:
         assert a.state.bank.to_document() == b.state.bank.to_document()
         assert a.coverage_by_iteration == b.coverage_by_iteration
 
+    @pytest.mark.parametrize("variant", ["dualgraph", "outline-only"])
+    def test_ends_where_the_runner_commits(self, tmp_path, variant):
+        world = generate_world(seed=1, n_communities=3, cores_per_community=2,
+                               concepts_per_community=4)
+        config = RunConfig(max_iter=6, og_query_budget=3, kg_query_budget=4, urls_per_query=6,
+                           early_stop_thresholds=90.0, variant=variant)
+        result = run_sim(world, config)
+        Runner(config, sim_providers(world, config.embed_dim, config.seed), tmp_path).start(
+            DEFAULT_ROOT_QUERY
+        )
+        state = result.state
+        assert state.stage == "done"
+        assert sorted(result.coverage_by_iteration) == list(range(state.iteration + 1))
+        committed = {
+            "state.json": json.dumps(state.to_dict(), ensure_ascii=False) + "\n",
+            "outline.txt": state.outline_text(),
+            "report.md": state.report,
+        }
+        for name, text in committed.items():
+            assert (tmp_path / name).read_text(encoding="utf-8") == text, name
+
     def test_root_query_may_begin_with_a_digit(self):
         query = "5G rollout in rural areas"
         result = run_sim(_small_world(), RunConfig(max_iter=2), root_query=query)
