@@ -263,6 +263,8 @@ def _cmd_chains(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    if args.seeds < 1:
+        raise _UsageError(f"--seeds must be >= 1, got {args.seeds}")
     summary = run_ablation(
         seeds=list(range(args.seeds)),
         world_kwargs={

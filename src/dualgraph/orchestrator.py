@@ -18,7 +18,11 @@ run_iteration is functional (state in, new state out), so a provider failure
 mid-iteration loses nothing but in-flight work, writes no file (the state it
 interrupted is already committed), and a resumed run converges to the same
 bytes as an uninterrupted one. ``drive`` holds one state object: init_run and
-write_report change it in place, and only run_iteration clones.
+write_report change it in place, and only run_iteration clones. It also holds
+one embedding memo, above the provider it is given: every phase embeds through
+it, so each distinct text reaches ``providers.embed`` at most once per
+``drive`` call. The memo is not run state: no checkpoint writes it, and a
+resume starts with an empty one and fills it as the run asks.
 
 Phases change a state in place in three ways only: they append to its four
 lists (executed queries, early-stop history, events, audit), add units to its
@@ -48,11 +52,13 @@ from __future__ import annotations
 import json
 import logging
 import os
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from itertools import islice
 from pathlib import Path
+
+import numpy as np
 
 from .chains import ChainConfig, SearchChain, build_search_chains, format_chains_for_prompt
 from .evidence import EvidenceBank, EvidenceUnit, citation_token
@@ -839,8 +845,31 @@ def run_iteration(state: RunState, providers: Providers) -> RunState:
     return s
 
 
+class _EmbedOnce:
+    """An embedder that sends each distinct text to ``inner`` once.
+
+    Each call sends the texts not seen before in one batch, and no call when
+    there are none; it returns a fresh array, so a caller may change its rows.
+    """
+
+    def __init__(self, inner):
+        self.inner = inner
+        self._rows: dict[str, np.ndarray] = {}
+
+    def embed(self, texts: Sequence[str]) -> np.ndarray:
+        rows = self._rows
+        misses = list(dict.fromkeys(t for t in texts if t not in rows))
+        if misses:
+            rows.update(zip(misses, self.inner.embed(misses)))
+        return np.array([rows[t] for t in texts])
+
+
 def drive(state: RunState, providers: Providers) -> Iterator[RunState]:
-    """Run ``state`` to its report, yielding it at each boundary; a done run yields nothing."""
+    """Run ``state`` to its report, yielding it at each boundary; a done run yields nothing.
+
+    The phases embed through one ``_EmbedOnce`` per call; ``providers`` is left as given.
+    """
+    providers = replace(providers, embed=_EmbedOnce(providers.embed))
     if state.stage == "init":
         init_run(state, providers)
         yield state

@@ -24,6 +24,7 @@ from .base import (
     UnmatchedPromptError,
     Providers,
 )
+from .parsers import SchemaViolation, _require_int
 
 __all__ = [
     "ScriptEntry",
@@ -176,12 +177,15 @@ def load_fixture(path: str | Path) -> Fixture:
         ]
         for query, rs in doc.get("search_results", {}).items()
     }
+    embed_dim = _require_int(doc.get("embed_dim", 32), "embed_dim")
+    if embed_dim < 1:
+        raise SchemaViolation(f"embed_dim must be >= 1, got {embed_dim}")
     return Fixture(
         root_query=doc["root_query"],
         config=doc.get("config", {}),
         chat_entries=entries,
         search_results=results,
         pages=doc.get("pages", {}),
-        embed_dim=doc.get("embed_dim", 32),
-        embed_seed=doc.get("embed_seed", 0),
+        embed_dim=embed_dim,
+        embed_seed=_require_int(doc.get("embed_seed", 0), "embed_seed"),
     )

@@ -32,7 +32,7 @@ import numpy as np
 
 from .evidence import EvidenceBank
 from .kg import KnowledgeGraph
-from .orchestrator import RunConfig, RunState, Variant, drive
+from .orchestrator import ConfigError, RunConfig, RunState, Variant, drive
 from .providers.base import Providers, SearchResult
 from .providers.mock import FixtureFetchProvider, HashEmbeddingProvider
 
@@ -107,11 +107,11 @@ def generate_world(
     one bridge between consecutive communities, one document per relation copy.
     """
     if n_communities < 1 or cores_per_community < 1 or concepts_per_community < 0:
-        raise ValueError("world needs at least one community with one core each")
+        raise ConfigError("world needs at least one community with one core each")
     total = n_communities * (cores_per_community + concepts_per_community)
     if total > 26:
         # Content points are lettered a..z, so a world may not exceed 26 names.
-        raise ValueError(f"world too large: {total} names, limit 26")
+        raise ConfigError(f"world too large: {total} names, limit 26")
     rng = np.random.default_rng(seed)
 
     communities: list[list[str]] = []

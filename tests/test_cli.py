@@ -215,11 +215,24 @@ UNDECODABLE_FILES = [
     ("resume", "bank.jsonl"),
 ]
 
+def _demo_fixture_with(**keys) -> str:
+    doc = json.loads(DEMO_FIXTURE.read_text(encoding="utf-8"))
+    doc.update(keys)
+    return json.dumps(doc)
+
+
 # A --fixture file that load_fixture cannot read.
 DAMAGED_FIXTURES = {
     "torn-json": '{"root_query": "q", "chat_scr',
     "json-list": '["chat_script"]',
     "no-chat-script": '{"root_query": "q", "config": {}}',
+    "embed-dim-zero": _demo_fixture_with(embed_dim=0),
+    "embed-dim-negative": _demo_fixture_with(embed_dim=-1),
+    "embed-dim-string": _demo_fixture_with(embed_dim="32"),
+    "embed-dim-float": _demo_fixture_with(embed_dim=2.5),
+    "embed-dim-bool": _demo_fixture_with(embed_dim=True),
+    "embed-seed-string": _demo_fixture_with(embed_seed="x"),
+    "embed-seed-bool": _demo_fixture_with(embed_seed=False),
 }
 
 
@@ -552,3 +565,17 @@ class TestSimulate:
         assert "seeds: 1" in out
         assert (out_dir / "ablation.csv").exists()
         assert (out_dir / "ablation.json").exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        ("--seeds 0", "--seeds must be >= 1"),
+        ("--seeds -2", "--seeds must be >= 1"),
+        ("--communities 0", "at least one community"),
+        ("--cores 0", "at least one community"),
+        ("--concepts -1", "at least one community"),
+        ("--communities 30", "world too large: 180 names"),
+    ])
+    def test_usage_errors_exit_1(self, tmp_path, capsys, flags, message):
+        out_dir = tmp_path / "abl"
+        assert main(["simulate", *flags.split(), "--out", str(out_dir)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out_dir.exists()

@@ -1028,6 +1028,54 @@ class TestEmbedOnce:
         assert all(n.embedding is None for n in before.values())
 
 
+def _ci_world_run(variant: str) -> tuple[RunConfig, Providers]:
+    world = generate_world(seed=1, n_communities=3, cores_per_community=2,
+                           concepts_per_community=4)
+    config = RunConfig(max_iter=6, og_query_budget=3, kg_query_budget=4, urls_per_query=6,
+                       early_stop_thresholds=90.0, variant=variant)
+    return config, sim_providers(world, config.embed_dim, config.seed)
+
+
+class TestEmbedEachTextOnce:
+    @pytest.mark.parametrize("variant", ["dualgraph", "outline-only"])
+    def test_a_run_sends_no_text_twice(self, tmp_path, variant):
+        config, providers = _ci_world_run(variant)
+        embed = _RecordingEmbed(providers.embed)
+        providers.embed = embed
+        Runner(config, providers, tmp_path).start(DEFAULT_ROOT_QUERY)
+        sent = Counter(text for _, batch in embed.batches for text in batch)
+        assert sent and max(sent.values()) == 1
+
+    def test_drive_leaves_the_callers_providers_as_given(self):
+        config, providers = _ci_world_run("dualgraph")
+        given = dict(vars(providers))
+        *_, state = drive(RunState(root_query=DEFAULT_ROOT_QUERY, config=config), providers)
+        assert state.stage == "done"
+        assert all(vars(providers)[name] is value for name, value in given.items())
+
+    def test_each_miss_batch_is_one_call_and_hits_make_none(self):
+        inner = _RecordingEmbed(HashEmbeddingProvider(dim=8))
+        memo = orchestrator._EmbedOnce(inner)
+        got = memo.embed(["grid", "cost", "grid"])
+        assert inner.texts(None) == [["grid", "cost"]]
+        np.testing.assert_array_equal(got, inner.inner.embed(["grid", "cost", "grid"]))
+        memo.embed(["cost", "grid"])
+        assert len(memo.embed([])) == 0
+        assert len(inner.batches) == 1
+        memo.embed(["hydro", "cost", "hydro", "wind"])
+        assert inner.texts(None)[1:] == [["hydro", "wind"]]
+
+    def test_changing_a_returned_row_changes_no_later_result(self):
+        memo = orchestrator._EmbedOnce(HashEmbeddingProvider(dim=8))
+        first = memo.embed(["grid", "cost"])
+        want = first.copy()
+        first[0] = 0.0
+        first[1] *= -1.0
+        again = memo.embed(["grid", "cost"])
+        assert again is not first
+        np.testing.assert_array_equal(again, want)
+
+
 class _PayloadNumberingChat:
     """Extracts scripted triples per search query, numbering ids the way the
     extraction template asks: new node and edge ids run on from the highest

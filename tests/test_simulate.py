@@ -246,29 +246,64 @@ class TestRunAblation:
         assert doc["n_seeds"] == 2
 
 
-class _ChatFailingAt:
-    """Passes chat calls through and raises ProviderError on call number ``at`` (from 1)."""
+class _FailingAt:
+    """Passes chat or embed calls through to ``inner`` and raises ProviderError
+    on call number ``at`` (from 1); None: never."""
 
-    def __init__(self, chat, at: int):
-        self.chat, self.at, self.calls = chat, at, 0
+    def __init__(self, inner, at: int | None):
+        self.inner, self.at, self.calls = inner, at, 0
 
-    def complete(self, prompt: str) -> str:
+    def _count(self) -> None:
         self.calls += 1
         if self.calls == self.at:
-            raise ProviderError(f"injected fault at chat call {self.at}")
-        return self.chat.complete(prompt)
+            raise ProviderError(f"injected fault at call {self.at}")
+
+    def complete(self, prompt: str) -> str:
+        self._count()
+        return self.inner.complete(prompt)
+
+    def embed(self, texts):
+        self._count()
+        return self.inner.embed(texts)
 
 
-def _sweep_run(run_dir, variant: str, fail_at: int | None = None):
-    """A small sim run through Runner, with fresh providers; None: no fault."""
-    world = generate_world(seed=1, n_communities=2, cores_per_community=1,
-                           concepts_per_community=2)
-    config = RunConfig(max_iter=4, og_query_budget=3, kg_query_budget=4, urls_per_query=6,
-                       early_stop_thresholds=90.0, variant=variant)
+# (communities, cores, concepts per community, max_iter) of a sweep run.
+_SMALL_SWEEP = (2, 1, 2, 4)
+_CI_SWEEP = (3, 2, 4, 6)  # the console-script step's sim runs
+
+
+def _sweep_run(run_dir, variant: str, size=_SMALL_SWEEP, **faults: int | None):
+    """A sim run through Runner, with fresh providers; ``faults`` maps ``chat``
+    or ``embed`` to the call that fails (None: no fault)."""
+    communities, cores, concepts, max_iter = size
+    world = generate_world(seed=1, n_communities=communities, cores_per_community=cores,
+                           concepts_per_community=concepts)
+    config = RunConfig(max_iter=max_iter, og_query_budget=3, kg_query_budget=4,
+                       urls_per_query=6, early_stop_thresholds=90.0, variant=variant)
     providers = sim_providers(world, config.embed_dim, config.seed)
-    if fail_at is not None:
-        providers = replace(providers, chat=_ChatFailingAt(providers.chat, fail_at))
+    for name, at in faults.items():
+        providers = replace(providers, **{name: _FailingAt(getattr(providers, name), at)})
     return Runner(config, providers, run_dir), world
+
+
+def _diverged_resumes(tmp_path, variant: str, size, provider: str, calls: int) -> list[int]:
+    """The fault points among the first ``calls`` calls to ``provider`` whose
+    resume, in a restarted process, does not end at the bytes of the
+    uninterrupted run in ``tmp_path / "clean"``."""
+    want = dir_snapshot(tmp_path / "clean")
+    diverged = []
+    for at in range(1, calls + 1):
+        run_dir = tmp_path / f"fault{at}"
+        runner, _ = _sweep_run(run_dir, variant, size, **{provider: at})
+        with pytest.raises(ProviderError):
+            runner.start(DEFAULT_ROOT_QUERY)
+        # A restarted process: providers that saw none of the first attempt.
+        runner, _ = _sweep_run(run_dir, variant, size)
+        assert runner.resume().stage == "done"
+        if dir_snapshot(run_dir) != want:
+            diverged.append(at)
+        shutil.rmtree(run_dir)
+    return diverged
 
 
 class TestResumeAfterAnyChatFault:
@@ -276,24 +311,22 @@ class TestResumeAfterAnyChatFault:
     def test_every_fault_point_resumes_to_the_uninterrupted_bytes(self, tmp_path, variant):
         runner, _ = _sweep_run(tmp_path / "clean", variant)
         clean = runner.start(DEFAULT_ROOT_QUERY)
-        want = dir_snapshot(tmp_path / "clean")
         names = [record["name"] for record in clean.audit]
         if variant == "dualgraph":
             # Faults land between chain selections of different passes.
             assert names.count("select_chains") >= 2
-        diverged = []
-        for at in range(1, len(names) + 1):
-            run_dir = tmp_path / f"fault{at}"
-            runner, _ = _sweep_run(run_dir, variant, fail_at=at)
-            with pytest.raises(ProviderError):
-                runner.start(DEFAULT_ROOT_QUERY)
-            # A restarted process: providers that saw none of the first attempt.
-            runner, _ = _sweep_run(run_dir, variant)
-            assert runner.resume().stage == "done"
-            if dir_snapshot(run_dir) != want:
-                diverged.append((at, names[at - 1]))
-            shutil.rmtree(run_dir)
-        assert diverged == []
+        diverged = _diverged_resumes(tmp_path, variant, _SMALL_SWEEP, "chat", len(names))
+        assert [(at, names[at - 1]) for at in diverged] == []
+
+
+class TestResumeAfterAnyEmbedFault:
+    @pytest.mark.parametrize("variant", ["dualgraph", "outline-only"])
+    def test_every_fault_point_resumes_to_the_uninterrupted_bytes(self, tmp_path, variant):
+        runner, _ = _sweep_run(tmp_path / "clean", variant, _CI_SWEEP, embed=None)
+        runner.start(DEFAULT_ROOT_QUERY)
+        calls = runner.providers.embed.calls
+        assert calls >= 6
+        assert _diverged_resumes(tmp_path, variant, _CI_SWEEP, "embed", calls) == []
 
 
 class TestSimChatIsPure:
