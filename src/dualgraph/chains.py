@@ -251,9 +251,12 @@ def explore_similarity(kg: KnowledgeGraph, quota: int | None = None) -> list[Sea
     Ranked by descending cosine, ties by ascending node ids. quota=None returns
     every such pair, otherwise the first quota of that ranking. Each score is
     the per-pair ``np.dot``; one matrix product only narrows down the pairs
-    that can reach the quota.
+    that can reach the quota. Every node must already carry an embedding.
     """
     ids = kg.node_ids()
+    for nid in ids:
+        if kg.nodes[nid].embedding is None:
+            raise EmbeddingMissingError(f"node {nid} has no embedding")
     cores = [v for v in ids if kg.nodes[v].is_core_entity]
     concepts = [v for v in ids if not kg.nodes[v].is_core_entity]
     column = {k: j for j, k in enumerate(concepts)}
@@ -262,19 +265,6 @@ def explore_similarity(kg: KnowledgeGraph, quota: int | None = None) -> list[Sea
         for k in kg.neighbors(c):
             if k in column:
                 unlinked[i, column[k]] = False
-    core_missing = np.array([kg.nodes[c].embedding is None for c in cores], dtype=bool)
-    concept_missing = np.array([kg.nodes[k].embedding is None for k in concepts], dtype=bool)
-    missing = unlinked & (core_missing[:, None] | concept_missing[None, :])
-    if missing.any():
-        i, j = np.argwhere(missing)[0]
-        raise EmbeddingMissingError(
-            f"similarity exploration needs embeddings for {cores[i]} and {concepts[j]}"
-        )
-    # Past that check a node without an embedding has no unlinked partner;
-    # dropping it lets the rest stack into matrices.
-    cores = [c for c, gone in zip(cores, core_missing) if not gone]
-    concepts = [k for k, gone in zip(concepts, concept_missing) if not gone]
-    unlinked = unlinked[~core_missing][:, ~concept_missing]
 
     if quota is not None and quota < int(unlinked.sum()):
         if quota <= 0:

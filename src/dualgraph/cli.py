@@ -8,15 +8,14 @@ Subcommands:
 - simulate: paired variant comparison on synthetic corpora
 
 Exit codes: 0 success, 1 usage or configuration error, 2 provider failure,
-3 internal error. Credentials for live providers are read from environment
-variables only; they are never accepted as flags.
+3 internal error. The commands read no credentials: live providers plug in
+through the library (``Providers`` and ``orchestrator.run``).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from importlib import resources
 from pathlib import Path
@@ -24,7 +23,7 @@ from pathlib import Path
 from .evidence import citation_token
 from .kg import KnowledgeGraph
 from .orchestrator import ConfigError, RunConfig, Runner, STATE_FILE, _text
-from .providers.base import ProviderError, Providers
+from .providers.base import ProviderError
 from .providers.mock import Fixture, load_fixture
 from .providers.parsers import (
     ParseError,
@@ -39,8 +38,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_PROVIDER = 2
 EXIT_INTERNAL = 3
-
-_LIVE_ENV_VARS = ("DUALGRAPH_CHAT_API_KEY", "DUALGRAPH_SEARCH_API_KEY")
 
 
 class _UsageError(Exception):
@@ -61,7 +58,6 @@ def _build_parser() -> _ArgumentParser:
     run_p = sub.add_parser("run", help="start a research run")
     run_p.add_argument("--query", help="root research question (defaults to the fixture's)")
     run_p.add_argument("--run-dir", required=True, help="directory for checkpoints and outputs")
-    run_p.add_argument("--providers", choices=("mock", "live"), default="mock")
     run_p.add_argument("--fixture", help="fixture JSON path (default: bundled demo)")
     run_p.add_argument("--config", help="JSON file with run configuration keys")
     run_p.add_argument("--seed", type=int)
@@ -70,7 +66,6 @@ def _build_parser() -> _ArgumentParser:
 
     res_p = sub.add_parser("resume", help="continue an interrupted run")
     res_p.add_argument("--run-dir", required=True)
-    res_p.add_argument("--providers", choices=("mock", "live"), default="mock")
     res_p.add_argument("--fixture", help="fixture JSON path (default: bundled demo)")
 
     kg_p = sub.add_parser("inspect-kg", help="print the knowledge graph of a run")
@@ -106,33 +101,30 @@ def _load_fixture_arg(fixture_path: str | None) -> Fixture:
     if fixture_path is None:
         return _demo_fixture()
     path = Path(fixture_path)
-    if not path.exists():
-        raise _UsageError(f"fixture not found: {path}")
+    if not path.is_file():
+        raise _UsageError(f"no fixture file at {path}")
     try:
         return load_fixture(path)
     except (ValueError, KeyError, TypeError) as exc:
         raise _UsageError(f"fixture {path} is damaged: {type(exc).__name__}: {exc}") from None
 
 
-def _live_providers() -> Providers:
-    missing = [v for v in _LIVE_ENV_VARS if not os.environ.get(v)]
-    if missing:
-        raise _UsageError(
-            "live providers need credentials in environment variables: "
-            + ", ".join(missing)
-        )
-    raise ProviderError(
-        "no live provider adapter is bundled with this build; "
-        "run with --providers mock and a fixture"
-    )
+def _check_dir_path(path: Path, what: str) -> None:
+    """Usage error unless ``path`` is a directory or could be made one: its
+    nearest existing ancestor must be a directory."""
+    for existing in (path, *path.parents):
+        if existing.exists():
+            if not existing.is_dir():
+                raise _UsageError(f"{what} {path} is not a directory")
+            return
 
 
 def _resolve_config(fixture: Fixture, args) -> RunConfig:
     merged = dict(fixture.config)
     if args.config:
         path = Path(args.config)
-        if not path.exists():
-            raise _UsageError(f"config file not found: {path}")
+        if not path.is_file():
+            raise _UsageError(f"no config file at {path}")
         try:
             overrides = json.loads(path.read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
@@ -155,12 +147,11 @@ def _resolve_config(fixture: Fixture, args) -> RunConfig:
 
 
 def _cmd_run(args) -> int:
-    if args.providers == "live":
-        _live_providers()
     fixture = _load_fixture_arg(args.fixture)
     config = _resolve_config(fixture, args)
     query = args.query or fixture.root_query
     run_dir = Path(args.run_dir)
+    _check_dir_path(run_dir, "run directory")
     if (run_dir / STATE_FILE).exists() and not args.force:
         raise _UsageError(
             f"run directory {run_dir} already holds a run; pass --force to overwrite"
@@ -173,8 +164,6 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_resume(args) -> int:
-    if args.providers == "live":
-        _live_providers()
     run_dir = Path(args.run_dir)
     fixture = _load_fixture_arg(args.fixture)
     runner = Runner(RunConfig(), fixture.providers(), run_dir)
@@ -265,6 +254,8 @@ def _cmd_chains(args) -> int:
 def _cmd_simulate(args) -> int:
     if args.seeds < 1:
         raise _UsageError(f"--seeds must be >= 1, got {args.seeds}")
+    if args.out:
+        _check_dir_path(Path(args.out), "--out")
     summary = run_ablation(
         seeds=list(range(args.seeds)),
         world_kwargs={

@@ -255,7 +255,7 @@ class KnowledgeGraph:
         g.next_edge_num = self.next_edge_num
         return g
 
-    # -- construction helpers (used by tests and the simulation world) --
+    # -- construction helpers (used by tests) --
 
     def add_node(self, name: str, is_core_entity: bool) -> str:
         nid = f"n{self.next_node_num}"
@@ -518,13 +518,13 @@ def apply_extraction(
 
 
 def merge_nodes(kg: KnowledgeGraph, clusters: list[MergeCluster]) -> KnowledgeGraph:
-    """Collapse concept clusters into canonical nodes; returns a new graph.
+    """Collapse concept clusters into canonical nodes in place; returns the graph.
 
-    Any validation failure rejects the whole batch and leaves the input graph
-    untouched. Core entities can never be merged. Redirected parallel edges
-    union their evidence onto the smallest edge id; redirection that produces a
-    self-loop drops the edge, and the dropped evidence ids are logged as the
-    only permitted evidence loss.
+    Any validation failure rejects the whole batch and leaves the graph as it
+    was. Core entities can never be merged. Redirected parallel edges union
+    their evidence onto the smallest edge id; redirection that produces a
+    self-loop drops the edge, and its evidence ids are logged as the only
+    permitted evidence loss.
     """
     seen: set[str] = set()
     for cluster in clusters:
@@ -545,23 +545,22 @@ def merge_nodes(kg: KnowledgeGraph, clusters: list[MergeCluster]) -> KnowledgeGr
                 raise ClusterError(f"node {nid} appears in more than one cluster")
             seen.add(nid)
 
-    g = kg.copy()
     canonical: dict[str, str] = {}
     for cluster in clusters:
         keep = min(cluster.source_node_ids, key=node_num)
         for nid in cluster.source_node_ids:
             canonical[nid] = keep
-        node = g.nodes[keep]
+        node = kg.nodes[keep]
         node.name = cluster.representative_concept
         node.embedding = None
         node.cluster_id = None
         node.community_id = None
         for nid in cluster.source_node_ids:
             if nid != keep:
-                del g.nodes[nid]
+                del kg.nodes[nid]
 
-    edges = g.edges
-    g.edges, g._triples, g._adjacency = {}, {}, {}
+    edges = kg.edges
+    kg.edges, kg._triples, kg._adjacency = {}, {}, {}
     for e in edges.values():
         src = canonical.get(e.source_id, e.source_id)
         tgt = canonical.get(e.target_id, e.target_id)
@@ -573,14 +572,14 @@ def merge_nodes(kg: KnowledgeGraph, clusters: list[MergeCluster]) -> KnowledgeGr
                 sorted(e.evidence_ids),
             )
             continue
-        surviving = g._triples.get((src, tgt, e.relation))
+        surviving = kg._triples.get((src, tgt, e.relation))
         if surviving is not None:
-            g.edges[surviving].evidence_ids |= e.evidence_ids
+            kg.edges[surviving].evidence_ids |= e.evidence_ids
             continue
         e.source_id = src
         e.target_id = tgt
-        g._insert(e)
-    return g
+        kg._insert(e)
+    return kg
 
 
 # Rows of the Gram matrix formed at once, so memory stays linear in nodes.

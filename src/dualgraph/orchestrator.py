@@ -26,10 +26,11 @@ resume starts with an empty one and fills it as the run asks.
 
 Phases change a state in place in three ways only: they append to its four
 lists (executed queries, early-stop history, events, audit), add units to its
-bank, and add nodes and edges to its graph (``apply_extraction``) or set
-fields on the graph's nodes. Everything else they replace whole, and no audit
-record changes once made. So ``RunState.clone`` copies the graph, the bank and
-the four lists, and shares the rest.
+bank, and change its graph: add nodes and edges (``apply_extraction``),
+collapse concept clusters (``merge_nodes``) or set fields on its nodes.
+Everything else they replace whole, and no audit record changes once made. So
+``RunState.clone`` copies the graph, the bank and the four lists, and shares
+the rest; it is the only copy of a graph the engine makes.
 
 In particular an outline in a state is never changed in place: a revision
 builds a new one. So a state renders each outline once (``RunState.outline_text``),
@@ -229,7 +230,7 @@ class RunState:
 
     def clone(self) -> "RunState":
         """A copy phases may change: they only append to the four lists, add to
-        the bank and set fields on graph nodes, so only those are copied."""
+        the bank and change the graph, so only those are copied."""
         return replace(
             self,
             kg=None if self.kg is None else self.kg.copy(),
@@ -301,9 +302,11 @@ class RunState:
             if absent:
                 raise ConfigError(f"{outline_file} cites evidence beyond bank_units: {absent}")
             if state.config.variant is Variant.DUAL_GRAPH:
-                state.kg = read(
-                    f"kg_iter{state.iteration}.json", _text(KnowledgeGraph.from_document)
-                )
+                kg_file = f"kg_iter{state.iteration}.json"
+                state.kg = read(kg_file, _text(KnowledgeGraph.from_document))
+                unplaced = [nid for nid, n in state.kg.nodes.items() if n.community_id is None]
+                if unplaced:
+                    raise ConfigError(f"{kg_file} has nodes with no community id: {unplaced}")
         if state.stage == "done":
             state.report = read(REPORT_FILE, _text(str))
         state.bank = read(BANK_LOG, lambda log: EvidenceBank.from_dicts(_head(log, units)))
@@ -522,12 +525,9 @@ def gen_queries_from_og(state: RunState, providers: Providers, pending: list[str
 
 
 def _partition_from_nodes(kg: KnowledgeGraph, seed: int) -> CommunityPartition:
-    assignment = {}
-    for nid in kg.node_ids():
-        community = kg.nodes[nid].community_id
-        if community is None:
-            raise KnowledgeGraphError(f"node {nid} has no community id")
-        assignment[nid] = community
+    """The partition update_kg stored on the nodes; a graph read from disk
+    with a node it never placed is rejected by ``RunState.from_dict``."""
+    assignment = {nid: node.community_id for nid, node in kg.nodes.items()}
     return CommunityPartition(assignment=assignment, seed=seed)
 
 
@@ -631,7 +631,7 @@ def update_kg(
         def parse_and_apply(text: str) -> KnowledgeGraph:
             return apply_extraction(kg, parsers.parse_extraction(text), labels)
 
-        kg = _chat_parsed(state, providers, "extract_knowledge", prompt, parse_and_apply)
+        _chat_parsed(state, providers, "extract_knowledge", prompt, parse_and_apply)
 
     concepts = [n for n in kg.nodes.values() if not n.is_core_entity]
     if len(concepts) >= 2:
@@ -643,14 +643,13 @@ def update_kg(
             },
         )
 
-        def parse_and_merge(text: str) -> KnowledgeGraph:
+        def parse_and_merge(text: str) -> None:
             clusters = parsers.parse_merge(text)
-            if not clusters:
-                return kg
-            return merge_nodes(kg, clusters)
+            if clusters:
+                merge_nodes(kg, clusters)
 
         try:
-            kg = _chat_parsed(state, providers, "merge_concepts", prompt, parse_and_merge)
+            _chat_parsed(state, providers, "merge_concepts", prompt, parse_and_merge)
         except ParseError as exc:
             # A bad merge proposal is rejected, never fatal: the graph stands.
             log.warning("merge batch rejected, keeping graph untouched: %s", exc)
@@ -663,7 +662,6 @@ def update_kg(
         for nid in ids:
             kg.nodes[nid].cluster_id = clusters[nid]
             kg.nodes[nid].community_id = partition.assignment[nid]
-    state.kg = kg
 
 
 # -- outline update ----------------------------------------------------
@@ -963,7 +961,7 @@ class Runner:
                 value = parse(file)
                 self._read_to[name] = file.tell()
                 return value
-        except FileNotFoundError:
+        except (FileNotFoundError, NotADirectoryError):
             raise ConfigError(f"run directory {self.run_dir} has no {name}") from None
         except ConfigError:  # a file that parse read in turn, named already
             raise

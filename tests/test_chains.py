@@ -258,9 +258,16 @@ class TestExploreSimilarity:
         _embedded(kg2, {"n1": (1, 0), "n2": (0, 1)})
         assert explore_similarity(kg2) == []
 
-    def test_missing_embedding_rejected(self):
-        kg, _ = _graph([("a", True), ("b", False)], [], [0, 0])
-        with pytest.raises(EmbeddingMissingError):
+    @pytest.mark.parametrize("bare", ["n1", "n2", "n3"])
+    def test_missing_embedding_rejected(self, bare):
+        # n2 is linked to the only core, so no candidate pair needs its vector.
+        kg, _ = _graph(
+            [("core", True), ("linked", False), ("free", False)],
+            [("n1", "n2", "r", ())],
+            [0, 0, 0],
+        )
+        _embedded(kg, {nid: (1.0, 0.0) for nid in ("n1", "n2", "n3") if nid != bare})
+        with pytest.raises(EmbeddingMissingError, match=f"node {bare} "):
             explore_similarity(kg)
 
 

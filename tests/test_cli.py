@@ -11,8 +11,6 @@ from dualgraph.providers.parsers import SCORE_DIMENSIONS
 
 from .builders import DEMO_FIXTURE, crash_demo_run
 
-LIVE_VARS = ("DUALGRAPH_CHAT_API_KEY", "DUALGRAPH_SEARCH_API_KEY")
-
 
 def _run_demo(run_dir, *extra: str) -> int:
     return main(["run", "--run-dir", str(run_dir), *extra])
@@ -171,6 +169,7 @@ DAMAGED_FILES = {
         "resume", "state.json", _edit_json(lambda doc: doc["config"].update(max_iter=0))
     ),
     "resume-community-id-string": ("resume", "kg_iter2.json", _set_node("community_id", "x")),
+    "resume-community-id-null": ("resume", "kg_iter2.json", _set_node("community_id", None)),
     "inspect-kg-community-id-string": (
         "inspect-kg", "kg_iter2.json", _set_node("community_id", "x")
     ),
@@ -233,6 +232,24 @@ DAMAGED_FIXTURES = {
     "embed-dim-bool": _demo_fixture_with(embed_dim=True),
     "embed-seed-string": _demo_fixture_with(embed_seed="x"),
     "embed-seed-bool": _demo_fixture_with(embed_seed=False),
+}
+
+
+# A path of the wrong kind, the last argument, where {file} is a regular file
+# and {dir} a directory.
+WRONG_KIND_PATHS = {
+    "run-run-dir-a-file": "run --run-dir {file}",
+    "run-run-dir-under-a-file": "run --run-dir {file}/run",
+    "run-fixture-a-dir": "run --run-dir {dir}/run --fixture {dir}",
+    "run-config-a-dir": "run --run-dir {dir}/run --config {dir}",
+    "resume-run-dir-a-file": "resume --run-dir {file}",
+    "resume-run-dir-under-a-file": "resume --run-dir {file}/run",
+    "resume-fixture-a-dir": "resume --run-dir {dir}/run --fixture {dir}",
+    "inspect-kg-run-dir-a-file": "inspect-kg --run-dir {file}",
+    "inspect-og-run-dir-under-a-file": "inspect-og --run-dir {file}/run",
+    "chains-run-dir-a-file": "chains --run-dir {file}",
+    "simulate-out-a-file": "simulate --seeds 1 --out {file}",
+    "simulate-out-under-a-file": "simulate --seeds 1 --out {file}/abl",
 }
 
 
@@ -336,20 +353,13 @@ class TestRun:
 
 
 class TestLiveProviders:
-    def test_missing_credentials_is_usage_error(self, tmp_path, monkeypatch, capsys):
-        for var in LIVE_VARS:
-            monkeypatch.delenv(var, raising=False)
-        assert _run_demo(tmp_path / "run", "--providers", "live") == 1
-        err = capsys.readouterr().err
-        for var in LIVE_VARS:
-            assert var in err
-
-    def test_credentials_only_from_environment(self, tmp_path, monkeypatch):
-        for var in LIVE_VARS:
-            monkeypatch.setenv(var, "dummy")
-        # No live adapter ships in this build, so the failure is a provider
-        # error, not a usage error: credentials were accepted from the env.
-        assert _run_demo(tmp_path / "run", "--providers", "live") == 2
+    # Live providers plug in through the library; the commands take none.
+    @pytest.mark.parametrize("command", ["run", "resume"])
+    def test_providers_is_an_unknown_flag(self, tmp_path, capsys, command):
+        run_dir = tmp_path / "run"
+        assert main([command, "--run-dir", str(run_dir), "--providers", "mock"]) == 1
+        assert "--providers" in capsys.readouterr().err
+        assert not run_dir.exists()
 
     def test_no_flag_accepts_an_api_key(self):
         assert main(["run", "--run-dir", "x", "--api-key", "k"]) == 1
@@ -364,6 +374,18 @@ class TestUsage:
 
     def test_no_arguments(self):
         assert main([]) == 1
+
+
+class TestWrongKindOfPath:
+    @pytest.mark.parametrize("command", WRONG_KIND_PATHS.values(), ids=WRONG_KIND_PATHS)
+    def test_exit_1_naming_the_path_and_creating_nothing(self, tmp_path, capsys, command):
+        file = tmp_path / "file"
+        file.write_text("keep", encoding="utf-8")
+        argv = [arg.format(file=file, dir=tmp_path) for arg in command.split()]
+        assert main(argv) == 1
+        assert argv[-1] in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [file]
+        assert file.read_text(encoding="utf-8") == "keep"
 
 
 class TestResume:
@@ -410,13 +432,22 @@ class TestResume:
         assert main(["resume", "--run-dir", str(demo_run)]) == 1
         assert "bank.jsonl is shorter" in capsys.readouterr().err
 
-    def test_crash_window_outline_citing_absent_evidence_is_rejected(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "name, damage",
+        [
+            ("outline_iter1.txt", _cite_absent_evidence),
+            ("kg_iter1.json", _set_node("community_id", None)),
+        ],
+        ids=["outline-cites-absent-evidence", "community-id-null"],
+    )
+    def test_crash_window_damage_is_rejected(self, tmp_path, capsys, name, damage):
+        # The resume goes on to iteration 2, which reads what the file holds.
         run_dir = tmp_path / "run"
         crash_demo_run(run_dir)
-        path = run_dir / "outline_iter1.txt"
-        path.write_text(_cite_absent_evidence(path.read_text(encoding="utf-8")), encoding="utf-8")
+        path = run_dir / name
+        path.write_text(damage(path.read_text(encoding="utf-8")), encoding="utf-8")
         assert main(["resume", "--run-dir", str(run_dir)]) == 1
-        assert "configuration error: outline_iter1.txt" in capsys.readouterr().err
+        assert f"configuration error: {name}" in capsys.readouterr().err
 
 
 class TestDamagedFixture:

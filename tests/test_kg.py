@@ -259,7 +259,6 @@ class TestAdjacencyIndex:
         clone = kg.copy()
         clone.add_edge("n1", "n4", "funds")
         clone.add_edge("n4", clone.add_node("grid", False), "feeds")
-        merge_nodes(kg, [MergeCluster("storage cost", ["n2", "n3", "n4"])])
         # A batch grows the graph it is given: here the clone, not the original.
         apply_extraction(
             clone,
@@ -421,6 +420,13 @@ def _merge_fixture() -> KnowledgeGraph:
 
 
 class TestMergeNodes:
+    def test_changes_and_returns_the_graph_it_is_given(self):
+        kg = _merge_fixture()
+        assert merge_nodes(kg, [MergeCluster("storage cost", ["n2", "n3"])]) is kg
+        assert kg.node_ids() == ["n1", "n2", "n4"]
+        assert kg.edge_ids() == ["e1", "e3"]
+        _assert_index_matches_edges(kg)
+
     def test_parallel_edges_union_onto_smallest_id(self):
         kg = _merge_fixture()
         out = merge_nodes(
@@ -466,8 +472,10 @@ class TestMergeNodes:
     )
     def test_invalid_clusters_rejected(self, clusters):
         kg = _merge_fixture()
+        snapshot = kg.to_dict()
         with pytest.raises((ClusterError, UnknownNodeError)):
             merge_nodes(kg, clusters)
+        assert kg.to_dict() == snapshot
 
     def test_empty_cluster_list_returns_equal_graph(self):
         kg = _merge_fixture()

@@ -846,7 +846,7 @@ class TestCheckpointCostsWhatChanged:
         assert documents == [len(state.bank)]
         assert encoded == {ev_id: 2 for ev_id in state.bank.ids()}
 
-    def test_only_clones_and_merges_copy_the_graph(self, tmp_path, monkeypatch):
+    def test_only_clones_copy_the_graph(self, tmp_path, monkeypatch):
         active: list[str] = []
         copied_by: list[str | None] = []
         calls: Counter = Counter()
@@ -875,7 +875,8 @@ class TestCheckpointCostsWhatChanged:
             monkeypatch.setattr(orchestrator, name, tracked(name, getattr(orchestrator, name)))
         _demo_runner(tmp_path / "run").start(load_fixture(DEMO_FIXTURE).root_query)
         assert calls["apply_extraction"] > 0 and calls["clone"] > 0
-        assert Counter(copied_by) == {"clone": calls["clone"], "merge_nodes": calls["merge_nodes"]}
+        assert calls["merge_nodes"] == 1
+        assert Counter(copied_by) == {"clone": calls["clone"]}
 
 
 def _small_sim(variant: str = "dualgraph") -> tuple[RunConfig, Providers, str]:
