@@ -1,11 +1,11 @@
 """Seeded community detection on undirected simple graphs.
 
 Implements the three-phase scheme of local moving, refinement, and graph
-aggregation, optimizing modularity at a configurable resolution. Refinement
-splits each community into connected sub-communities before aggregating, so
-every emitted community is internally connected. All node orderings come from
-one seeded RNG and ties break on the smallest community index, which makes the
-result a pure function of (graph, seed, resolution).
+aggregation, optimizing standard modularity (resolution 1). Refinement splits
+each community into connected sub-communities before aggregating, so every
+emitted community is internally connected. All node orderings come from one
+seeded RNG and ties break on the smallest community index, which makes the
+result a pure function of (graph, seed).
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ def modularity(
     nodes: Sequence[Hashable],
     edges: Iterable[tuple[Hashable, Hashable]],
     partition: dict[Hashable, int],
-    resolution: float = 1.0,
 ) -> float:
     """Standard undirected modularity; 0.0 for an edgeless graph."""
     idx, adj = _build_index(nodes, edges)
@@ -55,7 +54,7 @@ def modularity(
                 intra[c] = intra.get(c, 0.0) + w
     q = 0.0
     for c, d in deg_tot.items():
-        q += intra.get(c, 0.0) / m - resolution * (d / (2.0 * m)) ** 2
+        q += intra.get(c, 0.0) / m - (d / (2.0 * m)) ** 2
     return q
 
 
@@ -69,7 +68,7 @@ class _Level:
         self.deg = [sum(nbrs.values()) + 2.0 * loops[i] for i, nbrs in enumerate(adj)]
         self.m = (sum(self.deg)) / 2.0
 
-    def local_move(self, comm: list[int], rng: random.Random, resolution: float) -> bool:
+    def local_move(self, comm: list[int], rng: random.Random) -> bool:
         """Queue-driven greedy moving; returns True if anything moved."""
         if self.m == 0:
             return False
@@ -92,13 +91,13 @@ class _Level:
             links: dict[int, float] = {}
             for j, w in self.adj[i].items():
                 links[comm[j]] = links.get(comm[j], 0.0) + w
-            base = links.get(a, 0.0) - resolution * k_i * (sigma[a] - k_i) / two_m
+            base = links.get(a, 0.0) - k_i * (sigma[a] - k_i) / two_m
             best_c = a
             best_gain = 0.0
             for c in sorted(links):
                 if c == a:
                     continue
-                gain = (links[c] - resolution * k_i * sigma[c] / two_m) - base
+                gain = (links[c] - k_i * sigma[c] / two_m) - base
                 if gain > best_gain + _EPS:
                     best_gain = gain
                     best_c = c
@@ -127,7 +126,7 @@ class _Level:
             label += 1
         return label
 
-    def refine(self, comm: list[int], rng: random.Random, resolution: float) -> list[int]:
+    def refine(self, comm: list[int], rng: random.Random) -> list[int]:
         """Split each community into connected sub-communities by greedy merging."""
         refined = list(range(self.n))
         if self.m == 0:
@@ -149,8 +148,8 @@ class _Level:
             best_s: int | None = None
             best_gain = 0.0
             for s in sorted(links):
-                gain = (links[s] - resolution * k_i * sub_sigma[s] / two_m) - (
-                    -resolution * k_i * (sub_sigma[refined[i]] - k_i) / two_m
+                gain = (links[s] - k_i * sub_sigma[s] / two_m) - (
+                    -k_i * (sub_sigma[refined[i]] - k_i) / two_m
                 )
                 if gain > best_gain + _EPS:
                     best_gain = gain
@@ -196,7 +195,6 @@ def leiden_partition(
     nodes: Sequence[Hashable],
     edges: Iterable[tuple[Hashable, Hashable]],
     seed: int = 0,
-    resolution: float = 1.0,
 ) -> dict[Hashable, int]:
     """Partition nodes into communities; labels are contiguous from 0.
 
@@ -215,8 +213,8 @@ def leiden_partition(
     # membership chain maps original node index to current level node index
     chain = list(range(level.n))
     while True:
-        moved = level.local_move(comm, rng, resolution)
-        refined = level.refine(comm, rng, resolution)
+        moved = level.local_move(comm, rng)
+        refined = level.refine(comm, rng)
         distinct = len(set(refined))
         if not moved and distinct == level.n:
             break

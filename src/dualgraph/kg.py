@@ -649,12 +649,10 @@ def cluster_semantic(kg: KnowledgeGraph, threshold: float = 0.85) -> dict[str, i
     return out
 
 
-def detect_communities(
-    kg: KnowledgeGraph, seed: int, resolution: float = 1.0
-) -> CommunityPartition:
+def detect_communities(kg: KnowledgeGraph, seed: int) -> CommunityPartition:
     """Community structure of the undirected simple projection, unit weights."""
     ids = kg.node_ids()
-    assignment = leiden_partition(ids, kg.undirected_pairs(), seed=seed, resolution=resolution)
+    assignment = leiden_partition(ids, kg.undirected_pairs(), seed=seed)
     return CommunityPartition(assignment=assignment, seed=seed)
 
 

@@ -43,6 +43,9 @@ rewritten: ``Runner.start`` deletes both, and ``Runner.resume`` cuts each in
 place where ``load_state`` stopped reading its committed lines, so a resume
 reads each log once and costs what the fault lost.
 
+Every model call takes one path, ``_chat_parsed``: it renders the named
+template, audits the exchange under that name, and parses the answer.
+
 ``Runner.read`` is the one reader of the run directory: ``load_state``, resume
 and the CLI's inspect commands open every file through it, as bytes. A missing,
 undecodable or damaged file is a ``ConfigError`` that names it.
@@ -89,6 +92,7 @@ from .providers.parsers import (
     _require_object,
     _require_scores,
     _require_str,
+    _require_strings,
 )
 
 log = logging.getLogger(__name__)
@@ -287,12 +291,12 @@ class RunState:
             config=config,
             stage=doc["stage"],
             iteration=doc["iteration"],
-            executed_queries=_strings(doc["executed_queries"], "executed_queries"),
+            executed_queries=_require_strings(doc["executed_queries"], "executed_queries"),
             early_stop_history=[
                 EarlyStopReport.from_dict(r)
                 for r in _require_list(doc["early_stop_history"], "early_stop_history")
             ],
-            events=_strings(doc["events"], "events"),
+            events=_require_strings(doc["events"], "events"),
         )
         units, records = doc["bank_units"], doc["audit_records"]
         if state.stage != "init":
@@ -316,10 +320,6 @@ class RunState:
         if len(state.audit) < records:
             raise ConfigError(f"{AUDIT_LOG} is shorter than the checkpoint's audit_records")
         return state
-
-
-def _strings(value, what: str) -> list[str]:
-    return [_require_str(v, f"{what} entry", allow_empty=True) for v in _require_list(value, what)]
 
 
 def _text(parse: Callable) -> Callable:
@@ -352,28 +352,31 @@ def _document(doc) -> str:
 # -- provider call helpers ---------------------------------------------
 
 
-def _chat(state: RunState, providers: Providers, name: str, prompt: str) -> str:
-    response = providers.chat.complete(prompt)
-    state.audit.append(
-        {"call": len(state.audit), "name": name, "prompt": prompt, "response": response}
-    )
-    return response
-
-
 _RETRIES = 2  # re-asks after a malformed chat response
 
 
-def _chat_parsed(state, providers, name, prompt, parse_fn, attempts=_RETRIES):
-    """Call, parse, and re-ask the identical prompt on contract violations."""
+def _chat_parsed(state, providers, name, variables, parse_fn, attempts=_RETRIES):
+    """Render template ``name`` (with the run's ``ROOT_QUERY``), ask, audit the
+    exchange under ``name``, parse, and re-ask the identical prompt on contract
+    violations."""
+    prompt = parsers.render(name, {"ROOT_QUERY": state.root_query, **variables})
     last_error: Exception | None = None
     for _ in range(attempts + 1):
-        response = _chat(state, providers, name, prompt)
+        response = providers.chat.complete(prompt)
+        state.audit.append(
+            {"call": len(state.audit), "name": name, "prompt": prompt, "response": response}
+        )
         try:
             return parse_fn(response)
         except (ParseError, OutlineError, KnowledgeGraphError) as exc:
             last_error = exc
             log.warning("%s response rejected: %s", name, exc)
     raise ParseError(f"{name}: no valid response after {attempts + 1} attempts: {last_error}")
+
+
+def _kg_json(kg: KnowledgeGraph) -> str:
+    """The graph as every prompt that shows it carries it."""
+    return json.dumps(kg.to_prompt_payload(), ensure_ascii=False)
 
 
 # -- query handling ----------------------------------------------------
@@ -450,15 +453,9 @@ def run_search_pipeline(
         if len(results) < len(found):
             log.warning("dropped %d blank-URL result(s) for %r", len(found) - len(results), query)
         if results:
-            prompt = parsers.render(
-                "filter_urls",
-                {"QUERY": query, "RESULTS": _format_results(results)},
-            )
             indices = _chat_parsed(
-                state,
-                providers,
-                "filter_urls",
-                prompt,
+                state, providers, "filter_urls",
+                {"QUERY": query, "RESULTS": _format_results(results)},
                 lambda text: parsers.parse_index_selection(text, len(results)),
             )
             for idx in sorted(indices):
@@ -470,15 +467,9 @@ def run_search_pipeline(
                 except FetchError as exc:
                     log.warning("fetch failed for %s: %s", result.url, exc)
                     continue
-                assess_prompt = parsers.render(
-                    "assess_page",
-                    {"QUERY": query, "URL": result.url, "PAGE": page},
-                )
                 assessment = _chat_parsed(
-                    state,
-                    providers,
-                    "assess_page",
-                    assess_prompt,
+                    state, providers, "assess_page",
+                    {"QUERY": query, "URL": result.url, "PAGE": page},
                     parsers.parse_page_assessment,
                 )
                 if not assessment.useful:
@@ -491,8 +482,7 @@ def run_search_pipeline(
                     content=assessment.salient_content,
                     iteration=iteration,
                 )
-                if ev_id is not None:
-                    new_ids.append(ev_id)
+                new_ids.append(ev_id)  # an id: has_url above ruled out a banked URL
         new_by_query[query] = new_ids
         state.executed_queries.append(query)
     return new_by_query
@@ -504,21 +494,14 @@ def run_search_pipeline(
 def gen_queries_from_og(state: RunState, providers: Providers, pending: list[str]) -> list[str]:
     assert state.og is not None
     budget = state.config.og_query_budget
-    prompt = parsers.render(
-        "generate_queries",
+    return _chat_parsed(
+        state, providers, "generate_queries",
         {
             "QUERY_NUM": str(budget),
-            "ROOT_QUERY": state.root_query,
             "OUTLINE": state.outline_text(),
             "EXECUTED_QUERIES": _executed_block(state),
             "PENDING_QUERIES": "\n".join(pending) or "(none)",
         },
-    )
-    return _chat_parsed(
-        state,
-        providers,
-        "generate_queries",
-        prompt,
         lambda text: parsers.parse_query_lines(text, budget),
         1,
     )
@@ -558,17 +541,6 @@ def gen_queries_from_kg(
     if not chains:
         return [], [], []
     known_ids = {c.chain_id for c in chains}
-    prompt = parsers.render(
-        "select_chains",
-        {
-            "CHAIN_NUM": str(config.kg_query_budget),
-            "ROOT_QUERY": state.root_query,
-            "OUTLINE": state.outline_text(),
-            "EXECUTED_QUERIES": _executed_block(state),
-            "KG_PAYLOAD": json.dumps(state.kg.to_prompt_payload(), ensure_ascii=False),
-            "CANDIDATE_CHAINS": format_chains_for_prompt(chains, state.kg),
-        },
-    )
 
     def parse_and_check(text: str) -> parsers.ChainSelection:
         selection = parsers.parse_chain_selection(text, config.kg_query_budget)
@@ -578,7 +550,16 @@ def gen_queries_from_kg(
         return selection
 
     selection = _chat_parsed(
-        state, providers, "select_chains", prompt, parse_and_check, 1
+        state, providers, "select_chains",
+        {
+            "CHAIN_NUM": str(config.kg_query_budget),
+            "OUTLINE": state.outline_text(),
+            "EXECUTED_QUERIES": _executed_block(state),
+            "KG_PAYLOAD": _kg_json(state.kg),
+            "CANDIDATE_CHAINS": format_chains_for_prompt(chains, state.kg),
+        },
+        parse_and_check,
+        1,
     )
     return selection.queries, chains, selection.chain_ids
 
@@ -618,30 +599,18 @@ def update_kg(
             f"{_flatten(state.bank.get(ev_id).content)}".rstrip()
             for label, ev_id in labels.items()
         )
-        prompt = parsers.render(
-            "extract_knowledge",
-            {
-                "ROOT_QUERY": state.root_query,
-                "SEARCH_QUERY": query,
-                "EVIDENCE_STATEMENTS": statements,
-                "KG_PAYLOAD": json.dumps(kg.to_prompt_payload(), ensure_ascii=False),
-            },
-        )
 
         def parse_and_apply(text: str) -> KnowledgeGraph:
             return apply_extraction(kg, parsers.parse_extraction(text), labels)
 
-        _chat_parsed(state, providers, "extract_knowledge", prompt, parse_and_apply)
+        _chat_parsed(
+            state, providers, "extract_knowledge",
+            {"SEARCH_QUERY": query, "EVIDENCE_STATEMENTS": statements, "KG_PAYLOAD": _kg_json(kg)},
+            parse_and_apply,
+        )
 
     concepts = [n for n in kg.nodes.values() if not n.is_core_entity]
     if len(concepts) >= 2:
-        prompt = parsers.render(
-            "merge_concepts",
-            {
-                "ROOT_QUERY": state.root_query,
-                "KG_PAYLOAD": json.dumps(kg.to_prompt_payload(), ensure_ascii=False),
-            },
-        )
 
         def parse_and_merge(text: str) -> None:
             clusters = parsers.parse_merge(text)
@@ -649,7 +618,9 @@ def update_kg(
                 merge_nodes(kg, clusters)
 
         try:
-            _chat_parsed(state, providers, "merge_concepts", prompt, parse_and_merge)
+            _chat_parsed(
+                state, providers, "merge_concepts", {"KG_PAYLOAD": _kg_json(kg)}, parse_and_merge
+            )
         except ParseError as exc:
             # A bad merge proposal is rejected, never fatal: the graph stands.
             log.warning("merge batch rejected, keeping graph untouched: %s", exc)
@@ -672,25 +643,19 @@ def update_og(state: RunState, providers: Providers) -> None:
     assert state.og is not None
     cited = state.og.all_citations()
     uncited = [u.evidence_id for u in state.bank.units if u.evidence_id not in cited]
-    if state.kg is not None:
-        kg_context = json.dumps(state.kg.to_prompt_payload(), ensure_ascii=False)
-    else:
-        kg_context = "(not in use)"
-    prompt = parsers.render(
-        "revise_outline",
+
+    def parse_and_repair(text: str) -> OutlineGraph:  # state.og is still the old outline
+        return apply_revision(state.og, text, state.bank, providers.embed.embed)
+
+    state.og = _chat_parsed(
+        state, providers, "revise_outline",
         {
-            "ROOT_QUERY": state.root_query,
             "CURRENT_OUTLINE": state.outline_text(),
             "NEW_EVIDENCE": _evidence_block(state.bank, uncited),
-            "KG_CONTEXT": kg_context,
+            "KG_CONTEXT": "(not in use)" if state.kg is None else _kg_json(state.kg),
         },
+        parse_and_repair,
     )
-    old = state.og
-
-    def parse_and_repair(text: str) -> OutlineGraph:
-        return apply_revision(old, text, state.bank, providers.embed.embed)
-
-    state.og = _chat_parsed(state, providers, "revise_outline", prompt, parse_and_repair)
 
 
 # -- early stop --------------------------------------------------------
@@ -712,17 +677,12 @@ def evaluate_early_stop(
         )
     else:
         digest = "(no citations)"
-    prompt = parsers.render(
-        "judge_outline",
-        {
-            "ROOT_QUERY": state.root_query,
-            "OUTLINE": state.outline_text(),
-            "EVIDENCE_DIGEST": digest,
-        },
-    )
     try:
         scores = _chat_parsed(
-            state, providers, "judge_outline", prompt, parsers.parse_scores, 1
+            state, providers, "judge_outline",
+            {"OUTLINE": state.outline_text(), "EVIDENCE_DIGEST": digest},
+            parsers.parse_scores,
+            1,
         )
     except ParseError as exc:
         log.warning("early-stop scores unusable, continuing run: %s", exc)
@@ -756,17 +716,17 @@ def write_report(state: RunState, providers: Providers) -> str:
             unit = state.bank.get(ev_id)
             evidence_lines.append(f"{ev_id} | {unit.title} | {unit.url}")
             evidence_lines.append(f"summary: {unit.summary}")
-        prompt = parsers.render(
-            "write_section",
+        sections_md.append(_chat_parsed(
+            state, providers, "write_section",
             {
-                "ROOT_QUERY": state.root_query,
                 "REPORT_TITLE": og.title,
                 "PREVIOUS_SECTIONS": "\n\n".join(sections_md) or "(none)",
                 "SECTION_OUTLINE": snippet.strip(),
                 "EVIDENCE": "\n".join(evidence_lines) or "(none)",
             },
-        )
-        sections_md.append(_chat(state, providers, "write_section", prompt).strip())
+            str.strip,
+            0,
+        ))
     report = f"# {og.title}\n\n" + "\n\n".join(sections_md) + "\n"
     state.report = report
     return report
@@ -778,12 +738,11 @@ def write_report(state: RunState, providers: Providers) -> str:
 def init_run(state: RunState, providers: Providers) -> None:
     """Create the outline, run the first retrieval round, build the graph."""
     state.events.append("init:create_outline")
-    prompt = parsers.render("create_outline", {"ROOT_QUERY": state.root_query})
 
     def parse_created(text: str) -> OutlineGraph:
         return check_citations(parse_outline(text), state.bank)
 
-    state.og = _chat_parsed(state, providers, "create_outline", prompt, parse_created)
+    state.og = _chat_parsed(state, providers, "create_outline", {}, parse_created)
 
     state.events.append("init:gen_from_og")
     queries = gen_queries_from_og(state, providers, pending=[])

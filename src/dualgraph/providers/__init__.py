@@ -8,7 +8,6 @@ from .base import (
     Providers,
     ScriptExhaustedError,
     SearchProvider,
-    SearchProviderError,
     SearchResult,
     UnmatchedPromptError,
 )
@@ -23,7 +22,6 @@ __all__ = [
     "Providers",
     "ScriptExhaustedError",
     "SearchProvider",
-    "SearchProviderError",
     "SearchResult",
     "UnmatchedPromptError",
 ]

@@ -16,7 +16,6 @@ import numpy as np
 __all__ = [
     "ProviderError",
     "ChatProviderError",
-    "SearchProviderError",
     "FetchError",
     "ScriptExhaustedError",
     "UnmatchedPromptError",
@@ -34,10 +33,6 @@ class ProviderError(RuntimeError):
 
 
 class ChatProviderError(ProviderError):
-    pass
-
-
-class SearchProviderError(ProviderError):
     pass
 
 

@@ -24,7 +24,7 @@ from .base import (
     UnmatchedPromptError,
     Providers,
 )
-from .parsers import SchemaViolation, _require_int
+from .parsers import SchemaViolation, _require_int, _require_list, _require_str, _require_strings
 
 __all__ = [
     "ScriptEntry",
@@ -162,30 +162,57 @@ class Fixture:
         )
 
 
+def _require_dict(value, what: str) -> dict:
+    """A JSON object with any keys; ``_require_object`` pins them."""
+    if not isinstance(value, dict):
+        raise SchemaViolation(f"{what}: expected a JSON object")
+    return value
+
+
+def _script_entry(value, what: str) -> ScriptEntry:
+    e = _require_dict(value, what)
+    return ScriptEntry(
+        match=_require_strings(e["match"], f"{what}.match"),
+        responses=_require_strings(e["responses"], f"{what}.responses"),
+    )
+
+
+def _search_result(value, what: str, rank: int) -> SearchResult:
+    r = _require_dict(value, what)
+    url, title, snippet = (
+        _require_str(r[key], f"{what}.{key}", allow_empty=True)
+        for key in ("url", "title", "snippet")
+    )
+    return SearchResult(url=url, title=title, snippet=snippet, rank=rank)
+
+
 def load_fixture(path: str | Path) -> Fixture:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    """Read a fixture file; a value of the wrong shape is a SchemaViolation naming it."""
+    doc = _require_dict(json.loads(Path(path).read_text(encoding="utf-8")), "fixture")
     entries = [
-        ScriptEntry(match=list(e["match"]), responses=list(e["responses"]))
-        for e in doc["chat_script"]
+        _script_entry(e, f"chat_script[{i}]")
+        for i, e in enumerate(_require_list(doc["chat_script"], "chat_script"))
     ]
     results = {
         query: [
-            SearchResult(
-                url=r["url"], title=r["title"], snippet=r["snippet"], rank=i
-            )
-            for i, r in enumerate(rs)
+            _search_result(r, f"search_results[{query!r}][{i}]", i)
+            for i, r in enumerate(_require_list(rs, f"search_results[{query!r}]"))
         ]
-        for query, rs in doc.get("search_results", {}).items()
+        for query, rs in _require_dict(doc.get("search_results", {}), "search_results").items()
+    }
+    pages = {
+        url: _require_str(text, f"pages[{url!r}]", allow_empty=True)
+        for url, text in _require_dict(doc.get("pages", {}), "pages").items()
     }
     embed_dim = _require_int(doc.get("embed_dim", 32), "embed_dim")
     if embed_dim < 1:
         raise SchemaViolation(f"embed_dim must be >= 1, got {embed_dim}")
     return Fixture(
-        root_query=doc["root_query"],
-        config=doc.get("config", {}),
+        root_query=_require_str(doc["root_query"], "root_query", allow_empty=True),
+        config=_require_dict(doc.get("config", {}), "config"),
         chat_entries=entries,
         search_results=results,
-        pages=doc.get("pages", {}),
+        pages=pages,
         embed_dim=embed_dim,
         embed_seed=_require_int(doc.get("embed_seed", 0), "embed_seed"),
     )

@@ -154,6 +154,11 @@ def _require_list(value, what: str) -> list:
     return value
 
 
+def _require_strings(value, what: str) -> list[str]:
+    """A list of strings, any of them empty."""
+    return [_require_str(v, f"{what} entry", allow_empty=True) for v in _require_list(value, what)]
+
+
 def _require_int(value, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise SchemaViolation(f"{what}: expected an integer")

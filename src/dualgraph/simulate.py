@@ -126,7 +126,6 @@ def generate_world(
     rel_idx = 0
 
     def push(u: str, v: str, relation: str) -> None:
-        nonlocal rel_idx
         pair = frozenset((u, v))
         if u == v or pair in seen_pairs:
             return

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import functools
 import json
+import operator
 
 import pytest
 
@@ -220,6 +222,14 @@ def _demo_fixture_with(**keys) -> str:
     return json.dumps(doc)
 
 
+def _demo_fixture_with_item(*keys, to) -> str:
+    """The demo fixture with the item at path ``keys`` replaced by ``to(item)``."""
+    doc = json.loads(DEMO_FIXTURE.read_text(encoding="utf-8"))
+    parent = functools.reduce(operator.getitem, keys[:-1], doc)
+    parent[keys[-1]] = to(parent[keys[-1]])
+    return json.dumps(doc)
+
+
 # A --fixture file that load_fixture cannot read.
 DAMAGED_FIXTURES = {
     "torn-json": '{"root_query": "q", "chat_scr',
@@ -232,6 +242,17 @@ DAMAGED_FIXTURES = {
     "embed-dim-bool": _demo_fixture_with(embed_dim=True),
     "embed-seed-string": _demo_fixture_with(embed_seed="x"),
     "embed-seed-bool": _demo_fixture_with(embed_seed=False),
+    # A string where a list of strings belongs, which iteration would split
+    # into characters.
+    "responses-a-string": _demo_fixture_with_item("chat_script", 0, "responses", to=lambda r: r[0]),
+    "match-a-string": _demo_fixture_with_item("chat_script", 0, "match", to=lambda m: m[0]),
+    "config-a-list": _demo_fixture_with_item("config", to=list),
+    "pages-a-list": _demo_fixture_with_item("pages", to=list),
+    "search-results-a-list": _demo_fixture_with_item("search_results", to=list),
+    "page-a-number": _demo_fixture_with_item(
+        "pages", to=lambda pages: {url: len(text) for url, text in pages.items()}
+    ),
+    "root-query-a-number": _demo_fixture_with(root_query=7),
 }
 
 

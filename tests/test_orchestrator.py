@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import logging
 import random
+import re
 from collections import Counter
 from dataclasses import fields, replace
 from itertools import islice
@@ -50,7 +51,7 @@ from dualgraph.providers.mock import (
     StaticChatProvider,
     load_fixture,
 )
-from dualgraph.providers.parsers import SCORE_DIMENSIONS, ParseError
+from dualgraph.providers.parsers import SCORE_DIMENSIONS, ParseError, load_template
 from dualgraph.simulate import DEFAULT_ROOT_QUERY, generate_world, sim_providers
 
 from .builders import DEMO_FIXTURE, Crash, CrashingRunner, crash_demo_run, dir_snapshot
@@ -1587,3 +1588,37 @@ class TestDriveHoldsOneState:
         config, providers, root_query = _small_sim()
         state = Runner(config, providers, tmp_path / "run").start(root_query)
         assert list(drive(state, providers)) == []
+
+
+def _template_pattern(name: str) -> re.Pattern:
+    """Template ``name`` with each ``${...}`` placeholder a wildcard."""
+    literals = re.split(r"\$\{[A-Z_]+\}", load_template(name))
+    return re.compile(".*".join(map(re.escape, literals)), re.DOTALL)
+
+
+_TEMPLATE_DIR = Path(orchestrator.__file__).parent / "providers" / "templates"
+TEMPLATES = {path.stem for path in _TEMPLATE_DIR.glob("*.txt")}
+
+# The demo run and the CI-world sim run of each variant, with the templates each prompts.
+_AUDITED_RUNS = {
+    "demo": (_demo, TEMPLATES),
+    "ci-world-dualgraph": (lambda: (*_ci_world_run("dualgraph"), DEFAULT_ROOT_QUERY), TEMPLATES),
+    "ci-world-outline-only": (
+        lambda: (*_ci_world_run("outline-only"), DEFAULT_ROOT_QUERY),
+        TEMPLATES - {"select_chains", "extract_knowledge", "merge_concepts"},
+    ),
+}
+
+
+class TestAuditNamesItsTemplate:
+    @pytest.mark.parametrize("run", _AUDITED_RUNS)
+    def test_each_prompt_is_rendered_from_the_template_its_record_names(self, tmp_path, run):
+        make, templates = _AUDITED_RUNS[run]
+        config, providers, root_query = make()
+        Runner(config, providers, tmp_path / "run").start(root_query)
+        log_text = (tmp_path / "run" / "audit.jsonl").read_text(encoding="utf-8")
+        records = [json.loads(line) for line in log_text.splitlines()]
+        patterns = {name: _template_pattern(name) for name in templates}
+        assert {record["name"] for record in records} == templates
+        for record in records:
+            assert patterns[record["name"]].fullmatch(record["prompt"]), record["call"]
