@@ -18,30 +18,34 @@ run_iteration is functional (state in, new state out), so a provider failure
 mid-iteration loses nothing but in-flight work, writes no file (the state it
 interrupted is already committed), and a resumed run converges to the same
 bytes as an uninterrupted one. ``drive`` holds one state object: init_run and
-write_report change it in place, and only run_iteration clones. It also holds
-one embedding memo, above the provider it is given: every phase embeds through
-it, so each distinct text reaches ``providers.embed`` at most once per
-``drive`` call. The memo is not run state: no checkpoint writes it, and a
-resume starts with an empty one and fills it as the run asks.
+write_report change it in place, and only run_iteration clones. Every phase
+embeds through one memo above the provider ``drive`` is given, the state's
+``embeddings`` (text to vector, in first-request order), so each distinct text
+reaches ``providers.embed`` at most once per run. Entries are only ever added,
+so clones share the memo, and at each checkpoint it holds exactly the texts the
+run has asked for so far: a resume starts from the committed memo, asks for
+the same texts in the same order as an uninterrupted run, and embeds only the
+texts the fault lost.
 
-Phases change a state in place in three ways only: they append to its four
-lists (executed queries, early-stop history, events, audit), add units to its
-bank, and change its graph: add nodes and edges (``apply_extraction``),
-collapse concept clusters (``merge_nodes``) or set fields on its nodes.
-Everything else they replace whole, and no audit record changes once made. So
-``RunState.clone`` copies the graph, the bank and the four lists, and shares
-the rest; it is the only copy of a graph the engine makes.
+Besides adding to the memo, phases change a state in place in three ways
+only: they append to its four lists (executed queries, early-stop history,
+events, audit), add units to its bank, and change its graph: add nodes and
+edges (``apply_extraction``), collapse concept clusters (``merge_nodes``) or
+set fields on its nodes. Everything else they replace whole, and no audit
+record changes once made. So ``RunState.clone`` copies the graph, the bank and
+the four lists, and shares the rest; it is the only copy of a graph the engine
+makes.
 
 In particular an outline in a state is never changed in place: a revision
 builds a new one. So a state renders each outline once (``RunState.outline_text``),
 and every prompt and checkpoint that shows the outline uses that text.
 
-A checkpoint costs what the iteration changed: the audit records and bank
-units made since the last one are appended to ``audit.jsonl`` and
-``bank.jsonl``, and ``state.json`` commits both logs by count. No log is ever
-rewritten: ``Runner.start`` deletes both, and ``Runner.resume`` cuts each in
-place where ``load_state`` stopped reading its committed lines, so a resume
-reads each log once and costs what the fault lost.
+A checkpoint costs what the iteration changed: the audit records, bank units
+and memo entries made since the last one are appended to ``audit.jsonl``,
+``bank.jsonl`` and ``embed.jsonl``, and ``state.json`` commits the three logs
+by count. No log is ever rewritten: ``Runner.start`` deletes them, and
+``Runner.resume`` cuts each in place where ``load_state`` stopped reading its
+committed lines, so a resume reads each log once and costs what the fault lost.
 
 Every model call takes one path, ``_chat_parsed``: it renders the named
 template, audits the exchange under that name, and parses the answer.
@@ -53,6 +57,7 @@ undecodable or damaged file is a ``ConfigError`` that names it.
 
 from __future__ import annotations
 
+import base64
 import json
 import logging
 import os
@@ -119,12 +124,13 @@ REPORT_FILE = "report.md"
 BANK_FILE = "bank.json"  # the final bank, beside the report
 AUDIT_LOG = "audit.jsonl"
 BANK_LOG = "bank.jsonl"
-FORMAT_VERSION = 7
-_LOGS = (AUDIT_LOG, BANK_LOG)  # append-only; state.json commits each by count
+EMBED_LOG = "embed.jsonl"
+FORMAT_VERSION = 8
+_LOGS = (AUDIT_LOG, BANK_LOG, EMBED_LOG)  # append-only; state.json commits each by count
 # Every key RunState.to_dict writes besides format_version.
 _STATE_KEYS = (
     "root_query", "config", "stage", "iteration", "executed_queries",
-    "early_stop_history", "events", "audit_records", "bank_units",
+    "early_stop_history", "events", "audit_records", "bank_units", "embedded_texts",
 )
 
 
@@ -219,6 +225,9 @@ class RunState:
     _outline_memo: tuple[OutlineGraph, str] | None = field(
         default=None, repr=False, compare=False
     )
+    # Every text the run has embedded -> its float64 row, in first-request order;
+    # only ever added to, so clone shares it. embed.jsonl holds it.
+    embeddings: dict[str, np.ndarray] = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def stopped(self) -> bool:
@@ -234,7 +243,8 @@ class RunState:
 
     def clone(self) -> "RunState":
         """A copy phases may change: they only append to the four lists, add to
-        the bank and change the graph, so only those are copied."""
+        the bank and change the graph, so only those are copied. The embedding
+        memo only grows, and is shared."""
         return replace(
             self,
             kg=None if self.kg is None else self.kg.copy(),
@@ -258,14 +268,15 @@ class RunState:
             "events": list(self.events),
             "audit_records": len(self.audit),
             "bank_units": len(self.bank),
+            "embedded_texts": len(self.embeddings),
         }
 
     @classmethod
     def from_dict(cls, doc: dict, read: Callable) -> "RunState":
         """Rebuild a checkpoint; ``read(name, parse)`` is ``parse`` of a run-dir file.
 
-        The files of the committed iteration never change later, and the bank
-        and audit logs only grow, so a checkpoint that never committed is ignored.
+        The files of the committed iteration never change later, and the logs
+        only grow, so a checkpoint that never committed is ignored.
         """
         if not isinstance(doc, dict):
             raise ConfigError(f"{STATE_FILE} must hold a JSON object")
@@ -276,7 +287,7 @@ class RunState:
             raise ConfigError(f"{STATE_FILE} lacks {missing}")
         if doc["stage"] not in ("init", "loop", "done"):
             raise ConfigError(f"{STATE_FILE}: unknown stage {doc['stage']!r}")
-        counts = ("iteration", "audit_records", "bank_units")
+        counts = ("iteration", "audit_records", "bank_units", "embedded_texts")
         bad = [key for key in counts if type(doc[key]) is not int or doc[key] < 0]
         if bad:
             raise ConfigError(f"{STATE_FILE}: {bad} must be non-negative integers")
@@ -298,7 +309,7 @@ class RunState:
             ],
             events=_require_strings(doc["events"], "events"),
         )
-        units, records = doc["bank_units"], doc["audit_records"]
+        units, records, texts = doc["bank_units"], doc["audit_records"], doc["embedded_texts"]
         if state.stage != "init":
             outline_file = f"outline_iter{state.iteration}.txt"
             state.og = read(outline_file, _text(parse_outline))
@@ -319,6 +330,9 @@ class RunState:
         state.audit = read(AUDIT_LOG, lambda log: _head(log, records))
         if len(state.audit) < records:
             raise ConfigError(f"{AUDIT_LOG} is shorter than the checkpoint's audit_records")
+        state.embeddings = read(EMBED_LOG, lambda log: _embeddings(_head(log, texts)))
+        if len(state.embeddings) < texts:
+            raise ConfigError(f"{EMBED_LOG} is shorter than the checkpoint's embedded_texts")
         return state
 
 
@@ -342,6 +356,35 @@ def _head(log, count: int) -> list[dict]:
     if not line.endswith(b"\n"):
         log.seek(1, os.SEEK_CUR)
     return records
+
+
+def _embed_record(entry: tuple[str, np.ndarray]) -> dict:
+    """An embed.jsonl line: the text and the base64 of its row's little-endian float64 bytes."""
+    text, row = entry
+    return {"text": text, "vector": base64.b64encode(row.astype("<f8").tobytes()).decode("ascii")}
+
+
+def _embeddings(records: list) -> dict[str, np.ndarray]:
+    """The memo that embed.jsonl records hold; a damaged record is a ValueError.
+
+    Rows must all have the first row's length, which is not checked against the
+    config's ``embed_dim``: ``run`` and ``resume`` take the embedder from the fixture.
+    """
+    rows: dict[str, np.ndarray] = {}
+    width = None
+    for i, record in enumerate(records):
+        record = _require_object(record, f"record {i}", {"text", "vector"})
+        text = _require_str(record["text"], f"record {i} text", allow_empty=True)
+        raw = base64.b64decode(_require_str(record["vector"], f"record {i} vector"), validate=True)
+        if text in rows:
+            raise ValueError(f"record {i} repeats the text {text!r}")
+        if not raw or len(raw) % 8:
+            raise ValueError(f"record {i} vector is {len(raw)} bytes, not a multiple of 8")
+        width = width or len(raw)
+        if len(raw) != width:
+            raise ValueError(f"record {i} vector is {len(raw)} bytes, record 0's is {width}")
+        rows[text] = np.frombuffer(raw, dtype="<f8")
+    return rows
 
 
 def _document(doc) -> str:
@@ -803,30 +846,32 @@ def run_iteration(state: RunState, providers: Providers) -> RunState:
 
 
 class _EmbedOnce:
-    """An embedder that sends each distinct text to ``inner`` once.
+    """An embedder that sends ``inner`` only the texts ``rows`` lacks.
 
     Each call sends the texts not seen before in one batch, and no call when
-    there are none; it returns a fresh array, so a caller may change its rows.
+    there are none, and adds their float64 rows to ``rows`` in request order;
+    it returns a fresh array, so a caller may change its rows.
     """
 
-    def __init__(self, inner):
+    def __init__(self, inner, rows: dict[str, np.ndarray]):
         self.inner = inner
-        self._rows: dict[str, np.ndarray] = {}
+        self._rows = rows
 
     def embed(self, texts: Sequence[str]) -> np.ndarray:
         rows = self._rows
         misses = list(dict.fromkeys(t for t in texts if t not in rows))
         if misses:
-            rows.update(zip(misses, self.inner.embed(misses)))
+            rows.update(zip(misses, np.asarray(self.inner.embed(misses), dtype=np.float64)))
         return np.array([rows[t] for t in texts])
 
 
 def drive(state: RunState, providers: Providers) -> Iterator[RunState]:
     """Run ``state`` to its report, yielding it at each boundary; a done run yields nothing.
 
-    The phases embed through one ``_EmbedOnce`` per call; ``providers`` is left as given.
+    The phases embed through an ``_EmbedOnce`` over ``state.embeddings``;
+    ``providers`` is left as given.
     """
-    providers = replace(providers, embed=_EmbedOnce(providers.embed))
+    providers = replace(providers, embed=_EmbedOnce(providers.embed, state.embeddings))
     if state.stage == "init":
         init_run(state, providers)
         yield state
@@ -862,13 +907,13 @@ class Runner:
         (self.run_dir / f"{name}.tmp").write_text(text, encoding="utf-8")
         (self.run_dir / f"{name}.tmp").replace(self.run_dir / name)
 
-    def _append(self, name: str, entries: list, to_dict: Callable = lambda entry: entry) -> None:
+    def _append(self, name: str, entries, to_dict: Callable = lambda entry: entry) -> None:
         """Append the entries past those the log already holds, one JSON line each.
 
-        ``start`` deletes both logs and ``resume`` cuts each after its committed
+        ``start`` deletes the logs and ``resume`` cuts each after its committed
         lines, so a log is only ever appended to, never rewritten.
         """
-        rows = [_document(to_dict(e)) for e in entries[self._written[name]:]]
+        rows = [_document(to_dict(e)) for e in islice(entries, self._written[name], None)]
         with open(self.run_dir / name, "a", encoding="utf-8") as log_file:
             log_file.writelines(rows)
         self._written[name] = len(entries)
@@ -892,10 +937,10 @@ class Runner:
 
     def _checkpoint(self, state: RunState) -> None:
         # state.json goes last and commits the checkpoint: it names the iteration whose
-        # files hold the outline and graph, and counts the audit records and bank units
-        # in their logs. A loop checkpoint already wrote the last iteration's files, so
-        # the one that finishes the run writes the final outline, graph and bank beside
-        # the report instead.
+        # files hold the outline and graph, and counts the audit records, bank units and
+        # embedded texts in their logs. A loop checkpoint already wrote the last
+        # iteration's files, so the one that finishes the run writes the final outline,
+        # graph and bank beside the report instead.
         done = state.stage == "done"
         suffix = "" if done else f"_iter{state.iteration}"
         if state.og is not None:
@@ -906,6 +951,7 @@ class Runner:
             self._replace(f"chains_iter{state.iteration}.json", _document(state.chain_record))
         self._append(AUDIT_LOG, state.audit)
         self._append(BANK_LOG, state.bank.units, EvidenceUnit.to_dict)
+        self._append(EMBED_LOG, state.embeddings.items(), _embed_record)
         if done:
             self._replace(BANK_FILE, state.bank.to_document())
         if state.report is not None:
@@ -950,6 +996,7 @@ class Runner:
         state = self.load_state()
         self._cut(AUDIT_LOG, len(state.audit))
         self._cut(BANK_LOG, len(state.bank))
+        self._cut(EMBED_LOG, len(state.embeddings))
         return self._drive(state)
 
     def _drive(self, state: RunState) -> RunState:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -154,8 +154,9 @@ class Fixture:
     embed_seed: int = 0
 
     def providers(self) -> Providers:
+        """Fresh providers; each chat provider replays the script from its start."""
         return Providers(
-            chat=ScriptedChatProvider(self.chat_entries),
+            chat=ScriptedChatProvider([replace(e, consumed=0) for e in self.chat_entries]),
             search=FixtureSearchProvider(self.search_results),
             fetch=FixtureFetchProvider(self.pages),
             embed=HashEmbeddingProvider(dim=self.embed_dim, seed=self.embed_seed),

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import base64
 import functools
 import json
 import operator
@@ -92,6 +93,27 @@ def _set_in_first_line(key: str, value):
         return json.dumps(dict(json.loads(first), **{key: value})) + "\n" + rest
 
     return damage
+
+
+def _edit_records(edit):
+    """A damage that applies ``edit`` to the list of a JSON-lines log's records."""
+
+    def damage(text: str) -> str:
+        records = [json.loads(line) for line in text.splitlines()]
+        edit(records)
+        return "".join(json.dumps(record) + "\n" for record in records)
+
+    return damage
+
+
+def _vector_bytes(to):
+    """Replace the first embed.jsonl vector's bytes with ``to(bytes)``, base64 again."""
+
+    def edit(records):
+        raw = base64.b64decode(records[0]["vector"])
+        records[0]["vector"] = base64.b64encode(to(raw)).decode("ascii")
+
+    return _edit_records(edit)
 
 
 ZEROS = dict.fromkeys(SCORE_DIMENSIONS, 0)
@@ -196,6 +218,28 @@ DAMAGED_FILES = {
     "resume-bank-iteration-a-string": (
         "resume", "bank.jsonl", _set_in_first_line("iteration", "0")
     ),
+    "resume-torn-embed-record": ("resume", "embed.jsonl", _tear_first_record),
+    "resume-embed-vector-not-base64": (
+        "resume", "embed.jsonl", _set_in_first_line("vector", "not base64!")
+    ),
+    "resume-embed-vector-a-float-list": (
+        "resume", "embed.jsonl", _set_in_first_line("vector", [0.5, 0.25])
+    ),
+    "resume-embed-vector-not-whole-floats": (
+        "resume", "embed.jsonl", _vector_bytes(lambda raw: raw[:-4])
+    ),
+    "resume-embed-vectors-of-unequal-length": (
+        "resume", "embed.jsonl", _vector_bytes(lambda raw: raw[:-8])
+    ),
+    "resume-embed-text-repeated": (
+        "resume", "embed.jsonl", _edit_records(lambda rs: rs[1].update(text=rs[0]["text"]))
+    ),
+    "resume-embed-text-a-number": ("resume", "embed.jsonl", _set_in_first_line("text", 7)),
+    "resume-embed-record-extra-key": ("resume", "embed.jsonl", _set_in_first_line("x", 1)),
+    "resume-negative-embedded-texts": ("resume", "state.json", _set_state("embedded_texts", -1)),
+    "resume-embedded-texts-not-an-int": (
+        "resume", "state.json", _set_state("embedded_texts", 2.5)
+    ),
 }
 
 # (command, file): each command that reads the file.
@@ -214,6 +258,7 @@ UNDECODABLE_FILES = [
     ("resume", "report.md"),
     ("resume", "audit.jsonl"),
     ("resume", "bank.jsonl"),
+    ("resume", "embed.jsonl"),
 ]
 
 def _demo_fixture_with(**keys) -> str:
@@ -427,7 +472,7 @@ class TestResume:
     def test_old_format_version_is_rejected(self, demo_run, capsys):
         path = demo_run / "state.json"
         doc = json.loads(path.read_text(encoding="utf-8"))
-        for version in (1, 2, 3, 4, 5, 6):
+        for version in (1, 2, 3, 4, 5, 6, 7):
             doc["format_version"] = version
             path.write_text(json.dumps(doc), encoding="utf-8")
             assert main(["resume", "--run-dir", str(demo_run)]) == 1
@@ -440,7 +485,16 @@ class TestResume:
         assert main(["resume", "--run-dir", str(demo_run)]) == 1
         assert "audit.jsonl" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("name", ["outline_iter2.txt", "kg_iter2.json", "report.md"])
+    def test_short_embed_log_is_rejected(self, demo_run, capsys):
+        path = demo_run / "embed.jsonl"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_text("".join(lines[:-1]), encoding="utf-8")
+        assert main(["resume", "--run-dir", str(demo_run)]) == 1
+        assert "embed.jsonl is shorter" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "name", ["outline_iter2.txt", "kg_iter2.json", "report.md", "embed.jsonl"]
+    )
     def test_missing_checkpoint_file_is_rejected(self, demo_run, capsys, name):
         (demo_run / name).unlink()
         assert main(["resume", "--run-dir", str(demo_run)]) == 1

@@ -624,6 +624,15 @@ class TestRunnerOnDemoFixture:
             _demo_runner(tmp_path / name).start(fixture.root_query)
         assert dir_snapshot(tmp_path / "a") == dir_snapshot(tmp_path / "b")
 
+    def test_two_runs_from_one_loaded_fixture_are_byte_identical(self, tmp_path):
+        # Each set of providers replays the script from its start.
+        fixture = load_fixture(DEMO_FIXTURE)
+        for name in ("a", "b"):
+            Runner(
+                RunConfig.from_dict(fixture.config), fixture.providers(), tmp_path / name
+            ).start(fixture.root_query)
+        assert dir_snapshot(tmp_path / "a") == dir_snapshot(tmp_path / "b")
+
     def test_interrupted_run_resumes_to_identical_result(self, tmp_path):
         _assert_interrupted_run_resumes_identically(tmp_path, lambda: load_fixture(DEMO_FIXTURE))
 
@@ -925,7 +934,7 @@ class TestStartClearsAnEarlierRun:
         with pytest.raises(ProviderError):
             runner.start(fixture.root_query)
         names = sorted(p.name for p in run_dir.iterdir())
-        assert names == ["audit.jsonl", "bank.jsonl", "notes_iter2.md", "state.json"]
+        assert names == ["audit.jsonl", "bank.jsonl", "embed.jsonl", "notes_iter2.md", "state.json"]
         assert runner.load_state().stage == "init"
 
 
@@ -1029,6 +1038,18 @@ class TestEmbedOnce:
         # The vectors went to the iteration's copy, not to its input.
         assert all(n.embedding is None for n in before.values())
 
+        # A resume embeds through the committed memo, which holds every name of
+        # the loaded graph: none reaches the provider again.
+        assert {n.name for n in before.values()} <= set(loaded.embeddings)
+        providers = load_fixture(DEMO_FIXTURE).providers()
+        embed = _RecordingEmbed(providers.embed)
+        providers.embed = embed
+        assert Runner(RunConfig.from_dict(load_fixture(DEMO_FIXTURE).config), providers,
+                      run_dir).resume().stage == "done"
+        sent = [text for _, batch in embed.batches for text in batch]
+        assert sent
+        assert not {n.name for n in before.values()} & set(sent)
+
 
 def _ci_world_run(variant: str) -> tuple[RunConfig, Providers]:
     world = generate_world(seed=1, n_communities=3, cores_per_community=2,
@@ -1057,7 +1078,8 @@ class TestEmbedEachTextOnce:
 
     def test_each_miss_batch_is_one_call_and_hits_make_none(self):
         inner = _RecordingEmbed(HashEmbeddingProvider(dim=8))
-        memo = orchestrator._EmbedOnce(inner)
+        rows: dict = {}
+        memo = orchestrator._EmbedOnce(inner, rows)
         got = memo.embed(["grid", "cost", "grid"])
         assert inner.texts(None) == [["grid", "cost"]]
         np.testing.assert_array_equal(got, inner.inner.embed(["grid", "cost", "grid"]))
@@ -1066,9 +1088,19 @@ class TestEmbedEachTextOnce:
         assert len(inner.batches) == 1
         memo.embed(["hydro", "cost", "hydro", "wind"])
         assert inner.texts(None)[1:] == [["hydro", "wind"]]
+        # The given memo holds each text's float64 row, in first-request order.
+        assert list(rows) == ["grid", "cost", "hydro", "wind"]
+        assert all(row.dtype == np.float64 for row in rows.values())
+
+    def test_texts_already_in_the_memo_are_not_sent(self):
+        inner = _RecordingEmbed(HashEmbeddingProvider(dim=8))
+        rows = dict(zip(["grid", "cost"], HashEmbeddingProvider(dim=8).embed(["grid", "cost"])))
+        got = orchestrator._EmbedOnce(inner, rows).embed(["cost", "hydro", "grid"])
+        assert inner.texts(None) == [["hydro"]]
+        np.testing.assert_array_equal(got, inner.inner.embed(["cost", "hydro", "grid"]))
 
     def test_changing_a_returned_row_changes_no_later_result(self):
-        memo = orchestrator._EmbedOnce(HashEmbeddingProvider(dim=8))
+        memo = orchestrator._EmbedOnce(HashEmbeddingProvider(dim=8), {})
         first = memo.embed(["grid", "cost"])
         want = first.copy()
         first[0] = 0.0
@@ -1076,6 +1108,71 @@ class TestEmbedEachTextOnce:
         again = memo.embed(["grid", "cost"])
         assert again is not first
         np.testing.assert_array_equal(again, want)
+
+
+def _committed_texts(run_dir: Path) -> list[str]:
+    """The texts of the lines of embed.jsonl that state.json commits."""
+    doc = json.loads((run_dir / "state.json").read_text(encoding="utf-8"))
+    lines = _committed_prefix(run_dir / "embed.jsonl", doc["embedded_texts"]).splitlines()
+    return [json.loads(line)["text"] for line in lines]
+
+
+class _FailingAt:
+    """A chat or embed provider that passes calls to ``inner`` and fails the ``at``-th."""
+
+    def __init__(self, inner, at: int):
+        self.inner, self.at, self.calls = inner, at, 0
+
+    def _call(self, method: str, arg):
+        self.calls += 1
+        if self.calls == self.at:
+            raise ProviderError(f"{method} down at call {self.at}")
+        return getattr(self.inner, method)(arg)
+
+    def complete(self, prompt):
+        return self._call("complete", prompt)
+
+    def embed(self, texts):
+        return self._call("embed", texts)
+
+
+class TestResumeEmbedsOnlyWhatTheFaultLost:
+    @pytest.mark.parametrize("variant", ["dualgraph", "outline-only"])
+    def test_the_memo_round_trips_through_embed_jsonl(self, tmp_path, variant):
+        config, providers = _ci_world_run(variant)
+        state = Runner(config, providers, tmp_path).start(DEFAULT_ROOT_QUERY)
+        loaded = Runner(config, None, tmp_path).load_state()
+        assert list(loaded.embeddings) == list(state.embeddings) == _committed_texts(tmp_path)
+        for text, row in state.embeddings.items():
+            assert loaded.embeddings[text].tobytes() == row.tobytes()
+
+    @pytest.mark.parametrize(
+        "provider, call",
+        # The run makes 84 chat calls (the last three write the report) and 12 embed calls.
+        [("chat", 2), ("chat", 20), ("chat", 40), ("chat", 60), ("chat", 83),
+         ("embed", 2), ("embed", 5), ("embed", 11)],
+    )
+    def test_a_resume_sends_no_committed_text(self, tmp_path, provider, call):
+        config, providers = _ci_world_run("dualgraph")
+        Runner(config, providers, tmp_path / "clean").start(DEFAULT_ROOT_QUERY)
+
+        run_dir = tmp_path / "resumed"
+        config, providers = _ci_world_run("dualgraph")
+        setattr(providers, provider, _FailingAt(getattr(providers, provider), call))
+        with pytest.raises(ProviderError):
+            Runner(config, providers, run_dir).start(DEFAULT_ROOT_QUERY)
+        committed = _committed_texts(run_dir)
+
+        # A fresh process: new providers, and the memo only from the run directory.
+        config, providers = _ci_world_run("dualgraph")
+        embed = _RecordingEmbed(providers.embed)
+        providers.embed = embed
+        assert Runner(config, providers, run_dir).resume().stage == "done"
+        sent = [text for _, batch in embed.batches for text in batch]
+        assert not set(committed) & set(sent)
+        assert len(sent) == len(set(sent))
+        assert _committed_texts(run_dir) == committed + sent
+        assert dir_snapshot(tmp_path / "clean") == dir_snapshot(run_dir)
 
 
 class _PayloadNumberingChat:
@@ -1247,6 +1344,7 @@ class TestRunStateClone:
         assert all(a is b for a, b in zip(clone.audit, state.audit))
         assert all(a is b for a, b in zip(clone.bank.units, state.bank.units))
         assert clone.audit is not state.audit and clone.kg is not state.kg
+        assert clone.embeddings is state.embeddings
 
 
 class TestRunIterationLeavesItsInputAlone:
@@ -1507,7 +1605,7 @@ class TestStopFlagIsDerived:
     def test_state_json_keeps_no_stop_flag_or_thresholds(self, tmp_path):
         self._run(tmp_path / "run")
         doc = json.loads((tmp_path / "run" / "state.json").read_text(encoding="utf-8"))
-        assert doc["format_version"] == 7
+        assert doc["format_version"] == 8
         assert doc["config"]["early_stop_thresholds"] == 90.0
         assert "stopped" not in doc
         assert doc["early_stop_history"]
