@@ -175,17 +175,9 @@ class EvidenceBank:
         """A bank that can grow apart from this one; the units are shared."""
         return EvidenceBank(list(self.units), set(self._seen_urls))
 
-    def ids(self) -> list[int]:
-        return [u.evidence_id for u in self.units]
-
     def to_document(self) -> str:
         doc = {"units": [u.to_dict() for u in self.units]}
         return json.dumps(doc, ensure_ascii=False) + "\n"
-
-    @classmethod
-    def from_document(cls, text: str) -> "EvidenceBank":
-        """Parse ``to_document`` output."""
-        return cls.from_dicts(json.loads(text)["units"])
 
     @classmethod
     def from_dicts(cls, entries: Iterable[dict]) -> "EvidenceBank":

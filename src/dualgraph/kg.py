@@ -224,12 +224,6 @@ class KnowledgeGraph:
                 pairs.add((a, b) if rank[a] < rank[b] else (b, a))
         return pairs
 
-    def all_evidence_ids(self) -> set[int]:
-        out: set[int] = set()
-        for e in self.edges.values():
-            out |= e.evidence_ids
-        return out
-
     def copy(self) -> "KnowledgeGraph":
         g = KnowledgeGraph()
         for n in self.nodes.values():
@@ -315,7 +309,6 @@ class KnowledgeGraph:
                     "source_id": e.source_id,
                     "target_id": e.target_id,
                     "relation_name": e.relation,
-                    "representation": self.representation(e.edge_id),
                     "evidence_ids": sorted(e.evidence_ids),
                 }
                 for e in self.edges.values()

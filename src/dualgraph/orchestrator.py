@@ -310,12 +310,14 @@ class RunState:
             events=_require_strings(doc["events"], "events"),
         )
         units, records, texts = doc["bank_units"], doc["audit_records"], doc["embedded_texts"]
+        state.bank = read(BANK_LOG, lambda log: EvidenceBank.from_dicts(_head(log, units)))
+        if len(state.bank) < units:
+            raise ConfigError(f"{BANK_LOG} is shorter than the checkpoint's bank_units")
         if state.stage != "init":
-            outline_file = f"outline_iter{state.iteration}.txt"
-            state.og = read(outline_file, _text(parse_outline))
-            absent = sorted(i for i in state.og.all_citations() if i > units)
-            if absent:
-                raise ConfigError(f"{outline_file} cites evidence beyond bank_units: {absent}")
+            state.og = read(
+                f"outline_iter{state.iteration}.txt",
+                _text(lambda text: check_citations(parse_outline(text), state.bank)),
+            )
             if state.config.variant is Variant.DUAL_GRAPH:
                 kg_file = f"kg_iter{state.iteration}.json"
                 state.kg = read(kg_file, _text(KnowledgeGraph.from_document))
@@ -324,9 +326,6 @@ class RunState:
                     raise ConfigError(f"{kg_file} has nodes with no community id: {unplaced}")
         if state.stage == "done":
             state.report = read(REPORT_FILE, _text(str))
-        state.bank = read(BANK_LOG, lambda log: EvidenceBank.from_dicts(_head(log, units)))
-        if len(state.bank) < units:
-            raise ConfigError(f"{BANK_LOG} is shorter than the checkpoint's bank_units")
         state.audit = read(AUDIT_LOG, lambda log: _head(log, records))
         if len(state.audit) < records:
             raise ConfigError(f"{AUDIT_LOG} is shorter than the checkpoint's audit_records")
@@ -406,9 +405,7 @@ def _chat_parsed(state, providers, name, variables, parse_fn, attempts=_RETRIES)
     last_error: Exception | None = None
     for _ in range(attempts + 1):
         response = providers.chat.complete(prompt)
-        state.audit.append(
-            {"call": len(state.audit), "name": name, "prompt": prompt, "response": response}
-        )
+        state.audit.append({"name": name, "prompt": prompt, "response": response})
         try:
             return parse_fn(response)
         except (ParseError, OutlineError, KnowledgeGraphError) as exc:
@@ -850,7 +847,9 @@ class _EmbedOnce:
 
     Each call sends the texts not seen before in one batch, and no call when
     there are none, and adds their float64 rows to ``rows`` in request order;
-    it returns a fresh array, so a caller may change its rows.
+    it returns a fresh array, so a caller may change its rows. Rows of another
+    width than those ``rows`` holds are a ConfigError: a resume was given an
+    embedder other than the one that wrote ``embed.jsonl``.
     """
 
     def __init__(self, inner, rows: dict[str, np.ndarray]):
@@ -861,7 +860,14 @@ class _EmbedOnce:
         rows = self._rows
         misses = list(dict.fromkeys(t for t in texts if t not in rows))
         if misses:
-            rows.update(zip(misses, np.asarray(self.inner.embed(misses), dtype=np.float64)))
+            new = np.asarray(self.inner.embed(misses), dtype=np.float64)
+            first = next(iter(rows.values()), None)
+            if first is not None and len(first) != new.shape[1]:
+                raise ConfigError(
+                    f"{EMBED_LOG} holds vectors of width {len(first)}, "
+                    f"but the embedder returns width {new.shape[1]}"
+                )
+            rows.update(zip(misses, new))
         return np.array([rows[t] for t in texts])
 
 
@@ -939,14 +945,14 @@ class Runner:
         # state.json goes last and commits the checkpoint: it names the iteration whose
         # files hold the outline and graph, and counts the audit records, bank units and
         # embedded texts in their logs. A loop checkpoint already wrote the last
-        # iteration's files, so the one that finishes the run writes the final outline,
-        # graph and bank beside the report instead.
+        # iteration's files, so the one that finishes the run writes no outline; it
+        # writes the final graph and bank beside the report.
         done = state.stage == "done"
-        suffix = "" if done else f"_iter{state.iteration}"
-        if state.og is not None:
-            self._replace(f"outline{suffix}.txt", state.outline_text())
+        if state.og is not None and not done:
+            self._replace(f"outline_iter{state.iteration}.txt", state.outline_text())
         if state.kg is not None:
-            self._replace(f"kg{suffix}.json", state.kg.to_document())
+            name = "kg.json" if done else f"kg_iter{state.iteration}.json"
+            self._replace(name, state.kg.to_document())
         if state.chain_record is not None and not done:
             self._replace(f"chains_iter{state.iteration}.json", _document(state.chain_record))
         self._append(AUDIT_LOG, state.audit)
@@ -979,8 +985,9 @@ class Runner:
         )
 
     def start(self, root_query: str) -> RunState:
-        # A forced rerun must leave nothing of an earlier run behind. state.json
-        # goes first, so no half-cleared directory still looks resumable.
+        # A forced rerun must leave nothing of an earlier run behind, an outline.txt
+        # that older versions wrote included. state.json goes first, so no
+        # half-cleared directory still looks resumable.
         self.run_dir.mkdir(parents=True, exist_ok=True)
         for name in (STATE_FILE, REPORT_FILE, BANK_FILE, "kg.json", "outline.txt", *_LOGS):
             (self.run_dir / name).unlink(missing_ok=True)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -38,36 +38,34 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScriptEntry:
     """Matches when every substring occurs in the prompt."""
 
     match: list[str]
     responses: list[str]
-    consumed: int = 0
 
     def matches(self, prompt: str) -> bool:
         return all(s in prompt for s in self.match)
 
-    @property
-    def exhausted(self) -> bool:
-        return self.consumed >= len(self.responses)
-
 
 class ScriptedChatProvider:
+    """Replays ``entries``; the provider counts the responses each has given."""
+
     def __init__(self, entries: Sequence[ScriptEntry]):
         self.entries = list(entries)
+        self._given = [0] * len(self.entries)
 
     def complete(self, prompt: str) -> str:
         matched_but_spent = False
-        for entry in self.entries:
+        for i, entry in enumerate(self.entries):
             if entry.matches(prompt):
-                if entry.exhausted:
+                given = self._given[i]
+                if given == len(entry.responses):
                     matched_but_spent = True
                     continue
-                response = entry.responses[entry.consumed]
-                entry.consumed += 1
-                return response
+                self._given[i] = given + 1
+                return entry.responses[given]
         head = prompt[:160].replace("\n", " | ")
         if matched_but_spent:
             raise ScriptExhaustedError(f"script exhausted for prompt: {head!r}")
@@ -156,7 +154,7 @@ class Fixture:
     def providers(self) -> Providers:
         """Fresh providers; each chat provider replays the script from its start."""
         return Providers(
-            chat=ScriptedChatProvider([replace(e, consumed=0) for e in self.chat_entries]),
+            chat=ScriptedChatProvider(self.chat_entries),
             search=FixtureSearchProvider(self.search_results),
             fetch=FixtureFetchProvider(self.pages),
             embed=HashEmbeddingProvider(dim=self.embed_dim, seed=self.embed_seed),

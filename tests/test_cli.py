@@ -12,7 +12,7 @@ import pytest
 from dualgraph.cli import main
 from dualgraph.providers.parsers import SCORE_DIMENSIONS
 
-from .builders import DEMO_FIXTURE, crash_demo_run
+from .builders import DEMO_FIXTURE, crash_demo_run, dir_snapshot
 
 
 def _run_demo(run_dir, *extra: str) -> int:
@@ -275,6 +275,15 @@ def _demo_fixture_with_item(*keys, to) -> str:
     return json.dumps(doc)
 
 
+def _demo_fixture_cut_at_revision() -> str:
+    """The demo fixture whose first outline revision has no response left, so
+    a run stops mid-iteration with a provider failure."""
+    doc = json.loads(DEMO_FIXTURE.read_text(encoding="utf-8"))
+    revise = [e for e in doc["chat_script"] if any("revising the outline" in m for m in e["match"])]
+    revise[0]["responses"] = []
+    return json.dumps(doc)
+
+
 # A --fixture file that load_fixture cannot read.
 DAMAGED_FIXTURES = {
     "torn-json": '{"root_query": "q", "chat_scr',
@@ -523,6 +532,21 @@ class TestResume:
         path.write_text(damage(path.read_text(encoding="utf-8")), encoding="utf-8")
         assert main(["resume", "--run-dir", str(run_dir)]) == 1
         assert f"configuration error: {name}" in capsys.readouterr().err
+
+    def test_embedder_of_another_width_is_rejected(self, tmp_path, capsys):
+        run_dir, cut, narrow = tmp_path / "run", tmp_path / "cut.json", tmp_path / "narrow.json"
+        cut.write_text(_demo_fixture_cut_at_revision(), encoding="utf-8")
+        narrow.write_text(_demo_fixture_with(embed_dim=16), encoding="utf-8")
+        assert _run_demo(run_dir, "--fixture", str(cut)) == 2
+        before = dir_snapshot(run_dir)
+        capsys.readouterr()
+        assert main(["resume", "--run-dir", str(run_dir), "--fixture", str(narrow)]) == 1
+        err = capsys.readouterr().err
+        assert "configuration error: embed.jsonl holds vectors of width 32" in err
+        assert "the embedder returns width 16" in err
+        assert dir_snapshot(run_dir) == before
+        # The run is left resumable with the embedder that began it.
+        assert main(["resume", "--run-dir", str(run_dir)]) == 0
 
 
 class TestDamagedFixture:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import string
 
 import pytest
@@ -80,7 +81,7 @@ class TestEvidenceBank:
         bank = EvidenceBank()
         ids = [self._add(bank, f"https://a.test/{i}") for i in range(4)]
         assert ids == [1, 2, 3, 4]
-        assert bank.ids() == [1, 2, 3, 4]
+        assert [u.evidence_id for u in bank.units] == [1, 2, 3, 4]
 
     def test_url_dedup_uses_canonical_form(self):
         bank = EvidenceBank()
@@ -124,11 +125,9 @@ class TestEvidenceBank:
         bank = EvidenceBank()
         self._add(bank, "https://a.test/1")
         self._add(bank, "https://a.test/2", iteration=3)
-        loaded = EvidenceBank.from_document(bank.to_document())
-        assert loaded.ids() == bank.ids()
-        assert [loaded.get(i) for i in loaded.ids()] == [
-            bank.get(i) for i in bank.ids()
-        ]
+        loaded = EvidenceBank.from_dicts(json.loads(bank.to_document())["units"])
+        assert [u.evidence_id for u in loaded.units] == [1, 2]
+        assert [loaded.get(i) for i in (1, 2)] == [bank.get(i) for i in (1, 2)]
         # Dedup memory survives the round trip too.
         assert loaded.add("https://a.test/1/", "t", "q", "s", "c", 0) is None
 
@@ -142,5 +141,5 @@ def test_bank_ids_dense_regardless_of_duplicates(paths):
     bank = EvidenceBank()
     for p in paths:
         bank.add(f"https://h.test/{p}", "t", "q", "s", "c", 0)
-    assert bank.ids() == list(range(1, len(bank) + 1))
+    assert [u.evidence_id for u in bank.units] == list(range(1, len(bank) + 1))
     assert len(bank) == len({normalize_url(f"https://h.test/{p}") for p in paths})

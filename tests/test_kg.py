@@ -104,6 +104,10 @@ class TestGraphBasics:
     def test_representation_uses_names(self):
         kg = _small_graph()
         assert kg.representation("e1") == "storage - reduces -> curtailment"
+        # The document stores no representation: it is rendered from the names.
+        assert set(kg.to_dict()["knowledge_edges"][0]) == {
+            "edge_id", "source_id", "target_id", "relation_name", "evidence_ids"
+        }
 
     def test_dict_round_trip(self):
         kg = _small_graph()
@@ -438,11 +442,14 @@ class TestMergeNodes:
         assert "e2" not in out.edges
 
     def test_self_loop_dropped_is_only_evidence_loss(self, caplog):
+        def evidence_ids(g: KnowledgeGraph) -> set[int]:
+            return {i for e in g.edges.values() for i in e.evidence_ids}
+
         kg = _merge_fixture()
-        before = kg.all_evidence_ids()
+        before = evidence_ids(kg)
         with caplog.at_level("WARNING"):
             out = merge_nodes(kg, [MergeCluster("storage cost", ["n2", "n3"])])
-        assert before - out.all_evidence_ids() == {4}
+        assert before - evidence_ids(out) == {4}
         assert any("self-loop" in r.message for r in caplog.records)
 
     def test_merged_node_invalidates_derived_attributes(self):

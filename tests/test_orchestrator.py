@@ -441,16 +441,17 @@ def _cut_after_first_pass(providers: Providers) -> None:
     """Cut the script after the first loop pass: the revision call of the
     second pass matches only the content-specific entry, so emptying it
     surfaces as a provider failure mid-iteration."""
-    revise_entries = [
-        e for e in providers.chat.entries if any("revising the outline" in m for m in e.match)
-    ]
-    revise_entries[0].responses = []
+    entries = providers.chat.entries
+    first = next(
+        i for i, e in enumerate(entries) if any("revising the outline" in m for m in e.match)
+    )
+    entries[first] = replace(entries[first], responses=[])
 
 
 def _add_uncommitted_tail(run_dir: Path) -> None:
     """What a crash between the log appends and the state.json replace leaves:
     records past the committed counts, the last one torn."""
-    stray = {"call": -1, "name": "stray", "prompt": "", "response": ""}
+    stray = {"name": "stray", "prompt": "", "response": ""}
     with open(run_dir / "audit.jsonl", "a", encoding="utf-8") as log_file:
         log_file.write(json.dumps(stray) + "\n")
     with open(run_dir / "bank.jsonl", "a", encoding="utf-8") as log_file:
@@ -504,7 +505,6 @@ class TestRunnerOnDemoFixture:
         assert state.report and state.report.startswith("# ")
         for name in (
             "state.json",
-            "outline.txt",
             "kg.json",
             "bank.json",
             "bank.jsonl",
@@ -514,8 +514,9 @@ class TestRunnerOnDemoFixture:
             "chains_iter2.json",
         ):
             assert (tmp_path / "run" / name).exists(), name
+        assert not (tmp_path / "run" / "outline.txt").exists()
         # Citations in the final outline resolve inside the bank.
-        assert state.og.all_citations() <= set(state.bank.ids())
+        assert all(i in state.bank for i in state.og.all_citations())
 
     def test_event_trace_follows_loop_grammar(self, tmp_path):
         fixture = load_fixture(DEMO_FIXTURE)
@@ -601,7 +602,8 @@ class TestRunnerOnDemoFixture:
         # Written after iteration 1, then left alone by the later checkpoints.
         assert len(inodes) >= 2 and len(set(inodes)) == 1
         # Outline, graph and chains files are written once per run; the final
-        # outline, graph and bank only by the checkpoint that finishes it.
+        # graph and bank only by the checkpoint that finishes it, which writes
+        # no outline.
         artifacts = [
             name for _, names in checkpoints for name in names
             if name not in ("state.json", "bank.jsonl", "audit.jsonl")
@@ -609,10 +611,9 @@ class TestRunnerOnDemoFixture:
         assert sorted(artifacts) == sorted(
             [f"outline_iter{n}.txt" for n in range(3)]
             + [f"kg_iter{n}.json" for n in range(3)]
-            + ["chains_iter1.json", "chains_iter2.json", "outline.txt", "kg.json", "bank.json",
-               "report.md"]
+            + ["chains_iter1.json", "chains_iter2.json", "kg.json", "bank.json", "report.md"]
         )
-        for final in ("kg.json", "outline.txt", "bank.json"):
+        for final in ("kg.json", "bank.json"):
             assert [stage for stage, names in checkpoints if final in names] == ["done"]
         # No checkpoint ever replaces a log; every one appends.
         for log_name in ("audit.jsonl", "bank.jsonl"):
@@ -659,8 +660,8 @@ class TestRunnerOnDemoFixture:
         assert len(loaded.bank) == doc["bank_units"]
         for newer, committed in (("kg_iter2.json", "kg_iter1.json"), ("outline_iter2.txt", "outline_iter1.txt")):
             assert (run_dir / newer).read_bytes() != (run_dir / committed).read_bytes()
-        # The final graph, outline and bank are written only when the run finishes.
-        for final in ("kg.json", "outline.txt", "bank.json"):
+        # The final graph and bank are written only when the run finishes.
+        for final in ("kg.json", "bank.json"):
             assert not (run_dir / final).exists()
 
     def test_resumed_runner_rewrites_the_log_it_already_wrote_to(self, tmp_path):
@@ -674,7 +675,7 @@ class TestRunnerOnDemoFixture:
         runner = _demo_runner(tmp_path / "reused")
         runner.start(fixture.root_query)
         with open(tmp_path / "reused" / "audit.jsonl", "a", encoding="utf-8") as log_file:
-            log_file.write(json.dumps({"call": -1, "name": "stray"}) + "\n")
+            log_file.write(json.dumps({"name": "stray"}) + "\n")
         runner.providers = load_fixture(DEMO_FIXTURE).providers()
         runner.start(fixture.root_query)
         assert dir_snapshot(tmp_path / "clean") == dir_snapshot(tmp_path / "reused")
@@ -692,6 +693,57 @@ class TestRunnerOnDemoFixture:
         _assert_interrupted_run_resumes_identically(tmp_path, fixture_with_line_breaks)
         log = (tmp_path / "resumed" / "audit.jsonl").read_text(encoding="utf-8")
         assert "\u2028" in log and "\u0085" in log
+
+
+def _write_as_older_versions_did(run_dir: Path) -> None:
+    """Put back what format 8 once wrote and no reader reads: each graph edge's
+    ``representation`` and each audit record's ``call`` number, in the key order
+    those versions wrote them."""
+    for path in run_dir.glob("kg_iter*.json"):
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        names = {n["node_id"]: n["knowledge"] for n in doc["knowledge_nodes"]}
+        doc["knowledge_edges"] = [
+            {
+                "edge_id": e["edge_id"],
+                "source_id": e["source_id"],
+                "target_id": e["target_id"],
+                "relation_name": e["relation_name"],
+                "representation": (
+                    f"{names[e['source_id']]} - {e['relation_name']} -> {names[e['target_id']]}"
+                ),
+                "evidence_ids": e["evidence_ids"],
+            }
+            for e in doc["knowledge_edges"]
+        ]
+        path.write_text(json.dumps(doc, ensure_ascii=False) + "\n", encoding="utf-8")
+    path = run_dir / "audit.jsonl"
+    records = [json.loads(line) for line in path.read_text(encoding="utf-8").split("\n")[:-1]]
+    path.write_text(
+        "".join(
+            json.dumps({"call": call, **record}, ensure_ascii=False) + "\n"
+            for call, record in enumerate(records)
+        ),
+        encoding="utf-8",
+    )
+
+
+class TestResumeWhatOlderVersionsWrote:
+    def test_edge_representations_and_call_numbers_are_not_read(self, tmp_path):
+        fixture = load_fixture(DEMO_FIXTURE)
+        _demo_runner(tmp_path / "clean").start(fixture.root_query)
+        providers = fixture.providers()
+        _cut_after_first_pass(providers)
+        run_dir = tmp_path / "old"
+        with pytest.raises(ProviderError):
+            Runner(RunConfig.from_dict(fixture.config), providers, run_dir).start(
+                fixture.root_query
+            )
+        _write_as_older_versions_did(run_dir)
+        assert '"representation": ' in (run_dir / "kg_iter1.json").read_text(encoding="utf-8")
+        assert (run_dir / "audit.jsonl").read_text(encoding="utf-8").startswith('{"call": 0, ')
+        assert _demo_runner(run_dir).resume().stage == "done"
+        for name in ("report.md", "state.json", "kg.json", "bank.json"):
+            assert (run_dir / name).read_bytes() == (tmp_path / "clean" / name).read_bytes(), name
 
 
 def _file_states(run_dir: Path) -> dict[str, tuple[bytes, int, int]]:
@@ -854,7 +906,7 @@ class TestCheckpointCostsWhatChanged:
         assert state.iteration == 2 and len(state.bank) > 0
         # One bank.json, for the finished run; each loop checkpoint encodes only its new units.
         assert documents == [len(state.bank)]
-        assert encoded == {ev_id: 2 for ev_id in state.bank.ids()}
+        assert encoded == {unit.evidence_id: 2 for unit in state.bank.units}
 
     def test_only_clones_copy_the_graph(self, tmp_path, monkeypatch):
         active: list[str] = []
@@ -1109,6 +1161,14 @@ class TestEmbedEachTextOnce:
         assert again is not first
         np.testing.assert_array_equal(again, want)
 
+    def test_rows_of_another_width_are_a_config_error_that_adds_nothing(self):
+        rows = dict(zip(["grid"], HashEmbeddingProvider(dim=8).embed(["grid"])))
+        memo = orchestrator._EmbedOnce(HashEmbeddingProvider(dim=4), rows)
+        with pytest.raises(ConfigError, match="embed.jsonl holds vectors of width 8.* width 4"):
+            memo.embed(["grid", "cost"])
+        assert list(rows) == ["grid"]
+        np.testing.assert_array_equal(memo.embed(["grid"]), [rows["grid"]])
+
 
 def _committed_texts(run_dir: Path) -> list[str]:
     """The texts of the lines of embed.jsonl that state.json commits."""
@@ -1324,7 +1384,7 @@ class TestRunStateClone:
         clone.executed_queries.append("clone query")
         clone.early_stop_history.append(EarlyStopReport({}, False))
         clone.events.append("clone:event")
-        clone.audit.append({"call": len(clone.audit), "name": "clone"})
+        clone.audit.append({"name": "clone"})
         assert clone.bank.add("https://clone.test/new", "t", "q", "s", "c", 9) is not None
         for node in clone.kg.nodes.values():
             node.embedding = np.ones(4)
@@ -1718,5 +1778,5 @@ class TestAuditNamesItsTemplate:
         records = [json.loads(line) for line in log_text.splitlines()]
         patterns = {name: _template_pattern(name) for name in templates}
         assert {record["name"] for record in records} == templates
-        for record in records:
-            assert patterns[record["name"]].fullmatch(record["prompt"]), record["call"]
+        for call, record in enumerate(records):
+            assert patterns[record["name"]].fullmatch(record["prompt"]), call

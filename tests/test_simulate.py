@@ -201,7 +201,7 @@ class TestRunSim:
         assert sorted(result.coverage_by_iteration) == list(range(state.iteration + 1))
         committed = {
             "state.json": json.dumps(state.to_dict(), ensure_ascii=False) + "\n",
-            "outline.txt": state.outline_text(),
+            f"outline_iter{state.iteration}.txt": state.outline_text(),
             "report.md": state.report,
         }
         for name, text in committed.items():
@@ -247,8 +247,9 @@ class TestRunAblation:
 
 
 class _FailingAt:
-    """Passes chat or embed calls through to ``inner`` and raises ProviderError
-    on call number ``at`` (from 1); None: never."""
+    """Passes chat, embed, search or fetch calls through to ``inner`` and raises
+    ProviderError on call number ``at`` (from 1); None: never. A fetch fails with
+    the base ProviderError, not FetchError, so it stops the run like the others."""
 
     def __init__(self, inner, at: int | None):
         self.inner, self.at, self.calls = inner, at, 0
@@ -266,6 +267,14 @@ class _FailingAt:
         self._count()
         return self.inner.embed(texts)
 
+    def search(self, query: str, top_n: int):
+        self._count()
+        return self.inner.search(query, top_n)
+
+    def fetch(self, url: str) -> str:
+        self._count()
+        return self.inner.fetch(url)
+
 
 # (communities, cores, concepts per community, max_iter) of a sweep run.
 _SMALL_SWEEP = (2, 1, 2, 4)
@@ -273,8 +282,8 @@ _CI_SWEEP = (3, 2, 4, 6)  # the console-script step's sim runs
 
 
 def _sweep_run(run_dir, variant: str, size=_SMALL_SWEEP, **faults: int | None):
-    """A sim run through Runner, with fresh providers; ``faults`` maps ``chat``
-    or ``embed`` to the call that fails (None: no fault)."""
+    """A sim run through Runner, with fresh providers; ``faults`` maps ``chat``,
+    ``embed``, ``search`` or ``fetch`` to the call that fails (None: no fault)."""
     communities, cores, concepts, max_iter = size
     world = generate_world(seed=1, n_communities=communities, cores_per_community=cores,
                            concepts_per_community=concepts)
@@ -329,6 +338,19 @@ class TestResumeAfterAnyEmbedFault:
         assert _diverged_resumes(tmp_path, variant, _CI_SWEEP, "embed", calls) == []
 
 
+class TestResumeAfterAnySearchOrFetchFault:
+    @pytest.mark.parametrize("provider", ["search", "fetch"])
+    @pytest.mark.parametrize("variant", ["dualgraph", "outline-only"])
+    def test_every_fault_point_resumes_to_the_uninterrupted_bytes(
+        self, tmp_path, variant, provider
+    ):
+        runner, _ = _sweep_run(tmp_path / "clean", variant, _CI_SWEEP, **{provider: None})
+        runner.start(DEFAULT_ROOT_QUERY)
+        calls = getattr(runner.providers, provider).calls
+        assert calls >= 10
+        assert _diverged_resumes(tmp_path, variant, _CI_SWEEP, provider, calls) == []
+
+
 class TestSimChatIsPure:
     def test_holds_only_its_world(self):
         world = _small_world()
@@ -342,5 +364,5 @@ class TestSimChatIsPure:
             audit = [json.loads(line) for line in log_file]
         fresh = SimChatProvider(world)
         # Last prompt first: no answer may lean on an earlier call.
-        for record in reversed(audit):
-            assert fresh.complete(record["prompt"]) == record["response"], record["call"]
+        for call, record in reversed(list(enumerate(audit))):
+            assert fresh.complete(record["prompt"]) == record["response"], call
