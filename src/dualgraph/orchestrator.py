@@ -70,7 +70,7 @@ from pathlib import Path
 import numpy as np
 
 from .chains import ChainConfig, SearchChain, build_search_chains, format_chains_for_prompt
-from .evidence import EvidenceBank, EvidenceUnit, citation_token
+from .evidence import EvidenceBank, EvidenceUnit, citation_token, normalize_url
 from .kg import (
     CommunityPartition,
     KnowledgeGraph,
@@ -88,7 +88,7 @@ from .outline import (
     parse_outline,
     render_outline,
 )
-from .providers.base import FetchError, Providers
+from .providers.base import FetchError, Providers, SearchResult
 from .providers import parsers
 from .providers.parsers import (
     ParseError,
@@ -464,13 +464,22 @@ def _executed_block(state: RunState) -> str:
 # -- retrieval pipeline ------------------------------------------------
 
 
-def _format_results(results) -> str:
-    lines = []
-    for i, r in enumerate(results):
-        lines.append(f"{i}. {r.title}")
-        lines.append(f"   {r.snippet}")
-        lines.append(f"   {r.url}")
-    return "\n".join(lines)
+_CHUNK_BYTES = 16_000  # UTF-8 bytes of rendered entries in one filter_urls or assess_page prompt
+
+
+def _chunks(entries: list[str]) -> Iterator[range]:
+    """Consecutive index ranges of ``entries`` whose UTF-8 bytes total at most
+    ``_CHUNK_BYTES``; an entry over the budget is a range of its own, never
+    truncated."""
+    start = size = 0
+    for i, entry in enumerate(entries):
+        n = len(entry.encode("utf-8"))
+        if i > start and size + n > _CHUNK_BYTES:
+            yield range(start, i)
+            start, size = i, 0
+        size += n
+    if start < len(entries):
+        yield range(start, len(entries))
 
 
 def run_search_pipeline(
@@ -479,52 +488,72 @@ def run_search_pipeline(
     queries: list[str],
     iteration: int,
 ) -> dict[str, list[int]]:
-    """Search, two-stage filter, fetch, and bank; returns new ids per query.
+    """Search, filter, fetch, assess and bank for one pass; returns new ids per query.
 
-    Commit order is deterministic: queries in order, then selected results by
-    ascending rank. Results with a blank URL are dropped before the filter
-    prompt, and already-banked URLs are skipped before fetching.
+    Every query is searched first, in order. The pass's URLs are the results'
+    non-blank URLs that are not banked, each kept once, in query order and then
+    rank order, and credited to the first query that returned it. The filter
+    and the assessment each judge them in chunks (``_chunks``), one chat call
+    per chunk with chunk-local indices, so a pass with no new URL makes no chat
+    call and a malformed answer re-asks only its chunk. Selected URLs are
+    fetched in order; a ``FetchError`` drops that page alone. Useful pages are
+    banked in page order.
     """
-    new_by_query: dict[str, list[int]] = {}
+    hits: dict[str, tuple[str, SearchResult]] = {}  # normalized URL -> (first query, result)
     for query in queries:
-        new_ids: list[int] = []
         found = providers.search.search(query, state.config.urls_per_query)
         results = [r for r in found if r.url.strip()]
         if len(results) < len(found):
             log.warning("dropped %d blank-URL result(s) for %r", len(found) - len(results), query)
-        if results:
-            indices = _chat_parsed(
-                state, providers, "filter_urls",
-                {"QUERY": query, "RESULTS": _format_results(results)},
-                lambda text: parsers.parse_index_selection(text, len(results)),
-            )
-            for idx in sorted(indices):
-                result = results[idx]
-                if state.bank.has_url(result.url):
-                    continue
-                try:
-                    page = providers.fetch.fetch(result.url)
-                except FetchError as exc:
-                    log.warning("fetch failed for %s: %s", result.url, exc)
-                    continue
-                assessment = _chat_parsed(
-                    state, providers, "assess_page",
-                    {"QUERY": query, "URL": result.url, "PAGE": page},
-                    parsers.parse_page_assessment,
-                )
-                if not assessment.useful:
-                    continue
-                ev_id = state.bank.add(
-                    url=result.url,
-                    title=result.title,
+        for r in results:
+            key = normalize_url(r.url)
+            if key not in hits and not state.bank.has_url(r.url):
+                hits[key] = (query, r)
+
+    union = list(hits.values())
+    entries = [f"{r.title}\n   query: {query}\n   {r.snippet}\n   {r.url}" for query, r in union]
+    selected: list[tuple[str, SearchResult]] = []
+    for chunk in _chunks(entries):
+        indices = _chat_parsed(
+            state, providers, "filter_urls",
+            {"RESULTS": "\n".join(f"{i}. {entries[j]}" for i, j in enumerate(chunk))},
+            lambda text: parsers.parse_index_selection(text, len(chunk)),
+        )
+        selected += [union[chunk[i]] for i in sorted(indices)]
+
+    fetched: list[tuple[str, SearchResult, str]] = []
+    for query, r in selected:
+        try:
+            fetched.append((query, r, providers.fetch.fetch(r.url)))
+        except FetchError as exc:
+            log.warning("fetch failed for %s: %s", r.url, exc)
+
+    entries = [
+        f"<query>{query}</query>\n<url>{r.url}</url>\n<content>\n{page}\n</content>"
+        for query, r, page in fetched
+    ]
+    new_by_query: dict[str, list[int]] = {query: [] for query in queries}
+    for chunk in _chunks(entries):
+        assessments = _chat_parsed(
+            state, providers, "assess_page",
+            {"PAGES": "\n\n".join(
+                f'<page index="{i}">\n{entries[j]}\n</page>' for i, j in enumerate(chunk)
+            )},
+            lambda text: parsers.parse_page_assessment(text, len(chunk)),
+        )
+        for j, assessment in zip(chunk, assessments):
+            query, r, _ = fetched[j]
+            if assessment.useful:
+                # An id, never None: the pass holds no banked URL, and each URL once.
+                new_by_query[query].append(state.bank.add(
+                    url=r.url,
+                    title=r.title,
                     query=query,
                     summary=assessment.summary,
                     content=assessment.salient_content,
                     iteration=iteration,
-                )
-                new_ids.append(ev_id)  # an id: has_url above ruled out a banked URL
-        new_by_query[query] = new_ids
-        state.executed_queries.append(query)
+                ))
+    state.executed_queries.extend(queries)
     return new_by_query
 
 

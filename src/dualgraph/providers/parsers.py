@@ -370,13 +370,20 @@ class PageAssessment:
     salient_content: str
 
 
-def parse_page_assessment(text: str) -> PageAssessment:
-    doc = _load_json(text, "page assessment")
-    doc = _require_object(doc, "page assessment", {"useful", "summary", "salient_content"})
-    useful = _require_bool(doc["useful"], "useful")
-    summary = _require_str(doc["summary"], "summary", allow_empty=not useful)
-    content = _require_str(doc["salient_content"], "salient_content", allow_empty=True)
-    return PageAssessment(useful=useful, summary=summary, salient_content=content)
+def parse_page_assessment(text: str, count: int) -> list[PageAssessment]:
+    """One assessment per page of a ``count``-page prompt, in page order."""
+    doc = _require_list(_load_json(text, "page assessment"), "page assessment")
+    if len(doc) != count:
+        raise SchemaViolation(f"page assessment: {len(doc)} objects for {count} pages")
+    out: list[PageAssessment] = []
+    for i, entry in enumerate(doc):
+        what = f"page assessment[{i}]"
+        entry = _require_object(entry, what, {"useful", "summary", "salient_content"})
+        useful = _require_bool(entry["useful"], f"{what}.useful")
+        summary = _require_str(entry["summary"], f"{what}.summary", allow_empty=not useful)
+        content = _require_str(entry["salient_content"], f"{what}.salient_content", allow_empty=True)
+        out.append(PageAssessment(useful=useful, summary=summary, salient_content=content))
+    return out
 
 
 def parse_scores(text: str) -> dict[str, float]:

@@ -260,6 +260,7 @@ _PROFILE_RE = re.compile(r"Profile of (\S+)")
 _CITE_RE = re.compile(r"<citation>(.*?)</citation>")
 _ID_RE = re.compile(r"id_(\d+)")
 _REP_SPLIT = re.compile(r"^(.*?) - (.*?) -> (.*)$")
+_PAGE_CONTENT_RE = re.compile(r"^<content>\n(.*?)\n</content>\n</page>$", re.DOTALL | re.MULTILINE)
 
 _STATIC_HEAD = ["1. Corpus map", "a. Approach to mapping the corpus"]
 _STATIC_TAIL = ["3. Method notes", "a. Query trail kept for audit"]
@@ -295,7 +296,7 @@ class SimChatProvider:
             return '{"clusters": []}'
         if "screening search results" in prompt:
             return self._filter_urls(prompt)
-        if "extracting evidence from a fetched page" in prompt:
+        if "extracting evidence from fetched pages" in prompt:
             return self._assess_page(prompt)
         if "scoring whether the research can stop" in prompt:
             return self._judge(prompt)
@@ -487,16 +488,18 @@ class SimChatProvider:
         return json.dumps(list(range(count)))
 
     def _assess_page(self, prompt: str) -> str:
-        page = _sections(prompt)["Page Content"]
-        lines = page.splitlines()
-        markers = [ln for ln in lines if "[[" in ln]
-        return json.dumps(
-            {
-                "useful": True,
-                "summary": lines[0] if lines else "empty page",
-                "salient_content": " ".join(markers),
-            }
-        )
+        assessments = []
+        for page in _PAGE_CONTENT_RE.findall(prompt):
+            lines = page.strip("\n").splitlines()
+            markers = [ln for ln in lines if "[[" in ln]
+            assessments.append(
+                {
+                    "useful": True,
+                    "summary": lines[0] if lines else "empty page",
+                    "salient_content": " ".join(markers),
+                }
+            )
+        return json.dumps(assessments)
 
     # judging and writing
 

@@ -252,10 +252,12 @@ class _CountingFetch:
         return self.inner.fetch(url)
 
 
-def _pipeline_providers(query: str, results, pages, chat_entries) -> Providers:
+def _pipeline_providers(results_by_query, pages, chat) -> Providers:
+    if isinstance(chat, list):
+        chat = ScriptedChatProvider(chat)
     return Providers(
-        chat=ScriptedChatProvider(chat_entries),
-        search=FixtureSearchProvider({query: results}),
+        chat=chat,
+        search=FixtureSearchProvider(results_by_query),
         fetch=_CountingFetch(pages),
         embed=HashEmbeddingProvider(dim=8),
     )
@@ -267,32 +269,64 @@ def _fresh_state(config: RunConfig) -> RunState:
     return state
 
 
+def _results(*urls: str, snippet: str = "s") -> list[SearchResult]:
+    return [
+        SearchResult(url=url, title=f"t{rank}", snippet=snippet, rank=rank)
+        for rank, url in enumerate(urls)
+    ]
+
+
+def _assessed(*entries) -> str:
+    """A batched assess_page answer: (useful, summary) per page."""
+    return json.dumps(
+        [{"useful": useful, "summary": summary, "salient_content": ""} for useful, summary in entries]
+    )
+
+
+def _calls(state: RunState, name: str) -> list[str]:
+    """The prompts of the audited calls to template ``name``, in call order."""
+    return [record["prompt"] for record in state.audit if record["name"] == name]
+
+
+def _page_urls(prompt: str) -> list[str]:
+    return re.findall(r"^<url>(.*)</url>$", prompt, re.MULTILINE)
+
+
+class _JudgeAll:
+    """Selects every result it is shown and finds every page useful, answering
+    from the prompt alone; its ``malformed``-th calls get text no parser takes."""
+
+    def __init__(self, malformed=()):
+        self.malformed = set(malformed)
+        self.calls = 0
+
+    def complete(self, prompt):
+        self.calls += 1
+        if self.calls in self.malformed:
+            return "not json"
+        if "screening search results" in prompt:
+            return json.dumps(list(range(len(re.findall(r"^\d+\. ", prompt, re.MULTILINE)))))
+        return _assessed(*((True, f"about {url}") for url in _page_urls(prompt)))
+
+
 class TestRunSearchPipeline:
     def test_filter_fetch_assess_and_bank(self):
-        results = [
-            SearchResult(url="https://s.test/0", title="t0", snippet="s0", rank=0),
-            SearchResult(url="https://s.test/1", title="t1", snippet="s1", rank=1),
-            SearchResult(url="https://s.test/2", title="t2", snippet="s2", rank=2),
-        ]
         pages = {
             "https://s.test/0": "body0",
             "https://s.test/2": "body2",
         }
         chat = [
+            ScriptEntry(match=["screening search results", "https://s.test/1"], responses=["[2, 0]"]),
             ScriptEntry(
-                match=["screening search results", "q1"],
-                responses=["[2, 0]"],
-            ),
-            ScriptEntry(
-                match=["extracting evidence from a fetched page", "https://s.test/0"],
-                responses=['{"useful": true, "summary": "sum0", "salient_content": "c0"}'],
-            ),
-            ScriptEntry(
-                match=["extracting evidence from a fetched page", "https://s.test/2"],
-                responses=['{"useful": false, "summary": "", "salient_content": ""}'],
+                match=["extracting evidence from fetched pages", "https://s.test/0", "https://s.test/2"],
+                responses=[
+                    '[{"useful": true, "summary": "sum0", "salient_content": "c0"}, '
+                    '{"useful": false, "summary": "", "salient_content": ""}]'
+                ],
             ),
         ]
-        providers = _pipeline_providers("q1", results, pages, chat)
+        results = _results("https://s.test/0", "https://s.test/1", "https://s.test/2")
+        providers = _pipeline_providers({"q1": results}, pages, chat)
         state = _fresh_state(_config(urls_per_query=3))
         new = run_search_pipeline(state, providers, ["q1"], iteration=0)
         # Index 1 was filtered out; index 2 fetched but judged useless.
@@ -301,52 +335,190 @@ class TestRunSearchPipeline:
         assert state.bank.get(1).summary == "sum0"
         assert state.executed_queries == ["q1"]
         assert providers.fetch.calls == ["https://s.test/0", "https://s.test/2"]
+        # One prompt per stage: the root query once, each result with its query.
+        (filter_prompt,) = _calls(state, "filter_urls")
+        assert filter_prompt.count("root question") == 1
+        assert filter_prompt.count("query: q1") == 3
+        (assess_prompt,) = _calls(state, "assess_page")
+        assert _page_urls(assess_prompt) == ["https://s.test/0", "https://s.test/2"]
+        assert assess_prompt.count("<query>q1</query>") == 2
 
     def test_banked_urls_skipped_before_fetch(self):
-        results = [SearchResult(url="https://s.test/0", title="t", snippet="s", rank=0)]
         chat = [
             ScriptEntry(match=["screening search results"], responses=["[0]"]),
+            ScriptEntry(match=["extracting evidence"], responses=[_assessed((True, "s"))]),
         ]
-        providers = _pipeline_providers("q1", results, {}, chat)
+        providers = _pipeline_providers(
+            {"q1": _results("https://s.test/0", "https://s.test/1")},
+            {"https://s.test/1": "body"},
+            chat,
+        )
         state = _fresh_state(_config())
         state.bank.add("https://s.test/0", "t", "old", "s", "c", 0)
         new = run_search_pipeline(state, providers, ["q1"], iteration=1)
-        assert new == {"q1": []}
-        assert providers.fetch.calls == []
+        assert new == {"q1": [2]}
+        assert providers.fetch.calls == ["https://s.test/1"]
+        # The banked URL never reaches the filter, so index 0 is the other one.
+        assert "https://s.test/0" not in _calls(state, "filter_urls")[0]
+
+    def test_a_pass_with_every_result_banked_makes_no_chat_call(self):
+        providers = _pipeline_providers(
+            {"q1": _results("https://s.test/0"), "q2": _results("https://S.test/0/", "https://s.test/1")},
+            {},
+            [],  # any chat call is an UnmatchedPromptError
+        )
+        state = _fresh_state(_config())
+        state.bank.add("https://s.test/0", "t", "old", "s", "c", 0)
+        state.bank.add("https://s.test/1", "t", "old", "s", "c", 0)
+        new = run_search_pipeline(state, providers, ["q1", "q2"], iteration=1)
+        assert new == {"q1": [], "q2": []}
+        assert state.audit == [] and providers.fetch.calls == []
+        assert state.executed_queries == ["q1", "q2"]
+
+    def test_a_url_two_queries_return_is_shown_once_and_credited_to_the_first(self):
+        pages = {f"https://s.test/{i}": f"body{i}" for i in range(3)}
+        providers = _pipeline_providers(
+            {
+                "q1": _results("https://s.test/0", "https://s.test/1"),
+                "q2": _results("https://S.test/1/", "https://s.test/2"),
+            },
+            pages,
+            _JudgeAll(),
+        )
+        state = _fresh_state(_config())
+        new = run_search_pipeline(state, providers, ["q1", "q2"], iteration=0)
+        assert new == {"q1": [1, 2], "q2": [3]}
+        assert [(u.url, u.query) for u in state.bank.units] == [
+            ("https://s.test/0", "q1"), ("https://s.test/1", "q1"), ("https://s.test/2", "q2"),
+        ]
+        (filter_prompt,) = _calls(state, "filter_urls")
+        assert "S.test/1/" not in filter_prompt
+        assert re.findall(r"^(\d+)\. .*\n   query: (q\d)$", filter_prompt, re.MULTILINE) == [
+            ("0", "q1"), ("1", "q1"), ("2", "q2"),
+        ]
+        assert providers.fetch.calls == list(pages)
+        assert len(_calls(state, "assess_page")) == 1
+
+    def test_a_union_over_the_budget_splits_into_filter_calls_with_chunk_local_indices(self):
+        snippet = "x" * 1000
+        urls = [f"https://s.test/{i}" for i in range(40)]
+        selections = ["[0]", "[1, 0]", "[0]", "[0]"]
+        chat = [ScriptEntry(match=["screening search results"], responses=selections)]
+        providers = _pipeline_providers(
+            {"q1": _results(*urls[:20], snippet=snippet), "q2": _results(*urls[20:], snippet=snippet)},
+            {},
+            chat,
+        )
+        state = _fresh_state(_config(urls_per_query=20))
+        run_search_pipeline(state, providers, ["q1", "q2"], iteration=0)
+        prompts = _calls(state, "filter_urls")
+        assert len(prompts) >= 2
+        shown = []
+        for prompt in prompts:
+            entries = prompt.split("# Results\n", 1)[1]
+            numbers = re.findall(r"^(\d+)\. ", entries, re.MULTILINE)
+            assert numbers == [str(i) for i in range(len(numbers))]
+            assert len(entries.encode("utf-8")) <= orchestrator._CHUNK_BYTES + 100
+            shown.append(re.findall(r"^   (https://\S+)$", entries, re.MULTILINE))
+        # Every URL is shown once, in query then rank order.
+        assert [url for chunk in shown for url in chunk] == urls
+        # Each selection indexes its own chunk; no page was fetchable.
+        want = [chunk[0] for chunk in shown]
+        want[1:2] = [shown[1][0], shown[1][1]]
+        assert providers.fetch.calls == want
+        assert _calls(state, "assess_page") == []
+
+    def test_an_oversize_page_is_assessed_alone_and_whole(self):
+        big = "y" * (orchestrator._CHUNK_BYTES + 1) + "\nthe end"
+        pages = {"https://s.test/0": "small0", "https://s.test/1": big, "https://s.test/2": "small2"}
+        providers = _pipeline_providers(
+            {"q1": _results(*pages)}, pages, _JudgeAll()
+        )
+        state = _fresh_state(_config())
+        new = run_search_pipeline(state, providers, ["q1"], iteration=0)
+        assert new == {"q1": [1, 2, 3]}
+        prompts = _calls(state, "assess_page")
+        assert [_page_urls(p) for p in prompts] == [[url] for url in pages]
+        assert f"<content>\n{big}\n</content>" in prompts[1]
+
+    def test_a_malformed_answer_re_asks_only_its_own_chunk_with_the_identical_prompt(self):
+        pages = {f"https://s.test/{i}": str(i) * 9000 for i in range(3)}
+        # Call 1 filters; calls 2-4 assess one page each; call 3 is malformed.
+        chat = _JudgeAll(malformed={3})
+        providers = _pipeline_providers({"q1": _results(*pages)}, pages, chat)
+        state = _fresh_state(_config())
+        new = run_search_pipeline(state, providers, ["q1"], iteration=0)
+        assert new == {"q1": [1, 2, 3]}
+        prompts = _calls(state, "assess_page")
+        assert [_page_urls(p) for p in prompts] == [
+            ["https://s.test/0"], ["https://s.test/1"], ["https://s.test/1"], ["https://s.test/2"],
+        ]
+        assert prompts[1] == prompts[2]
+        assert [r["response"] for r in state.audit].count("not json") == 1
+
+    def test_malformed_filter_response_retried_with_same_prompt(self):
+        chat = [
+            ScriptEntry(
+                match=["screening search results"],
+                responses=["not an index list", "[0]"],
+            ),
+            ScriptEntry(match=["extracting evidence"], responses=[_assessed((True, "s"))]),
+        ]
+        providers = _pipeline_providers(
+            {"q1": _results("https://s.test/0")}, {"https://s.test/0": "body"}, chat
+        )
+        state = _fresh_state(_config())
+        new = run_search_pipeline(state, providers, ["q1"], iteration=0)
+        assert new == {"q1": [1]}
+        filter_calls = _calls(state, "filter_urls")
+        assert len(filter_calls) == 2
+        assert filter_calls[0] == filter_calls[1]
 
     def test_fetch_errors_skip_result_not_run(self):
-        results = [
-            SearchResult(url="https://s.test/gone", title="t", snippet="s", rank=0),
-            SearchResult(url="https://s.test/ok", title="t", snippet="s", rank=1),
-        ]
-        pages = {"https://s.test/ok": "body"}
         chat = [
             ScriptEntry(match=["screening search results"], responses=["[0, 1]"]),
             ScriptEntry(
                 match=["extracting evidence", "https://s.test/ok"],
-                responses=['{"useful": true, "summary": "s", "salient_content": ""}'],
+                responses=[_assessed((True, "s"))],
             ),
         ]
-        providers = _pipeline_providers("q1", results, pages, chat)
+        providers = _pipeline_providers(
+            {"q1": _results("https://s.test/gone", "https://s.test/ok")},
+            {"https://s.test/ok": "body"},
+            chat,
+        )
         state = _fresh_state(_config())
         new = run_search_pipeline(state, providers, ["q1"], iteration=0)
         assert new == {"q1": [1]}
         assert state.bank.get(1).url == "https://s.test/ok"
+
+    def test_a_fetch_error_drops_that_page_but_keeps_the_rest_of_its_chunk(self, caplog):
+        urls = ["https://s.test/0", "https://s.test/gone", "https://s.test/2"]
+        pages = {urls[0]: "body0", urls[2]: "body2"}
+        providers = _pipeline_providers({"q1": _results(*urls)}, pages, _JudgeAll())
+        state = _fresh_state(_config())
+        with caplog.at_level(logging.WARNING, logger="dualgraph.orchestrator"):
+            new = run_search_pipeline(state, providers, ["q1"], iteration=0)
+        assert new == {"q1": [1, 2]}
+        assert providers.fetch.calls == urls
+        (prompt,) = _calls(state, "assess_page")
+        assert _page_urls(prompt) == [urls[0], urls[2]]
+        assert [u.url for u in state.bank.units] == [urls[0], urls[2]]
+        assert "fetch failed for https://s.test/gone" in caplog.text
 
     def test_blank_url_results_dropped_before_the_filter(self, caplog):
         results = [
             SearchResult(url="   ", title="blank", snippet="s", rank=0),
             SearchResult(url="https://s.test/ok", title="ok", snippet="s", rank=1),
         ]
-        pages = {"https://s.test/ok": "body"}
         chat = [
             ScriptEntry(match=["screening search results"], responses=["[0]"]),
             ScriptEntry(
                 match=["extracting evidence", "https://s.test/ok"],
-                responses=['{"useful": true, "summary": "s", "salient_content": ""}'],
+                responses=[_assessed((True, "s"))],
             ),
         ]
-        providers = _pipeline_providers("q1", results, pages, chat)
+        providers = _pipeline_providers({"q1": results}, {"https://s.test/ok": "body"}, chat)
         state = _fresh_state(_config())
         with caplog.at_level(logging.WARNING, logger="dualgraph.orchestrator"):
             new = run_search_pipeline(state, providers, ["q1"], iteration=0)
@@ -354,27 +526,6 @@ class TestRunSearchPipeline:
         assert state.bank.get(1).url == "https://s.test/ok"
         assert "0. ok" in state.audit[0]["prompt"] and "blank" not in state.audit[0]["prompt"]
         assert "blank-URL" in caplog.text
-
-    def test_malformed_filter_response_retried_with_same_prompt(self):
-        results = [SearchResult(url="https://s.test/0", title="t", snippet="s", rank=0)]
-        pages = {"https://s.test/0": "body"}
-        chat = [
-            ScriptEntry(
-                match=["screening search results"],
-                responses=["not an index list", "[0]"],
-            ),
-            ScriptEntry(
-                match=["extracting evidence"],
-                responses=['{"useful": true, "summary": "s", "salient_content": ""}'],
-            ),
-        ]
-        providers = _pipeline_providers("q1", results, pages, chat)
-        state = _fresh_state(_config())
-        new = run_search_pipeline(state, providers, ["q1"], iteration=0)
-        assert new == {"q1": [1]}
-        filter_calls = [a for a in state.audit if a["name"] == "filter_urls"]
-        assert len(filter_calls) == 2
-        assert filter_calls[0]["prompt"] == filter_calls[1]["prompt"]
 
 
 def _stop_providers(response: str) -> Providers:
@@ -517,6 +668,14 @@ class TestRunnerOnDemoFixture:
         assert not (tmp_path / "run" / "outline.txt").exists()
         # Citations in the final outline resolve inside the bank.
         assert all(i in state.bank for i in state.og.all_citations())
+
+    def test_an_uninterrupted_run_spends_every_scripted_response(self, tmp_path):
+        # A response no prompt reaches is a stale entry the script only seems to need.
+        fixture = load_fixture(DEMO_FIXTURE)
+        runner = _demo_runner(tmp_path / "run")
+        runner.start(fixture.root_query)
+        chat = runner.providers.chat
+        assert chat._given == [len(entry.responses) for entry in chat.entries]
 
     def test_event_trace_follows_loop_grammar(self, tmp_path):
         fixture = load_fixture(DEMO_FIXTURE)
@@ -1208,8 +1367,8 @@ class TestResumeEmbedsOnlyWhatTheFaultLost:
 
     @pytest.mark.parametrize(
         "provider, call",
-        # The run makes 84 chat calls (the last three write the report) and 12 embed calls.
-        [("chat", 2), ("chat", 20), ("chat", 40), ("chat", 60), ("chat", 83),
+        # The run makes 56 chat calls (the last three write the report) and 12 embed calls.
+        [("chat", 2), ("chat", 20), ("chat", 40), ("chat", 48), ("chat", 55),
          ("embed", 2), ("embed", 5), ("embed", 11)],
     )
     def test_a_resume_sends_no_committed_text(self, tmp_path, provider, call):
@@ -1326,7 +1485,7 @@ class TestExtractionReferences:
         """update_kg over one new unit, with scripted extraction responses."""
         ev_id = state.bank.add("https://example.org/q", "q", "q", "summary", "", 1)
         entry = ScriptEntry(match=["# Search Query\nq\n"], responses=responses)
-        update_kg(state, _pipeline_providers("q", [], {}, [entry]), {"q": [ev_id]})
+        update_kg(state, _pipeline_providers({}, {}, [entry]), {"q": [ev_id]})
         return ev_id
 
     @pytest.mark.parametrize("reference", _ABSENT_REFERENCES)

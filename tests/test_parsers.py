@@ -227,20 +227,62 @@ class TestParseIndexSelection:
             parse_index_selection(doc, count=3)
 
 
+def _assessments(*entries) -> str:
+    return json.dumps(
+        [{"useful": useful, "summary": summary, "salient_content": content}
+         for useful, summary, content in entries]
+    )
+
+
 class TestParsePageAssessment:
-    def test_useful_page(self):
-        doc = '{"useful": true, "summary": "s", "salient_content": ""}'
-        assessment = parse_page_assessment(doc)
-        assert assessment.useful and assessment.summary == "s"
+    def test_one_assessment_per_page_in_page_order(self):
+        doc = _assessments((True, "s0", ""), (False, "", ""), (True, "s2", "c2"))
+        got = parse_page_assessment(doc, count=3)
+        assert [(a.useful, a.summary, a.salient_content) for a in got] == [
+            (True, "s0", ""), (False, "", ""), (True, "s2", "c2"),
+        ]
+        assert parse_page_assessment("[]", count=0) == []
 
     def test_useless_page_may_omit_summary(self):
-        doc = '{"useful": false, "summary": "", "salient_content": ""}'
-        assert not parse_page_assessment(doc).useful
+        assert not parse_page_assessment(_assessments((False, "", "")), count=1)[0].useful
 
-    def test_useful_page_requires_summary(self):
-        doc = '{"useful": true, "summary": " ", "salient_content": "x"}'
-        with pytest.raises(SchemaViolation):
-            parse_page_assessment(doc)
+    @pytest.mark.parametrize("summary", ["", " "])
+    def test_useful_page_requires_summary(self, summary):
+        with pytest.raises(SchemaViolation, match=r"page assessment\[1\]\.summary"):
+            parse_page_assessment(_assessments((True, "s", ""), (True, summary, "x")), count=2)
+
+    @pytest.mark.parametrize("count", [0, 1, 3])
+    def test_wrong_count_rejected(self, count):
+        doc = _assessments((True, "s0", ""), (True, "s1", ""))
+        with pytest.raises(SchemaViolation, match=f"2 objects for {count} pages"):
+            parse_page_assessment(doc, count=count)
+
+    @pytest.mark.parametrize(
+        "doc", ['{"useful": true, "summary": "s", "salient_content": ""}', '"s"', "null", "1"]
+    )
+    def test_non_array_rejected(self, doc):
+        with pytest.raises(SchemaViolation, match="expected an array"):
+            parse_page_assessment(doc, count=1)
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            {"useful": True, "summary": "s"},
+            {"useful": True, "summary": "s", "salient_content": "", "url": "u"},
+            {"useful": "yes", "summary": "s", "salient_content": ""},
+            {"useful": True, "summary": 1, "salient_content": ""},
+            {"useful": True, "summary": "s", "salient_content": None},
+            ["useful", "summary", "salient_content"],
+        ],
+    )
+    def test_each_object_needs_exactly_the_three_fields(self, entry):
+        doc = json.dumps([{"useful": False, "summary": "", "salient_content": ""}, entry])
+        with pytest.raises(SchemaViolation, match=r"page assessment\[1\]"):
+            parse_page_assessment(doc, count=2)
+
+    def test_malformed_json_rejected(self):
+        with pytest.raises(MalformedOutputError):
+            parse_page_assessment('[{"useful": true', count=1)
 
 
 class TestParseScores:
@@ -303,7 +345,7 @@ def _mutate(text: str, gen: random.Random) -> str:
     return text[: len(text) // 2] + "\u2603\x00" + text[len(text) // 2:]
 
 
-@pytest.mark.parametrize("parser_case", ["extraction", "merge", "selection"])
+@pytest.mark.parametrize("parser_case", ["extraction", "merge", "selection", "assessment"])
 def test_parsers_total_under_mutation(parser_case):
     gen = random.Random(zlib.crc32(parser_case.encode()))
     seeds = {
@@ -311,6 +353,7 @@ def test_parsers_total_under_mutation(parser_case):
         "merge": '{"clusters": [{"cluster_id": "c1", "representative_concept": "x", '
         '"source_node_ids": ["n1", "n2"], "similarity_justification": ""}]}',
         "selection": '{"chains": ["chain_1"], "search queries": ["q"]}',
+        "assessment": _assessments((True, "s0", "c0"), (False, "", "")),
     }
     text = seeds[parser_case]
     for _ in range(400):
@@ -322,6 +365,8 @@ def test_parsers_total_under_mutation(parser_case):
                 parse_extraction(corrupted, {"n1", "n2"}, {"e1"})
             elif parser_case == "merge":
                 parse_merge(corrupted)
+            elif parser_case == "assessment":
+                parse_page_assessment(corrupted, count=2)
             else:
                 parse_chain_selection(corrupted, chain_num=4)
         except ParseError:
