@@ -22,7 +22,7 @@ from pathlib import Path
 
 from .evidence import citation_token
 from .kg import KnowledgeGraph
-from .orchestrator import ConfigError, RunConfig, Runner, STATE_FILE, _text
+from .orchestrator import ConfigError, RunConfig, Runner, STATE_FILE, _text, committed_config
 from .providers.base import ProviderError
 from .providers.mock import Fixture, load_fixture
 from .providers.parsers import (
@@ -56,12 +56,9 @@ def _build_parser() -> _ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_ArgumentParser)
 
     run_p = sub.add_parser("run", help="start a research run")
-    run_p.add_argument("--query", help="root research question (defaults to the fixture's)")
     run_p.add_argument("--run-dir", required=True, help="directory for checkpoints and outputs")
     run_p.add_argument("--fixture", help="fixture JSON path (default: bundled demo)")
     run_p.add_argument("--config", help="JSON file with run configuration keys")
-    run_p.add_argument("--seed", type=int)
-    run_p.add_argument("--max-iter", type=int)
     run_p.add_argument("--force", action="store_true", help="overwrite an existing run directory")
 
     res_p = sub.add_parser("resume", help="continue an interrupted run")
@@ -132,10 +129,6 @@ def _resolve_config(fixture: Fixture, args) -> RunConfig:
         if not isinstance(overrides, dict):
             raise _UsageError("config file must hold a JSON object")
         merged.update(overrides)
-    if args.seed is not None:
-        merged["seed"] = args.seed
-    if args.max_iter is not None:
-        merged["max_iter"] = args.max_iter
     config = RunConfig.from_dict(merged)
     recorded = RunConfig.from_dict(fixture.config).variant
     if config.variant is not recorded:
@@ -149,15 +142,14 @@ def _resolve_config(fixture: Fixture, args) -> RunConfig:
 def _cmd_run(args) -> int:
     fixture = _load_fixture_arg(args.fixture)
     config = _resolve_config(fixture, args)
-    query = args.query or fixture.root_query
     run_dir = Path(args.run_dir)
     _check_dir_path(run_dir, "run directory")
     if (run_dir / STATE_FILE).exists() and not args.force:
         raise _UsageError(
             f"run directory {run_dir} already holds a run; pass --force to overwrite"
         )
-    runner = Runner(config, fixture.providers(), run_dir)
-    state = runner.start(query)
+    runner = Runner(config, fixture.providers(config), run_dir)
+    state = runner.start(fixture.root_query)
     print(f"run complete: {state.iteration} iteration(s), stopped={state.stopped}")
     print(f"report: {run_dir / 'report.md'}")
     return EXIT_OK
@@ -166,7 +158,9 @@ def _cmd_run(args) -> int:
 def _cmd_resume(args) -> int:
     run_dir = Path(args.run_dir)
     fixture = _load_fixture_arg(args.fixture)
-    runner = Runner(RunConfig(), fixture.providers(), run_dir)
+    runner = Runner(RunConfig(), None, run_dir)
+    config = runner.read(STATE_FILE, _text(lambda text: committed_config(json.loads(text))))
+    runner.providers = fixture.providers(config)
     state = runner.resume()
     print(f"run complete: {state.iteration} iteration(s), stopped={state.stopped}")
     print(f"report: {run_dir / 'report.md'}")

@@ -108,7 +108,6 @@ __all__ = [
     "RunConfig",
     "EarlyStopReport",
     "RunState",
-    "ReportConsistencyError",
     "init_run",
     "run_iteration",
     "write_report",
@@ -141,10 +140,6 @@ class Variant(str, Enum):
 
 class ConfigError(ValueError):
     pass
-
-
-class ReportConsistencyError(ValueError):
-    """The outline cites evidence the bank does not hold."""
 
 
 @dataclass
@@ -278,25 +273,13 @@ class RunState:
         The files of the committed iteration never change later, and the logs
         only grow, so a checkpoint that never committed is ignored.
         """
-        if not isinstance(doc, dict):
-            raise ConfigError(f"{STATE_FILE} must hold a JSON object")
-        if doc.get("format_version") != FORMAT_VERSION:
-            raise ConfigError(f"unsupported state format_version {doc.get('format_version')!r}")
-        missing = [key for key in _STATE_KEYS if key not in doc]
-        if missing:
-            raise ConfigError(f"{STATE_FILE} lacks {missing}")
+        config = committed_config(doc)
         if doc["stage"] not in ("init", "loop", "done"):
             raise ConfigError(f"{STATE_FILE}: unknown stage {doc['stage']!r}")
         counts = ("iteration", "audit_records", "bank_units", "embedded_texts")
         bad = [key for key in counts if type(doc[key]) is not int or doc[key] < 0]
         if bad:
             raise ConfigError(f"{STATE_FILE}: {bad} must be non-negative integers")
-        try:
-            config = RunConfig.from_dict(
-                _require_object(doc["config"], "config", set(RunConfig.__dataclass_fields__))
-            )
-        except ConfigError as exc:
-            raise ConfigError(f"{STATE_FILE}: {exc}") from None
         state = cls(
             root_query=_require_str(doc["root_query"], "root_query", allow_empty=True),
             config=config,
@@ -324,6 +307,12 @@ class RunState:
                 unplaced = [nid for nid, n in state.kg.nodes.items() if n.community_id is None]
                 if unplaced:
                     raise ConfigError(f"{kg_file} has nodes with no community id: {unplaced}")
+                unbanked = sorted({
+                    ev_id for e in state.kg.edges.values()
+                    for ev_id in e.evidence_ids if ev_id not in state.bank
+                })
+                if unbanked:
+                    raise ConfigError(f"{kg_file} cites evidence absent from the bank: {unbanked}")
         if state.stage == "done":
             state.report = read(REPORT_FILE, _text(str))
         state.audit = read(AUDIT_LOG, lambda log: _head(log, records))
@@ -333,6 +322,24 @@ class RunState:
         if len(state.embeddings) < texts:
             raise ConfigError(f"{EMBED_LOG} is shorter than the checkpoint's embedded_texts")
         return state
+
+
+def committed_config(doc) -> RunConfig:
+    """The config of a state.json document, which must be of this format and
+    hold every key; a damaged one is a ConfigError naming state.json."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{STATE_FILE} must hold a JSON object")
+    if doc.get("format_version") != FORMAT_VERSION:
+        raise ConfigError(f"unsupported state format_version {doc.get('format_version')!r}")
+    missing = [key for key in _STATE_KEYS if key not in doc]
+    if missing:
+        raise ConfigError(f"{STATE_FILE} lacks {missing}")
+    try:
+        return RunConfig.from_dict(
+            _require_object(doc["config"], "config", set(RunConfig.__dataclass_fields__))
+        )
+    except ConfigError as exc:
+        raise ConfigError(f"{STATE_FILE}: {exc}") from None
 
 
 def _text(parse: Callable) -> Callable:
@@ -367,7 +374,8 @@ def _embeddings(records: list) -> dict[str, np.ndarray]:
     """The memo that embed.jsonl records hold; a damaged record is a ValueError.
 
     Rows must all have the first row's length, which is not checked against the
-    config's ``embed_dim``: ``run`` and ``resume`` take the embedder from the fixture.
+    config's ``embed_dim``: a library caller's embedder need not follow it, and
+    ``_EmbedOnce`` checks the width the embedder returns.
     """
     rows: dict[str, np.ndarray] = {}
     width = None
@@ -768,12 +776,7 @@ def evaluate_early_stop(
 def write_report(state: RunState, providers: Providers) -> str:
     """One chat call per top-level section; subsections are inlined."""
     assert state.og is not None
-    og = state.og
-    missing = [i for i in sorted(og.all_citations()) if i not in state.bank]
-    if missing:
-        raise ReportConsistencyError(
-            f"outline cites evidence absent from the bank: {missing}"
-        )
+    og = check_citations(state.og, state.bank)
     state.events.append("report:write")
     sections_md: list[str] = []
     for section in og.sections:

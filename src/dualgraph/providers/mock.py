@@ -24,7 +24,8 @@ from .base import (
     UnmatchedPromptError,
     Providers,
 )
-from .parsers import SchemaViolation, _require_int, _require_list, _require_str, _require_strings
+from ..orchestrator import RunConfig
+from .parsers import SchemaViolation, _require_list, _require_str, _require_strings
 
 __all__ = [
     "ScriptEntry",
@@ -148,16 +149,18 @@ class Fixture:
     chat_entries: list[ScriptEntry] = field(default_factory=list)
     search_results: dict[str, list[SearchResult]] = field(default_factory=dict)
     pages: dict[str, str] = field(default_factory=dict)
-    embed_dim: int = 32
-    embed_seed: int = 0
 
-    def providers(self) -> Providers:
-        """Fresh providers; each chat provider replays the script from its start."""
+    def providers(self, config: RunConfig | None = None) -> Providers:
+        """Fresh providers for a run of ``config`` (by default the fixture's own):
+        the chat provider replays the script from its start, and the embedder
+        takes its width and seed from the config."""
+        if config is None:
+            config = RunConfig.from_dict(self.config)
         return Providers(
             chat=ScriptedChatProvider(self.chat_entries),
             search=FixtureSearchProvider(self.search_results),
             fetch=FixtureFetchProvider(self.pages),
-            embed=HashEmbeddingProvider(dim=self.embed_dim, seed=self.embed_seed),
+            embed=HashEmbeddingProvider(dim=config.embed_dim, seed=config.seed),
         )
 
 
@@ -203,15 +206,10 @@ def load_fixture(path: str | Path) -> Fixture:
         url: _require_str(text, f"pages[{url!r}]", allow_empty=True)
         for url, text in _require_dict(doc.get("pages", {}), "pages").items()
     }
-    embed_dim = _require_int(doc.get("embed_dim", 32), "embed_dim")
-    if embed_dim < 1:
-        raise SchemaViolation(f"embed_dim must be >= 1, got {embed_dim}")
     return Fixture(
         root_query=_require_str(doc["root_query"], "root_query", allow_empty=True),
         config=_require_dict(doc.get("config", {}), "config"),
         chat_entries=entries,
         search_results=results,
         pages=pages,
-        embed_dim=embed_dim,
-        embed_seed=_require_int(doc.get("embed_seed", 0), "embed_seed"),
     )

@@ -549,7 +549,7 @@ class SimChatProvider:
         return "\n\n".join(out)
 
 
-def sim_providers(world: World, embed_dim: int = 32, embed_seed: int = 0) -> Providers:
+def sim_providers(world: World, embed_dim: int, embed_seed: int) -> Providers:
     return Providers(
         chat=SimChatProvider(world),
         search=SimSearchProvider(world),

@@ -165,6 +165,7 @@ DAMAGED_FILES = {
     "resume-outline-cites-absent-evidence": (
         "resume", "outline_iter2.txt", _cite_absent_evidence
     ),
+    "resume-kg-cites-absent-evidence": ("resume", "kg_iter2.json", _cite_evidence_id(999)),
     "inspect-kg-evidence-id-zero": ("inspect-kg", "kg_iter2.json", _cite_evidence_id(0)),
     "resume-evidence-id-zero": ("resume", "kg_iter2.json", _cite_evidence_id(0)),
     "resume-negative-evidence-id": ("resume", "kg_iter2.json", _cite_evidence_id(-2)),
@@ -289,13 +290,6 @@ DAMAGED_FIXTURES = {
     "torn-json": '{"root_query": "q", "chat_scr',
     "json-list": '["chat_script"]',
     "no-chat-script": '{"root_query": "q", "config": {}}',
-    "embed-dim-zero": _demo_fixture_with(embed_dim=0),
-    "embed-dim-negative": _demo_fixture_with(embed_dim=-1),
-    "embed-dim-string": _demo_fixture_with(embed_dim="32"),
-    "embed-dim-float": _demo_fixture_with(embed_dim=2.5),
-    "embed-dim-bool": _demo_fixture_with(embed_dim=True),
-    "embed-seed-string": _demo_fixture_with(embed_seed="x"),
-    "embed-seed-bool": _demo_fixture_with(embed_seed=False),
     # A string where a list of strings belongs, which iteration would split
     # into characters.
     "responses-a-string": _demo_fixture_with_item("chat_script", 0, "responses", to=lambda r: r[0]),
@@ -307,6 +301,20 @@ DAMAGED_FIXTURES = {
         "pages", to=lambda pages: {url: len(text) for url, text in pages.items()}
     ),
     "root-query-a-number": _demo_fixture_with(root_query=7),
+}
+
+
+# Top-level embedder keys that fixtures no longer read: the embedder follows
+# the run's config.
+RETIRED_FIXTURE_KEYS = {
+    "embed-dim-zero": {"embed_dim": 0},
+    "embed-dim-negative": {"embed_dim": -1},
+    "embed-dim-string": {"embed_dim": "32"},
+    "embed-dim-float": {"embed_dim": 2.5},
+    "embed-dim-bool": {"embed_dim": True},
+    "embed-seed-string": {"embed_seed": "x"},
+    "embed-seed-bool": {"embed_seed": False},
+    "embed-dim-16-seed-5": {"embed_dim": 16, "embed_seed": 5},
 }
 
 
@@ -344,7 +352,9 @@ class TestRun:
 
     def test_force_rerun_drops_a_longer_runs_files(self, demo_run, capsys):
         (demo_run / "notes_iter2.md").write_text("kept\n", encoding="utf-8")
-        assert _run_demo(demo_run, "--force", "--max-iter", "1") == 0
+        cfg = demo_run.parent / "cfg.json"
+        cfg.write_text(json.dumps({"max_iter": 1}), encoding="utf-8")
+        assert _run_demo(demo_run, "--force", "--config", str(cfg)) == 0
         assert [p.name for p in demo_run.glob("*_iter2.*")] == ["notes_iter2.md"]
         capsys.readouterr()
         assert main(["chains", "--run-dir", str(demo_run)]) == 0
@@ -366,6 +376,15 @@ class TestRun:
         assert _run_demo(tmp_path / "run", "--fixture", str(fixture)) == 0
         state = json.loads((tmp_path / "run" / "state.json").read_text(encoding="utf-8"))
         assert state["config"]["variant"] == "dualgraph"
+
+    @pytest.mark.parametrize("keys", RETIRED_FIXTURE_KEYS.values(), ids=RETIRED_FIXTURE_KEYS)
+    def test_retired_embedder_keys_are_ignored(self, demo_run, tmp_path, keys):
+        fixture = tmp_path / "fixture.json"
+        fixture.write_text(_demo_fixture_with(**keys), encoding="utf-8")
+        run_dir = tmp_path / "retired"
+        assert _run_demo(run_dir, "--fixture", str(fixture)) == 0
+        for name in ("state.json", "embed.jsonl"):
+            assert (run_dir / name).read_bytes() == (demo_run / name).read_bytes()
 
     def test_created_outline_citing_evidence_is_a_parse_error(self, tmp_path, capsys):
         doc = json.loads(DEMO_FIXTURE.read_text(encoding="utf-8"))
@@ -434,6 +453,14 @@ class TestLiveProviders:
         run_dir = tmp_path / "run"
         assert main([command, "--run-dir", str(run_dir), "--providers", "mock"]) == 1
         assert "--providers" in capsys.readouterr().err
+        assert not run_dir.exists()
+
+    # The root query is the fixture's, and the config sets every other setting.
+    @pytest.mark.parametrize("flag, value", [("--query", "q"), ("--seed", "1"), ("--max-iter", "1")])
+    def test_setting_flag_is_unknown(self, tmp_path, capsys, flag, value):
+        run_dir = tmp_path / "run"
+        assert main(["run", "--run-dir", str(run_dir), flag, value]) == 1
+        assert flag in capsys.readouterr().err
         assert not run_dir.exists()
 
     def test_no_flag_accepts_an_api_key(self):
@@ -533,19 +560,40 @@ class TestResume:
         assert main(["resume", "--run-dir", str(run_dir)]) == 1
         assert f"configuration error: {name}" in capsys.readouterr().err
 
-    def test_embedder_of_another_width_is_rejected(self, tmp_path, capsys):
-        run_dir, cut, narrow = tmp_path / "run", tmp_path / "cut.json", tmp_path / "narrow.json"
+    @staticmethod
+    def _cut_demo_run(tmp_path):
+        """A demo run stopped by a provider failure in its first outline revision."""
+        run_dir, cut = tmp_path / "cut", tmp_path / "cut.json"
         cut.write_text(_demo_fixture_cut_at_revision(), encoding="utf-8")
-        narrow.write_text(_demo_fixture_with(embed_dim=16), encoding="utf-8")
         assert _run_demo(run_dir, "--fixture", str(cut)) == 2
+        return run_dir
+
+    @pytest.mark.parametrize("keys", RETIRED_FIXTURE_KEYS.values(), ids=RETIRED_FIXTURE_KEYS)
+    def test_fixture_embedder_keys_do_not_reach_a_resume(self, demo_run, tmp_path, keys):
+        # The resume rebuilds the embedder that began the run from the
+        # committed config, whatever embedder keys the fixture carries.
+        run_dir, other = self._cut_demo_run(tmp_path), tmp_path / "other.json"
+        other.write_text(_demo_fixture_with(**keys), encoding="utf-8")
+        assert main(["resume", "--run-dir", str(run_dir), "--fixture", str(other)]) == 0
+        assert dir_snapshot(run_dir) == dir_snapshot(demo_run)
+
+    def test_embedder_of_another_width_is_rejected(self, tmp_path, capsys):
+        run_dir = self._cut_demo_run(tmp_path)
+        path = run_dir / "state.json"
+        committed = path.read_text(encoding="utf-8")
+        path.write_text(
+            _edit_json(lambda doc: doc["config"].update(embed_dim=16))(committed),
+            encoding="utf-8",
+        )
         before = dir_snapshot(run_dir)
         capsys.readouterr()
-        assert main(["resume", "--run-dir", str(run_dir), "--fixture", str(narrow)]) == 1
+        assert main(["resume", "--run-dir", str(run_dir)]) == 1
         err = capsys.readouterr().err
         assert "configuration error: embed.jsonl holds vectors of width 32" in err
         assert "the embedder returns width 16" in err
         assert dir_snapshot(run_dir) == before
-        # The run is left resumable with the embedder that began it.
+        # With the config that began it, the run is still resumable.
+        path.write_text(committed, encoding="utf-8")
         assert main(["resume", "--run-dir", str(run_dir)]) == 0
 
 

@@ -20,7 +20,6 @@ from dualgraph.kg import KnowledgeGraph, MergeCluster, merge_nodes
 from dualgraph.orchestrator import (
     ConfigError,
     EarlyStopReport,
-    ReportConsistencyError,
     RunConfig,
     Runner,
     RunState,
@@ -35,7 +34,7 @@ from dualgraph.orchestrator import (
     update_kg,
     write_report,
 )
-from dualgraph.outline import parse_outline, render_outline
+from dualgraph.outline import OutlineValidationError, parse_outline, render_outline
 from dualgraph.providers.base import (
     FetchError,
     ProviderError,
@@ -578,7 +577,7 @@ class TestWriteReport:
             fetch=FixtureFetchProvider({}),
             embed=HashEmbeddingProvider(dim=8),
         )
-        with pytest.raises(ReportConsistencyError):
+        with pytest.raises(OutlineValidationError):
             write_report(state, providers)
 
 

@@ -132,14 +132,12 @@ class TestFixtureLoading:
     def test_round_trip_from_json(self, tmp_path):
         doc = {
             "root_query": "q",
-            "config": {"max_iter": 2},
+            "config": {"max_iter": 2, "embed_dim": 16},
             "chat_script": [{"match": ["hello"], "responses": ["world"]}],
             "search_results": {
                 "q1": [{"url": "https://a.test/1", "title": "t", "snippet": "s"}]
             },
             "pages": {"https://a.test/1": "body"},
-            "embed_dim": 16,
-            "embed_seed": 2,
         }
         path = tmp_path / "fixture.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
