@@ -15,9 +15,9 @@ the config's.
 ``drive`` yields the state after init_run, after each loop pass and after the
 report: ``Runner`` checkpoints there, and ``simulate.run_sim`` measures there.
 run_iteration is functional (state in, new state out), so a provider failure
-mid-iteration loses nothing but in-flight work, writes no file (the state it
-interrupted is already committed), and a resumed run converges to the same
-bytes as an uninterrupted one. ``drive`` holds one state object: init_run and
+mid-iteration loses nothing but in-flight work (the state it interrupted is
+already committed), and a resumed run converges to the same bytes as an
+uninterrupted one. ``drive`` holds one state object: init_run and
 write_report change it in place, and only run_iteration clones. Every phase
 embeds through one memo above the provider ``drive`` is given, the state's
 ``embeddings`` (text to vector, in first-request order), so each distinct text
@@ -50,6 +50,16 @@ committed lines, so a resume reads each log once and costs what the fault lost.
 Every model call takes one path, ``_chat_parsed``: it renders the named
 template, audits the exchange under that name, and parses the answer.
 
+Nor does a fault cost the chat, search and fetch answers its attempt already
+got. ``Runner`` keeps every such exchange made since the last checkpoint on a
+``_Tape``. When a ``ProviderError`` stops the run, it writes them to
+``replay.jsonl``, the only file a failure writes; a ``ParseError`` or
+``ConfigError`` writes nothing, so a bad answer is never replayed. A resume
+serves each call whose kind and request equal the next recorded exchange from
+the file, with no provider call; the first call that differs drops the rest.
+The first checkpoint deletes the file, so a finished run directory holds none.
+Embed calls stay off the tape: the memo in ``embed.jsonl`` covers them.
+
 ``Runner.read`` is the one reader of the run directory: ``load_state``, resume
 and the CLI's inspect commands open every file through it, as bytes. A missing,
 undecodable or damaged file is a ``ConfigError`` that names it.
@@ -61,7 +71,8 @@ import base64
 import json
 import logging
 import os
-from collections.abc import Callable, Iterator, Sequence
+from collections import deque
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from itertools import islice
@@ -88,11 +99,12 @@ from .outline import (
     parse_outline,
     render_outline,
 )
-from .providers.base import FetchError, Providers, SearchResult
+from .providers.base import FetchError, ProviderError, Providers, SearchResult
 from .providers import parsers
 from .providers.parsers import (
     ParseError,
     _require_bool,
+    _require_int,
     _require_list,
     _require_object,
     _require_scores,
@@ -124,6 +136,7 @@ BANK_FILE = "bank.json"  # the final bank, beside the report
 AUDIT_LOG = "audit.jsonl"
 BANK_LOG = "bank.jsonl"
 EMBED_LOG = "embed.jsonl"
+REPLAY_FILE = "replay.jsonl"  # the exchanges a failed attempt got; see _Tape
 FORMAT_VERSION = 8
 _LOGS = (AUDIT_LOG, BANK_LOG, EMBED_LOG)  # append-only; state.json commits each by count
 # Every key RunState.to_dict writes besides format_version.
@@ -392,6 +405,56 @@ def _embeddings(records: list) -> dict[str, np.ndarray]:
             raise ValueError(f"record {i} vector is {len(raw)} bytes, record 0's is {width}")
         rows[text] = np.frombuffer(raw, dtype="<f8")
     return rows
+
+
+def _replay_record(exchange: tuple) -> dict:
+    """The replay.jsonl line of a (kind, request, answer) exchange: exactly
+    ``kind``, ``request`` and ``answer``, or ``error`` with the message of a
+    fetch's ``FetchError``. A search's results are written as objects."""
+    kind, request, answer = exchange
+    if isinstance(answer, FetchError):
+        return {"kind": kind, "request": request, "error": str(answer)}
+    if kind == "search":
+        answer = [{"url": r.url, "title": r.title, "snippet": r.snippet, "rank": r.rank}
+                  for r in answer]
+    return {"kind": kind, "request": request, "answer": answer}
+
+
+def _replay_exchanges(log) -> list[tuple]:
+    """The exchanges a replay.jsonl opened as bytes holds, as ``_Tape`` keeps them;
+    a damaged line is a ValueError."""
+    exchanges = []
+    for i, line in enumerate(log):
+        what = f"record {i}"
+        record = json.loads(line.decode("utf-8"))
+        outcome = "error" if isinstance(record, dict) and "error" in record else "answer"
+        record = _require_object(record, what, {"kind", "request", outcome})
+        kind, request, answer = record["kind"], record["request"], record[outcome]
+        if kind == "search":
+            _require_object(request, f"{what} request", {"query", "top_n"})
+            _require_str(request["query"], f"{what} query", allow_empty=True)
+            _require_int(request["top_n"], f"{what} top_n")
+        elif kind in ("chat", "fetch"):
+            _require_str(request, f"{what} request", allow_empty=True)
+        else:
+            raise ValueError(f"{what}: unknown kind {kind!r}")
+        if outcome == "error":
+            if kind != "fetch":
+                raise ValueError(f"{what}: a {kind} exchange records no error")
+            answer = FetchError(_require_str(answer, f"{what} error", allow_empty=True))
+        elif kind == "search":
+            results = []
+            for rank, r in enumerate(_require_list(answer, f"{what} answer")):
+                r = _require_object(r, f"{what} result {rank}", {"url", "title", "snippet", "rank"})
+                for key in ("url", "title", "snippet"):
+                    _require_str(r[key], f"{what} result {rank} {key}", allow_empty=True)
+                _require_int(r["rank"], f"{what} result {rank} rank")
+                results.append(SearchResult(**r))
+            answer = results
+        else:
+            _require_str(answer, f"{what} answer", allow_empty=True)
+        exchanges.append((kind, request, answer))
+    return exchanges
 
 
 def _document(doc) -> str:
@@ -903,6 +966,46 @@ class _EmbedOnce:
         return np.array([rows[t] for t in texts])
 
 
+class _Tape:
+    """Chat, search and fetch over ``inner`` that keep every exchange they make.
+
+    ``exchanges`` holds each call's (kind, request, answer) in call order; a
+    fetch's ``FetchError`` is its answer, re-raised to the caller. A call whose
+    kind and request equal the head of ``queue`` takes the head's answer and
+    never reaches ``inner``; the first call that does not drops the whole queue.
+    """
+
+    def __init__(self, inner: Providers, queue: Iterable[tuple] = ()):
+        self.inner = inner
+        self.queue = deque(queue)
+        self.exchanges: list[tuple] = []
+
+    def _call(self, kind: str, request, ask: Callable, *args):
+        queue = self.queue
+        if queue and queue[0][0] == kind and queue[0][1] == request:
+            answer = queue.popleft()[2]
+        else:
+            queue.clear()
+            try:
+                answer = ask(*args)
+            except FetchError as exc:
+                answer = exc
+        self.exchanges.append((kind, request, answer))
+        if isinstance(answer, FetchError):
+            raise answer
+        return answer
+
+    def complete(self, prompt: str) -> str:
+        return self._call("chat", prompt, self.inner.chat.complete, prompt)
+
+    def search(self, query: str, top_n: int) -> list[SearchResult]:
+        request = {"query": query, "top_n": top_n}
+        return self._call("search", request, self.inner.search.search, query, top_n)
+
+    def fetch(self, url: str) -> str:
+        return self._call("fetch", url, self.inner.fetch.fetch, url)
+
+
 def drive(state: RunState, providers: Providers) -> Iterator[RunState]:
     """Run ``state`` to its report, yielding it at each boundary; a done run yields nothing.
 
@@ -994,6 +1097,8 @@ class Runner:
             self._replace(BANK_FILE, state.bank.to_document())
         if state.report is not None:
             self._replace(REPORT_FILE, state.report)
+        # A spilled replay holds calls made after the checkpoint before this one.
+        (self.run_dir / REPLAY_FILE).unlink(missing_ok=True)
         self._replace(STATE_FILE, _document(state.to_dict()))
 
     def read(self, name: str, parse: Callable):
@@ -1021,7 +1126,8 @@ class Runner:
         # that older versions wrote included. state.json goes first, so no
         # half-cleared directory still looks resumable.
         self.run_dir.mkdir(parents=True, exist_ok=True)
-        for name in (STATE_FILE, REPORT_FILE, BANK_FILE, "kg.json", "outline.txt", *_LOGS):
+        names = (STATE_FILE, REPORT_FILE, BANK_FILE, "kg.json", "outline.txt", REPLAY_FILE, *_LOGS)
+        for name in names:
             (self.run_dir / name).unlink(missing_ok=True)
         for stem in ("outline", "kg", "chains"):
             for path in self.run_dir.glob(f"{stem}_iter[0-9]*"):
@@ -1033,16 +1139,31 @@ class Runner:
 
     def resume(self) -> RunState:
         state = self.load_state()
+        has_replay = (self.run_dir / REPLAY_FILE).exists()
+        replay = self.read(REPLAY_FILE, _replay_exchanges) if has_replay else []
         self._cut(AUDIT_LOG, len(state.audit))
         self._cut(BANK_LOG, len(state.bank))
         self._cut(EMBED_LOG, len(state.embeddings))
-        return self._drive(state)
+        return self._drive(state, replay)
 
-    def _drive(self, state: RunState) -> RunState:
-        # A provider failure writes nothing, and nothing reads the state it
-        # interrupted: the files already hold the last committed boundary.
-        for state in drive(state, self.providers):
-            self._checkpoint(state)
+    def _drive(self, state: RunState, replay: Iterable[tuple] = ()) -> RunState:
+        # Nothing reads the state a failure interrupted: the files already hold
+        # the last committed boundary. A provider failure spills what the tape
+        # holds, then what is left of the replay, so the next resume pays for
+        # none of it again; a file with nothing to hold is deleted.
+        tape = _Tape(self.providers, replay)
+        try:
+            for state in drive(state, replace(self.providers, chat=tape, search=tape, fetch=tape)):
+                self._checkpoint(state)
+                tape.exchanges.clear()
+                tape.queue.clear()
+        except ProviderError:
+            spilled = [*tape.exchanges, *tape.queue]
+            if spilled:
+                self._replace(REPLAY_FILE, "".join(_document(_replay_record(e)) for e in spilled))
+            else:
+                (self.run_dir / REPLAY_FILE).unlink(missing_ok=True)
+            raise
         return state
 
 

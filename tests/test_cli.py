@@ -135,6 +135,15 @@ def _cite_evidence_id(value):
     return damage
 
 
+_REPLAYED_CHAT = '{"kind": "chat", "request": "p", "answer": "a"}\n'
+
+
+def _replay(line: str):
+    """A damage writing a replay.jsonl of one well-formed exchange and then
+    ``line``; a finished run holds none, so the text given is ignored."""
+    return lambda text: _REPLAYED_CHAT + line + "\n"
+
+
 # (command, file, damage): a committed file that no longer parses.
 DAMAGED_FILES = {
     "resume-torn-audit-record": ("resume", "audit.jsonl", _tear_first_record),
@@ -238,6 +247,32 @@ DAMAGED_FILES = {
     "resume-embed-text-a-number": ("resume", "embed.jsonl", _set_in_first_line("text", 7)),
     "resume-embed-record-extra-key": ("resume", "embed.jsonl", _set_in_first_line("x", 1)),
     "resume-negative-embedded-texts": ("resume", "state.json", _set_state("embedded_texts", -1)),
+    "resume-replay-torn-line": ("resume", "replay.jsonl", _replay('{"kind": "chat", "requ')),
+    "resume-replay-unknown-kind": (
+        "resume", "replay.jsonl", _replay('{"kind": "embed", "request": "p", "answer": "a"}')
+    ),
+    "resume-replay-extra-key": (
+        "resume", "replay.jsonl", _replay('{"kind": "chat", "request": "p", "answer": "a", "x": 1}')
+    ),
+    "resume-replay-answer-and-error": (
+        "resume", "replay.jsonl",
+        _replay('{"kind": "fetch", "request": "u", "answer": "a", "error": "e"}'),
+    ),
+    "resume-replay-not-an-object": ("resume", "replay.jsonl", _replay('["chat", "p", "a"]')),
+    "resume-replay-chat-error": (
+        "resume", "replay.jsonl", _replay('{"kind": "chat", "request": "p", "error": "e"}')
+    ),
+    "resume-replay-top-n-a-string": (
+        "resume", "replay.jsonl",
+        _replay('{"kind": "search", "request": {"query": "q", "top_n": "5"}, "answer": []}'),
+    ),
+    "resume-replay-result-rank-a-string": (
+        "resume", "replay.jsonl",
+        _replay(
+            '{"kind": "search", "request": {"query": "q", "top_n": 5}, "answer": '
+            '[{"url": "u", "title": "t", "snippet": "s", "rank": "0"}]}'
+        ),
+    ),
     "resume-embedded-texts-not-an-int": (
         "resume", "state.json", _set_state("embedded_texts", 2.5)
     ),
@@ -568,6 +603,12 @@ class TestResume:
         assert _run_demo(run_dir, "--fixture", str(cut)) == 2
         return run_dir
 
+    def test_force_rerun_deletes_what_a_failure_spilled(self, demo_run, tmp_path):
+        run_dir = self._cut_demo_run(tmp_path)
+        assert (run_dir / "replay.jsonl").exists()
+        assert _run_demo(run_dir, "--force") == 0
+        assert dir_snapshot(run_dir) == dir_snapshot(demo_run)
+
     @pytest.mark.parametrize("keys", RETIRED_FIXTURE_KEYS.values(), ids=RETIRED_FIXTURE_KEYS)
     def test_fixture_embedder_keys_do_not_reach_a_resume(self, demo_run, tmp_path, keys):
         # The resume rebuilds the embedder that began the run from the
@@ -668,11 +709,13 @@ class TestDamagedFiles:
     @pytest.mark.parametrize("command, name, damage", DAMAGED_FILES.values(), ids=DAMAGED_FILES)
     def test_exit_1_naming_the_file(self, demo_run, capsys, command, name, damage):
         path = demo_run / name
-        path.write_text(damage(path.read_text(encoding="utf-8")), encoding="utf-8")
+        damaged = damage(path.read_text(encoding="utf-8") if path.exists() else "")
+        path.write_text(damaged, encoding="utf-8")
         state = (demo_run / "state.json").read_text(encoding="utf-8")
         assert main([command, "--run-dir", str(demo_run)]) == 1
         assert name in capsys.readouterr().err
         assert (demo_run / "state.json").read_text(encoding="utf-8") == state
+        assert path.read_text(encoding="utf-8") == damaged
 
     @pytest.mark.parametrize(
         "undecodable",

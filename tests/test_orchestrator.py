@@ -7,7 +7,7 @@ import logging
 import random
 import re
 from collections import Counter
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from itertools import islice
 from pathlib import Path
 
@@ -922,26 +922,76 @@ class _DownChat:
         raise ProviderError("chat is down")
 
 
+class _Recording:
+    """Chat, search and fetch over ``inner`` that keep each answered call as the
+    record replay.jsonl holds for it."""
+
+    def __init__(self, inner: Providers):
+        self.inner = inner
+        self.records: list[dict] = []
+
+    def providers(self) -> Providers:
+        return replace(self.inner, chat=self, search=self, fetch=self)
+
+    def complete(self, prompt):
+        response = self.inner.chat.complete(prompt)
+        self.records.append({"kind": "chat", "request": prompt, "answer": response})
+        return response
+
+    def search(self, query, top_n):
+        results = self.inner.search.search(query, top_n)
+        self.records.append({
+            "kind": "search",
+            "request": {"query": query, "top_n": top_n},
+            "answer": [asdict(r) for r in results],
+        })
+        return results
+
+    def fetch(self, url):
+        try:
+            page = self.inner.fetch.fetch(url)
+        except FetchError as exc:
+            self.records.append({"kind": "fetch", "request": url, "error": str(exc)})
+            raise
+        self.records.append({"kind": "fetch", "request": url, "answer": page})
+        return page
+
+
+def _replay_records(run_dir: Path) -> list[dict]:
+    with open(run_dir / "replay.jsonl", encoding="utf-8") as log_file:
+        return [json.loads(line) for line in log_file]
+
+
 class TestResumeWritesOnlyWhatTheFaultLost:
-    def test_provider_failure_writes_nothing(self, tmp_path):
-        boundaries, snapshots = [], []
+    def test_provider_failure_writes_only_the_exchanges_since_the_checkpoint(self, tmp_path):
+        boundaries, snapshots, recorded = [], [], []
 
         class SnapshottingRunner(Runner):
             def _checkpoint(self, state):
                 super()._checkpoint(state)
                 boundaries.append((state.stage, state.iteration))
                 snapshots.append(_file_states(self.run_dir))
+                recorded.append(len(recording.records))
 
         fixture = load_fixture(DEMO_FIXTURE)
         providers = fixture.providers()
         _cut_after_first_pass(providers)
+        recording = _Recording(providers)
         run_dir = tmp_path / "run"
-        runner = SnapshottingRunner(RunConfig.from_dict(fixture.config), providers, run_dir)
+        runner = SnapshottingRunner(
+            RunConfig.from_dict(fixture.config), recording.providers(), run_dir
+        )
         with pytest.raises(ProviderError):
             runner.start(fixture.root_query)
         # Checkpoints commit start, init and the first pass; the failure takes none.
         assert boundaries == [("init", 0), ("loop", 0), ("loop", 1)]
-        assert _file_states(run_dir) == snapshots[-1]
+        files = _file_states(run_dir)
+        files.pop("replay.jsonl")
+        assert files == snapshots[-1]
+        # It writes down every answer the second pass got before the failure.
+        spilled = recording.records[recorded[-1]:]
+        assert {r["kind"] for r in spilled} == {"chat", "search", "fetch"}
+        assert _replay_records(run_dir) == spilled
 
     def test_resume_cuts_the_uncommitted_tail_in_place(self, tmp_path):
         run_dir = tmp_path / "run"
@@ -1128,6 +1178,27 @@ class TestStartClearsAnEarlierRun:
         files = dir_snapshot(rerun)
         assert files.pop("notes_iter2.md") == b"kept\n"
         assert files == dir_snapshot(tmp_path / "clean")
+
+    def test_rerun_deletes_what_a_failure_spilled(self, tmp_path):
+        fixture = load_fixture(DEMO_FIXTURE)
+        _demo_runner(tmp_path / "clean").start(fixture.root_query)
+        providers = fixture.providers()
+        _cut_after_first_pass(providers)
+        run_dir = tmp_path / "rerun"
+        with pytest.raises(ProviderError):
+            Runner(RunConfig.from_dict(fixture.config), providers, run_dir).start(
+                fixture.root_query
+            )
+        assert (run_dir / "replay.jsonl").exists()
+        # A rerun asks every call afresh: it replays nothing of the spill.
+        recording = _Recording(load_fixture(DEMO_FIXTURE).providers())
+        Runner(RunConfig.from_dict(fixture.config), recording.providers(), run_dir).start(
+            fixture.root_query
+        )
+        assert dir_snapshot(run_dir) == dir_snapshot(tmp_path / "clean")
+        assert len([r for r in recording.records if r["kind"] == "chat"]) == len(
+            (run_dir / "audit.jsonl").read_text(encoding="utf-8").splitlines()
+        )
 
     def test_rerun_failing_on_its_first_chat_call_keeps_no_old_output(self, tmp_path):
         class _Down:
@@ -1391,6 +1462,102 @@ class TestResumeEmbedsOnlyWhatTheFaultLost:
         assert len(sent) == len(set(sent))
         assert _committed_texts(run_dir) == committed + sent
         assert dir_snapshot(tmp_path / "clean") == dir_snapshot(run_dir)
+
+
+def _replay_run(run_dir, chat_at=None, embed_at=None) -> tuple[Runner, _Recording]:
+    """A Runner on fresh sim providers whose chat, search and fetch answers are
+    recorded; chat or embed fails at call ``chat_at`` or ``embed_at``, and a
+    failed chat call is not recorded."""
+    config, providers = _ci_world_run("dualgraph")
+    recording = _Recording(providers)
+    providers = recording.providers()
+    if chat_at is not None:
+        providers.chat = _FailingAt(providers.chat, chat_at)
+    if embed_at is not None:
+        providers.embed = _FailingAt(providers.embed, embed_at)
+    return Runner(config, providers, run_dir), recording
+
+
+class TestResumeReplaysWhatTheFaultGot:
+    @pytest.fixture()
+    def clean(self, tmp_path) -> tuple[_Recording, int]:
+        """The uninterrupted run's records, and a chat call to fail at: the
+        second pass's first assess_page, after the pass embedded its new queries."""
+        runner, recording = _replay_run(tmp_path / "clean")
+        names = [r["name"] for r in runner.start(DEFAULT_ROOT_QUERY).audit]
+        second_pass = [i for i, name in enumerate(names) if name == "select_chains"][1]
+        return recording, names.index("assess_page", second_pass) + 1
+
+    def test_a_resume_failing_within_its_replay_spills_it_again(self, tmp_path, clean):
+        clean, at = clean
+        run_dir = tmp_path / "run"
+        runner, first = _replay_run(run_dir, chat_at=at)
+        with pytest.raises(ProviderError):
+            runner.start(DEFAULT_ROOT_QUERY)
+        spilled = (run_dir / "replay.jsonl").read_bytes()
+
+        # The resume's first embed call (the pass's new queries, which the memo
+        # lost) fails before any search of the replay is served.
+        runner, second = _replay_run(run_dir, embed_at=1)
+        with pytest.raises(ProviderError):
+            runner.resume()
+        assert runner.providers.embed.calls == 1 and second.records == []
+        assert "search" in {r["kind"] for r in _replay_records(run_dir)}
+        assert (run_dir / "replay.jsonl").read_bytes() == spilled
+
+        runner, third = _replay_run(run_dir)
+        assert runner.resume().stage == "done"
+        assert not (run_dir / "replay.jsonl").exists()
+        assert dir_snapshot(run_dir) == dir_snapshot(tmp_path / "clean")
+        # No chat, search or fetch call is made twice.
+        assert first.records + third.records == clean.records
+
+    def test_an_edited_request_drops_the_rest_of_the_replay(self, tmp_path, clean):
+        clean, at = clean
+        run_dir = tmp_path / "run"
+        runner, first = _replay_run(run_dir, chat_at=at)
+        with pytest.raises(ProviderError):
+            runner.start(DEFAULT_ROOT_QUERY)
+        records = _replay_records(run_dir)
+        k = len(records) // 2
+        request = records[k]["request"]
+        records[k]["request"] = (
+            dict(request, query=request["query"] + " (edited)") if isinstance(request, dict)
+            else request + " (edited)"
+        )
+        (run_dir / "replay.jsonl").write_text(
+            "".join(json.dumps(r) + "\n" for r in records), encoding="utf-8"
+        )
+
+        runner, resumed = _replay_run(run_dir)
+        assert runner.resume().stage == "done"
+        assert dir_snapshot(run_dir) == dir_snapshot(tmp_path / "clean")
+        # The records before the edited one are replayed; it and every later one are asked again.
+        spilled = first.records[-len(records):]
+        assert resumed.records == spilled[k:] + clean.records[len(first.records):]
+
+    def test_a_parse_error_spills_nothing(self, tmp_path):
+        config, providers, root_query = _small_sim()
+        providers = replace(providers, chat=_BadCitationChat(providers.chat, bad=10**6))
+        run_dir = tmp_path / "run"
+        with pytest.raises(ParseError, match="revise_outline"):
+            Runner(config, providers, run_dir).start(root_query)
+        assert Runner(config, None, run_dir).load_state().stage == "loop"
+        assert not (run_dir / "replay.jsonl").exists()
+
+    def test_a_resumes_config_error_leaves_the_replay_as_it_is(self, tmp_path, clean):
+        _, at = clean
+        run_dir = tmp_path / "run"
+        runner, _ = _replay_run(run_dir, chat_at=at)
+        with pytest.raises(ProviderError):
+            runner.start(DEFAULT_ROOT_QUERY)
+        before = dir_snapshot(run_dir)
+        runner, recording = _replay_run(run_dir)
+        runner.providers.embed = HashEmbeddingProvider(dim=16)
+        with pytest.raises(ConfigError, match="embed.jsonl holds vectors of width 32"):
+            runner.resume()
+        assert recording.records == []
+        assert dir_snapshot(run_dir) == before
 
 
 class _PayloadNumberingChat:

@@ -5,13 +5,14 @@ from __future__ import annotations
 import csv
 import json
 import shutil
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
 from dualgraph.evidence import EvidenceBank
 from dualgraph.kg import KnowledgeGraph
-from dualgraph.orchestrator import RunConfig, Runner
+from dualgraph.orchestrator import RunConfig, Runner, RunState
 from dualgraph.outline import render_outline
 from dualgraph.providers.base import ProviderError
 from dualgraph.simulate import (
@@ -281,60 +282,84 @@ _SMALL_SWEEP = (2, 1, 2, 4)
 _CI_SWEEP = (3, 2, 4, 6)  # the console-script step's sim runs
 
 
+_PAID = ("chat", "search", "fetch")  # the calls a resume replays rather than repeats
+
+
 def _sweep_run(run_dir, variant: str, size=_SMALL_SWEEP, **faults: int | None):
-    """A sim run through Runner, with fresh providers; ``faults`` maps ``chat``,
-    ``embed``, ``search`` or ``fetch`` to the call that fails (None: no fault)."""
+    """A sim run through Runner, with fresh providers, each counting its calls in
+    a ``_FailingAt``; ``faults`` maps ``chat``, ``embed``, ``search`` or ``fetch``
+    to the call that fails (None or absent: no fault)."""
     communities, cores, concepts, max_iter = size
     world = generate_world(seed=1, n_communities=communities, cores_per_community=cores,
                            concepts_per_community=concepts)
     config = RunConfig(max_iter=max_iter, og_query_budget=3, kg_query_budget=4,
                        urls_per_query=6, early_stop_thresholds=90.0, variant=variant)
     providers = sim_providers(world, config.embed_dim, config.seed)
-    for name, at in faults.items():
-        providers = replace(providers, **{name: _FailingAt(getattr(providers, name), at)})
+    providers = replace(providers, **{
+        name: _FailingAt(getattr(providers, name), faults.get(name))
+        for name in ("chat", "embed", "search", "fetch")
+    })
     return Runner(config, providers, run_dir), world
 
 
-def _diverged_resumes(tmp_path, variant: str, size, provider: str, calls: int) -> list[int]:
-    """The fault points among the first ``calls`` calls to ``provider`` whose
-    resume, in a restarted process, does not end at the bytes of the
-    uninterrupted run in ``tmp_path / "clean"``."""
+def _calls(runner) -> Counter:
+    return Counter({name: getattr(runner.providers, name).calls for name in _PAID})
+
+
+def _diverged_resumes(tmp_path, variant: str, size, provider: str, clean: Counter) -> list:
+    """The fault points among the first ``clean[provider]`` calls to ``provider``
+    whose resume, in a restarted process, does not end at the bytes of the
+    uninterrupted run in ``tmp_path / "clean"`` (``(at, "bytes")``), or whose
+    attempt and resume together do not make exactly the ``clean`` chat, search
+    and fetch calls plus the faulted one (``(at, extra calls by kind)``): the
+    resume replays every answer the interrupted attempt got."""
     want = dir_snapshot(tmp_path / "clean")
+    want_calls = clean + Counter({provider: provider in _PAID})
     diverged = []
-    for at in range(1, calls + 1):
+    for at in range(1, clean[provider] + 1):
         run_dir = tmp_path / f"fault{at}"
         runner, _ = _sweep_run(run_dir, variant, size, **{provider: at})
         with pytest.raises(ProviderError):
             runner.start(DEFAULT_ROOT_QUERY)
+        made = _calls(runner)
         # A restarted process: providers that saw none of the first attempt.
         runner, _ = _sweep_run(run_dir, variant, size)
         assert runner.resume().stage == "done"
+        made.update(_calls(runner))
         if dir_snapshot(run_dir) != want:
-            diverged.append(at)
+            diverged.append((at, "bytes"))
+        extra = {kind: made[kind] - want_calls[kind] for kind in _PAID}
+        if any(extra.values()):
+            diverged.append((at, extra))
         shutil.rmtree(run_dir)
     return diverged
+
+
+def _clean_run(tmp_path, variant: str, size) -> tuple[Runner, RunState]:
+    runner, _ = _sweep_run(tmp_path / "clean", variant, size)
+    return runner, runner.start(DEFAULT_ROOT_QUERY)
 
 
 class TestResumeAfterAnyChatFault:
     @pytest.mark.parametrize("variant", ["dualgraph", "outline-only"])
     def test_every_fault_point_resumes_to_the_uninterrupted_bytes(self, tmp_path, variant):
-        runner, _ = _sweep_run(tmp_path / "clean", variant)
-        clean = runner.start(DEFAULT_ROOT_QUERY)
+        runner, clean = _clean_run(tmp_path, variant, _SMALL_SWEEP)
         names = [record["name"] for record in clean.audit]
         if variant == "dualgraph":
             # Faults land between chain selections of different passes.
             assert names.count("select_chains") >= 2
-        diverged = _diverged_resumes(tmp_path, variant, _SMALL_SWEEP, "chat", len(names))
-        assert [(at, names[at - 1]) for at in diverged] == []
+        calls = _calls(runner)
+        assert calls["chat"] == len(names)
+        diverged = _diverged_resumes(tmp_path, variant, _SMALL_SWEEP, "chat", calls)
+        assert [(at, names[at - 1], what) for at, what in diverged] == []
 
 
 class TestResumeAfterAnyEmbedFault:
     @pytest.mark.parametrize("variant", ["dualgraph", "outline-only"])
     def test_every_fault_point_resumes_to_the_uninterrupted_bytes(self, tmp_path, variant):
-        runner, _ = _sweep_run(tmp_path / "clean", variant, _CI_SWEEP, embed=None)
-        runner.start(DEFAULT_ROOT_QUERY)
-        calls = runner.providers.embed.calls
-        assert calls >= 6
+        runner, _ = _clean_run(tmp_path, variant, _CI_SWEEP)
+        calls = _calls(runner) + Counter(embed=runner.providers.embed.calls)
+        assert calls["embed"] >= 6
         assert _diverged_resumes(tmp_path, variant, _CI_SWEEP, "embed", calls) == []
 
 
@@ -344,10 +369,9 @@ class TestResumeAfterAnySearchOrFetchFault:
     def test_every_fault_point_resumes_to_the_uninterrupted_bytes(
         self, tmp_path, variant, provider
     ):
-        runner, _ = _sweep_run(tmp_path / "clean", variant, _CI_SWEEP, **{provider: None})
-        runner.start(DEFAULT_ROOT_QUERY)
-        calls = getattr(runner.providers, provider).calls
-        assert calls >= 10
+        runner, _ = _clean_run(tmp_path, variant, _CI_SWEEP)
+        calls = _calls(runner)
+        assert calls[provider] >= 10
         assert _diverged_resumes(tmp_path, variant, _CI_SWEEP, provider, calls) == []
 
 
