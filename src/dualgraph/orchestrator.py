@@ -535,7 +535,8 @@ def _executed_block(state: RunState) -> str:
 # -- retrieval pipeline ------------------------------------------------
 
 
-_CHUNK_BYTES = 16_000  # UTF-8 bytes of rendered entries in one filter_urls or assess_page prompt
+# UTF-8 bytes of entries in one filter_urls, assess_page or extract_knowledge prompt
+_CHUNK_BYTES = 16_000
 
 
 def _chunks(entries: list[str]) -> Iterator[range]:
@@ -727,26 +728,28 @@ def update_kg(
     providers: Providers,
     new_by_query: dict[str, list[int]],
 ) -> None:
-    """Extraction per query, concept merge, clustering, community detection."""
+    """Extraction, concept merge, clustering, community detection.
+
+    The pass's new units are extracted in bank order, one statement each
+    naming its query, in chunks (``_chunks``): one chat call per chunk with
+    chunk-local ``EN`` labels, each seeing the graph as the previous chunk
+    left it. So a pass that banked nothing makes no extraction call, and a
+    malformed answer re-asks only its chunk.
+    """
     assert state.kg is not None
     kg = state.kg
-    for query, ev_ids in new_by_query.items():
-        if not ev_ids:
-            continue
-        labels = {f"EN{i}": ev_id for i, ev_id in enumerate(ev_ids, start=1)}
-        statements = "\n".join(
-            f"{label}: {_flatten(state.bank.get(ev_id).summary)} "
-            f"{_flatten(state.bank.get(ev_id).content)}".rstrip()
-            for label, ev_id in labels.items()
-        )
-
-        def parse_and_apply(text: str) -> KnowledgeGraph:
-            return apply_extraction(kg, parsers.parse_extraction(text), labels)
-
+    ev_ids = [ev_id for ids in new_by_query.values() for ev_id in ids]
+    entries = [
+        f"{_flatten(unit.summary)} {_flatten(unit.content)}".rstrip() + f"\n   query: {unit.query}"
+        for unit in map(state.bank.get, ev_ids)
+    ]
+    for chunk in _chunks(entries):
+        labels = {f"EN{i}": ev_ids[j] for i, j in enumerate(chunk, start=1)}
+        statements = "\n".join(f"{label}: {entries[j]}" for label, j in zip(labels, chunk))
         _chat_parsed(
             state, providers, "extract_knowledge",
-            {"SEARCH_QUERY": query, "EVIDENCE_STATEMENTS": statements, "KG_PAYLOAD": _kg_json(kg)},
-            parse_and_apply,
+            {"EVIDENCE_STATEMENTS": statements, "KG_PAYLOAD": _kg_json(kg)},
+            lambda text: apply_extraction(kg, parsers.parse_extraction(text), labels),
         )
 
     concepts = [n for n in kg.nodes.values() if not n.is_core_entity]
@@ -1033,7 +1036,11 @@ def drive(state: RunState, providers: Providers) -> Iterator[RunState]:
 
 
 class Runner:
-    """Drives a run directory: checkpoints, resume, and final report."""
+    """Drives a run directory: checkpoints, resume, and final report.
+
+    ``resume`` runs on the config that ``state.json`` commits and ignores
+    ``Runner.config``, which only ``start`` uses.
+    """
 
     def __init__(self, config: RunConfig, providers: Providers, run_dir: str | Path):
         self.config = config

@@ -1437,8 +1437,9 @@ class TestResumeEmbedsOnlyWhatTheFaultLost:
 
     @pytest.mark.parametrize(
         "provider, call",
-        # The run makes 56 chat calls (the last three write the report) and 12 embed calls.
-        [("chat", 2), ("chat", 20), ("chat", 40), ("chat", 48), ("chat", 55),
+        # The run makes 52 chat calls (call 46 extracts its last pass, the last
+        # three write the report) and 12 embed calls.
+        [("chat", 2), ("chat", 20), ("chat", 40), ("chat", 46), ("chat", 51),
          ("embed", 2), ("embed", 5), ("embed", 11)],
     )
     def test_a_resume_sends_no_committed_text(self, tmp_path, provider, call):
@@ -1561,32 +1562,42 @@ class TestResumeReplaysWhatTheFaultGot:
 
 
 class _PayloadNumberingChat:
-    """Extracts scripted triples per search query, numbering ids the way the
-    extraction template asks: new node and edge ids run on from the highest
-    ids in the prompt's graph payload, and every extracted edge gets a fresh
-    id, re-observed triples included. Merge prompts get no clusters."""
+    """Extracts the scripted triples of each statement's search query, numbering
+    ids the way the extraction template asks: new node and edge ids run on from
+    the highest ids in the prompt's graph payload, and every extracted edge gets
+    a fresh id, re-observed triples included. Merge prompts get no clusters."""
 
     def __init__(self, triples_by_query):
         self.triples_by_query = triples_by_query
 
     def complete(self, prompt):
-        if "# Search Query" not in prompt:
+        if "# Evidence Statements" not in prompt:
             return _NO_MERGE
-        query = prompt.split("# Search Query\n", 1)[1].split("\n", 1)[0]
         payload = json.loads(prompt.split("# Current Knowledge Graph\n", 1)[1])
         ids = {n["knowledge"]: n["id"] for n in payload["nodes"]}
-        next_node = 1 + max(int(n["id"][1:]) for n in payload["nodes"])
-        next_edge = 1 + max(int(e["id"][1:]) for e in payload["edges"])
-        nodes, edges = [], []
-        for src, relation, tgt in self.triples_by_query[query]:
-            for name in (src, tgt):
-                if name not in ids:
-                    ids[name] = f"n{next_node + len(nodes)}"
-                    nodes.append({"id": ids[name], "node_name": name, "is_core_entity": False})
-            edges.append({"id": f"e{next_edge + len(edges)}", "source_id": ids[src],
-                          "target_id": ids[tgt], "relation_name": relation})
-        return json.dumps({"new_nodes": nodes, "new_edges": edges,
-                           "evidences_map": {"EN1": [e["id"] for e in edges]}})
+        next_node = 1 + max((int(n["id"][1:]) for n in payload["nodes"]), default=0)
+        next_edge = 1 + max((int(e["id"][1:]) for e in payload["edges"]), default=0)
+        nodes, edges, evidences = [], [], {}
+        for label, query in _statement_queries(prompt):
+            for src, relation, tgt in self.triples_by_query[query]:
+                for name in (src, tgt):
+                    if name not in ids:
+                        ids[name] = f"n{next_node + len(nodes)}"
+                        nodes.append({"id": ids[name], "node_name": name, "is_core_entity": False})
+                edges.append({"id": f"e{next_edge + len(edges)}", "source_id": ids[src],
+                              "target_id": ids[tgt], "relation_name": relation})
+                evidences.setdefault(label, []).append(edges[-1]["id"])
+        return json.dumps({"new_nodes": nodes, "new_edges": edges, "evidences_map": evidences})
+
+
+def _statements(prompt: str) -> str:
+    """The evidence statements block of an extraction prompt."""
+    return prompt.split("# Evidence Statements\n", 1)[1].split("\n\n# ", 1)[0]
+
+
+def _statement_queries(prompt: str) -> list[tuple[str, str]]:
+    """(label, search query) of each evidence statement of an extraction prompt, in order."""
+    return re.findall(r"^(EN\d+): .*\n   query: (.*)$", _statements(prompt), re.MULTILINE)
 
 
 def _extract(state: RunState, query: str, triples) -> int:
@@ -1650,7 +1661,7 @@ class TestExtractionReferences:
     def _update(state: RunState, responses: list[str]) -> int:
         """update_kg over one new unit, with scripted extraction responses."""
         ev_id = state.bank.add("https://example.org/q", "q", "q", "summary", "", 1)
-        entry = ScriptEntry(match=["# Search Query\nq\n"], responses=responses)
+        entry = ScriptEntry(match=["EN1: summary\n   query: q\n"], responses=responses)
         update_kg(state, _pipeline_providers({}, {}, [entry]), {"q": [ev_id]})
         return ev_id
 
@@ -1671,6 +1682,108 @@ class TestExtractionReferences:
             self._update(state, [json.dumps(_ABSENT_REFERENCES[reference])] * 3)
         assert state.kg.to_document() == before
         assert len(state.audit) == 3
+
+
+_TRIPLES = {
+    "q1": [("grid storage", "stores", "hydrogen")],
+    "q2": [("hydrogen", "competes with", "battery cost")],
+    "q3": [("battery cost", "limits", "pumped hydro")],
+    "q4": [("pumped hydro", "balances", "wind output")],
+}
+
+
+def _pass_state(units: list[tuple[str, str]]) -> tuple[RunState, dict[str, list[int]]]:
+    """A one-node graph whose bank holds one new unit (``fact {i}``) per
+    (query, content), in order; returns the state and the pass's new ids by query."""
+    state = _graph_state()
+    new_by_query: dict[str, list[int]] = {}
+    for i, (query, content) in enumerate(units, start=1):
+        new_by_query.setdefault(query, []).append(
+            state.bank.add(f"https://example.org/{i}", f"t{i}", query, f"fact {i}", content, 1)
+        )
+    return state, new_by_query
+
+
+class _MalformedAt:
+    """Answers "not json" to the chat calls numbered in ``calls``; asks ``inner`` otherwise."""
+
+    def __init__(self, inner, calls: set[int]):
+        self.inner, self.calls, self.count = inner, calls, 0
+
+    def complete(self, prompt):
+        self.count += 1
+        return "not json" if self.count in self.calls else self.inner.complete(prompt)
+
+
+class TestExtractionPerPass:
+    """update_kg extracts a pass's units in byte-budgeted chunks, not per query."""
+
+    SMALL = [("q1", "c1"), ("q1", "c2"), ("q2", ""), ("q3", "c4")]
+    # About 6 KB each: two entries fit a chunk, three do not.
+    BIG = [(query, " ".join(["megawatt"] * 700)) for query in _TRIPLES]
+
+    @staticmethod
+    def _numbering(chat=None) -> Providers:
+        return _pipeline_providers({}, {}, chat or _PayloadNumberingChat(_TRIPLES))
+
+    def test_a_pass_of_three_queries_makes_one_call_with_labels_in_bank_order(self):
+        state, new_by_query = _pass_state(self.SMALL)
+        update_kg(state, self._numbering(), {"q0": [], **new_by_query})
+        (prompt,) = _calls(state, "extract_knowledge")
+        assert "# Search Query" not in prompt
+        assert _statement_queries(prompt) == [
+            ("EN1", "q1"), ("EN2", "q1"), ("EN3", "q2"), ("EN4", "q3"),
+        ]
+        assert _statements(prompt).splitlines()[::2] == [
+            "EN1: fact 1 c1", "EN2: fact 2 c2", "EN3: fact 3", "EN4: fact 4 c4",
+        ]
+        kg = state.kg
+        assert [kg.representation(e) for e in kg.edge_ids()] == [
+            "grid storage - stores -> hydrogen",
+            "hydrogen - competes with -> battery cost",
+            "battery cost - limits -> pumped hydro",
+        ]
+        assert [kg.edges[e].evidence_ids for e in kg.edge_ids()] == [{1, 2}, {3}, {4}]
+
+        # The same graph as one extraction call per query, one query per pass.
+        per_query, _ = _pass_state(self.SMALL)
+        for query, ev_ids in new_by_query.items():
+            update_kg(per_query, self._numbering(), {query: ev_ids})
+        assert kg.to_document() == per_query.kg.to_document()
+
+    def test_a_pass_that_banked_nothing_makes_no_extraction_call(self):
+        state, _ = _pass_state([])
+        update_kg(state, _pipeline_providers({}, {}, []), {"q1": [], "q2": []})
+        assert state.audit == []
+
+    def test_entries_over_the_budget_split_into_calls_with_chunk_local_labels(self):
+        state, new_by_query = _pass_state(self.BIG)
+        update_kg(state, self._numbering(), new_by_query)
+        prompts = _calls(state, "extract_knowledge")
+        assert [_statement_queries(prompt) for prompt in prompts] == [
+            [("EN1", "q1"), ("EN2", "q2")], [("EN1", "q3"), ("EN2", "q4")],
+        ]
+        for prompt in prompts:
+            assert len(_statements(prompt).encode("utf-8")) <= orchestrator._CHUNK_BYTES + 100
+        # The second chunk sees the nodes the first one added.
+        payload = json.loads(prompts[1].split("# Current Knowledge Graph\n", 1)[1])
+        assert [n["knowledge"] for n in payload["nodes"]] == [
+            "grid storage", "hydrogen", "battery cost",
+        ]
+        kg = state.kg
+        assert [kg.edges[e].evidence_ids for e in kg.edge_ids()] == [{1}, {2}, {3}, {4}]
+
+    def test_a_malformed_answer_re_asks_only_its_own_chunk_with_the_identical_prompt(self):
+        clean, new_by_query = _pass_state(self.BIG)
+        update_kg(clean, self._numbering(), new_by_query)
+        first, second = _calls(clean, "extract_knowledge")
+
+        state, _ = _pass_state(self.BIG)
+        update_kg(state, self._numbering(_MalformedAt(_PayloadNumberingChat(_TRIPLES), {2})),
+                  new_by_query)
+        assert _calls(state, "extract_knowledge") == [first, second, second]
+        assert [r["response"] for r in state.audit].count("not json") == 1
+        assert state.kg.to_document() == clean.kg.to_document()
 
 
 def _observable(state: RunState) -> tuple:
