@@ -88,7 +88,7 @@ class EvidenceUnit:
             raise EvidenceError("evidence_id must be >= 1")
         if not self.url:
             raise EvidenceError("url must be non-empty")
-        if not self.query:
+        if not self.query.strip():
             raise EvidenceError("query must be non-empty")
         if self.iteration < 0:
             raise EvidenceError("iteration must be >= 0")
@@ -181,7 +181,8 @@ class EvidenceBank:
 
     @classmethod
     def from_dicts(cls, entries: Iterable[dict]) -> "EvidenceBank":
-        """A bank of ``EvidenceUnit.to_dict`` entries, which must list ids 1, 2, ... in order."""
+        """A bank of ``EvidenceUnit.to_dict`` entries, which must list ids 1, 2, ... in
+        order; like ``add``, it takes no unit whose URL normalizes as an earlier one's."""
         bank = cls()
         for entry in entries:
             unit = EvidenceUnit.from_dict(entry)
@@ -189,6 +190,9 @@ class EvidenceBank:
                 raise EvidenceError(
                     f"non-contiguous evidence id {unit.evidence_id} (expected {bank.next_id})"
                 )
+            key = normalize_url(unit.url)
+            if key in bank._seen_urls:
+                raise EvidenceError(f"unit {unit.evidence_id} repeats a banked URL: {unit.url!r}")
             bank.units.append(unit)
-            bank._seen_urls.add(normalize_url(unit.url))
+            bank._seen_urls.add(key)
         return bank

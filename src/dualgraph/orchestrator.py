@@ -36,16 +36,24 @@ record changes once made. So ``RunState.clone`` copies the graph, the bank and
 the four lists, and shares the rest; it is the only copy of a graph the engine
 makes.
 
+Of the four lists, only the audit is not kept whole: nothing reads a chat
+record once it is made, so a state holds the records made since its last
+checkpoint and counts those ``audit.jsonl`` already holds (``Audit``), and a
+clone copies only that short tail. ``drive`` commits nothing, so a state that
+no ``Runner`` checkpoints holds every record of its run.
+
 In particular an outline in a state is never changed in place: a revision
 builds a new one. So a state renders each outline once (``RunState.outline_text``),
 and every prompt and checkpoint that shows the outline uses that text.
 
 A checkpoint costs what the iteration changed: the audit records, bank units
 and memo entries made since the last one are appended to ``audit.jsonl``,
-``bank.jsonl`` and ``embed.jsonl``, and ``state.json`` commits the three logs
-by count. No log is ever rewritten: ``Runner.start`` deletes them, and
-``Runner.resume`` cuts each in place where ``load_state`` stopped reading its
-committed lines, so a resume reads each log once and costs what the fault lost.
+``bank.jsonl`` and ``embed.jsonl``, the state drops the audit records it
+appended, and ``state.json`` commits the three logs by count. No log is ever
+rewritten: ``Runner.start`` deletes them, and ``Runner.resume`` cuts each in
+place where ``load_state`` stopped reading its committed lines, so a resume
+reads each log once and costs what the fault lost. ``load_state`` decodes
+every committed audit line, so a damaged one is found, and keeps none.
 
 Every model call takes one path, ``_chat_parsed``: it renders the named
 template, audits the exchange under that name, and parses the answer.
@@ -119,6 +127,7 @@ __all__ = [
     "ConfigError",
     "RunConfig",
     "EarlyStopReport",
+    "Audit",
     "RunState",
     "init_run",
     "run_iteration",
@@ -139,6 +148,7 @@ EMBED_LOG = "embed.jsonl"
 REPLAY_FILE = "replay.jsonl"  # the exchanges a failed attempt got; see _Tape
 FORMAT_VERSION = 8
 _LOGS = (AUDIT_LOG, BANK_LOG, EMBED_LOG)  # append-only; state.json commits each by count
+_STATE_LOGS = (BANK_LOG, EMBED_LOG)  # the logs whose every entry a state keeps
 # Every key RunState.to_dict writes besides format_version.
 _STATE_KEYS = (
     "root_query", "config", "stage", "iteration", "executed_queries",
@@ -214,6 +224,32 @@ class EarlyStopReport:
         )
 
 
+class Audit(list):
+    """A run's chat records: a list of those not yet in ``audit.jsonl``, in call order.
+
+    ``committed`` counts the records the log already holds, which the list
+    does not. ``len`` counts both, so it is the number of chat exchanges the
+    run has made; iteration, indexing and ``==`` see only the records held.
+    """
+
+    def __init__(self, records: Iterable[dict] = (), committed: int = 0):
+        super().__init__(records)
+        self.committed = committed
+
+    def __len__(self) -> int:
+        return self.committed + super().__len__()
+
+    def copy(self) -> "Audit":
+        return Audit(super().copy(), self.committed)
+
+    def commit(self) -> list[dict]:
+        """The records held, which the list drops and counts as committed."""
+        records = super().copy()
+        self.clear()
+        self.committed += len(records)
+        return records
+
+
 @dataclass
 class RunState:
     root_query: str
@@ -226,7 +262,7 @@ class RunState:
     executed_queries: list[str] = field(default_factory=list)
     early_stop_history: list[EarlyStopReport] = field(default_factory=list)
     events: list[str] = field(default_factory=list)
-    audit: list[dict] = field(default_factory=list)
+    audit: Audit = field(default_factory=Audit)
     chain_record: dict | None = None  # this iteration's chains, kept in chains_iterN.json
     report: str | None = None
     # (og, its wire text), kept while og names the same outline; clone shares it.
@@ -252,7 +288,8 @@ class RunState:
     def clone(self) -> "RunState":
         """A copy phases may change: they only append to the four lists, add to
         the bank and change the graph, so only those are copied. The embedding
-        memo only grows, and is shared."""
+        memo only grows, and is shared. Of the audit, only the records made
+        since the last checkpoint are held, so only those are copied."""
         return replace(
             self,
             kg=None if self.kg is None else self.kg.copy(),
@@ -260,7 +297,7 @@ class RunState:
             executed_queries=list(self.executed_queries),
             early_stop_history=list(self.early_stop_history),
             events=list(self.events),
-            audit=list(self.audit),
+            audit=self.audit.copy(),
         )
 
     def to_dict(self) -> dict:
@@ -306,7 +343,7 @@ class RunState:
             events=_require_strings(doc["events"], "events"),
         )
         units, records, texts = doc["bank_units"], doc["audit_records"], doc["embedded_texts"]
-        state.bank = read(BANK_LOG, lambda log: EvidenceBank.from_dicts(_head(log, units)))
+        state.bank = read(BANK_LOG, lambda log: EvidenceBank.from_dicts(_records(log, units)))
         if len(state.bank) < units:
             raise ConfigError(f"{BANK_LOG} is shorter than the checkpoint's bank_units")
         if state.stage != "init":
@@ -328,10 +365,12 @@ class RunState:
                     raise ConfigError(f"{kg_file} cites evidence absent from the bank: {unbanked}")
         if state.stage == "done":
             state.report = read(REPORT_FILE, _text(str))
-        state.audit = read(AUDIT_LOG, lambda log: _head(log, records))
-        if len(state.audit) < records:
+        # Each committed record is decoded, so a damaged one is found, and none is kept.
+        decoded = read(AUDIT_LOG, lambda log: sum(1 for _ in _records(log, records)))
+        if decoded < records:
             raise ConfigError(f"{AUDIT_LOG} is shorter than the checkpoint's audit_records")
-        state.embeddings = read(EMBED_LOG, lambda log: _embeddings(_head(log, texts)))
+        state.audit = Audit(committed=records)
+        state.embeddings = read(EMBED_LOG, lambda log: _embeddings(_records(log, texts)))
         if len(state.embeddings) < texts:
             raise ConfigError(f"{EMBED_LOG} is shorter than the checkpoint's embedded_texts")
         return state
@@ -364,17 +403,17 @@ def _text(parse: Callable) -> Callable:
     return lambda file: parse(file.read().decode("utf-8"))
 
 
-def _head(log, count: int) -> list[dict]:
-    """The first ``count`` records of a JSON-lines log opened as bytes; lines past
-    them are not read. The log is left where those lines end, which is one byte
-    past the file when the last one lost its newline.
+def _records(log, count: int) -> Iterator:
+    """The first ``count`` records of a JSON-lines log opened as bytes, decoded
+    one at a time; lines past them are not read. Once the records run out, the
+    log is left where those lines end, which is one byte past the file when the
+    last one lost its newline.
     """
-    records, line = [], b"\n"
+    line = b"\n"
     for line in islice(log, count):
-        records.append(json.loads(line.decode("utf-8")))
+        yield json.loads(line.decode("utf-8"))
     if not line.endswith(b"\n"):
         log.seek(1, os.SEEK_CUR)
-    return records
 
 
 def _embed_record(entry: tuple[str, np.ndarray]) -> dict:
@@ -1046,8 +1085,9 @@ class Runner:
         self.config = config
         self.providers = providers
         self.run_dir = Path(run_dir)
-        # Entries each log holds: start and resume set the count, each append advances it.
-        self._written: dict[str, int] = dict.fromkeys(_LOGS, 0)
+        # Entries each state log holds: start and resume set the count, each append
+        # advances it. The audit's own count says what audit.jsonl holds.
+        self._written: dict[str, int] = dict.fromkeys(_STATE_LOGS, 0)
         # Where read's parse left each file; for a log, where its committed lines end.
         self._read_to: dict[str, int] = {}
 
@@ -1055,19 +1095,23 @@ class Runner:
         (self.run_dir / f"{name}.tmp").write_text(text, encoding="utf-8")
         (self.run_dir / f"{name}.tmp").replace(self.run_dir / name)
 
-    def _append(self, name: str, entries, to_dict: Callable = lambda entry: entry) -> None:
-        """Append the entries past those the log already holds, one JSON line each.
+    def _append(self, name: str, entries: Iterable[dict]) -> None:
+        """Append the entries to a log, one JSON line each.
 
         ``start`` deletes the logs and ``resume`` cuts each after its committed
         lines, so a log is only ever appended to, never rewritten.
         """
-        rows = [_document(to_dict(e)) for e in islice(entries, self._written[name], None)]
+        rows = [_document(e) for e in entries]
         with open(self.run_dir / name, "a", encoding="utf-8") as log_file:
             log_file.writelines(rows)
-        self._written[name] = len(entries)
 
-    def _cut(self, name: str, count: int) -> None:
-        """Cut a log in place where ``load_state`` stopped reading its ``count`` committed lines.
+    def _unwritten(self, name: str, entries) -> Iterator:
+        """The entries of a state log past those it holds, which then count as written."""
+        start, self._written[name] = self._written[name], len(entries)
+        return islice(entries, start, None)
+
+    def _cut(self, name: str) -> None:
+        """Cut a log in place where ``load_state`` stopped reading its committed lines.
 
         The committed prefix is neither re-encoded nor rewritten, and a log that
         ends there is not opened for writing. A committed last line that lost its
@@ -1081,12 +1125,12 @@ class Runner:
         elif size < end:
             with open(path, "ab") as log_file:
                 log_file.write(b"\n")
-        self._written[name] = count
 
     def _checkpoint(self, state: RunState) -> None:
         # state.json goes last and commits the checkpoint: it names the iteration whose
         # files hold the outline and graph, and counts the audit records, bank units and
-        # embedded texts in their logs. A loop checkpoint already wrote the last
+        # embedded texts in their logs; the state keeps no audit record it appended. A
+        # loop checkpoint already wrote the last
         # iteration's files, so the one that finishes the run writes no outline; it
         # writes the final graph and bank beside the report.
         done = state.stage == "done"
@@ -1097,9 +1141,11 @@ class Runner:
             self._replace(name, state.kg.to_document())
         if state.chain_record is not None and not done:
             self._replace(f"chains_iter{state.iteration}.json", _document(state.chain_record))
-        self._append(AUDIT_LOG, state.audit)
-        self._append(BANK_LOG, state.bank.units, EvidenceUnit.to_dict)
-        self._append(EMBED_LOG, state.embeddings.items(), _embed_record)
+        self._append(AUDIT_LOG, state.audit.commit())
+        units = self._unwritten(BANK_LOG, state.bank.units)
+        self._append(BANK_LOG, map(EvidenceUnit.to_dict, units))
+        texts = self._unwritten(EMBED_LOG, state.embeddings.items())
+        self._append(EMBED_LOG, map(_embed_record, texts))
         if done:
             self._replace(BANK_FILE, state.bank.to_document())
         if state.report is not None:
@@ -1139,7 +1185,7 @@ class Runner:
         for stem in ("outline", "kg", "chains"):
             for path in self.run_dir.glob(f"{stem}_iter[0-9]*"):
                 path.unlink()
-        self._written = dict.fromkeys(_LOGS, 0)
+        self._written = dict.fromkeys(_STATE_LOGS, 0)
         state = RunState(root_query=root_query, config=self.config)
         self._checkpoint(state)
         return self._drive(state)
@@ -1148,9 +1194,9 @@ class Runner:
         state = self.load_state()
         has_replay = (self.run_dir / REPLAY_FILE).exists()
         replay = self.read(REPLAY_FILE, _replay_exchanges) if has_replay else []
-        self._cut(AUDIT_LOG, len(state.audit))
-        self._cut(BANK_LOG, len(state.bank))
-        self._cut(EMBED_LOG, len(state.embeddings))
+        for name in _LOGS:
+            self._cut(name)
+        self._written = {BANK_LOG: len(state.bank), EMBED_LOG: len(state.embeddings)}
         return self._drive(state, replay)
 
     def _drive(self, state: RunState, replay: Iterable[tuple] = ()) -> RunState:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 from pathlib import Path
 
@@ -131,6 +132,18 @@ def dir_snapshot(root: Path) -> dict[str, bytes]:
         for p in sorted(root.rglob("*"))
         if p.is_file()
     }
+
+
+def audit_log(runner: Runner) -> list[dict]:
+    """The records of the runner's ``audit.jsonl``, read through ``Runner.read``."""
+    return runner.read("audit.jsonl", lambda log: [json.loads(line.decode()) for line in log])
+
+
+def keeps_only_uncommitted_audit(runner: Runner, state) -> bool:
+    """Whether ``state`` holds no record of the runner's ``audit.jsonl`` and its
+    audit counts every line of the log."""
+    committed = audit_log(runner)
+    return len(state.audit) == len(committed) and not any(r in committed for r in state.audit)
 
 
 class Crash(Exception):

@@ -116,6 +116,14 @@ def _vector_bytes(to):
     return _edit_records(edit)
 
 
+def _url_alike(url: str) -> str:
+    """Another spelling of ``url`` that normalizes alike: upper-case scheme and
+    host, and a trailing slash."""
+    scheme, rest = url.split("://", 1)
+    host, path = rest.split("/", 1)
+    return f"{scheme.upper()}://{host.upper()}/{path}/"
+
+
 ZEROS = dict.fromkeys(SCORE_DIMENSIONS, 0)
 
 
@@ -227,6 +235,12 @@ DAMAGED_FILES = {
     "resume-bank-summary-a-number": ("resume", "bank.jsonl", _set_in_first_line("summary", 7)),
     "resume-bank-iteration-a-string": (
         "resume", "bank.jsonl", _set_in_first_line("iteration", "0")
+    ),
+    "resume-bank-url-repeated": (
+        "resume", "bank.jsonl", _edit_records(lambda rs: rs[1].update(url=_url_alike(rs[0]["url"])))
+    ),
+    "resume-bank-query-blank": (
+        "resume", "bank.jsonl", _edit_records(lambda rs: rs[0].update(query=" \t "))
     ),
     "resume-torn-embed-record": ("resume", "embed.jsonl", _tear_first_record),
     "resume-embed-vector-not-base64": (

@@ -53,7 +53,15 @@ from dualgraph.providers.mock import (
 from dualgraph.providers.parsers import SCORE_DIMENSIONS, ParseError, load_template
 from dualgraph.simulate import DEFAULT_ROOT_QUERY, generate_world, sim_providers
 
-from .builders import DEMO_FIXTURE, Crash, CrashingRunner, crash_demo_run, dir_snapshot
+from .builders import (
+    DEMO_FIXTURE,
+    Crash,
+    CrashingRunner,
+    audit_log,
+    crash_demo_run,
+    dir_snapshot,
+    keeps_only_uncommitted_audit,
+)
 
 
 def _config(**overrides) -> RunConfig:
@@ -1485,7 +1493,8 @@ class TestResumeReplaysWhatTheFaultGot:
         """The uninterrupted run's records, and a chat call to fail at: the
         second pass's first assess_page, after the pass embedded its new queries."""
         runner, recording = _replay_run(tmp_path / "clean")
-        names = [r["name"] for r in runner.start(DEFAULT_ROOT_QUERY).audit]
+        runner.start(DEFAULT_ROOT_QUERY)
+        names = [r["name"] for r in audit_log(runner)]
         second_pass = [i for i, name in enumerate(names) if name == "select_chains"][1]
         return recording, names.index("assess_page", second_pass) + 1
 
@@ -1962,8 +1971,7 @@ class TestEachOutlineRenderedOnce:
             (run_dir / f"outline_iter{n}.txt").read_text(encoding="utf-8")
             for n in range(state.iteration + 1)
         ]
-        with open(run_dir / "audit.jsonl", encoding="utf-8") as log_file:
-            audit = [json.loads(line) for line in log_file]
+        audit = audit_log(runner)
         # In a pass these prompts come before update_og, so they show the
         # outline of the pass before; the rest show the pass's own.
         before_revision = {"select_chains", "revise_outline"}
@@ -2005,16 +2013,17 @@ class _BadCitationChat:
 
 class TestRevisionWithBadCitationToken:
     @staticmethod
-    def _run(run_dir, bad: int) -> RunState:
+    def _run(run_dir, bad: int) -> tuple[Runner, RunState]:
         config, providers, root_query = _small_sim()
         providers = replace(providers, chat=_BadCitationChat(providers.chat, bad))
-        return Runner(config, providers, run_dir).start(root_query)
+        runner = Runner(config, providers, run_dir)
+        return runner, runner.start(root_query)
 
     def test_one_bad_answer_is_re_asked_and_the_run_completes(self, tmp_path):
-        clean = self._run(tmp_path / "clean", bad=0)
-        state = self._run(tmp_path / "run", bad=1)
+        _, clean = self._run(tmp_path / "clean", bad=0)
+        runner, state = self._run(tmp_path / "run", bad=1)
         assert state.stage == "done"
-        revisions = [r for r in state.audit if r["name"] == "revise_outline"]
+        revisions = [r for r in audit_log(runner) if r["name"] == "revise_outline"]
         bad = [i for i, r in enumerate(revisions) if "<citation>id_x" in r["response"]]
         assert len(bad) == 1
         rejected, retried = revisions[bad[0]], revisions[bad[0] + 1]
@@ -2045,20 +2054,21 @@ class _CitingOutlineChat:
 
 class TestCreatedOutlineCitingEvidence:
     @staticmethod
-    def _run(run_dir, bad: int) -> RunState:
+    def _run(run_dir, bad: int) -> tuple[Runner, RunState]:
         config, providers, root_query = _small_sim()
         providers = replace(providers, chat=_CitingOutlineChat(providers.chat, bad))
-        return Runner(config, providers, run_dir).start(root_query)
+        runner = Runner(config, providers, run_dir)
+        return runner, runner.start(root_query)
 
     def test_one_citing_answer_is_re_asked_and_the_run_completes(self, tmp_path):
-        clean = self._run(tmp_path / "clean", bad=0)
-        state = self._run(tmp_path / "run", bad=1)
+        clean_runner, clean = self._run(tmp_path / "clean", bad=0)
+        runner, state = self._run(tmp_path / "run", bad=1)
         assert state.stage == "done"
-        rejected, retried = state.audit[0], state.audit[1]
+        rejected, retried = audit_log(runner)[:2]
         assert rejected["name"] == retried["name"] == "create_outline"
         assert "<citation>id_7</citation>" in rejected["response"]
         assert retried["prompt"] == rejected["prompt"]
-        assert retried["response"] == clean.audit[0]["response"]
+        assert retried["response"] == audit_log(clean_runner)[0]["response"]
         assert len(state.audit) == len(clean.audit) + 1
         assert state.outline_text() == clean.outline_text()
         assert state.bank.to_document() == clean.bank.to_document()
@@ -2218,3 +2228,34 @@ class TestAuditNamesItsTemplate:
         assert {record["name"] for record in records} == templates
         for call, record in enumerate(records):
             assert patterns[record["name"]].fullmatch(record["prompt"]), call
+
+
+class _AuditCheckingRunner(Runner):
+    """Checks at every checkpoint, once it has committed, that the state and the
+    state ``load_state`` reads back hold no record of ``audit.jsonl`` and count
+    its every line."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.checkpoints = 0
+
+    def _checkpoint(self, state):
+        super()._checkpoint(state)
+        assert keeps_only_uncommitted_audit(self, state), (state.stage, state.iteration)
+        assert keeps_only_uncommitted_audit(self, self.load_state()), (state.stage, state.iteration)
+        self.checkpoints += 1
+
+
+class TestStateKeepsNoCommittedAudit:
+    @pytest.mark.parametrize("run", _AUDITED_RUNS)
+    def test_a_checkpoint_drops_the_records_it_appends(self, tmp_path, run):
+        make, _ = _AUDITED_RUNS[run]
+        config, providers, root_query = make()
+        runner = _AuditCheckingRunner(config, providers, tmp_path / "run")
+        state = runner.start(root_query)
+        # start, init, each pass and the report.
+        assert state.stage == "done" and runner.checkpoints == state.iteration + 3
+        assert len(state.audit) == len(audit_log(runner)) > 0
+        resumed = Runner(config, make()[1], tmp_path / "run").resume()
+        assert keeps_only_uncommitted_audit(runner, resumed)
+        assert len(resumed.audit) == len(state.audit)

@@ -29,7 +29,7 @@ from dualgraph.simulate import (
     sim_providers,
 )
 
-from .builders import dir_snapshot
+from .builders import audit_log, dir_snapshot, keeps_only_uncommitted_audit
 
 
 class TestGenerateWorld:
@@ -312,7 +312,9 @@ def _diverged_resumes(tmp_path, variant: str, size, provider: str, clean: Counte
     uninterrupted run in ``tmp_path / "clean"`` (``(at, "bytes")``), or whose
     attempt and resume together do not make exactly the ``clean`` chat, search
     and fetch calls plus the faulted one (``(at, extra calls by kind)``): the
-    resume replays every answer the interrupted attempt got."""
+    resume replays every answer the interrupted attempt got. A resumed state
+    that holds a committed audit record, or whose audit does not count every
+    line of ``audit.jsonl``, is ``(at, "audit")``."""
     want = dir_snapshot(tmp_path / "clean")
     want_calls = clean + Counter({provider: provider in _PAID})
     diverged = []
@@ -324,10 +326,13 @@ def _diverged_resumes(tmp_path, variant: str, size, provider: str, clean: Counte
         made = _calls(runner)
         # A restarted process: providers that saw none of the first attempt.
         runner, _ = _sweep_run(run_dir, variant, size)
-        assert runner.resume().stage == "done"
+        resumed = runner.resume()
+        assert resumed.stage == "done"
         made.update(_calls(runner))
         if dir_snapshot(run_dir) != want:
             diverged.append((at, "bytes"))
+        if not keeps_only_uncommitted_audit(runner, resumed):
+            diverged.append((at, "audit"))
         extra = {kind: made[kind] - want_calls[kind] for kind in _PAID}
         if any(extra.values()):
             diverged.append((at, extra))
@@ -343,8 +348,8 @@ def _clean_run(tmp_path, variant: str, size) -> tuple[Runner, RunState]:
 class TestResumeAfterAnyChatFault:
     @pytest.mark.parametrize("variant", ["dualgraph", "outline-only"])
     def test_every_fault_point_resumes_to_the_uninterrupted_bytes(self, tmp_path, variant):
-        runner, clean = _clean_run(tmp_path, variant, _SMALL_SWEEP)
-        names = [record["name"] for record in clean.audit]
+        runner, _ = _clean_run(tmp_path, variant, _SMALL_SWEEP)
+        names = [record["name"] for record in audit_log(runner)]
         if variant == "dualgraph":
             # Faults land between chain selections of different passes.
             assert names.count("select_chains") >= 2
