@@ -22,16 +22,11 @@ from pathlib import Path
 
 from .evidence import citation_token
 from .kg import KnowledgeGraph
-from .orchestrator import ConfigError, RunConfig, Runner, STATE_FILE, _text, committed_config
+from .orchestrator import ConfigError, RunConfig, Runner, RunState
 from .providers.base import ProviderError
 from .providers.mock import Fixture, load_fixture
-from .providers.parsers import (
-    ParseError,
-    SchemaViolation,
-    _require_int,
-    _require_list,
-    _require_object,
-)
+from .providers.parsers import ParseError, SchemaViolation, _require_list, _require_object
+from .rundir import RunDir
 from .simulate import run_ablation
 
 EXIT_OK = 0
@@ -139,52 +134,38 @@ def _resolve_config(fixture: Fixture, args) -> RunConfig:
     return config
 
 
+def _finished(state: RunState, files: RunDir) -> int:
+    print(f"run complete: {state.iteration} iteration(s), stopped={state.stopped}")
+    print(f"report: {files.report_path}")
+    return EXIT_OK
+
+
 def _cmd_run(args) -> int:
     fixture = _load_fixture_arg(args.fixture)
     config = _resolve_config(fixture, args)
-    run_dir = Path(args.run_dir)
-    _check_dir_path(run_dir, "run directory")
-    if (run_dir / STATE_FILE).exists() and not args.force:
+    files = RunDir(args.run_dir)
+    _check_dir_path(files.path, "run directory")
+    if files.holds_run() and not args.force:
         raise _UsageError(
-            f"run directory {run_dir} already holds a run; pass --force to overwrite"
+            f"run directory {files.path} already holds a run; pass --force to overwrite"
         )
-    runner = Runner(config, fixture.providers(config), run_dir)
-    state = runner.start(fixture.root_query)
-    print(f"run complete: {state.iteration} iteration(s), stopped={state.stopped}")
-    print(f"report: {run_dir / 'report.md'}")
-    return EXIT_OK
+    state = Runner(config, fixture.providers(config), files.path).start(fixture.root_query)
+    return _finished(state, files)
 
 
 def _cmd_resume(args) -> int:
-    run_dir = Path(args.run_dir)
     fixture = _load_fixture_arg(args.fixture)
-    runner = Runner(RunConfig(), None, run_dir)
-    config = runner.read(STATE_FILE, _text(lambda text: committed_config(json.loads(text))))
-    runner.providers = fixture.providers(config)
-    state = runner.resume()
-    print(f"run complete: {state.iteration} iteration(s), stopped={state.stopped}")
-    print(f"report: {run_dir / 'report.md'}")
-    return EXIT_OK
-
-
-def _checkpoint_file(args, stem: str, ext: str) -> tuple[Runner, str, int]:
-    """The run directory's reader, and the file of ``--iter N`` if given, else of
-    the iteration state.json commits."""
-    runner = Runner(RunConfig(), None, args.run_dir)
-    iteration = args.iteration
-    if iteration is None:
-        iteration = runner.read(
-            STATE_FILE, _text(lambda text: _require_int(json.loads(text)["iteration"], "iteration"))
-        )
-    return runner, f"{stem}_iter{iteration}.{ext}", iteration
+    files = RunDir(args.run_dir)
+    config = files.config()  # a run goes on with the config it began with
+    return _finished(Runner(config, fixture.providers(config), files.path).resume(), files)
 
 
 def _cmd_inspect_kg(args) -> int:
-    runner, name, _ = _checkpoint_file(args, "kg", "json")
+    files = RunDir(args.run_dir)
     if args.json:
-        sys.stdout.write(runner.read(name, _text(str)))
+        sys.stdout.write(files.read_iteration("kg", args.iteration))
         return EXIT_OK
-    kg = runner.read(name, _text(KnowledgeGraph.from_document))
+    kg = files.read_iteration("kg", args.iteration, KnowledgeGraph.from_document)
     cores = sum(1 for n in kg.nodes.values() if n.is_core_entity)
     communities = {n.community_id for n in kg.nodes.values() if n.community_id is not None}
     clusters = {n.cluster_id for n in kg.nodes.values() if n.cluster_id is not None}
@@ -206,18 +187,16 @@ def _cmd_inspect_kg(args) -> int:
 
 
 def _cmd_inspect_og(args) -> int:
-    runner, name, _ = _checkpoint_file(args, "outline", "txt")
-    sys.stdout.write(runner.read(name, _text(str)))
-    sys.stdout.write("\n")
+    sys.stdout.write(RunDir(args.run_dir).read_iteration("outline", args.iteration) + "\n")
     return EXIT_OK
 
 
 def _cmd_chains(args) -> int:
-    runner, name, iteration = _checkpoint_file(args, "chains", "json")
+    files = RunDir(args.run_dir)
+    iteration = files.iteration() if args.iteration is None else args.iteration
     names: dict[str, str] = {}
-    kg_name = f"kg_iter{iteration - 1}.json"
-    if (runner.run_dir / kg_name).exists():
-        kg = runner.read(kg_name, _text(KnowledgeGraph.from_document))
+    if files.has_iteration("kg", iteration - 1):
+        kg = files.read_iteration("kg", iteration - 1, KnowledgeGraph.from_document)
         names = {nid: node.name for nid, node in kg.nodes.items()}
 
     def render(text: str) -> list[str]:
@@ -241,7 +220,7 @@ def _cmd_chains(args) -> int:
             lines.append(f"   query for {cid}: {query}")
         return lines
 
-    print("\n".join(runner.read(name, _text(render))))
+    print("\n".join(files.read_iteration("chains", iteration, render)))
     return EXIT_OK
 
 

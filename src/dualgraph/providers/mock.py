@@ -24,7 +24,7 @@ from .base import (
     UnmatchedPromptError,
     Providers,
 )
-from ..orchestrator import RunConfig
+from ..config import RunConfig
 from .parsers import SchemaViolation, _require_list, _require_str, _require_strings
 
 __all__ = [

@@ -11,6 +11,7 @@ from dualgraph.evidence import EvidenceBank
 from dualgraph.orchestrator import RunConfig, Runner
 from dualgraph.outline import OutlineGraph, OutlineNode
 from dualgraph.providers.mock import load_fixture
+from dualgraph.rundir import RunDir
 
 DEMO_FIXTURE = Path(dualgraph.__file__).parent / "fixtures" / "demo" / "fixture.json"
 
@@ -135,8 +136,10 @@ def dir_snapshot(root: Path) -> dict[str, bytes]:
 
 
 def audit_log(runner: Runner) -> list[dict]:
-    """The records of the runner's ``audit.jsonl``, read through ``Runner.read``."""
-    return runner.read("audit.jsonl", lambda log: [json.loads(line.decode()) for line in log])
+    """The records of the runner's ``audit.jsonl``, read through a ``RunDir`` of its path."""
+    return RunDir(runner.run_dir).read(
+        "audit.jsonl", lambda log: [json.loads(line.decode()) for line in log]
+    )
 
 
 def keeps_only_uncommitted_audit(runner: Runner, state) -> bool:
@@ -150,12 +153,12 @@ class Crash(Exception):
     """A process dying between two file replaces; not a provider failure."""
 
 
-class CrashingRunner(Runner):
+class CrashingRunDir(RunDir):
     """Dies just before the n-th state.json replace, after the checkpoint's
     other files are written."""
 
-    def __init__(self, *args, crash_before_commit):
-        super().__init__(*args)
+    def __init__(self, path, crash_before_commit):
+        super().__init__(path)
         self._crash_at = crash_before_commit
         self._commits = 0
 
@@ -165,6 +168,14 @@ class CrashingRunner(Runner):
             if self._commits == self._crash_at:
                 raise Crash
         super()._replace(name, text)
+
+
+class CrashingRunner(Runner):
+    """A runner whose directory is a ``CrashingRunDir``."""
+
+    def __init__(self, *args, crash_before_commit):
+        super().__init__(*args)
+        self.files = CrashingRunDir(self.run_dir, crash_before_commit)
 
 
 def crash_demo_run(run_dir: Path) -> None:

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dualgraph import orchestrator
+from dualgraph import orchestrator, rundir
 from dualgraph.evidence import EvidenceBank, EvidenceUnit
 from dualgraph.kg import KnowledgeGraph, MergeCluster, merge_nodes
 from dualgraph.orchestrator import (
@@ -51,6 +51,7 @@ from dualgraph.providers.mock import (
     load_fixture,
 )
 from dualgraph.providers.parsers import SCORE_DIMENSIONS, ParseError, load_template
+from dualgraph.rundir import RunDir
 from dualgraph.simulate import DEFAULT_ROOT_QUERY, generate_world, sim_providers
 
 from .builders import (
@@ -736,17 +737,22 @@ class TestRunnerOnDemoFixture:
         inodes = []
         checkpoints: list[tuple[str, list[str]]] = []
 
+        class WatchingRunDir(RunDir):
+            def _replace(self, name, text):
+                checkpoints[-1][1].append(name)
+                super()._replace(name, text)
+
         class WatchingRunner(Runner):
+            def __init__(self, *args):
+                super().__init__(*args)
+                self.files = WatchingRunDir(self.run_dir)
+
             def _checkpoint(self, state):
                 checkpoints.append((state.stage, []))
                 super()._checkpoint(state)
                 chains = self.run_dir / "chains_iter1.json"
                 if chains.exists():
                     inodes.append(chains.stat().st_ino)
-
-            def _replace(self, name, text):
-                checkpoints[-1][1].append(name)
-                super()._replace(name, text)
 
         fixture = load_fixture(DEMO_FIXTURE)
         run_dir = tmp_path / "run"
@@ -1016,7 +1022,7 @@ class TestResumeWritesOnlyWhatTheFaultLost:
         providers = load_fixture(DEMO_FIXTURE).providers()
         providers.chat = _DownChat()
         with pytest.raises(ProviderError):
-            Runner(RunConfig(), providers, run_dir).resume()
+            Runner(RunDir(run_dir).config(), providers, run_dir).resume()
         for name, prefix in prefixes.items():
             assert (run_dir / name).read_bytes() == prefix
             assert (run_dir / name).stat().st_ino == inodes[name]
@@ -1071,11 +1077,11 @@ class TestResumeWritesOnlyWhatTheFaultLost:
             tally.append(0)
             return CountingFile(file, tally)
 
-        monkeypatch.setattr(orchestrator, "open", spy_open, raising=False)
+        monkeypatch.setattr(rundir, "open", spy_open, raising=False)
         providers = load_fixture(DEMO_FIXTURE).providers()
         providers.chat = _DownChat()
         with pytest.raises(ProviderError):
-            Runner(RunConfig(), providers, run_dir).resume()
+            Runner(RunDir(run_dir).config(), providers, run_dir).resume()
         # One open per log, reading its committed lines and nothing past them.
         assert reads == {name: [size] for name, size in committed.items()}
         for name, size in committed.items():
@@ -1088,6 +1094,30 @@ class TestResumeWritesOnlyWhatTheFaultLost:
         before = _file_states(run_dir)
         assert runner.resume().stage == "done"
         assert _file_states(run_dir) == before
+
+    def test_a_finished_run_resumes_with_no_providers(self, tmp_path):
+        run_dir = tmp_path / "run"
+        _demo_runner(run_dir).start(load_fixture(DEMO_FIXTURE).root_query)
+        before = dir_snapshot(run_dir)
+        state = Runner(RunDir(run_dir).config(), None, run_dir).resume()
+        assert state.stage == "done" and state.report
+        assert dir_snapshot(run_dir) == before
+        # drive itself wants no providers for a finished state.
+        assert list(drive(state, None)) == []
+
+    def test_a_resume_under_another_config_is_rejected_before_any_cut(self, tmp_path):
+        run_dir = tmp_path / "run"
+        crash_demo_run(run_dir)
+        _add_uncommitted_tail(run_dir)
+        before = dir_snapshot(run_dir)
+        committed = RunDir(run_dir).config()
+        assert committed.max_iter == 2
+        for other in (RunConfig(max_iter=1), replace(committed, max_iter=1), RunConfig()):
+            with pytest.raises(ConfigError, match="state.json commits the config"):
+                Runner(other, load_fixture(DEMO_FIXTURE).providers(), run_dir).resume()
+            assert dir_snapshot(run_dir) == before
+        state = Runner(committed, load_fixture(DEMO_FIXTURE).providers(), run_dir).resume()
+        assert state.stage == "done" and state.iteration == 2
 
     def test_committed_line_that_lost_its_newline_gets_it_back(self, tmp_path):
         _demo_runner(tmp_path / "clean").start(load_fixture(DEMO_FIXTURE).root_query)
