@@ -373,14 +373,76 @@ def _flatten(text: str) -> str:
     return " ".join(text.split())
 
 
+def _concept_groups(kg: KnowledgeGraph, clusters: dict[str, int]) -> list[list[str]]:
+    """The concept members of each semantic cluster that holds two or more, in node order."""
+    groups: dict[int, list[str]] = {}
+    for nid, label in clusters.items():
+        if not kg.nodes[nid].is_core_entity:
+            groups.setdefault(label, []).append(nid)
+    return [members for members in groups.values() if len(members) >= 2]
+
+
+def _groups_block(kg: KnowledgeGraph, groups: list[list[str]]) -> str:
+    """Each group's nodes as ``id | name`` lines, each followed by its relations."""
+    relations: dict[str, list[str]] = {nid: [] for members in groups for nid in members}
+    for e in kg.edges.values():
+        for end in {e.source_id, e.target_id} & relations.keys():
+            relations[end].append(f"  {kg.representation(e.edge_id)}")
+    lines = []
+    for number, members in enumerate(groups, start=1):
+        lines.append(f"Group {number}:")
+        for nid in members:
+            lines.append(f"{nid} | {kg.nodes[nid].name}")
+            lines.extend(relations[nid])
+    return "\n".join(lines)
+
+
+def _merge_concepts(state: RunState, providers: Providers, groups: list[list[str]]) -> bool:
+    """Ask which nodes of ``groups`` to merge and merge them; whether the graph changed.
+
+    A cluster naming a node outside the groups, or nodes of two groups, is a
+    dangling reference and is re-asked. A proposal still bad after the re-asks
+    is rejected, never fatal: the graph stands.
+    """
+    kg = state.kg
+    group_of = {nid: g for g, members in enumerate(groups) for nid in members}
+
+    def parse_and_merge(text: str) -> bool:
+        clusters = parsers.parse_merge(text)
+        for cluster in clusters:
+            shown = {group_of.get(nid) for nid in cluster.source_node_ids}
+            if None in shown or len(shown) > 1:
+                raise parsers.DanglingReference(
+                    f"merge cluster {cluster.source_node_ids} is not within one shown group"
+                )
+        if clusters:
+            merge_nodes(kg, clusters)
+        return bool(clusters)
+
+    try:
+        return _chat_parsed(
+            state, providers, "merge_concepts",
+            {"CONCEPT_GROUPS": _groups_block(kg, groups)}, parse_and_merge,
+        )
+    except ParseError as exc:
+        log.warning("merge batch rejected, keeping graph untouched: %s", exc)
+        return False
+
+
 def update_kg(state: RunState, providers: Providers, new_by_query: dict[str, list[int]]) -> None:
-    """Extraction, concept merge, clustering, community detection.
+    """Extraction, semantic clustering, gated concept merge, community detection.
 
     The pass's new units are extracted in bank order, one statement each
     naming its query, in chunks (``_chunks``): one chat call per chunk with
     chunk-local ``EN`` labels, each seeing the graph as the previous chunk
     left it. So a pass that banked nothing makes no extraction call, and a
     malformed answer re-asks only its chunk.
+
+    Then the graph's names are embedded and clustered (``cluster_semantic``),
+    and the merge call is made only when some cluster holds two or more
+    concept nodes: its prompt shows those groups, not the graph, so a pass
+    with no near-duplicate group makes no merge call. Only a merge that
+    changed the graph re-embeds and re-clusters before community detection.
     """
     assert state.kg is not None
     kg = state.kg
@@ -398,30 +460,18 @@ def update_kg(state: RunState, providers: Providers, new_by_query: dict[str, lis
             lambda text: apply_extraction(kg, parsers.parse_extraction(text), labels),
         )
 
-    concepts = [n for n in kg.nodes.values() if not n.is_core_entity]
-    if len(concepts) >= 2:
-
-        def parse_and_merge(text: str) -> None:
-            clusters = parsers.parse_merge(text)
-            if clusters:
-                merge_nodes(kg, clusters)
-
-        try:
-            _chat_parsed(
-                state, providers, "merge_concepts", {"KG_PAYLOAD": _kg_json(kg)}, parse_and_merge
-            )
-        except ParseError as exc:
-            # A bad merge proposal is rejected, never fatal: the graph stands.
-            log.warning("merge batch rejected, keeping graph untouched: %s", exc)
-
-    ids = kg.node_ids()
-    if ids:
+    if not kg.nodes:
+        return
+    _embed_missing(kg, providers.embed.embed)
+    clusters = cluster_semantic(kg)
+    groups = _concept_groups(kg, clusters)
+    if groups and _merge_concepts(state, providers, groups):
         _embed_missing(kg, providers.embed.embed)
         clusters = cluster_semantic(kg)
-        partition = detect_communities(kg, seed=state.config.seed)
-        for nid in ids:
-            kg.nodes[nid].cluster_id = clusters[nid]
-            kg.nodes[nid].community_id = partition.assignment[nid]
+    partition = detect_communities(kg, seed=state.config.seed)
+    for nid in kg.node_ids():
+        kg.nodes[nid].cluster_id = clusters[nid]
+        kg.nodes[nid].community_id = partition.assignment[nid]
 
 
 # -- outline update ----------------------------------------------------

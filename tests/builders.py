@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 from pathlib import Path
 
 import dualgraph
@@ -140,6 +141,11 @@ def audit_log(runner: Runner) -> list[dict]:
     return RunDir(runner.run_dir).read(
         "audit.jsonl", lambda log: [json.loads(line.decode()) for line in log]
     )
+
+
+def template_calls(runner: Runner) -> Counter:
+    """Chat calls per template name, counted in the runner's ``audit.jsonl``."""
+    return Counter(record["name"] for record in audit_log(runner))
 
 
 def keeps_only_uncommitted_audit(runner: Runner, state) -> bool:

@@ -62,6 +62,7 @@ from .builders import (
     crash_demo_run,
     dir_snapshot,
     keeps_only_uncommitted_audit,
+    template_calls,
 )
 
 
@@ -1352,8 +1353,10 @@ class TestEmbedOnce:
             after.kg.nodes[nid].name for nid in after.kg.node_ids()
             if nid not in before or before[nid].name != after.kg.nodes[nid].name
         ]
-        assert new
-        assert embed.texts("update_kg") == [new]
+        assert new == ["Long-duration storage"]
+        # The pass's extracted nodes are embedded to be clustered; the merge
+        # their group proposes renames one of them, which is embedded again.
+        assert embed.texts("update_kg") == [new + ["Long-duration energy storage"], new]
         # The vectors went to the iteration's copy, not to its input.
         assert all(n.embedding is None for n in before.values())
 
@@ -1368,6 +1371,96 @@ class TestEmbedOnce:
         sent = [text for _, batch in embed.batches for text in batch]
         assert sent
         assert not {n.name for n in before.values()} & set(sent)
+
+
+def _group_ids(prompt: str) -> list[str]:
+    """The node ids a merge prompt's group block lists, in order."""
+    return re.findall(r"^(n\d+) \| ", _block(prompt, "Concept Groups"), re.MULTILINE)
+
+
+def _count_merges(monkeypatch) -> list:
+    merges = []
+
+    def counting(kg, clusters):
+        merges.append(clusters)
+        return merge_nodes(kg, clusters)
+
+    monkeypatch.setattr(orchestrator, "merge_nodes", counting)
+    return merges
+
+
+class TestMergeAsksOnlyAboutSemanticGroups:
+    # Under the 8-wide hashing embedder "battery cost" and "battery price" sit
+    # at cosine 0.864, and "pumped hydro" and "pumped hydro storage" at 0.910:
+    # each pair is one semantic cluster. No other pair reaches 0.85.
+
+    def test_a_pass_without_a_concept_group_makes_no_merge_call(self):
+        state = _graph_state("battery cost", "pumped hydro")
+        update_kg(state, _kg_providers(HashEmbeddingProvider(dim=8), "never asked"), {})
+        assert state.audit == []
+        assert [n.cluster_id for n in state.kg.nodes.values()] == [0, 1, 2]
+
+    def test_the_prompt_shows_only_the_group(self):
+        state = _graph_state("battery cost", "battery price", "pumped hydro")
+        update_kg(state, _kg_providers(HashEmbeddingProvider(dim=8), _NO_MERGE), {})
+        [record] = state.audit
+        assert record["name"] == "merge_concepts"
+        assert _group_ids(record["prompt"]) == ["n2", "n3"]
+        assert "grid storage - involves -> battery price" in record["prompt"]
+        assert "pumped hydro" not in record["prompt"]
+
+    @pytest.mark.parametrize(
+        "concepts, bad",
+        [
+            (("battery cost", "battery price", "pumped hydro"), ["n3", "n4"]),  # n4 not shown
+            (("battery cost", "battery price", "pumped hydro", "pumped hydro storage"),
+             ["n3", "n4"]),  # two groups
+        ],
+        ids=["outside-the-groups", "across-groups"],
+    )
+    def test_a_bad_cluster_is_re_asked(self, monkeypatch, concepts, bad):
+        merges = _count_merges(monkeypatch)
+        state = _graph_state(*concepts)
+        good = _merge_response(["n2", "n3"], "battery economics")
+        chat = ScriptedChatProvider(
+            [ScriptEntry(["propose merge clusters"], [_merge_response(bad, "x"), good])]
+        )
+        providers = replace(_kg_providers(HashEmbeddingProvider(dim=8), ""), chat=chat)
+        update_kg(state, providers, {})
+        assert [r["name"] for r in state.audit] == ["merge_concepts"] * 2
+        assert state.audit[0]["prompt"] == state.audit[1]["prompt"]
+        assert len(merges) == 1
+        assert [n.name for n in state.kg.nodes.values()] == [
+            "grid storage", "battery economics", *concepts[2:]
+        ]
+
+    def test_a_cluster_still_bad_after_the_re_asks_leaves_the_graph(self, monkeypatch):
+        merges = _count_merges(monkeypatch)
+        state = _graph_state("battery cost", "battery price", "pumped hydro")
+        edges = [e.triple for e in state.kg.edges.values()]
+        bad = _merge_response(["n3", "n4"], "x")
+        update_kg(state, _kg_providers(HashEmbeddingProvider(dim=8), bad), {})
+        assert len(state.audit) == 1 + orchestrator._RETRIES
+        assert merges == []
+        assert [e.triple for e in state.kg.edges.values()] == edges
+        assert [n.name for n in state.kg.nodes.values()] == [
+            "grid storage", "battery cost", "battery price", "pumped hydro"
+        ]
+        assert [n.cluster_id for n in state.kg.nodes.values()] == [0, 1, 1, 2]
+
+    def test_a_ci_world_run_makes_no_merge_call(self, tmp_path):
+        config, providers = _ci_world_run("dualgraph")
+        runner = Runner(config, providers, tmp_path)
+        runner.start(DEFAULT_ROOT_QUERY)
+        calls = template_calls(runner)
+        assert calls["extract_knowledge"] > 0 and calls["merge_concepts"] == 0
+
+    def test_the_demo_asks_once_about_its_alias_pair(self, tmp_path):
+        runner = _demo_runner(tmp_path)
+        runner.start(load_fixture(DEMO_FIXTURE).root_query)
+        assert template_calls(runner)["merge_concepts"] == 1
+        [prompt] = [r["prompt"] for r in audit_log(runner) if r["name"] == "merge_concepts"]
+        assert _group_ids(prompt) == ["n6", "n7"]
 
 
 def _ci_world_run(variant: str) -> tuple[RunConfig, Providers]:
@@ -1475,9 +1568,10 @@ class TestResumeEmbedsOnlyWhatTheFaultLost:
 
     @pytest.mark.parametrize(
         "provider, call",
-        # The run makes 52 chat calls (call 46 extracts its last pass, the last
-        # three write the report) and 12 embed calls.
-        [("chat", 2), ("chat", 20), ("chat", 40), ("chat", 46), ("chat", 51),
+        # The run makes 45 chat calls (call 34 revises the fifth pass's outline,
+        # call 40 extracts the last pass, the last three write the report) and
+        # 12 embed calls.
+        [("chat", 2), ("chat", 20), ("chat", 34), ("chat", 40), ("chat", 44),
          ("embed", 2), ("embed", 5), ("embed", 11)],
     )
     def test_a_resume_sends_no_committed_text(self, tmp_path, provider, call):
@@ -1501,6 +1595,35 @@ class TestResumeEmbedsOnlyWhatTheFaultLost:
         assert len(sent) == len(set(sent))
         assert _committed_texts(run_dir) == committed + sent
         assert dir_snapshot(tmp_path / "clean") == dir_snapshot(run_dir)
+
+
+class TestDemoResumesFromAnyFault:
+    @pytest.mark.parametrize("provider", ["chat", "embed"])
+    def test_every_fault_point_resumes_to_the_uninterrupted_bytes(self, tmp_path, provider):
+        # The CI-world sweeps form no concept group, so only this sweep cuts
+        # the gated merge call. The re-embed after the demo's merge sends the
+        # provider nothing (the merged name kept n6's, which the memo holds),
+        # so every embed call the run makes is cut here.
+        def runner(run_dir, at=None):
+            fixture = load_fixture(DEMO_FIXTURE)
+            providers = fixture.providers()
+            setattr(providers, provider, _FailingAt(getattr(providers, provider), at))
+            return Runner(RunConfig.from_dict(fixture.config), providers, run_dir)
+
+        root_query = load_fixture(DEMO_FIXTURE).root_query
+        clean = runner(tmp_path / "clean")
+        clean.start(root_query)
+        assert template_calls(clean)["merge_concepts"] == 1
+        want = dir_snapshot(tmp_path / "clean")
+        diverged = []
+        for at in range(1, getattr(clean.providers, provider).calls + 1):
+            run_dir = tmp_path / f"fault{at}"
+            with pytest.raises(ProviderError):
+                runner(run_dir, at).start(root_query)
+            # A restarted process: providers that saw none of the first attempt.
+            if runner(run_dir).resume().stage != "done" or dir_snapshot(run_dir) != want:
+                diverged.append(at)
+        assert diverged == []
 
 
 def _replay_run(run_dir, chat_at=None, embed_at=None) -> tuple[Runner, _Recording]:
@@ -2238,7 +2361,10 @@ TEMPLATES = {path.stem for path in _TEMPLATE_DIR.glob("*.txt")}
 # The demo run and the CI-world sim run of each variant, with the templates each prompts.
 _AUDITED_RUNS = {
     "demo": (_demo, TEMPLATES),
-    "ci-world-dualgraph": (lambda: (*_ci_world_run("dualgraph"), DEFAULT_ROOT_QUERY), TEMPLATES),
+    # No concept group forms in the CI world, so its runs make no merge call.
+    "ci-world-dualgraph": (
+        lambda: (*_ci_world_run("dualgraph"), DEFAULT_ROOT_QUERY), TEMPLATES - {"merge_concepts"}
+    ),
     "ci-world-outline-only": (
         lambda: (*_ci_world_run("outline-only"), DEFAULT_ROOT_QUERY),
         TEMPLATES - {"select_chains", "extract_knowledge", "merge_concepts"},
