@@ -1,11 +1,11 @@
 """Run loop co-evolving the outline and the knowledge graph.
 
-The dual variant follows this per-iteration order: generate queries from the
-knowledge graph, then (after the first pass) from the outline, dedup, search,
-fold results into the knowledge graph, revise the outline, and check the early
-stop. The outline-only variant revises the outline first, generates queries
-from it, searches, and checks the early stop; it never touches a knowledge
-graph.
+The dual variant follows this per-iteration order: have the model select
+chains of the knowledge graph and write their queries (after the first pass,
+the same call writes the outline-gap queries too), dedup, search, fold results
+into the knowledge graph, revise the outline, and check the early stop. The
+outline-only variant revises the outline first, generates queries from it,
+searches, and checks the early stop; it never touches a knowledge graph.
 
 Each fact of a run has one home, the run state, and nothing keeps a second
 copy: phases read the config from ``state.config``, whether the run stopped is
@@ -288,7 +288,10 @@ def run_search_pipeline(
 # -- query generation --------------------------------------------------
 
 
-def gen_queries_from_og(state: RunState, providers: Providers, pending: list[str]) -> list[str]:
+def gen_queries_from_og(state: RunState, providers: Providers) -> list[str]:
+    """Up to ``og_query_budget`` queries for the outline's gaps, avoiding the
+    executed ones. Every query a pass writes comes from one call, so none is
+    ever pending."""
     assert state.og is not None
     budget = state.config.og_query_budget
     return _chat_parsed(
@@ -297,7 +300,7 @@ def gen_queries_from_og(state: RunState, providers: Providers, pending: list[str
             "QUERY_NUM": str(budget),
             "OUTLINE": state.outline_text(),
             "EXECUTED_QUERIES": _executed_block(state),
-            "PENDING_QUERIES": "\n".join(pending) or "(none)",
+            "PENDING_QUERIES": "(none)",
         },
         lambda text: parsers.parse_query_lines(text, budget),
         1,
@@ -314,9 +317,17 @@ def _embed_missing(kg: KnowledgeGraph, embed) -> None:
 
 
 def gen_queries_from_kg(
-    state: RunState, providers: Providers
+    state: RunState, providers: Providers, outline_queries: list[str] | None = None
 ) -> tuple[list[str], list[SearchChain], list[str]]:
-    """Build chains, have the provider select some, return aligned queries."""
+    """Build chains and have the provider select some; returns the selected
+    chains' queries, the candidate chains and the selected chain ids.
+
+    Given ``outline_queries``, the same call also writes up to
+    ``og_query_budget`` queries for the outline's gaps, avoiding the executed
+    and the chain queries, and appends them to that list; without it, the
+    call asks for none. A graph with no candidate chain makes no call and
+    leaves the list as it was.
+    """
     assert state.kg is not None and state.og is not None
     if len(state.kg) == 0:
         return [], [], []
@@ -332,9 +343,10 @@ def gen_queries_from_kg(
     if not chains:
         return [], [], []
     known_ids = {c.chain_id for c in chains}
+    query_num = 0 if outline_queries is None else config.og_query_budget
 
     def parse_and_check(text: str) -> parsers.ChainSelection:
-        selection = parsers.parse_chain_selection(text, config.kg_query_budget)
+        selection = parsers.parse_chain_selection(text, config.kg_query_budget, query_num)
         for cid in selection.chain_ids:
             if cid not in known_ids:
                 raise parsers.DanglingReference(f"selection names unknown chain {cid}")
@@ -344,6 +356,7 @@ def gen_queries_from_kg(
         state, providers, "select_chains",
         {
             "CHAIN_NUM": str(config.kg_query_budget),
+            "QUERY_NUM": str(query_num),
             "OUTLINE": state.outline_text(),
             "EXECUTED_QUERIES": _executed_block(state),
             "KG_PAYLOAD": _kg_json(state.kg),
@@ -352,6 +365,8 @@ def gen_queries_from_kg(
         parse_and_check,
         1,
     )
+    if outline_queries is not None:
+        outline_queries.extend(selection.outline_queries)
     return selection.queries, chains, selection.chain_ids
 
 
@@ -573,7 +588,7 @@ def init_run(state: RunState, providers: Providers) -> None:
     )
 
     state.events.append("init:gen_from_og")
-    queries = gen_queries_from_og(state, providers, pending=[])
+    queries = gen_queries_from_og(state, providers)
     queries = dedup_queries(queries, state.executed_queries, providers.embed.embed)
     state.events.append("init:search")
     new_by_query = run_search_pipeline(state, providers, queries, iteration=0)
@@ -594,12 +609,18 @@ def run_iteration(state: RunState, providers: Providers) -> RunState:
     s = state.clone()
     t = s.iteration
     if s.config.variant is Variant.DUAL_GRAPH:
-        s.events.append(f"iter{t}:gen_from_kg")
-        kg_queries, chains, selected = gen_queries_from_kg(s, providers)
+        # After the first pass, the chain selection call also writes the
+        # outline-gap queries; generate_queries writes them only for a pass
+        # with no candidate chain, which makes no selection call.
         og_queries: list[str] = []
+        s.events.append(f"iter{t}:gen_from_kg")
+        kg_queries, chains, selected = gen_queries_from_kg(
+            s, providers, og_queries if t > 0 else None
+        )
         if t > 0:
             s.events.append(f"iter{t}:gen_from_og")
-            og_queries = gen_queries_from_og(s, providers, pending=kg_queries)
+            if not chains:
+                og_queries = gen_queries_from_og(s, providers)
         s.events.append(f"iter{t}:dedup")
         queries = dedup_queries(kg_queries + og_queries, s.executed_queries, providers.embed.embed)
         s.events.append(f"iter{t}:search")
@@ -617,7 +638,7 @@ def run_iteration(state: RunState, providers: Providers) -> RunState:
         s.events.append(f"iter{t}:update_og")
         update_og(s, providers)
         s.events.append(f"iter{t}:gen_from_og")
-        raw = gen_queries_from_og(s, providers, pending=[])
+        raw = gen_queries_from_og(s, providers)
         s.events.append(f"iter{t}:dedup")
         queries = dedup_queries(raw, s.executed_queries, providers.embed.embed)
         s.events.append(f"iter{t}:search")

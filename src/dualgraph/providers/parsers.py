@@ -322,11 +322,20 @@ def parse_merge(text: str) -> list[MergeCluster]:
 class ChainSelection:
     chain_ids: list[str] = field(default_factory=list)
     queries: list[str] = field(default_factory=list)
+    outline_queries: list[str] = field(default_factory=list)
 
 
-def parse_chain_selection(text: str, chain_num: int) -> ChainSelection:
+def parse_chain_selection(text: str, chain_num: int, query_num: int | None = None) -> ChainSelection:
+    """The selected chain ids and their queries, at most ``chain_num`` of each.
+
+    With ``query_num``, the document also carries ``"outline queries"``, at
+    most ``query_num`` of them; without it, that key is not allowed.
+    """
+    lists = {"search queries": chain_num}
+    if query_num is not None:
+        lists["outline queries"] = query_num
     doc = _load_json(text, "chain selection")
-    doc = _require_object(doc, "chain selection", {"chains", "search queries"})
+    doc = _require_object(doc, "chain selection", {"chains", *lists})
     chain_ids: list[str] = []
     for i, cid in enumerate(_require_list(doc["chains"], "chains")):
         cid = _require_str(cid, f"chains[{i}]")
@@ -335,15 +344,20 @@ def parse_chain_selection(text: str, chain_num: int) -> ChainSelection:
         if cid in chain_ids:
             raise SchemaViolation(f"chains[{i}]: duplicate chain id {cid}")
         chain_ids.append(cid)
-    queries = [
-        _require_str(q, f"search queries[{i}]")
-        for i, q in enumerate(_require_list(doc["search queries"], "search queries"))
-    ]
+    queries = {
+        key: [_require_str(q, f"{key}[{i}]") for i, q in enumerate(_require_list(doc[key], key))]
+        for key in lists
+    }
     if len(chain_ids) > chain_num:
         raise BudgetExceeded(f"{len(chain_ids)} chains exceed the budget of {chain_num}")
-    if len(queries) > chain_num:
-        raise BudgetExceeded(f"{len(queries)} queries exceed the budget of {chain_num}")
-    return ChainSelection(chain_ids=chain_ids, queries=queries)
+    for key, budget in lists.items():
+        if len(queries[key]) > budget:
+            raise BudgetExceeded(f"{len(queries[key])} {key} exceed the budget of {budget}")
+    return ChainSelection(
+        chain_ids=chain_ids,
+        queries=queries["search queries"],
+        outline_queries=queries.get("outline queries", []),
+    )
 
 
 def parse_index_selection(text: str, count: int) -> list[int]:

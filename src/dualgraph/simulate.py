@@ -262,6 +262,12 @@ _ID_RE = re.compile(r"id_(\d+)")
 _REP_SPLIT = re.compile(r"^(.*?) - (.*?) -> (.*)$")
 _PAGE_CONTENT_RE = re.compile(r"^<content>\n(.*?)\n</content>\n</page>$", re.DOTALL | re.MULTILINE)
 
+
+def _listed(block: str) -> set[str]:
+    """The queries of an executed or pending block, one per line."""
+    return {q.strip() for q in block.splitlines() if q.strip() and q.strip() != "(none)"}
+
+
 _STATIC_HEAD = ["1. Corpus map", "a. Approach to mapping the corpus"]
 _STATIC_TAIL = ["3. Method notes", "a. Query trail kept for audit"]
 _FINDINGS = "2. Findings"
@@ -366,13 +372,11 @@ class SimChatProvider:
     def _generate_queries(self, prompt: str) -> str:
         parts = _sections(prompt)
         budget = int(re.search(r"exactly (\d+) queries", prompt).group(1))
-        outline = parts["Current Outline"]
-        done = {
-            q.strip()
-            for block in (parts["Executed Search Queries"], parts["Pending Search Queries"])
-            for q in block.splitlines()
-            if q.strip() and q.strip() != "(none)"
-        }
+        done = _listed(parts["Executed Search Queries"]) | _listed(parts["Pending Search Queries"])
+        return "\n".join(self._outline_queries(parts["Current Outline"], done, budget))
+
+    def _outline_queries(self, outline: str, done: set[str], budget: int) -> list[str]:
+        """Up to ``budget`` queries for the outline's profiles, none of them in ``done``."""
         # Outline order is discovery order; querying the newest names last
         # keeps a stable frontier queue across passes.
         names = list(dict.fromkeys(name for name, _ in self._parse_profiles(outline)))
@@ -383,11 +387,12 @@ class SimChatProvider:
         ]
         if not open_queries:
             open_queries = ["corpus overview"]
-        return "\n".join(open_queries[:budget])
+        return open_queries[:budget]
 
     def _select_chains(self, prompt: str) -> str:
         parts = _sections(prompt)
         budget = int(re.search(r"At most (\d+) selected chains", prompt).group(1))
+        query_num = int(re.search(r"exactly (\d+) outline queries", prompt).group(1))
         candidates: list[tuple[str, str, str, str, str]] = []
         for line in parts["Candidate Chains"].splitlines():
             fields = [f.strip() for f in line.split(" | ")]
@@ -414,7 +419,13 @@ class SimChatProvider:
             taken.add(words)
             chains.append(cid)
             queries.append(query)
-        return json.dumps({"chains": chains, "search queries": queries})
+        # The outline queries are the ones generate_queries would write with
+        # the chain queries pending.
+        done = _listed(parts["Executed Search Queries"]) | set(queries)
+        outline_queries = self._outline_queries(parts["Current Outline"], done, query_num)
+        return json.dumps(
+            {"chains": chains, "search queries": queries, "outline queries": outline_queries}
+        )
 
     # graph extraction
 

@@ -3,11 +3,11 @@
     python tests/sim_process.py MODE RUN_DIR [FRESH_DIR]
 
 Every mode runs the small sim world and config of the recorded sim outputs.
-``fresh`` runs it to the end. ``cut`` fails the chat at call 40,
-``cut-assess`` at the second assess_page prompt, ``cut-extract`` at the second
-extract_knowledge prompt, and ``cut-embed`` fails the embedder at call 5;
-each raises the ``ProviderError``. ``resume`` resumes RUN_DIR with fresh
-providers and exits non-zero with a message unless the resume
+``fresh`` runs it to the end. ``cut`` fails the chat at call 35 (the last
+pass's extract_knowledge), ``cut-assess`` at the second assess_page prompt,
+``cut-extract`` at the second extract_knowledge prompt, and ``cut-embed`` fails
+the embedder at call 5; each raises the ``ProviderError``. ``resume`` resumes
+RUN_DIR with fresh providers and exits non-zero with a message unless the resume
 
 - sends the embedder no text that the committed ``embed.jsonl`` holds,
 - makes exactly the chat calls that FRESH_DIR's ``audit.jsonl`` holds past the
@@ -97,7 +97,7 @@ def main(mode: str, run_dir: str, *fresh: str) -> None:
         _resume(config, providers, Path(run_dir), Path(fresh[0]))
         return
     if mode == "cut":
-        providers.chat = _Failing(providers.chat, 40)
+        providers.chat = _Failing(providers.chat, 35)
     elif mode == "cut-assess":
         providers.chat = _Failing(
             providers.chat, 2, lambda prompt: "extracting evidence from fetched pages" in prompt

@@ -1568,10 +1568,11 @@ class TestResumeEmbedsOnlyWhatTheFaultLost:
 
     @pytest.mark.parametrize(
         "provider, call",
-        # The run makes 45 chat calls (call 34 revises the fifth pass's outline,
-        # call 40 extracts the last pass, the last three write the report) and
-        # 12 embed calls.
-        [("chat", 2), ("chat", 20), ("chat", 34), ("chat", 40), ("chat", 44),
+        # The run makes 40 chat calls (call 20 selects the fourth pass's chains
+        # and writes its outline queries, call 30 revises the fifth pass's
+        # outline, call 35 extracts the last pass, the last three write the
+        # report) and 12 embed calls.
+        [("chat", 2), ("chat", 20), ("chat", 30), ("chat", 35), ("chat", 39),
          ("embed", 2), ("embed", 5), ("embed", 11)],
     )
     def test_a_resume_sends_no_committed_text(self, tmp_path, provider, call):
@@ -2126,10 +2127,10 @@ class TestEachOutlineRenderedOnce:
         ]
         audit = audit_log(runner)
         # In a pass these prompts come before update_og, so they show the
-        # outline of the pass before; the rest show the pass's own.
+        # outline of the pass before; the rest show the pass's own. A
+        # dualgraph run's loop passes write their queries in select_chains,
+        # so its only generate_queries prompt is init's.
         before_revision = {"select_chains", "revise_outline"}
-        if config.variant is Variant.DUAL_GRAPH:
-            before_revision.add("generate_queries")
         checked: Counter = Counter()
         start = 0
         for stage, n, end, outline in runner.boundaries:
@@ -2292,22 +2293,106 @@ def _block(prompt: str, heading: str) -> str:
 
 
 class TestChainSelectionSeesExecutedQueries:
-    def test_select_chains_shows_the_executed_queries_as_generate_queries_does(self, tmp_path):
+    def test_select_chains_lists_the_executed_queries_once_and_its_outline_queries_avoid_them(
+        self, tmp_path
+    ):
         config, providers, root_query = _small_sim()
-        Runner(config, providers, tmp_path / "run").start(root_query)
-        with open(tmp_path / "run" / "audit.jsonl", encoding="utf-8") as log_file:
-            audit = [json.loads(line) for line in log_file]
-        compared = 0
-        for record, following in zip(audit, audit[1:]):
+        runner = Runner(config, providers, tmp_path / "run")
+        state = runner.start(root_query)
+        written = 0
+        for record in audit_log(runner):
             if record["name"] != "select_chains":
                 continue
-            shown = _block(record["prompt"], "Executed Search Queries")
-            assert shown != "(none)"  # the first round ran before any chain
-            # After the first pass, the pass's outline queries are written next.
-            if following["name"] == "generate_queries":
-                assert _block(following["prompt"], "Executed Search Queries") == shown
-                compared += 1
-        assert compared >= 1
+            assert record["prompt"].count("# Executed Search Queries\n") == 1
+            shown = _block(record["prompt"], "Executed Search Queries").splitlines()
+            assert shown != ["(none)"]  # the first round ran before any chain
+            assert shown == state.executed_queries[: len(shown)]
+            answer = json.loads(record["response"])
+            outline_queries = answer["outline queries"]
+            assert not set(outline_queries) & set(shown + answer["search queries"])
+            written += len(outline_queries)
+        assert written >= 1
+
+
+class _OverBudgetOutlineOnce:
+    """Sim chat whose first select_chains answer that owes outline queries
+    carries ``queries`` as its outline half instead."""
+
+    def __init__(self, chat, queries: list[str]):
+        self.chat, self.queries, self.spent = chat, queries, False
+
+    def complete(self, prompt: str) -> str:
+        response = self.chat.complete(prompt)
+        owes = "exactly 0 outline queries" not in prompt
+        if not self.spent and owes and "Candidate chains describe gaps" in prompt:
+            self.spent = True
+            return json.dumps({**json.loads(response), "outline queries": self.queries})
+        return response
+
+
+class TestOneQueryWritingCallPerPass:
+    def test_a_ci_world_run_writes_loop_queries_in_select_chains_alone(self, tmp_path):
+        config, providers = _ci_world_run("dualgraph")
+        runner = _BoundaryRunner(config, providers, tmp_path)
+        state = runner.start(DEFAULT_ROOT_QUERY)
+        audit = audit_log(runner)
+        assert state.iteration == config.max_iter
+        assert template_calls(runner)["generate_queries"] == 1
+        # Boundaries: start, init, each loop pass, report.
+        ends = [end for _, _, end, _ in runner.boundaries]
+        assert [r["name"] for r in audit[: ends[1]]][:2] == ["create_outline", "generate_queries"]
+        passes = [[r["name"] for r in audit[a:b]] for a, b in zip(ends[1:-2], ends[2:-1])]
+        assert len(passes) == state.iteration
+        for names in passes:
+            assert names.count("select_chains") == 1 and "generate_queries" not in names
+        # The trace still marks both halves of every pass after the first.
+        for t in range(state.iteration):
+            marks = [e for e in state.events if e.startswith(f"iter{t}:gen_from")]
+            assert marks == [f"iter{t}:gen_from_kg"] + [f"iter{t}:gen_from_og"] * (t > 0)
+
+    def test_a_pass_with_no_candidate_chain_asks_generate_queries_once(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(orchestrator, "build_search_chains", lambda *args: [])
+        config, providers = _ci_world_run("dualgraph")
+        runner = Runner(config, providers, tmp_path)
+        state = runner.start(DEFAULT_ROOT_QUERY)
+        calls = template_calls(runner)
+        assert calls["select_chains"] == 0
+        # Init's call, then one for each pass after the first.
+        assert calls["generate_queries"] == 1 + (state.iteration - 1) > 1
+        for record in audit_log(runner):
+            if record["name"] == "generate_queries":
+                assert _block(record["prompt"], "Pending Search Queries").strip() == "(none)"
+
+    def test_outline_queries_over_the_budget_are_re_asked_and_never_searched(self, tmp_path):
+        config, providers = _ci_world_run("dualgraph")
+        overflow = [f"overflow query {i}" for i in range(config.og_query_budget + 1)]
+        providers.chat = _OverBudgetOutlineOnce(providers.chat, overflow)
+        searched: list[str] = []
+        search = providers.search
+
+        class _Searches:
+            def search(self, query, top_n):
+                searched.append(query)
+                return search.search(query, top_n)
+
+        providers.search = _Searches()
+        runner = Runner(config, providers, tmp_path)
+        state = runner.start(DEFAULT_ROOT_QUERY)
+        assert state.stage == "done"
+        audit = audit_log(runner)
+        [rejected] = [
+            i for i, record in enumerate(audit)
+            if record["name"] == "select_chains"
+            and json.loads(record["response"])["outline queries"] == overflow
+        ]
+        asked_again = audit[rejected + 1]
+        assert asked_again["name"] == "select_chains"
+        assert asked_again["prompt"] == audit[rejected]["prompt"]
+        assert json.loads(asked_again["response"])["outline queries"] != overflow
+        assert not set(overflow) & set(searched)
+        assert not set(overflow) & set(state.executed_queries)
 
 
 class TestDriveHoldsOneState:

@@ -30,6 +30,8 @@ from dualgraph.providers.parsers import (
     strip_code_fences,
 )
 
+from .test_acceptance import _SELECTION_SEED, _corrupt
+
 EXTRACTION_DOC = {
     "new_nodes": [
         {"id": "n3", "node_name": "flywheel", "is_core_entity": True},
@@ -213,6 +215,47 @@ class TestParseChainSelection:
         with pytest.raises(ParseError):
             parse_chain_selection(doc, chain_num=5)
 
+    def test_three_key_document_with_a_query_budget(self):
+        doc = '{"chains": ["chain_1"], "search queries": ["a b"], "outline queries": ["c", "d"]}'
+        sel = parse_chain_selection(doc, chain_num=1, query_num=2)
+        assert sel.chain_ids == ["chain_1"]
+        assert sel.queries == ["a b"]
+        assert sel.outline_queries == ["c", "d"]
+        doc = '{"chains": [], "search queries": [], "outline queries": []}'
+        assert parse_chain_selection(doc, chain_num=1, query_num=0).outline_queries == []
+
+    def test_outline_queries_over_the_budget_rejected(self):
+        doc = '{"chains": [], "search queries": [], "outline queries": ["c", "d"]}'
+        with pytest.raises(BudgetExceeded):
+            parse_chain_selection(doc, chain_num=4, query_num=1)
+        with pytest.raises(BudgetExceeded):
+            parse_chain_selection(doc.replace('"c", "d"', '"c"'), chain_num=4, query_num=0)
+
+    @pytest.mark.parametrize(
+        "doc, query_num",
+        [
+            ('{"chains": [], "search queries": []}', 2),
+            ('{"chains": [], "outline queries": []}', 2),
+            ('{"chains": [], "search queries": [], "outline queries": [], "x": []}', 2),
+            ('{"chains": [], "search queries": [], "outline queries": []}', None),
+        ],
+    )
+    def test_a_missing_or_extra_key_rejected(self, doc, query_num):
+        with pytest.raises(SchemaViolation):
+            parse_chain_selection(doc, chain_num=4, query_num=query_num)
+
+    @pytest.mark.parametrize("value", ['"c"', '[""]', "[1]", '["c", null]'])
+    def test_outline_queries_must_be_non_empty_strings(self, value):
+        doc = f'{{"chains": [], "search queries": [], "outline queries": {value}}}'
+        with pytest.raises(SchemaViolation):
+            parse_chain_selection(doc, chain_num=4, query_num=4)
+
+    def test_the_acceptance_fuzz_seed_still_parses_without_a_query_budget(self):
+        sel = parse_chain_selection(_SELECTION_SEED, chain_num=4)
+        assert sel.chain_ids == ["chain_1", "chain_3"]
+        assert sel.queries == ["alpha", "beta"]
+        assert sel.outline_queries == []
+
 
 class TestParseIndexSelection:
     def test_valid_and_empty(self):
@@ -371,3 +414,25 @@ def test_parsers_total_under_mutation(parser_case):
                 parse_chain_selection(corrupted, chain_num=4)
         except ParseError:
             pass
+
+
+def test_three_key_selection_total_under_mutation():
+    """c09's corruptions of a three-key selection raise nothing but ParseError."""
+    gen = random.Random(zlib.crc32(b"selection with outline queries"))
+    seed = json.dumps({
+        "chains": ["chain_1", "chain_3"],
+        "search queries": ["alpha", "beta"],
+        "outline queries": ["gamma", "delta"],
+    })
+    values = 0
+    for i in range(2000):
+        doc = seed
+        if i % 100 != 0:
+            for _ in range(gen.randint(1, 3)):
+                doc = _corrupt(doc, gen)
+        try:
+            parse_chain_selection(doc, chain_num=4, query_num=2)
+            values += 1
+        except ParseError:
+            pass
+    assert values >= 20
