@@ -290,8 +290,8 @@ def run_search_pipeline(
 
 def gen_queries_from_og(state: RunState, providers: Providers) -> list[str]:
     """Up to ``og_query_budget`` queries for the outline's gaps, avoiding the
-    executed ones. Every query a pass writes comes from one call, so none is
-    ever pending."""
+    executed ones: init's queries, and every pass's in the outline-only
+    variant. A dualgraph pass's outline queries come from ``gen_queries_from_kg``."""
     assert state.og is not None
     budget = state.config.og_query_budget
     return _chat_parsed(
@@ -300,7 +300,6 @@ def gen_queries_from_og(state: RunState, providers: Providers) -> list[str]:
             "QUERY_NUM": str(budget),
             "OUTLINE": state.outline_text(),
             "EXECUTED_QUERIES": _executed_block(state),
-            "PENDING_QUERIES": "(none)",
         },
         lambda text: parsers.parse_query_lines(text, budget),
         1,
@@ -325,12 +324,10 @@ def gen_queries_from_kg(
     Given ``outline_queries``, the same call also writes up to
     ``og_query_budget`` queries for the outline's gaps, avoiding the executed
     and the chain queries, and appends them to that list; without it, the
-    call asks for none. A graph with no candidate chain makes no call and
-    leaves the list as it was.
+    call asks for none. It makes no call only with neither a candidate chain
+    nor a list to fill.
     """
     assert state.kg is not None and state.og is not None
-    if len(state.kg) == 0:
-        return [], [], []
     config = state.config
     _embed_missing(state.kg, providers.embed.embed)
     # The partition update_kg stored on the nodes; the run-dir reader rejects a
@@ -340,7 +337,7 @@ def gen_queries_from_kg(
     chains = build_search_chains(
         state.kg, partition, ChainConfig(total=config.kg_query_budget, seed=config.seed)
     )
-    if not chains:
+    if not chains and outline_queries is None:
         return [], [], []
     known_ids = {c.chain_id for c in chains}
     query_num = 0 if outline_queries is None else config.og_query_budget
@@ -360,7 +357,7 @@ def gen_queries_from_kg(
             "OUTLINE": state.outline_text(),
             "EXECUTED_QUERIES": _executed_block(state),
             "KG_PAYLOAD": _kg_json(state.kg),
-            "CANDIDATE_CHAINS": format_chains_for_prompt(chains, state.kg),
+            "CANDIDATE_CHAINS": format_chains_for_prompt(chains, state.kg) or "(none)",
         },
         parse_and_check,
         1,
@@ -610,8 +607,7 @@ def run_iteration(state: RunState, providers: Providers) -> RunState:
     t = s.iteration
     if s.config.variant is Variant.DUAL_GRAPH:
         # After the first pass, the chain selection call also writes the
-        # outline-gap queries; generate_queries writes them only for a pass
-        # with no candidate chain, which makes no selection call.
+        # outline-gap queries.
         og_queries: list[str] = []
         s.events.append(f"iter{t}:gen_from_kg")
         kg_queries, chains, selected = gen_queries_from_kg(
@@ -619,8 +615,6 @@ def run_iteration(state: RunState, providers: Providers) -> RunState:
         )
         if t > 0:
             s.events.append(f"iter{t}:gen_from_og")
-            if not chains:
-                og_queries = gen_queries_from_og(s, providers)
         s.events.append(f"iter{t}:dedup")
         queries = dedup_queries(kg_queries + og_queries, s.executed_queries, providers.embed.embed)
         s.events.append(f"iter{t}:search")

@@ -60,7 +60,7 @@ class BudgetExceeded(ParseError):
 
 
 class TemplateError(ValueError):
-    """Template rendering failed (unresolved or missing placeholder)."""
+    """Template rendering failed (an unresolved placeholder, or a variable no placeholder uses)."""
 
 
 _FENCE_RE = re.compile(r"\A```[a-zA-Z0-9_-]*\n(.*)\n```\Z", re.DOTALL)
@@ -88,20 +88,15 @@ def load_template(name: str) -> str:
 
 
 def render_template(body: str, variables: dict[str, str]) -> str:
-    """Substitute ${NAME} placeholders; unresolved placeholders are errors."""
-    missing: list[str] = []
-
-    def sub(m: re.Match[str]) -> str:
-        key = m.group(1)
-        if key not in variables:
-            missing.append(key)
-            return m.group(0)
-        return str(variables[key])
-
-    out = _PLACEHOLDER_RE.sub(sub, body)
+    """Substitute ${NAME} placeholders; unresolved placeholders and variables
+    no placeholder uses are errors."""
+    names = set(_PLACEHOLDER_RE.findall(body))
+    missing, unused = sorted(names - variables.keys()), sorted(variables.keys() - names)
     if missing:
-        raise TemplateError(f"unresolved placeholders: {sorted(set(missing))}")
-    return out
+        raise TemplateError(f"unresolved placeholders: {missing}")
+    if unused:
+        raise TemplateError(f"variables the template does not use: {unused}")
+    return _PLACEHOLDER_RE.sub(lambda m: str(variables[m.group(1)]), body)
 
 
 def render(name: str, variables: dict[str, str]) -> str:
@@ -326,7 +321,8 @@ class ChainSelection:
 
 
 def parse_chain_selection(text: str, chain_num: int, query_num: int | None = None) -> ChainSelection:
-    """The selected chain ids and their queries, at most ``chain_num`` of each.
+    """The selected chain ids and their queries, at most ``chain_num`` of each
+    and one query per chain, in chain order.
 
     With ``query_num``, the document also carries ``"outline queries"``, at
     most ``query_num`` of them; without it, that key is not allowed.
@@ -353,6 +349,10 @@ def parse_chain_selection(text: str, chain_num: int, query_num: int | None = Non
     for key, budget in lists.items():
         if len(queries[key]) > budget:
             raise BudgetExceeded(f"{len(queries[key])} {key} exceed the budget of {budget}")
+    if len(queries["search queries"]) != len(chain_ids):
+        raise SchemaViolation(
+            f"{len(chain_ids)} chains but {len(queries['search queries'])} search queries"
+        )
     return ChainSelection(
         chain_ids=chain_ids,
         queries=queries["search queries"],

@@ -264,7 +264,7 @@ _PAGE_CONTENT_RE = re.compile(r"^<content>\n(.*?)\n</content>\n</page>$", re.DOT
 
 
 def _listed(block: str) -> set[str]:
-    """The queries of an executed or pending block, one per line."""
+    """The queries of an executed-queries block, one per line."""
     return {q.strip() for q in block.splitlines() if q.strip() and q.strip() != "(none)"}
 
 
@@ -372,7 +372,7 @@ class SimChatProvider:
     def _generate_queries(self, prompt: str) -> str:
         parts = _sections(prompt)
         budget = int(re.search(r"exactly (\d+) queries", prompt).group(1))
-        done = _listed(parts["Executed Search Queries"]) | _listed(parts["Pending Search Queries"])
+        done = _listed(parts["Executed Search Queries"])
         return "\n".join(self._outline_queries(parts["Current Outline"], done, budget))
 
     def _outline_queries(self, outline: str, done: set[str], budget: int) -> list[str]:
@@ -419,8 +419,7 @@ class SimChatProvider:
             taken.add(words)
             chains.append(cid)
             queries.append(query)
-        # The outline queries are the ones generate_queries would write with
-        # the chain queries pending.
+        # The outline queries avoid the executed and the chain queries.
         done = _listed(parts["Executed Search Queries"]) | set(queries)
         outline_queries = self._outline_queries(parts["Current Outline"], done, query_num)
         return json.dumps(

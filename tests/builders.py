@@ -11,6 +11,7 @@ import dualgraph
 from dualgraph.evidence import EvidenceBank
 from dualgraph.orchestrator import RunConfig, Runner
 from dualgraph.outline import OutlineGraph, OutlineNode
+from dualgraph.providers.base import ProviderError
 from dualgraph.providers.mock import load_fixture
 from dualgraph.rundir import RunDir
 
@@ -153,6 +154,34 @@ def keeps_only_uncommitted_audit(runner: Runner, state) -> bool:
     audit counts every line of the log."""
     committed = audit_log(runner)
     return len(state.audit) == len(committed) and not any(r in committed for r in state.audit)
+
+
+class FailingAt:
+    """A chat, embed, search or fetch provider that passes calls to ``inner``,
+    counts them in ``calls``, and raises ProviderError on call number ``at``
+    (from 1); None: never. A fetch fails with the base ProviderError, not
+    FetchError, so it stops the run like the others."""
+
+    def __init__(self, inner, at: int | None = None):
+        self.inner, self.at, self.calls = inner, at, 0
+
+    def _call(self, method: str, *args):
+        self.calls += 1
+        if self.calls == self.at:
+            raise ProviderError(f"{method} down at call {self.at}")
+        return getattr(self.inner, method)(*args)
+
+    def complete(self, prompt: str) -> str:
+        return self._call("complete", prompt)
+
+    def embed(self, texts):
+        return self._call("embed", texts)
+
+    def search(self, query: str, top_n: int):
+        return self._call("search", query, top_n)
+
+    def fetch(self, url: str) -> str:
+        return self._call("fetch", url)
 
 
 class Crash(Exception):

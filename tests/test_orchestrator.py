@@ -58,6 +58,7 @@ from .builders import (
     DEMO_FIXTURE,
     Crash,
     CrashingRunner,
+    FailingAt,
     audit_log,
     crash_demo_run,
     dir_snapshot,
@@ -1537,25 +1538,6 @@ def _committed_texts(run_dir: Path) -> list[str]:
     return [json.loads(line)["text"] for line in lines]
 
 
-class _FailingAt:
-    """A chat or embed provider that passes calls to ``inner`` and fails the ``at``-th."""
-
-    def __init__(self, inner, at: int):
-        self.inner, self.at, self.calls = inner, at, 0
-
-    def _call(self, method: str, arg):
-        self.calls += 1
-        if self.calls == self.at:
-            raise ProviderError(f"{method} down at call {self.at}")
-        return getattr(self.inner, method)(arg)
-
-    def complete(self, prompt):
-        return self._call("complete", prompt)
-
-    def embed(self, texts):
-        return self._call("embed", texts)
-
-
 class TestResumeEmbedsOnlyWhatTheFaultLost:
     @pytest.mark.parametrize("variant", ["dualgraph", "outline-only"])
     def test_the_memo_round_trips_through_embed_jsonl(self, tmp_path, variant):
@@ -1581,7 +1563,7 @@ class TestResumeEmbedsOnlyWhatTheFaultLost:
 
         run_dir = tmp_path / "resumed"
         config, providers = _ci_world_run("dualgraph")
-        setattr(providers, provider, _FailingAt(getattr(providers, provider), call))
+        setattr(providers, provider, FailingAt(getattr(providers, provider), call))
         with pytest.raises(ProviderError):
             Runner(config, providers, run_dir).start(DEFAULT_ROOT_QUERY)
         committed = _committed_texts(run_dir)
@@ -1608,7 +1590,7 @@ class TestDemoResumesFromAnyFault:
         def runner(run_dir, at=None):
             fixture = load_fixture(DEMO_FIXTURE)
             providers = fixture.providers()
-            setattr(providers, provider, _FailingAt(getattr(providers, provider), at))
+            setattr(providers, provider, FailingAt(getattr(providers, provider), at))
             return Runner(RunConfig.from_dict(fixture.config), providers, run_dir)
 
         root_query = load_fixture(DEMO_FIXTURE).root_query
@@ -1635,9 +1617,9 @@ def _replay_run(run_dir, chat_at=None, embed_at=None) -> tuple[Runner, _Recordin
     recording = _Recording(providers)
     providers = recording.providers()
     if chat_at is not None:
-        providers.chat = _FailingAt(providers.chat, chat_at)
+        providers.chat = FailingAt(providers.chat, chat_at)
     if embed_at is not None:
-        providers.embed = _FailingAt(providers.embed, embed_at)
+        providers.embed = FailingAt(providers.embed, embed_at)
     return Runner(config, providers, run_dir), recording
 
 
@@ -2350,20 +2332,47 @@ class TestOneQueryWritingCallPerPass:
             marks = [e for e in state.events if e.startswith(f"iter{t}:gen_from")]
             assert marks == [f"iter{t}:gen_from_kg"] + [f"iter{t}:gen_from_og"] * (t > 0)
 
-    def test_a_pass_with_no_candidate_chain_asks_generate_queries_once(
+    def test_a_pass_with_no_candidate_chain_still_asks_select_chains(
         self, tmp_path, monkeypatch
     ):
         monkeypatch.setattr(orchestrator, "build_search_chains", lambda *args: [])
         config, providers = _ci_world_run("dualgraph")
-        runner = Runner(config, providers, tmp_path)
+        runner = _BoundaryRunner(config, providers, tmp_path)
         state = runner.start(DEFAULT_ROOT_QUERY)
-        calls = template_calls(runner)
-        assert calls["select_chains"] == 0
-        # Init's call, then one for each pass after the first.
-        assert calls["generate_queries"] == 1 + (state.iteration - 1) > 1
-        for record in audit_log(runner):
-            if record["name"] == "generate_queries":
-                assert _block(record["prompt"], "Pending Search Queries").strip() == "(none)"
+        assert state.stage == "done"
+        audit = audit_log(runner)
+        ends = [end for _, _, end, _ in runner.boundaries]
+        assert template_calls(runner)["generate_queries"] == 1
+        assert [r["name"] for r in audit[: ends[1]]][:2] == ["create_outline", "generate_queries"]
+        passes = [audit[a:b] for a, b in zip(ends[1:-2], ends[2:-1])]
+        assert len(passes) == state.iteration > 1
+        for t, records in enumerate(passes):
+            asks = [r for r in records if r["name"] == "select_chains"]
+            assert len(asks) == (t > 0)
+            for record in asks:
+                assert _block(record["prompt"], "Candidate Chains").strip() == "(none)"
+                answer = json.loads(record["response"])
+                assert answer["chains"] == answer["search queries"] == []
+                assert answer["outline queries"]
+                assert set(answer["outline queries"]) <= set(state.executed_queries)
+
+    def test_an_empty_graph_asks_select_chains_only_for_outline_queries(self):
+        state = _fresh_state(_config())
+        state.kg = KnowledgeGraph()
+        answer = '{"chains": [], "search queries": [], "outline queries": ["grid storage cost"]}'
+        providers = _pipeline_providers({}, {}, [])  # any chat call fails
+        assert orchestrator.gen_queries_from_kg(state, providers) == ([], [], [])
+        assert len(state.audit) == 0
+
+        providers = _pipeline_providers(
+            {}, {}, [ScriptEntry(["Candidate chains describe gaps"], [answer])]
+        )
+        outline_queries = ["earlier query"]
+        result = orchestrator.gen_queries_from_kg(state, providers, outline_queries)
+        assert result == ([], [], [])
+        assert outline_queries == ["earlier query", "grid storage cost"]
+        [record] = list(state.audit)
+        assert _block(record["prompt"], "Candidate Chains").strip() == "(none)"
 
     def test_outline_queries_over_the_budget_are_re_asked_and_never_searched(self, tmp_path):
         config, providers = _ci_world_run("dualgraph")

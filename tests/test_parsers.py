@@ -68,6 +68,10 @@ class TestTemplates:
         with pytest.raises(TemplateError):
             render_template("${A} ${B}", {"A": "1"})
 
+    def test_a_variable_no_placeholder_uses_rejected(self):
+        with pytest.raises(TemplateError, match="B"):
+            render_template("${A}", {"A": "1", "B": "2"})
+
     def test_unknown_template_rejected(self):
         with pytest.raises((TemplateError, FileNotFoundError)):
             load_template("no_such_template")
@@ -200,6 +204,21 @@ class TestParseChainSelection:
         doc = '{"chains": [], "search queries": ["a", "b"]}'
         with pytest.raises(BudgetExceeded):
             parse_chain_selection(doc, chain_num=1)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            '{"chains": ["chain_1", "chain_2"], "search queries": ["a b"]}',
+            '{"chains": ["chain_1"], "search queries": ["a b", "c d"]}',
+            '{"chains": [], "search queries": ["a b"]}',
+        ],
+    )
+    def test_chains_and_search_queries_must_pair_up(self, doc):
+        with pytest.raises(SchemaViolation, match="search queries"):
+            parse_chain_selection(doc, chain_num=4)
+        three_keys = doc[:-1] + ', "outline queries": []}'
+        with pytest.raises(SchemaViolation, match="search queries"):
+            parse_chain_selection(three_keys, chain_num=4, query_num=2)
 
     @pytest.mark.parametrize(
         "doc",

@@ -29,7 +29,7 @@ from dualgraph.simulate import (
     sim_providers,
 )
 
-from .builders import audit_log, dir_snapshot, keeps_only_uncommitted_audit
+from .builders import FailingAt, audit_log, dir_snapshot, keeps_only_uncommitted_audit
 
 
 class TestGenerateWorld:
@@ -247,36 +247,6 @@ class TestRunAblation:
         assert doc["n_seeds"] == 2
 
 
-class _FailingAt:
-    """Passes chat, embed, search or fetch calls through to ``inner`` and raises
-    ProviderError on call number ``at`` (from 1); None: never. A fetch fails with
-    the base ProviderError, not FetchError, so it stops the run like the others."""
-
-    def __init__(self, inner, at: int | None):
-        self.inner, self.at, self.calls = inner, at, 0
-
-    def _count(self) -> None:
-        self.calls += 1
-        if self.calls == self.at:
-            raise ProviderError(f"injected fault at call {self.at}")
-
-    def complete(self, prompt: str) -> str:
-        self._count()
-        return self.inner.complete(prompt)
-
-    def embed(self, texts):
-        self._count()
-        return self.inner.embed(texts)
-
-    def search(self, query: str, top_n: int):
-        self._count()
-        return self.inner.search(query, top_n)
-
-    def fetch(self, url: str) -> str:
-        self._count()
-        return self.inner.fetch(url)
-
-
 # (communities, cores, concepts per community, max_iter) of a sweep run.
 _SMALL_SWEEP = (2, 1, 2, 4)
 _CI_SWEEP = (3, 2, 4, 6)  # the console-script step's sim runs
@@ -287,7 +257,7 @@ _PAID = ("chat", "search", "fetch")  # the calls a resume replays rather than re
 
 def _sweep_run(run_dir, variant: str, size=_SMALL_SWEEP, **faults: int | None):
     """A sim run through Runner, with fresh providers, each counting its calls in
-    a ``_FailingAt``; ``faults`` maps ``chat``, ``embed``, ``search`` or ``fetch``
+    a ``FailingAt``; ``faults`` maps ``chat``, ``embed``, ``search`` or ``fetch``
     to the call that fails (None or absent: no fault)."""
     communities, cores, concepts, max_iter = size
     world = generate_world(seed=1, n_communities=communities, cores_per_community=cores,
@@ -296,7 +266,7 @@ def _sweep_run(run_dir, variant: str, size=_SMALL_SWEEP, **faults: int | None):
                        urls_per_query=6, early_stop_thresholds=90.0, variant=variant)
     providers = sim_providers(world, config.embed_dim, config.seed)
     providers = replace(providers, **{
-        name: _FailingAt(getattr(providers, name), faults.get(name))
+        name: FailingAt(getattr(providers, name), faults.get(name))
         for name in ("chat", "embed", "search", "fetch")
     })
     return Runner(config, providers, run_dir), world
