@@ -22,7 +22,9 @@ uninterrupted one. ``drive`` holds one state object: init_run and
 write_report change it in place, and only run_iteration clones. Every phase
 embeds through one memo above the provider ``drive`` is given, the state's
 ``embeddings`` (``rundir._EmbedOnce``), so each distinct text reaches
-``providers.embed`` at most once per run.
+``providers.embed`` at most once per run. That holds across faults too, as
+``Runner`` replays the embeds a failed attempt got, save one probe text per
+resume whose replay holds an embed (``rundir._Tape``).
 
 Besides adding to the memo, phases change a state in place in three ways
 only: they append to its four lists (executed queries, early-stop history,
@@ -698,9 +700,10 @@ class Runner:
         # what is left of the replay, so the next resume pays for none of it again.
         if state.stage == "done":  # a finished run needs no providers
             return state
-        tape = _Tape(self.providers, replay)
+        tape = _Tape(self.providers, replay, state.embeddings)
+        providers = replace(self.providers, chat=tape, search=tape, fetch=tape, embed=tape)
         try:
-            for state in drive(state, replace(self.providers, chat=tape, search=tape, fetch=tape)):
+            for state in drive(state, providers):
                 self._checkpoint(state)
                 tape.exchanges.clear()
                 tape.queue.clear()

@@ -15,15 +15,16 @@ rewritten: ``clear`` deletes them, and ``reopen`` cuts each in place where
 It starts from the committed memo, asks for the same texts in the same order
 as an uninterrupted run, and embeds only those the fault lost.
 
-Nor does a fault cost the chat, search and fetch answers its attempt already
-got. ``Runner`` keeps every such exchange made since the last checkpoint on a
-``_Tape``. When a ``ProviderError`` stops the run, it writes them to
-``replay.jsonl``, the only file a failure writes; a ``ParseError`` or
+Nor does a fault cost the chat, search, fetch and embed answers its attempt
+already got. ``Runner`` keeps every such exchange made since the last
+checkpoint on a ``_Tape``. When a ``ProviderError`` stops the run, it writes
+them to ``replay.jsonl``, the only file a failure writes; a ``ParseError`` or
 ``ConfigError`` writes nothing, so a bad answer is never replayed. A resume
 serves each call whose kind and request equal the next recorded exchange from
 the file, with no provider call; the first call that differs drops the rest.
 The first checkpoint deletes the file, so a finished run directory holds none.
-Embed calls stay off the tape: the memo in ``embed.jsonl`` covers them.
+An embed line's rows use ``embed.jsonl``'s codec; before the first of them is
+served, one probe text checks that the embedder has their width.
 """
 
 from __future__ import annotations
@@ -45,8 +46,8 @@ from .evidence import EvidenceBank, EvidenceUnit
 from .kg import KnowledgeGraph
 from .providers.base import FetchError, Providers, SearchResult
 from .providers.parsers import (
-    _require_bool, _require_int, _require_list, _require_object, _require_scores, _require_str,
-    _require_strings,
+    ParseError, _require_bool, _require_int, _require_list, _require_object, _require_scores,
+    _require_str, _require_strings,
 )
 
 __all__ = ["EarlyStopReport", "Audit", "RunDir", "FORMAT_VERSION", "state_document"]
@@ -145,10 +146,26 @@ def _records(log, count: int) -> Iterator:
         log.seek(1, os.SEEK_CUR)
 
 
+def _vector(row: np.ndarray) -> str:
+    """The one codec of a stored embed row: the base64 of its little-endian float64 bytes."""
+    return base64.b64encode(row.astype("<f8").tobytes()).decode("ascii")
+
+
+def _row(vector, what: str, width: int | None) -> np.ndarray:
+    """The row ``_vector`` encoded as ``vector``, of ``width`` floats unless None;
+    one that is not the base64 of whole float64s is a ValueError."""
+    raw = base64.b64decode(_require_str(vector, what), validate=True)
+    if not raw or len(raw) % 8:
+        raise ValueError(f"{what} is {len(raw)} bytes, not a multiple of 8")
+    if width is not None and len(raw) != 8 * width:
+        raise ValueError(f"{what} holds {len(raw) // 8} floats, not {width} as before")
+    return np.frombuffer(raw, dtype="<f8")
+
+
 def _embed_record(entry: tuple[str, np.ndarray]) -> dict:
-    """An embed.jsonl line: the text and the base64 of its row's little-endian float64 bytes."""
+    """An embed.jsonl line: the text and its row's ``_vector``."""
     text, row = entry
-    return {"text": text, "vector": base64.b64encode(row.astype("<f8").tobytes()).decode("ascii")}
+    return {"text": text, "vector": _vector(row)}
 
 
 def _embeddings(records: list) -> dict[str, np.ndarray]:
@@ -163,34 +180,34 @@ def _embeddings(records: list) -> dict[str, np.ndarray]:
     for i, record in enumerate(records):
         record = _require_object(record, f"record {i}", {"text", "vector"})
         text = _require_str(record["text"], f"record {i} text", allow_empty=True)
-        raw = base64.b64decode(_require_str(record["vector"], f"record {i} vector"), validate=True)
+        row = _row(record["vector"], f"record {i} vector", width)
         if text in rows:
             raise ValueError(f"record {i} repeats the text {text!r}")
-        if not raw or len(raw) % 8:
-            raise ValueError(f"record {i} vector is {len(raw)} bytes, not a multiple of 8")
-        width = width or len(raw)
-        if len(raw) != width:
-            raise ValueError(f"record {i} vector is {len(raw)} bytes, record 0's is {width}")
-        rows[text] = np.frombuffer(raw, dtype="<f8")
+        width = len(row)
+        rows[text] = row
     return rows
 
 
 def _replay_record(exchange: tuple) -> dict:
     """The replay.jsonl line of a (kind, request, answer) exchange: exactly
     ``kind``, ``request`` and ``answer``, or ``error`` with the message of a
-    fetch's ``FetchError``. A search's results are written as objects."""
+    fetch's ``FetchError``. A search's results are written as objects, an
+    embed's rows each as its ``_vector``."""
     kind, request, answer = exchange
     if isinstance(answer, FetchError):
         return {"kind": kind, "request": request, "error": str(answer)}
     if kind == "search":
         answer = [asdict(r) for r in answer]
+    elif kind == "embed":
+        answer = list(map(_vector, answer))
     return {"kind": kind, "request": request, "answer": answer}
 
 
 def _replay_exchanges(log) -> list[tuple]:
     """The exchanges a replay.jsonl opened as bytes holds, as ``_Tape`` keeps them;
-    a damaged line is a ValueError."""
+    a damaged line is a ValueError. Every embed row must have the first one's width."""
     exchanges = []
+    width = None
     for i, line in enumerate(log):
         what = f"record {i}"
         record = json.loads(line.decode("utf-8"))
@@ -203,11 +220,14 @@ def _replay_exchanges(log) -> list[tuple]:
             _require_int(request["top_n"], f"{what} top_n")
         elif kind in ("chat", "fetch"):
             _require_str(request, f"{what} request", allow_empty=True)
+        elif kind == "embed":
+            if not _require_strings(request, f"{what} request"):
+                raise ValueError(f"{what}: an embed exchange asks for no text")
         else:
             raise ValueError(f"{what}: unknown kind {kind!r}")
         if outcome == "error":
             if kind != "fetch":
-                raise ValueError(f"{what}: a {kind} exchange records no error")
+                raise ValueError(f"{what}: only a fetch exchange records an error, not a {kind}")
             answer = FetchError(_require_str(answer, f"{what} error", allow_empty=True))
         elif kind == "search":
             results = []
@@ -218,6 +238,15 @@ def _replay_exchanges(log) -> list[tuple]:
                 _require_int(r["rank"], f"{what} result {rank} rank")
                 results.append(SearchResult(**r))
             answer = results
+        elif kind == "embed":
+            vectors = _require_list(answer, f"{what} answer")
+            if len(vectors) != len(request):
+                raise ValueError(f"{what} answers {len(request)} texts with {len(vectors)} rows")
+            rows = []
+            for r, vector in enumerate(vectors):
+                rows.append(_row(vector, f"{what} row {r}", width))
+                width = len(rows[-1])
+            answer = np.array(rows)
         else:
             _require_str(answer, f"{what} answer", allow_empty=True)
         exchanges.append((kind, request, answer))
@@ -246,14 +275,33 @@ def state_document(state) -> dict:
     }
 
 
+def _embed_rows(embedder, texts: list[str]) -> np.ndarray:
+    """``embedder``'s float64 rows for ``texts``. An answer that is not 2-D, with
+    one row per text and at least one column, is a ParseError."""
+    rows = np.asarray(embedder.embed(texts), dtype=np.float64)
+    if rows.ndim != 2 or len(rows) != len(texts) or not rows.shape[1]:
+        raise ParseError(
+            f"the embedder answered {len(texts)} texts with an array of shape {rows.shape}"
+        )
+    return rows
+
+
+def _check_width(name: str, held: int, returned: int) -> None:
+    if held != returned:
+        raise ConfigError(
+            f"{name} holds vectors of width {held}, but the embedder returns width {returned}"
+        )
+
+
 class _EmbedOnce:
     """An embedder that sends ``inner`` only the texts ``rows`` lacks.
 
     Each call sends the texts not seen before in one batch, and no call when
     there are none, and adds their float64 rows to ``rows`` in request order;
-    it returns a fresh array, so a caller may change its rows. Rows of another
-    width than those ``rows`` holds are a ConfigError: a resume was given an
-    embedder other than the one that wrote ``embed.jsonl``.
+    it returns a fresh array, so a caller may change its rows. A malformed
+    answer is a ParseError, and rows of another width than those ``rows``
+    holds are a ConfigError (a resume was given an embedder other than the
+    one that wrote ``embed.jsonl``); either is raised before ``rows`` changes.
     """
 
     def __init__(self, inner, rows: dict[str, np.ndarray]):
@@ -264,34 +312,43 @@ class _EmbedOnce:
         rows = self._rows
         misses = list(dict.fromkeys(t for t in texts if t not in rows))
         if misses:
-            new = np.asarray(self.inner.embed(misses), dtype=np.float64)
+            new = _embed_rows(self.inner, misses)
             first = next(iter(rows.values()), None)
-            if first is not None and len(first) != new.shape[1]:
-                raise ConfigError(
-                    f"{EMBED_LOG} holds vectors of width {len(first)}, "
-                    f"but the embedder returns width {new.shape[1]}"
-                )
+            if first is not None:
+                _check_width(EMBED_LOG, len(first), new.shape[1])
             rows.update(zip(misses, new))
         return np.array([rows[t] for t in texts])
 
 
 class _Tape:
-    """Chat, search and fetch over ``inner`` that keep every exchange they make.
+    """Chat, search, fetch and embed over ``inner`` that keep every exchange they make.
 
     ``exchanges`` holds each call's (kind, request, answer) in call order; a
-    fetch's ``FetchError`` is its answer, re-raised to the caller. A call whose
-    kind and request equal the head of ``queue`` takes the head's answer and
-    never reaches ``inner``; the first call that does not drops the whole queue.
+    fetch's ``FetchError`` is its answer, re-raised to the caller, and an
+    embed's answer is its float64 rows, a malformed one being a ParseError
+    that is never kept. A call whose kind and request equal the head of
+    ``queue`` takes the head's answer and never reaches ``inner``; the first
+    call that does not drops the whole queue.
+
+    Before the first embed answer it takes from ``queue``, the tape sends
+    ``inner`` that exchange's first text, which no committed row holds, and
+    checks the probe row's width against ``rows``, the committed memo, or
+    against the queued rows when nothing is committed. So an embedder of
+    another width is a ConfigError before any replayed row is used, and a
+    queue with no embed costs no probe.
     """
 
-    def __init__(self, inner: Providers, queue: Iterable[tuple] = ()):
+    def __init__(self, inner: Providers, queue: Iterable[tuple], rows: dict[str, np.ndarray]):
         self.inner = inner
         self.queue = deque(queue)
         self.exchanges: list[tuple] = []
+        self._unprobed: dict | None = rows  # the committed memo, until the probe has run
 
     def _call(self, kind: str, request, ask: Callable, *args):
         queue = self.queue
         if queue and queue[0][0] == kind and queue[0][1] == request:
+            if kind == "embed" and self._unprobed is not None:
+                self._probe(request[:1], queue[0][2])
             answer = queue.popleft()[2]
         else:
             queue.clear()
@@ -304,6 +361,14 @@ class _Tape:
             raise answer
         return answer
 
+    def _probe(self, texts: list[str], replayed: np.ndarray) -> None:
+        committed, self._unprobed = self._unprobed, None
+        width = _embed_rows(self.inner.embed, texts).shape[1]
+        if committed:
+            _check_width(EMBED_LOG, len(next(iter(committed.values()))), width)
+        else:
+            _check_width(REPLAY_FILE, replayed.shape[1], width)
+
     def complete(self, prompt: str) -> str:
         return self._call("chat", prompt, self.inner.chat.complete, prompt)
 
@@ -313,6 +378,10 @@ class _Tape:
 
     def fetch(self, url: str) -> str:
         return self._call("fetch", url, self.inner.fetch.fetch, url)
+
+    def embed(self, texts: Sequence[str]) -> np.ndarray:
+        request = list(texts)
+        return self._call("embed", request, _embed_rows, self.inner.embed, request)
 
 
 class RunDir:

@@ -11,7 +11,10 @@ RUN_DIR with fresh providers and exits non-zero with a message unless the resume
 
 - sends the embedder no text that the committed ``embed.jsonl`` holds,
 - makes exactly the chat calls that FRESH_DIR's ``audit.jsonl`` holds past the
-  committed ones, less the chat answers ``replay.jsonl`` holds, and
+  committed ones, less the chat answers ``replay.jsonl`` holds,
+- sends the embedder exactly as many texts as FRESH_DIR's ``embed.jsonl``
+  holds past the committed ones, less the texts of ``replay.jsonl``'s embed
+  lines, plus one probe text when it holds an embed line, and
 - finishes the run.
 
 ``tests/test_resume_processes.py`` runs these with the hash seed pinned,
@@ -51,10 +54,10 @@ class _Failing:
 
 
 class _Checked:
-    """Chat and embed over ``inner`` that count prompts and refuse committed texts."""
+    """Chat and embed over ``inner`` that count prompts and texts, and refuse committed texts."""
 
     def __init__(self, inner, committed: set[str]):
-        self.inner, self.committed, self.prompts = inner, committed, 0
+        self.inner, self.committed, self.prompts, self.texts = inner, committed, 0, 0
 
     def complete(self, prompt):
         self.prompts += 1
@@ -64,6 +67,7 @@ class _Checked:
         again = self.committed.intersection(texts)
         if again:
             sys.exit(f"resume re-embedded committed texts: {sorted(again)}")
+        self.texts += len(texts)
         return self.inner.embed(texts)
 
 
@@ -76,15 +80,20 @@ def _resume(config: RunConfig, providers, run_dir: Path, fresh: Path) -> None:
     doc = json.loads((run_dir / "state.json").read_text(encoding="utf-8"))
     with open(run_dir / "embed.jsonl", encoding="utf-8") as log:
         committed = {json.loads(line)["text"] for line in islice(log, doc["embedded_texts"])}
+    replay = _lines(run_dir / "replay.jsonl") if (run_dir / "replay.jsonl").exists() else []
+    embeds = [r for r in replay if r["kind"] == "embed"]
     want = len(_lines(fresh / "audit.jsonl")) - doc["audit_records"]
-    if (run_dir / "replay.jsonl").exists():
-        want -= sum(r["kind"] == "chat" for r in _lines(run_dir / "replay.jsonl"))
+    want -= sum(r["kind"] == "chat" for r in replay)
+    want_texts = len(_lines(fresh / "embed.jsonl")) - doc["embedded_texts"]
+    want_texts -= sum(len(r["request"]) for r in embeds) - bool(embeds)
     chat = providers.chat = _Checked(providers.chat, committed)
-    providers.embed = _Checked(providers.embed, committed)
+    embed = providers.embed = _Checked(providers.embed, committed)
     if Runner(config, providers, run_dir).resume().stage != "done":
         sys.exit("the resume did not finish")
     if chat.prompts != want:
         sys.exit(f"the resume made {chat.prompts} chat calls, not {want}")
+    if embed.texts != want_texts:
+        sys.exit(f"the resume sent the embedder {embed.texts} texts, not {want_texts}")
 
 
 def main(mode: str, run_dir: str, *fresh: str) -> None:

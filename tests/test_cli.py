@@ -152,6 +152,18 @@ def _replay(line: str):
     return lambda text: _REPLAYED_CHAT + line + "\n"
 
 
+def _embed_line(request, answer=None, **outcome) -> str:
+    """A replay.jsonl embed line; an answer row given as an int is that many
+    float64 ones, base64 as replay.jsonl holds them."""
+    if answer is not None:
+        outcome["answer"] = [
+            base64.b64encode((b"\x00" * 6 + b"\xf0\x3f") * row).decode("ascii")
+            if isinstance(row, int) else row
+            for row in answer
+        ]
+    return json.dumps({"kind": "embed", "request": request, **outcome})
+
+
 # (command, file, damage): a committed file that no longer parses.
 DAMAGED_FILES = {
     "resume-torn-audit-record": ("resume", "audit.jsonl", _tear_first_record),
@@ -263,8 +275,31 @@ DAMAGED_FILES = {
     "resume-negative-embedded-texts": ("resume", "state.json", _set_state("embedded_texts", -1)),
     "resume-replay-torn-line": ("resume", "replay.jsonl", _replay('{"kind": "chat", "requ')),
     "resume-replay-unknown-kind": (
-        "resume", "replay.jsonl", _replay('{"kind": "embed", "request": "p", "answer": "a"}')
+        "resume", "replay.jsonl", _replay('{"kind": "rerank", "request": "p", "answer": "a"}')
     ),
+    "resume-replay-embed-request-a-string": (
+        "resume", "replay.jsonl", _replay(_embed_line("t", [1]))
+    ),
+    "resume-replay-embed-request-holds-a-number": (
+        "resume", "replay.jsonl", _replay(_embed_line(["t", 7], [1, 1]))
+    ),
+    "resume-replay-embed-row-missing": (
+        "resume", "replay.jsonl", _replay(_embed_line(["a", "b"], [1]))
+    ),
+    "resume-replay-embed-row-not-whole-floats": (
+        "resume", "replay.jsonl", _replay(_embed_line(["t"], ["AAAA"]))
+    ),
+    "resume-replay-embed-row-not-base64": (
+        "resume", "replay.jsonl", _replay(_embed_line(["t"], ["not base64!"]))
+    ),
+    "resume-replay-embed-rows-of-unequal-width": (
+        "resume", "replay.jsonl", _replay(_embed_line(["a", "b"], [1, 2]))
+    ),
+    "resume-replay-embed-lines-of-unequal-width": (
+        "resume", "replay.jsonl",
+        _replay(_embed_line(["a"], [1]) + "\n" + _embed_line(["b"], [2])),
+    ),
+    "resume-replay-embed-error": ("resume", "replay.jsonl", _replay(_embed_line(["t"], error="e"))),
     "resume-replay-extra-key": (
         "resume", "replay.jsonl", _replay('{"kind": "chat", "request": "p", "answer": "a", "x": 1}')
     ),

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import base64
 import json
 import logging
 import random
@@ -939,15 +940,27 @@ class _DownChat:
 
 
 class _Recording:
-    """Chat, search and fetch over ``inner`` that keep each answered call as the
-    record replay.jsonl holds for it."""
+    """Chat, search, fetch and embed over ``inner`` that keep each answered call
+    as the record replay.jsonl holds for it."""
 
     def __init__(self, inner: Providers):
         self.inner = inner
         self.records: list[dict] = []
 
     def providers(self) -> Providers:
-        return replace(self.inner, chat=self, search=self, fetch=self)
+        return replace(self.inner, chat=self, search=self, fetch=self, embed=self)
+
+    def embed(self, texts):
+        rows = self.inner.embed.embed(texts)
+        self.records.append({
+            "kind": "embed",
+            "request": list(texts),
+            "answer": [
+                base64.b64encode(np.asarray(row, dtype="<f8").tobytes()).decode("ascii")
+                for row in rows
+            ],
+        })
+        return rows
 
     def complete(self, prompt):
         response = self.inner.chat.complete(prompt)
@@ -974,8 +987,21 @@ class _Recording:
 
 
 def _replay_records(run_dir: Path) -> list[dict]:
+    """The records of replay.jsonl; none when a run directory holds no replay."""
+    if not (run_dir / "replay.jsonl").exists():
+        return []
     with open(run_dir / "replay.jsonl", encoding="utf-8") as log_file:
         return [json.loads(line) for line in log_file]
+
+
+def _probe(records: list[dict]) -> list[dict]:
+    """The record of the probe a resume sends before replaying ``records``: the
+    first text of their first embed, and its row; none when they hold no embed."""
+    embeds = [r for r in records if r["kind"] == "embed"]
+    return [
+        {"kind": "embed", "request": r["request"][:1], "answer": r["answer"][:1]}
+        for r in embeds[:1]
+    ]
 
 
 class TestResumeWritesOnlyWhatTheFaultLost:
@@ -1006,7 +1032,7 @@ class TestResumeWritesOnlyWhatTheFaultLost:
         assert files == snapshots[-1]
         # It writes down every answer the second pass got before the failure.
         spilled = recording.records[recorded[-1]:]
-        assert {r["kind"] for r in spilled} == {"chat", "search", "fetch"}
+        assert {r["kind"] for r in spilled} == {"chat", "search", "fetch", "embed"}
         assert _replay_records(run_dir) == spilled
 
     def test_resume_cuts_the_uncommitted_tail_in_place(self, tmp_path):
@@ -1303,6 +1329,29 @@ def _kg_providers(embed, chat_response: str) -> Providers:
     )
 
 
+class _MalformedEmbedAt:
+    """An embedder over ``inner`` whose call ``at`` answers ``malform`` of its
+    rows, keeping the texts of that call in ``malformed``."""
+
+    def __init__(self, inner, at: int, malform):
+        self.inner, self.at, self.malform, self.calls = inner, at, malform, 0
+        self.malformed: list[str] = []
+
+    def embed(self, texts):
+        self.calls += 1
+        rows = np.asarray(self.inner.embed(texts))
+        if self.calls != self.at:
+            return rows
+        self.malformed = list(texts)
+        return self.malform(rows)
+
+
+MALFORMED_EMBEDS = {
+    "a-row-short": lambda rows: rows[:-1],
+    "one-dimensional": lambda rows: rows[:, 0],
+}
+
+
 class TestEmbedOnce:
     def test_pass_adding_no_node_embeds_nothing(self):
         state = _graph_state("battery cost", "pumped hydro")
@@ -1530,6 +1579,28 @@ class TestEmbedEachTextOnce:
         assert list(rows) == ["grid"]
         np.testing.assert_array_equal(memo.embed(["grid"]), [rows["grid"]])
 
+    @pytest.mark.parametrize("malform", MALFORMED_EMBEDS.values(), ids=MALFORMED_EMBEDS)
+    @pytest.mark.parametrize("taped", [False, True], ids=["memo", "memo-over-tape"])
+    def test_a_malformed_answer_is_a_parse_error_that_adds_nothing(self, malform, taped):
+        rows = dict(zip(["grid"], HashEmbeddingProvider(dim=8).embed(["grid"])))
+        inner = _MalformedEmbedAt(HashEmbeddingProvider(dim=8), 1, malform)
+        tape = rundir._Tape(_kg_providers(inner, _NO_MERGE), (), rows)
+        memo = orchestrator._EmbedOnce(tape if taped else inner, rows)
+        with pytest.raises(ParseError, match="embedder answered 2 texts"):
+            memo.embed(["grid", "cost", "hydro"])
+        assert list(rows) == ["grid"] and tape.exchanges == []
+
+    @pytest.mark.parametrize("malform", MALFORMED_EMBEDS.values(), ids=MALFORMED_EMBEDS)
+    def test_a_runs_malformed_answer_reaches_no_file(self, tmp_path, malform):
+        config, providers = _ci_world_run("dualgraph")
+        embed = providers.embed = _MalformedEmbedAt(providers.embed, 5, malform)
+        with pytest.raises(ParseError, match="embedder answered"):
+            Runner(config, providers, tmp_path).start(DEFAULT_ROOT_QUERY)
+        with open(tmp_path / "embed.jsonl", encoding="utf-8") as log_file:
+            written = {json.loads(line)["text"] for line in log_file}
+        assert written and not written & set(embed.malformed)
+        assert not (tmp_path / "replay.jsonl").exists()
+
 
 def _committed_texts(run_dir: Path) -> list[str]:
     """The texts of the lines of embed.jsonl that state.json commits."""
@@ -1567,6 +1638,8 @@ class TestResumeEmbedsOnlyWhatTheFaultLost:
         with pytest.raises(ProviderError):
             Runner(config, providers, run_dir).start(DEFAULT_ROOT_QUERY)
         committed = _committed_texts(run_dir)
+        replay = _replay_records(run_dir)
+        replayed = [text for r in replay if r["kind"] == "embed" for text in r["request"]]
 
         # A fresh process: new providers, and the memo only from the run directory.
         config, providers = _ci_world_run("dualgraph")
@@ -1576,7 +1649,11 @@ class TestResumeEmbedsOnlyWhatTheFaultLost:
         sent = [text for _, batch in embed.batches for text in batch]
         assert not set(committed) & set(sent)
         assert len(sent) == len(set(sent))
-        assert _committed_texts(run_dir) == committed + sent
+        # The resume sends one probe text, the first the replay's embeds hold,
+        # and then only what neither the memo nor the replay holds.
+        probe = [text for r in _probe(replay) for text in r["request"]]
+        assert sent[:len(probe)] == probe
+        assert _committed_texts(run_dir) == committed + replayed + sent[len(probe):]
         assert dir_snapshot(tmp_path / "clean") == dir_snapshot(run_dir)
 
 
@@ -1642,8 +1719,9 @@ class TestResumeReplaysWhatTheFaultGot:
             runner.start(DEFAULT_ROOT_QUERY)
         spilled = (run_dir / "replay.jsonl").read_bytes()
 
-        # The resume's first embed call (the pass's new queries, which the memo
-        # lost) fails before any search of the replay is served.
+        # The resume's first embed call, the probe of the pass's new queries
+        # (which the memo lost), fails before any search of the replay is served.
+        replay = _replay_records(run_dir)
         runner, second = _replay_run(run_dir, embed_at=1)
         with pytest.raises(ProviderError):
             runner.resume()
@@ -1655,8 +1733,10 @@ class TestResumeReplaysWhatTheFaultGot:
         assert runner.resume().stage == "done"
         assert not (run_dir / "replay.jsonl").exists()
         assert dir_snapshot(run_dir) == dir_snapshot(tmp_path / "clean")
-        # No chat, search or fetch call is made twice.
-        assert first.records + third.records == clean.records
+        # No call is made twice: past the probe, the resume asks only what the replay lacks.
+        probe = _probe(replay)
+        assert probe and third.records[:1] == probe
+        assert first.records + third.records[1:] == clean.records
 
     def test_an_edited_request_drops_the_rest_of_the_replay(self, tmp_path, clean):
         clean, at = clean
@@ -1678,9 +1758,37 @@ class TestResumeReplaysWhatTheFaultGot:
         runner, resumed = _replay_run(run_dir)
         assert runner.resume().stage == "done"
         assert dir_snapshot(run_dir) == dir_snapshot(tmp_path / "clean")
-        # The records before the edited one are replayed; it and every later one are asked again.
+        # The records before the edited one are replayed, after the probe when an
+        # embed is among them; it and every later one are asked again.
         spilled = first.records[-len(records):]
-        assert resumed.records == spilled[k:] + clean.records[len(first.records):]
+        assert resumed.records == (
+            _probe(records[:k]) + spilled[k:] + clean.records[len(first.records):]
+        )
+
+    @pytest.mark.parametrize("committed", [False, True], ids=["replay-only", "committed"])
+    def test_one_probe_text_checks_the_width_and_the_replayed_rows_are_used(self, committed):
+        replayed = np.zeros((2, 8))
+        rows = {"grid": np.ones(8)} if committed else {}
+        embed = _RecordingEmbed(HashEmbeddingProvider(dim=8))
+        queue = [("embed", ["a", "b"], replayed)]
+        tape = rundir._Tape(_kg_providers(embed, _NO_MERGE), queue, rows)
+        assert tape.embed(["a", "b"]) is replayed
+        assert tape.embed(["c"]).shape == (1, 8)
+        assert embed.texts(None) == [["a"], ["c"]]
+
+    @pytest.mark.parametrize(
+        "committed, name", [(False, "replay.jsonl"), (True, "embed.jsonl")],
+        ids=["replay-only", "committed"],
+    )
+    def test_a_probe_of_another_width_uses_no_replayed_row(self, committed, name):
+        rows = {"grid": np.ones(8)} if committed else {}
+        queue = [("chat", "p", "a"), ("embed", ["a"], np.zeros((1, 8)))]
+        providers = _kg_providers(HashEmbeddingProvider(dim=4), _NO_MERGE)
+        tape = rundir._Tape(providers, queue, rows)
+        assert tape.complete("p") == "a"
+        with pytest.raises(ConfigError, match=f"{name} holds vectors of width 8.* width 4"):
+            tape.embed(["a"])
+        assert [e[0] for e in tape.exchanges] == ["chat"] and len(tape.queue) == 1
 
     def test_a_parse_error_spills_nothing(self, tmp_path):
         config, providers, root_query = _small_sim()

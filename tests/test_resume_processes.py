@@ -1,13 +1,16 @@
 """A run cut by a provider fault resumes in another process to the uninterrupted bytes.
 
-Each side is its own Python process (``sim_process.py``) with fresh
-providers and ``PYTHONHASHSEED=0``: community detection still follows set
-order. One uninterrupted run serves every cut mode.
+Each side is its own Python process with fresh providers and
+``PYTHONHASHSEED=0``: community detection still follows set order. Sim runs
+go through ``sim_process.py``, and one uninterrupted run serves every cut
+mode; demo runs go through the command line, ``python -m dualgraph.cli``.
 """
 
 from __future__ import annotations
 
+import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -16,19 +19,33 @@ import pytest
 
 import dualgraph
 
-from .builders import dir_snapshot
+from .builders import DEMO_FIXTURE, dir_snapshot
 
 SIM = Path(__file__).with_name("sim_process.py")
 PACKAGE_ROOT = Path(dualgraph.__file__).resolve().parents[1]
 
 
-def _run(*args) -> subprocess.CompletedProcess:
+def _process(*args) -> subprocess.CompletedProcess:
     path = os.pathsep.join(filter(None, [str(PACKAGE_ROOT), os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONHASHSEED": "0", "PYTHONPATH": path}
     return subprocess.run(
-        [sys.executable, str(SIM), *map(str, args)],
-        env=env, capture_output=True, text=True, timeout=120,
+        [sys.executable, *map(str, args)], env=env, capture_output=True, text=True, timeout=120,
     )
+
+
+def _run(*args) -> subprocess.CompletedProcess:
+    return _process(SIM, *args)
+
+
+def _cli(*args) -> subprocess.CompletedProcess:
+    return _process("-m", "dualgraph.cli", *args)
+
+
+def _edit_json(path: Path, edit) -> Path:
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    edit(doc)
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
 
 
 @pytest.fixture(scope="session")
@@ -49,3 +66,38 @@ def test_a_cut_run_resumes_in_another_process_to_the_uninterrupted_bytes(mode, f
     resumed = _run("resume", run_dir, fresh)
     assert resumed.returncode == 0, resumed.stderr
     assert dir_snapshot(run_dir) == dir_snapshot(fresh)
+
+
+def test_a_cut_demo_run_resumes_in_another_process_with_the_committed_embedder(tmp_path):
+    fresh, cut, narrow = tmp_path / "fresh", tmp_path / "cut", tmp_path / "cut-narrow"
+    assert _cli("run", "--run-dir", fresh).returncode == 0
+
+    # A run whose chat script runs dry at the first outline revision exits 2.
+    def run_dry(doc):
+        revise = [e for e in doc["chat_script"]
+                  if any("revising the outline" in m for m in e["match"])]
+        revise[0]["responses"] = []
+
+    dry = _edit_json(Path(shutil.copy(DEMO_FIXTURE, tmp_path / "cut.json")), run_dry)
+    done = _cli("run", "--fixture", dry, "--run-dir", cut)
+    assert done.returncode == 2, done.stderr
+
+    # A copy whose state.json commits embed_dim 16 exits 1 on resume, as its
+    # embed.jsonl holds width-32 rows, and changes no file.
+    shutil.copytree(cut, narrow)
+    _edit_json(narrow / "state.json", lambda doc: doc["config"].update(embed_dim=16))
+    before = dir_snapshot(narrow)
+    resumed = _cli("resume", "--run-dir", narrow)
+    assert resumed.returncode == 1, resumed.stderr
+    assert "embed.jsonl holds vectors of width 32" in resumed.stderr
+    assert dir_snapshot(narrow) == before
+
+    # A fixture carrying the retired embed_dim and embed_seed keys finishes the
+    # run to the fresh bytes: the embedder follows the committed config.
+    retired = _edit_json(
+        Path(shutil.copy(DEMO_FIXTURE, tmp_path / "retired-keys.json")),
+        lambda doc: doc.update(embed_dim=16, embed_seed=5),
+    )
+    resumed = _cli("resume", "--fixture", retired, "--run-dir", cut)
+    assert resumed.returncode == 0, resumed.stderr
+    assert dir_snapshot(cut) == dir_snapshot(fresh)
