@@ -14,6 +14,15 @@ Four chain families share one total budget N:
 Budget split: enrichment and each exploration family get floor(N/4); the
 remainder tops the lists up in the order enrichment, similarity, block,
 structural-hole. All orderings are total, so output is deterministic.
+
+``build_search_chains`` derives each per-node fact once per build: one sweep
+of the adjacency index (``community_degrees``) gives every node's degrees and
+bridging score and each community's members, and enrichment, block and
+structural-hole exploration all read it. No family ranks past the budget: the
+similarity Gram product is formed in row blocks under a running cut, and the
+structural-hole and block rankings are generated best first and stopped at
+their ``limit``. The families called alone compute what they need and return
+their full lists, which ``tests/oracles.py`` pins.
 """
 
 from __future__ import annotations
@@ -28,12 +37,14 @@ from itertools import groupby, islice
 import numpy as np
 
 from .kg import (
+    _GRAM_ROWS,
+    CommunityDegrees,
     CommunityPartition,
     EmbeddingMissingError,
     KnowledgeEdge,
     KnowledgeGraph,
     bridging_score,
-    degree_in_community,
+    community_degrees,
     gram_margin,
     node_importance,
 )
@@ -52,6 +63,7 @@ __all__ = [
     "explore_similarity",
     "explore_block",
     "explore_structural_holes",
+    "HoleRoles",
     "build_search_chains",
     "format_chains_for_prompt",
 ]
@@ -143,48 +155,41 @@ def rank_enrich(
     partition: CommunityPartition,
     evidence_threshold: int = 1,
     quota: int | None = None,
+    degrees: CommunityDegrees | None = None,
 ) -> list[SearchChain]:
     """Weakly-evidenced edges, zero-evidence edges always ahead of the rest.
 
     Both blocks order by descending score, ties by ascending edge id.
-    quota=None returns the full ranked pool.
+    quota=None returns the full ranked pool. ``degrees`` is the build's
+    ``community_degrees(kg, partition)``, computed here when not given.
     """
-    pool = [
-        eid
-        for eid in kg.edge_ids()
-        if len(kg.edges[eid].evidence_ids) <= evidence_threshold
-    ]
-    bscore: dict[str, float] = {}
-    scored: dict[str, float] = {}
-    for eid in pool:
-        e = kg.edges[eid]
-        for v in (e.source_id, e.target_id):
-            if v not in bscore:
-                bscore[v] = bridging_score(kg, partition, v)
-        # Same sum as cross_community_score, from one bridging score per node.
-        scored[eid] = _enrichment(kg, e, 0.5 * (bscore[e.source_id] + bscore[e.target_id]))
-    zero = [eid for eid in pool if not kg.edges[eid].evidence_ids]
-    rest = [eid for eid in pool if kg.edges[eid].evidence_ids]
-    # The pool is in edge id order and the sort is stable, so ties stay in it.
-    zero.sort(key=lambda eid: -scored[eid])
-    rest.sort(key=lambda eid: -scored[eid])
-    ordered = zero + rest
-    if quota is not None:
-        ordered = ordered[:quota]
-    chains = []
-    for eid in ordered:
-        e = kg.edges[eid]
-        chains.append(
-            SearchChain(
-                basis="enrichment",
-                source_id=e.source_id,
-                target_id=e.target_id,
-                relation=e.relation,
-                score=scored[eid],
-                edge_id=eid,
-            )
+    if degrees is None:
+        degrees = community_degrees(kg, partition)
+    bscore = degrees.bridging
+    pool = [e for e in kg.edges.values() if len(e.evidence_ids) <= evidence_threshold]
+    # Same sum as cross_community_score, from one bridging score per node.
+    scored = {
+        e.edge_id: _enrichment(kg, e, 0.5 * (bscore[e.source_id] + bscore[e.target_id]))
+        for e in pool
+    }
+    # The pool is in edge id order and nsmallest is a stable sort, so ties
+    # stay in it.
+    ordered = heapq.nsmallest(
+        len(pool) if quota is None else quota,
+        pool,
+        key=lambda e: (bool(e.evidence_ids), -scored[e.edge_id]),
+    )
+    return [
+        SearchChain(
+            basis="enrichment",
+            source_id=e.source_id,
+            target_id=e.target_id,
+            relation=e.relation,
+            score=scored[e.edge_id],
+            edge_id=e.edge_id,
         )
-    return chains
+        for e in ordered
+    ]
 
 
 @dataclass
@@ -206,36 +211,32 @@ class SbmBlockMatrix:
 
 
 def sbm_block_matrix(
-    kg: KnowledgeGraph, partition: CommunityPartition, alpha: float = 0.1
+    kg: KnowledgeGraph,
+    partition: CommunityPartition,
+    alpha: float = 0.1,
+    degrees: CommunityDegrees | None = None,
 ) -> SbmBlockMatrix:
     """B[i][j] = (actual_edges + alpha) / (possible_pairs + 2*alpha).
 
     Edges are counted on the undirected simple projection. Off-diagonal
     possible pairs are n_i * n_j; diagonal is n_i * (n_i - 1) / 2. Smoothing
     keeps every entry strictly inside (0, 1).
+
+    The edge counts are ``degrees.links``, whole numbers, and the matrix is
+    formed by array operations that round exactly as the formula does.
+    ``degrees`` is the build's ``community_degrees(kg, partition)``, computed
+    here when not given.
     """
-    comms = partition.communities()
-    labels = list(comms.keys())
-    sizes = {c: len(members) for c, members in comms.items()}
-    k = len(labels)
-    actual = np.zeros((k, k), dtype=float)
-    index = {c: i for i, c in enumerate(labels)}
-    for a, b in kg.undirected_pairs():
-        ca = partition.community_of(a)
-        cb = partition.community_of(b)
-        i, j = index[ca], index[cb]
-        actual[i, j] += 1.0
-        if i != j:
-            actual[j, i] += 1.0
-    matrix = np.zeros((k, k), dtype=float)
-    for i, ci in enumerate(labels):
-        for j, cj in enumerate(labels):
-            if i == j:
-                possible = sizes[ci] * (sizes[ci] - 1) / 2.0
-            else:
-                possible = float(sizes[ci] * sizes[cj])
-            matrix[i, j] = (actual[i, j] + alpha) / (possible + 2.0 * alpha)
-    return SbmBlockMatrix(labels=labels, matrix=matrix)
+    if degrees is None:
+        degrees = community_degrees(kg, partition)
+    k = len(degrees.members)
+    sizes = np.array([len(members) for members in degrees.members.values()], dtype=float)
+    possible = np.outer(sizes, sizes)
+    possible[np.diag_indices(k)] = sizes * (sizes - 1.0) / 2.0
+    return SbmBlockMatrix(
+        labels=list(degrees.members),
+        matrix=(degrees.links + alpha) / (possible + 2.0 * alpha),
+    )
 
 
 def bernoulli_entropy(p: float) -> float:
@@ -250,35 +251,40 @@ def explore_similarity(kg: KnowledgeGraph, quota: int | None = None) -> list[Sea
 
     Ranked by descending cosine, ties by ascending node ids. quota=None returns
     every such pair, otherwise the first quota of that ranking. Each score is
-    the per-pair ``np.dot``; one matrix product only narrows down the pairs
-    that can reach the quota. Every node must already carry an embedding.
+    the per-pair ``np.dot``; the Gram product only narrows down the pairs that
+    can reach the quota. Every node must already carry an embedding.
     """
     ids = kg.node_ids()
     for nid in ids:
         if kg.nodes[nid].embedding is None:
             raise EmbeddingMissingError(f"node {nid} has no embedding")
+    if quota is not None and quota <= 0:
+        return []
     cores = [v for v in ids if kg.nodes[v].is_core_entity]
     concepts = [v for v in ids if not kg.nodes[v].is_core_entity]
     column = {k: j for j, k in enumerate(concepts)}
-    unlinked = np.ones((len(cores), len(concepts)), dtype=bool)
-    for i, c in enumerate(cores):
-        for k in kg.neighbors(c):
-            if k in column:
-                unlinked[i, column[k]] = False
-
-    if quota is not None and quota < int(unlinked.sum()):
-        if quota <= 0:
-            return []
-        core_vecs = np.array([kg.nodes[c].embedding for c in cores])
-        concept_vecs = np.array([kg.nodes[k].embedding for k in concepts])
-        approx = np.where(unlinked, core_vecs @ concept_vecs.T, -np.inf)
-        cut = np.partition(approx, -quota, axis=None)[-quota]
-        unlinked &= approx >= cut - gram_margin(core_vecs, concept_vecs)
+    adjacency = kg.adjacency
+    linked = np.array(
+        [(i, column[k]) for i, c in enumerate(cores) for k in adjacency.get(c, ()) if k in column],
+        dtype=np.intp,
+    ).reshape(-1, 2)
+    if quota is None or quota >= len(cores) * len(concepts) - len(linked):
+        # Every unlinked pair makes the cut.
+        unlinked = np.ones((len(cores), len(concepts)), dtype=bool)
+        unlinked[linked[:, 0], linked[:, 1]] = False
+        pairs = zip(*np.nonzero(unlinked))
+    else:
+        pairs = _closest_unlinked(
+            np.array([kg.nodes[c].embedding for c in cores]),
+            np.array([kg.nodes[k].embedding for k in concepts]),
+            linked,
+            quota,
+        )
 
     # Row and column order is numeric node order, so indices break ties.
     candidates: list[tuple[float, int, int]] = [
         (float(np.dot(kg.nodes[cores[i]].embedding, kg.nodes[concepts[j]].embedding)), i, j)
-        for i, j in zip(*np.nonzero(unlinked))
+        for i, j in pairs
     ]
     candidates.sort(key=lambda t: (-t[0], t[1], t[2]))
     if quota is not None:
@@ -293,6 +299,46 @@ def explore_similarity(kg: KnowledgeGraph, quota: int | None = None) -> list[Sea
         )
         for sim, i, j in candidates
     ]
+
+
+def _closest_unlinked(
+    a: np.ndarray, b: np.ndarray, linked: np.ndarray, quota: int
+) -> Iterator[tuple[int, int]]:
+    """(row, column) of every pair not in ``linked`` whose entry of ``a @ b.T``
+    is no lower than the quota-th highest such entry less ``gram_margin``.
+    ``linked`` holds (row, column) pairs in ascending row order, and more than
+    quota pairs are not linked.
+
+    The product is formed ``_GRAM_ROWS`` rows at a time. A running cut, the
+    quota-th highest entry of the pairs kept so far, drops a pair once it falls
+    more than the margin below it. That cut never passes the final one, and
+    the pairs above it stay kept, so the last cut is the final one and the
+    pairs kept are the same as from the whole product.
+    """
+    margin = gram_margin(a, b)
+    cut = -np.inf
+    kept_rows, kept_cols, kept_vals = np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0)
+    for start in range(0, len(a), _GRAM_ROWS):
+        gram = a[start : start + _GRAM_ROWS] @ b.T
+        lo, hi = np.searchsorted(linked[:, 0], [start, start + len(gram)])
+        gram[linked[lo:hi, 0] - start, linked[lo:hi, 1]] = -np.inf
+        best = gram.max(axis=1)
+        if len(best) >= quota:
+            # Each row's best entry is a distinct entry, so the quota-th best
+            # of them is no higher than the quota-th best entry.
+            cut = max(cut, np.partition(best, -quota)[-quota])
+        # Never below the lowest float, so a linked pair's -inf never passes.
+        floor = max(cut - margin, np.finfo(gram.dtype).min)
+        hot = np.flatnonzero(best >= floor)
+        r, c = np.nonzero(gram[hot] >= floor)
+        kept_rows = np.concatenate([kept_rows, hot[r] + start])
+        kept_cols = np.concatenate([kept_cols, c])
+        kept_vals = np.concatenate([kept_vals, gram[hot[r], c]])
+        if len(kept_vals) > quota:
+            cut = np.partition(kept_vals, -quota)[-quota]
+            keep = kept_vals >= cut - margin
+            kept_rows, kept_cols, kept_vals = kept_rows[keep], kept_cols[keep], kept_vals[keep]
+    return zip(kept_rows.tolist(), kept_cols.tolist())
 
 
 def _cross_pairs(
@@ -317,6 +363,7 @@ def explore_block(
     quota: int,
     exclude_pairs: Container[tuple[str, str]] = frozenset(),
     limit: int | None = None,
+    degrees: CommunityDegrees | None = None,
 ) -> list[SearchChain]:
     """Cross-community non-edges split between likely and uncertain links.
 
@@ -330,27 +377,33 @@ def explore_block(
     communities. Both rankings therefore walk community pairs best first and,
     within a run of equal values, merge those community pairs' node pairs in
     numeric order, producing only as many as the returned list needs.
+    ``degrees`` is the build's ``community_degrees(kg, partition)``, computed
+    here when not given.
     """
+    if degrees is None:
+        degrees = community_degrees(kg, partition)
     ids = kg.node_ids()
     rank = {v: i for i, v in enumerate(ids)}  # numeric node order
-    members: dict[int, list[str]] = {}
-    for v in ids:
-        members.setdefault(partition.community_of(v), []).append(v)
-    labels = sorted(members)
-    prob = {
-        (c, d): block.prob(c, d) for i, c in enumerate(labels) for d in labels[i + 1 :]
-    }
-    entropy = {cd: bernoulli_entropy(p) for cd, p in prob.items()}
-    linked: dict[str, set[str]] = {}
+    groups = list(degrees.members.values())
+    # Community pairs (i, j), i < j, as two index arrays in row-major order.
+    first, second = np.nonzero(~np.tri(len(groups), dtype=bool))
+    at = np.array([block._index[c] for c in degrees.members], dtype=np.intp)
+    prob = block.matrix[at[first], at[second]]
+    # Many community pairs share a probability; each distinct one is a float
+    # that bernoulli_entropy sees once.
+    distinct, inverse = np.unique(prob, return_inverse=True)
+    entropy = np.array([bernoulli_entropy(p) for p in distinct.tolist()])[inverse]
+    first, second = first.tolist(), second.tolist()
+    adjacency = kg.adjacency
 
-    def ranked(value: dict[tuple[int, int], float]) -> Iterator[tuple[str, str, float]]:
-        best_first = sorted(value, key=lambda cd: -value[cd])
-        for v, tied in groupby(best_first, key=value.__getitem__):
-            runs = [_cross_pairs(members[c], members[d], rank) for c, d in tied]
+    def ranked(value: np.ndarray) -> Iterator[tuple[str, str, float]]:
+        scores = value.tolist()
+        # A stable sort, so pairs of equal value stay in row-major order.
+        best_first = np.argsort(-value, kind="stable").tolist()
+        for v, tied in groupby(best_first, key=scores.__getitem__):
+            runs = [_cross_pairs(groups[first[t]], groups[second[t]], rank) for t in tied]
             for _, _, a, b in heapq.merge(*runs):
-                if a not in linked:
-                    linked[a] = kg.neighbors(a)
-                if b not in linked[a] and (a, b) not in exclude_pairs:
+                if b not in adjacency.get(a, ()) and (a, b) not in exclude_pairs:
                     yield a, b, v
 
     room = len(ids) ** 2 if limit is None else limit  # len(ids) ** 2 > every pair
@@ -387,50 +440,80 @@ def explore_block(
     ]
 
 
+class HoleRoles:
+    """Each community's structural-hole roles, from one build's degrees.
+
+    Bridges are the top-3 bridging scores among nodes with at least one
+    cross-community neighbor; hubs are the top-2 in-community degrees
+    excluding bridges; the representative is the highest in-community degree.
+    Ties go to the lower node id. Bridges and hubs are the community's
+    proposers.
+    """
+
+    def __init__(self, kg: KnowledgeGraph, degrees: CommunityDegrees) -> None:
+        rank = {v: i for i, v in enumerate(kg.nodes)}
+        bscore, inside = degrees.bridging, degrees.inside
+        self._bridging = bscore
+        self._adjacency = kg.adjacency
+        # (node, community) pairs. Members are in numeric order, and sorted
+        # and max keep the first of equal nodes, so ties go to the lower id.
+        self._proposers: list[tuple[str, int]] = []
+        self._representatives: list[tuple[str, int]] = []
+        for c, members in degrees.members.items():
+            crossing = [v for v in members if bscore[v] > 0.0]
+            bridges = sorted(crossing, key=bscore.__getitem__, reverse=True)[:3]
+            rest = [v for v in members if v not in bridges]
+            hubs = sorted(rest, key=inside.__getitem__, reverse=True)[:2]
+            self._proposers += [(a, c) for a in bridges + hubs]
+            self._representatives.append((max(members, key=inside.__getitem__), c))
+        self._proposers.sort(key=lambda ac: (-bscore[ac[0]], rank[ac[0]]))
+        self._representatives.sort(key=lambda bc: rank[bc[0]])
+        self._proposer_set = {a for a, _ in self._proposers}
+        self._representative_set = {b for b, _ in self._representatives}
+
+    def holes(self) -> Iterator[tuple[str, str, float]]:
+        """Every (proposer, other community's representative) non-edge with
+        the proposer's bridging score, best first: by that score, ties by
+        ascending node ids.
+
+        A pair that qualifies both ways, a proposer that is its community's
+        representative paired with a proposer that is the other's, is kept
+        once, oriented from the community with the lower label.
+        """
+        for a, ca in self._proposers:
+            nbrs = self._adjacency.get(a, ())
+            a_represents = a in self._representative_set
+            for b, cb in self._representatives:
+                if cb == ca or b in nbrs:
+                    continue
+                if a_represents and cb < ca and b in self._proposer_set:
+                    continue  # kept as (b, a)
+                yield a, b, self._bridging[a]
+
+    def __contains__(self, pair: tuple[str, str]) -> bool:
+        """Whether ``holes`` proposes this pair in either orientation, for an
+        unlinked pair of nodes in two communities."""
+        a, b = pair
+        return (a in self._proposer_set and b in self._representative_set) or (
+            b in self._proposer_set and a in self._representative_set
+        )
+
+
 def explore_structural_holes(
-    kg: KnowledgeGraph, partition: CommunityPartition
+    kg: KnowledgeGraph,
+    partition: CommunityPartition,
+    limit: int | None = None,
+    roles: HoleRoles | None = None,
 ) -> list[SearchChain]:
     """Bridge/hub nodes of one community paired with representatives of others.
 
-    Per community: bridges are the top-3 bridging scores among nodes with at
-    least one cross-community neighbor; hubs are the top-2 in-community degrees
-    excluding bridges; the representative is the highest in-community degree.
     Every (bridge-or-hub, other community's representative) non-edge is a
-    candidate; unordered duplicates collapse to their first occurrence. The
-    list ranks by the first node's bridging score, ties by ascending node ids.
-    Returns all candidates; callers truncate.
+    candidate (see ``HoleRoles``), scored by the first node's bridging score.
+    Returns the first ``limit`` candidates, or all of them when limit is None.
+    ``roles`` is the build's ``HoleRoles``, computed here when not given.
     """
-    comms = partition.communities()
-    num = {v: i for i, v in enumerate(kg.node_ids())}
-    bscore = {v: bridging_score(kg, partition, v) for v in partition.assignment}
-    din = {v: degree_in_community(kg, partition, v) for v in partition.assignment}
-
-    bridges: dict[int, list[str]] = {}
-    hubs: dict[int, list[str]] = {}
-    rep: dict[int, str] = {}
-    for c, members in comms.items():
-        crossing = [v for v in members if bscore[v] > 0.0]
-        crossing.sort(key=lambda v: (-bscore[v], num[v]))
-        bridges[c] = crossing[:3]
-        rest = [v for v in members if v not in bridges[c]]
-        rest.sort(key=lambda v: (-din[v], num[v]))
-        hubs[c] = rest[:2]
-        rep[c] = min(members, key=lambda v: (-din[v], num[v]))
-    linked = {a: kg.neighbors(a) for c in comms for a in bridges[c] + hubs[c]}
-
-    seen: set[tuple[str, str]] = set()
-    candidates: list[tuple[float, int, int, str, str]] = []
-    for c1 in comms:
-        for c2 in comms:
-            if c1 == c2:
-                continue
-            for a in bridges[c1] + hubs[c1]:
-                b = rep[c2]
-                if a == b or b in linked[a] or (a, b) in seen:
-                    continue
-                seen.update(((a, b), (b, a)))
-                candidates.append((bscore[a], num[a], num[b], a, b))
-    candidates.sort(key=lambda t: (-t[0], t[1], t[2]))
+    if roles is None:
+        roles = HoleRoles(kg, community_degrees(kg, partition))
     return [
         SearchChain(
             basis="structural_hole",
@@ -439,7 +522,7 @@ def explore_structural_holes(
             relation=EXPLORE_RELATION_HINT,
             score=score,
         )
-        for score, _, _, a, b in candidates
+        for a, b, score in islice(roles.holes(), limit)
     ]
 
 
@@ -447,19 +530,20 @@ class _ProposedElsewhere:
     """The node pairs the similarity and structural-hole families propose.
 
     Similarity proposes every unlinked pair of one core entity and one
-    concept. Block exploration only asks about unlinked pairs, so for it that
-    family is the rule "one core entity, one concept", not a list of pairs.
+    concept. Block exploration only asks about unlinked pairs of nodes in two
+    communities, so for it that family is the rule "one core entity, one
+    concept", and the structural-hole family is ``HoleRoles``'s rule, not a
+    list of pairs.
     """
 
-    def __init__(self, kg: KnowledgeGraph, holes: list[SearchChain]) -> None:
+    def __init__(self, kg: KnowledgeGraph, roles: HoleRoles) -> None:
         self._kg = kg
-        self._holes = {(c.source_id, c.target_id) for c in holes}
-        self._holes |= {(b, a) for a, b in self._holes}
+        self._roles = roles
 
     def __contains__(self, pair: tuple[str, str]) -> bool:
         a, b = pair
         nodes = self._kg.nodes
-        return nodes[a].is_core_entity != nodes[b].is_core_entity or pair in self._holes
+        return nodes[a].is_core_entity != nodes[b].is_core_entity or pair in self._roles
 
 
 def build_search_chains(
@@ -474,21 +558,30 @@ def build_search_chains(
     number the final concatenation.
     """
     plan = allocate_quotas(config.total)
+    # One sweep of the adjacency index serves every family, and the hole roles
+    # serve both the hole family and the block family's exclusions.
+    degrees = community_degrees(kg, partition)
+    roles = HoleRoles(kg, degrees)
     # No family can fill more than the whole budget, so every ranking is cut
     # there; the counts below come out the same as on the uncut lists.
     enrich = rank_enrich(
-        kg, partition, evidence_threshold=config.enrich_evidence_threshold, quota=config.total
+        kg,
+        partition,
+        evidence_threshold=config.enrich_evidence_threshold,
+        quota=config.total,
+        degrees=degrees,
     )
     similar = explore_similarity(kg, quota=config.total)
-    holes = explore_structural_holes(kg, partition)
-    block = sbm_block_matrix(kg, partition, alpha=config.sbm_alpha)
+    holes = explore_structural_holes(kg, partition, limit=config.total, roles=roles)
+    block = sbm_block_matrix(kg, partition, alpha=config.sbm_alpha, degrees=degrees)
     blocks = explore_block(
         kg,
         partition,
         block,
         quota=plan.per_explore,
-        exclude_pairs=_ProposedElsewhere(kg, holes),
+        exclude_pairs=_ProposedElsewhere(kg, roles),
         limit=config.total,
+        degrees=degrees,
     )
 
     lists = [enrich, similar, blocks, holes]

@@ -15,7 +15,8 @@ document in any other order. So dict order is the graph's order.
 Every graph keeps an adjacency index next to its edges: for each node, the
 nodes it shares a non-loop edge with, in either direction. ``_insert`` is the
 one path that files an edge, under its id and its triple and in that index,
-so ``neighbors`` is a lookup.
+so ``neighbors`` is a lookup. ``adjacency`` hands out the index itself, for
+callers that read many nodes' neighbours and copy none of them.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from __future__ import annotations
 import json
 import logging
 import re
+from collections.abc import Mapping, Set
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,10 +50,12 @@ __all__ = [
     "MergeCluster",
     "KnowledgeGraph",
     "CommunityPartition",
+    "CommunityDegrees",
     "apply_extraction",
     "merge_nodes",
     "cluster_semantic",
     "detect_communities",
+    "community_degrees",
     "bridging_score",
     "degree_in_community",
     "node_importance",
@@ -213,6 +217,14 @@ class KnowledgeGraph:
         if v not in self.nodes:
             raise UnknownNodeError(f"unknown node {v!r}")
         return set(self._adjacency.get(v, ()))
+
+    @property
+    def adjacency(self) -> Mapping[str, Set[str]]:
+        """The adjacency index, not a copy: node -> distinct neighbours.
+
+        Isolated nodes are absent. Callers read it and never change it.
+        """
+        return self._adjacency
 
     def undirected_pairs(self) -> set[tuple[str, str]]:
         """Adjacent node pairs on the simple projection, numerically ordered."""
@@ -412,12 +424,6 @@ class CommunityPartition:
             return self.assignment[node_id]
         except KeyError:
             raise UnknownNodeError(f"node {node_id!r} not in partition") from None
-
-    def communities(self) -> dict[int, list[str]]:
-        out: dict[int, list[str]] = {}
-        for nid in sorted(self.assignment, key=node_num):
-            out.setdefault(self.assignment[nid], []).append(nid)
-        return dict(sorted(out.items()))
 
     @property
     def n_communities(self) -> int:
@@ -647,6 +653,61 @@ def detect_communities(kg: KnowledgeGraph, seed: int) -> CommunityPartition:
     ids = kg.node_ids()
     assignment = leiden_partition(ids, kg.undirected_pairs(), seed=seed)
     return CommunityPartition(assignment=assignment, seed=seed)
+
+
+@dataclass(frozen=True)
+class CommunityDegrees:
+    """Neighbour counts under one partition, for every node and community.
+
+    ``members`` maps each community label, ascending, to its nodes in numeric
+    order. ``inside`` is each node's ``degree_in_community`` and ``bridging``
+    its ``bridging_score``. ``links[i, j]`` counts the adjacent node pairs
+    with one end in the i-th community of ``members`` and one in the j-th;
+    the diagonal counts the pairs inside one community.
+    """
+
+    members: dict[int, list[str]]
+    inside: dict[str, int]
+    bridging: dict[str, float]
+    links: np.ndarray
+
+
+def community_degrees(kg: KnowledgeGraph, partition: CommunityPartition) -> CommunityDegrees:
+    """Every node's ``degree_in_community`` and ``bridging_score``, and the
+    links between communities, from one sweep over the adjacency index.
+
+    The partition must place exactly the graph's nodes; a node on one side
+    only is an ``UnknownNodeError``.
+    """
+    label = {v: partition.community_of(v) for v in kg.nodes}
+    if len(partition.assignment) != len(label):
+        stray = next(v for v in partition.assignment if v not in kg.nodes)
+        raise UnknownNodeError(f"node {stray!r} is placed but not in the graph")
+    members: dict[int, list[str]] = {}
+    for v, c in label.items():
+        members.setdefault(c, []).append(v)
+    members = dict(sorted(members.items()))
+    index = {c: i for i, c in enumerate(members)}
+    slot = {v: index[c] for v, c in label.items()}
+
+    # One entry per (node, neighbour), grouped by node in node order.
+    nbrs = [kg._adjacency.get(v, ()) for v in label]
+    degree = np.array([len(n) for n in nbrs], dtype=np.int64)
+    theirs = np.array([slot[u] for n in nbrs for u in n], dtype=np.int64)
+    ours = np.repeat(np.array(list(slot.values()), dtype=np.int64), degree)
+    owner = np.repeat(np.arange(len(label)), degree)
+    inside = np.bincount(owner, weights=ours == theirs, minlength=len(label)).astype(np.int64)
+    # Whole numbers as floats divide exactly as ints do in bridging_score.
+    bridging = (degree - inside) / np.maximum(degree, 1)
+    k = len(members)
+    links = np.bincount(k * ours + theirs, minlength=k * k).reshape(k, k)
+    links[np.diag_indices(k)] //= 2  # a pair inside one community is seen from both ends
+    return CommunityDegrees(
+        members,
+        dict(zip(label, inside.tolist())),
+        dict(zip(label, bridging.tolist())),
+        links,
+    )
 
 
 def bridging_score(kg: KnowledgeGraph, partition: CommunityPartition, v: str) -> float:

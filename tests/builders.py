@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -16,6 +19,7 @@ from dualgraph.providers.mock import load_fixture
 from dualgraph.rundir import RunDir
 
 DEMO_FIXTURE = Path(dualgraph.__file__).parent / "fixtures" / "demo" / "fixture.json"
+PACKAGE_ROOT = Path(dualgraph.__file__).resolve().parents[1]
 
 WORDS = (
     "signal", "margin", "coupling", "drift", "baseline", "window",
@@ -226,3 +230,18 @@ def crash_demo_run(run_dir: Path) -> None:
     except Crash:
         return
     raise AssertionError("the demo run finished without reaching the crash")
+
+
+def run_process(*args) -> subprocess.CompletedProcess:
+    """``python *args`` in a child process that imports this package, with
+    ``PYTHONHASHSEED=0``: community detection still follows set order."""
+    path = os.pathsep.join(filter(None, [str(PACKAGE_ROOT), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONHASHSEED": "0", "PYTHONPATH": path}
+    return subprocess.run(
+        [sys.executable, *map(str, args)], env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+def cli_process(*args) -> subprocess.CompletedProcess:
+    """The command line in a child process, as the installed script runs it."""
+    return run_process("-m", "dualgraph.cli", *args)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import dualgraph.chains as chains_mod
 from dualgraph.chains import (
     ChainConfig,
     allocate_quotas,
@@ -27,18 +28,28 @@ from dualgraph.kg import (
     CommunityPartition,
     EmbeddingMissingError,
     KnowledgeGraph,
+    MergeCluster,
+    UnknownNodeError,
     bridging_score,
+    community_degrees,
     degree_in_community,
+    merge_nodes,
     node_importance,
 )
 
 from .oracles import (
+    RELATIONS,
+    CaseGraph,
     assert_chain_lists_equal,
     make_case,
+    ref_bridging,
     ref_chain_pipeline,
+    ref_deg_in,
+    ref_enrich_list,
     ref_entropy,
     ref_block_list,
     ref_hole_list,
+    ref_sbm,
 )
 
 
@@ -458,3 +469,171 @@ class TestBuildSearchChains:
         chains[0].chain_id = "chain_1"
         text = format_chains_for_prompt(chains, kg)
         assert text == "chain_1 | enrich | alpha -> links -> beta"
+
+
+# -- exactness at the edges --------------------------------------------
+
+
+def _mirror(kg: KnowledgeGraph, part: CommunityPartition) -> CaseGraph:
+    """The oracles' plain-data view of a graph and partition."""
+    return CaseGraph(
+        nodes=kg.node_ids(),
+        core={v for v, n in kg.nodes.items() if n.is_core_entity},
+        edges={
+            eid: (e.source_id, e.target_id, e.relation, frozenset(e.evidence_ids))
+            for eid, e in kg.edges.items()
+        },
+        labels=dict(part.assignment),
+        vectors={v: n.embedding for v, n in kg.nodes.items()},
+    )
+
+
+def _unit(rng: random.Random, dim: int = 8) -> np.ndarray:
+    vec = np.random.default_rng(rng.getrandbits(32)).standard_normal(dim)
+    return vec / np.linalg.norm(vec)
+
+
+def _relabel(kg: KnowledgeGraph, rng: random.Random, k: int) -> CommunityPartition:
+    """A random partition of the graph's nodes into at most k communities."""
+    labels = {v: rng.randrange(k) for v in kg.nodes}
+    compact = {c: i for i, c in enumerate(dict.fromkeys(labels.values()))}
+    return CommunityPartition({v: compact[c] for v, c in labels.items()}, seed=0)
+
+
+def _isolated(kg, part, rng):
+    for _ in range(rng.randint(1, 3)):
+        nid = kg.add_node(f"alone{kg.next_node_num}", rng.random() < 0.4)
+        kg.nodes[nid].embedding = _unit(rng)
+        # An existing community or the next label, so labels stay contiguous.
+        part.assignment[nid] = rng.randrange(part.n_communities + 1)
+    return kg, part
+
+
+def _self_loops(kg, part, rng):
+    for v in rng.sample(kg.node_ids(), min(3, len(kg))):
+        kg.add_edge(v, v, rng.choice(RELATIONS), set(rng.sample(range(1, 5), rng.randint(0, 2))))
+    return kg, part
+
+
+def _two_relations(kg, part, rng):
+    if len(kg) >= 2:
+        for _ in range(3):
+            a, b = rng.sample(kg.node_ids(), 2)
+            kg.add_edge(a, b, "first relation")
+            kg.add_edge(*rng.choice(((a, b), (b, a))), "second relation")
+    return kg, part
+
+
+def _merged(kg, part, rng):
+    concepts = [v for v, n in kg.nodes.items() if not n.is_core_entity]
+    if len(concepts) >= 2:
+        group = rng.sample(concepts, min(len(concepts), rng.randint(2, 4)))
+        merge_nodes(kg, [MergeCluster("merged concept", group)])
+        for n in kg.nodes.values():
+            if n.embedding is None:
+                n.embedding = _unit(rng)
+    return kg, _relabel(kg, rng, 4)
+
+
+def _one_community(kg, part, rng):
+    return kg, CommunityPartition({v: 0 for v in kg.nodes}, seed=0)
+
+
+EDGE_CASES = {
+    "isolated nodes": _isolated,
+    "self-loops": _self_loops,
+    "two relations between one pair": _two_relations,
+    "after merge_nodes": _merged,
+    "a single community": _one_community,
+}
+
+
+def _edge_case_graphs(kind: str, count: int = 15):
+    rng = random.Random(f"edge case {kind}")
+    for _ in range(count):
+        kg, part, _ = make_case(rng, max_nodes=rng.choice((4, 12, 30)), max_communities=5)
+        kg, part = EDGE_CASES[kind](kg, part, rng)
+        yield kg, part, _mirror(kg, part), rng
+
+
+class TestExactnessAtTheEdges:
+    """Every family and the whole build against the oracles on graphs with
+    the shapes the one-sweep counts could get wrong."""
+
+    @pytest.mark.parametrize("kind", sorted(EDGE_CASES))
+    def test_per_node_counts_and_block_matrix(self, kind):
+        for kg, part, case, _ in _edge_case_graphs(kind):
+            degrees = community_degrees(kg, part)
+            for v in kg.nodes:
+                assert degrees.inside[v] == ref_deg_in(case, v) == degree_in_community(kg, part, v)
+                assert degrees.bridging[v] == ref_bridging(case, v) == bridging_score(kg, part, v)
+            block = sbm_block_matrix(kg, part, alpha=0.1)
+            assert {
+                (c, d): block.prob(c, d) for c in block.labels for d in block.labels
+            } == ref_sbm(case, 0.1)
+
+    @pytest.mark.parametrize("kind", sorted(EDGE_CASES))
+    def test_families_and_build_match_the_oracles(self, kind):
+        for kg, part, case, rng in _edge_case_graphs(kind):
+            threshold = rng.choice((0, 1, 2))
+            enrich = rank_enrich(kg, part, evidence_threshold=threshold)
+            expected = ref_enrich_list(case, threshold)
+            assert [(c.edge_id, c.score) for c in enrich] == [(r.edge, r.score) for r in expected]
+            holes = explore_structural_holes(kg, part)
+            assert [(c.source_id, c.target_id, c.score) for c in holes] == [
+                (r.source, r.target, r.score) for r in ref_hole_list(case)
+            ]
+            # 10,000 is past every family's full list.
+            for total in (0, 3, 7, 16, 10_000):
+                config = ChainConfig(total=total, enrich_evidence_threshold=threshold)
+                assert_chain_lists_equal(
+                    build_search_chains(kg, part, config),
+                    ref_chain_pipeline(case, total, threshold, config.sbm_alpha),
+                )
+
+    def test_hole_limit_is_a_prefix_of_the_full_list(self, rng):
+        for _ in range(8):
+            kg, part, _ = make_case(rng, max_nodes=40, max_communities=8, edge_factor=2.0)
+            full = explore_structural_holes(kg, part)
+            for k in range(len(full) + 2):
+                assert explore_structural_holes(kg, part, limit=k) == full[:k]
+
+    @pytest.mark.parametrize("rows", [1, 2, 7])
+    def test_similarity_in_row_blocks_keeps_the_whole_products_ranking(
+        self, rng, monkeypatch, rows
+    ):
+        # Blocks of a few rows make the running cut rise block by block.
+        for _ in range(4):
+            kg, part, case = make_case(rng, max_nodes=40, max_communities=4, dim=16)
+            _share_embeddings(kg, case, rng)
+            full = explore_similarity(kg)
+            monkeypatch.setattr(chains_mod, "_GRAM_ROWS", rows)
+            n = len(full)
+            for quota in {*range(24), n // 2, max(n - 1, 0), n, n + 1}:
+                assert explore_similarity(kg, quota=quota) == full[:quota]
+            monkeypatch.undo()
+
+    def test_unplaced_node_is_an_unknown_node(self):
+        kg, part = _graph(
+            [("a", True), ("b", False), ("c", False)],
+            [("n1", "n2", "r", ()), ("n2", "n3", "r", ())],
+            [0, 0, 1],
+        )
+        for nid in kg.nodes:
+            kg.nodes[nid].embedding = np.eye(3)[int(nid[1:]) - 1]
+        unplaced = CommunityPartition({"n1": 0, "n2": 0}, seed=0)
+        block = sbm_block_matrix(kg, part)
+        calls = [
+            lambda p: community_degrees(kg, p),
+            lambda p: rank_enrich(kg, p),
+            lambda p: sbm_block_matrix(kg, p),
+            lambda p: explore_structural_holes(kg, p),
+            lambda p: explore_block(kg, p, block, quota=2),
+            lambda p: build_search_chains(kg, p, ChainConfig(total=8)),
+        ]
+        for call in calls:
+            with pytest.raises(UnknownNodeError, match="n3"):
+                call(unplaced)
+        stray = CommunityPartition({**part.assignment, "n9": 1}, seed=0)
+        with pytest.raises(UnknownNodeError, match="n9"):
+            build_search_chains(kg, stray, ChainConfig(total=8))

@@ -9,36 +9,18 @@ mode; demo runs go through the command line, ``python -m dualgraph.cli``.
 from __future__ import annotations
 
 import json
-import os
 import shutil
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
-import dualgraph
-
-from .builders import DEMO_FIXTURE, dir_snapshot
+from .builders import DEMO_FIXTURE, cli_process, dir_snapshot, run_process
 
 SIM = Path(__file__).with_name("sim_process.py")
-PACKAGE_ROOT = Path(dualgraph.__file__).resolve().parents[1]
 
 
-def _process(*args) -> subprocess.CompletedProcess:
-    path = os.pathsep.join(filter(None, [str(PACKAGE_ROOT), os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONHASHSEED": "0", "PYTHONPATH": path}
-    return subprocess.run(
-        [sys.executable, *map(str, args)], env=env, capture_output=True, text=True, timeout=120,
-    )
-
-
-def _run(*args) -> subprocess.CompletedProcess:
-    return _process(SIM, *args)
-
-
-def _cli(*args) -> subprocess.CompletedProcess:
-    return _process("-m", "dualgraph.cli", *args)
+def _run(*args):
+    return run_process(SIM, *args)
 
 
 def _edit_json(path: Path, edit) -> Path:
@@ -70,7 +52,7 @@ def test_a_cut_run_resumes_in_another_process_to_the_uninterrupted_bytes(mode, f
 
 def test_a_cut_demo_run_resumes_in_another_process_with_the_committed_embedder(tmp_path):
     fresh, cut, narrow = tmp_path / "fresh", tmp_path / "cut", tmp_path / "cut-narrow"
-    assert _cli("run", "--run-dir", fresh).returncode == 0
+    assert cli_process("run", "--run-dir", fresh).returncode == 0
 
     # A run whose chat script runs dry at the first outline revision exits 2.
     def run_dry(doc):
@@ -79,7 +61,7 @@ def test_a_cut_demo_run_resumes_in_another_process_with_the_committed_embedder(t
         revise[0]["responses"] = []
 
     dry = _edit_json(Path(shutil.copy(DEMO_FIXTURE, tmp_path / "cut.json")), run_dry)
-    done = _cli("run", "--fixture", dry, "--run-dir", cut)
+    done = cli_process("run", "--fixture", dry, "--run-dir", cut)
     assert done.returncode == 2, done.stderr
 
     # A copy whose state.json commits embed_dim 16 exits 1 on resume, as its
@@ -87,7 +69,7 @@ def test_a_cut_demo_run_resumes_in_another_process_with_the_committed_embedder(t
     shutil.copytree(cut, narrow)
     _edit_json(narrow / "state.json", lambda doc: doc["config"].update(embed_dim=16))
     before = dir_snapshot(narrow)
-    resumed = _cli("resume", "--run-dir", narrow)
+    resumed = cli_process("resume", "--run-dir", narrow)
     assert resumed.returncode == 1, resumed.stderr
     assert "embed.jsonl holds vectors of width 32" in resumed.stderr
     assert dir_snapshot(narrow) == before
@@ -98,6 +80,6 @@ def test_a_cut_demo_run_resumes_in_another_process_with_the_committed_embedder(t
         Path(shutil.copy(DEMO_FIXTURE, tmp_path / "retired-keys.json")),
         lambda doc: doc.update(embed_dim=16, embed_seed=5),
     )
-    resumed = _cli("resume", "--fixture", retired, "--run-dir", cut)
+    resumed = cli_process("resume", "--fixture", retired, "--run-dir", cut)
     assert resumed.returncode == 0, resumed.stderr
     assert dir_snapshot(cut) == dir_snapshot(fresh)
