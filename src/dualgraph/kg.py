@@ -17,6 +17,15 @@ nodes it shares a non-loop edge with, in either direction. ``_insert`` is the
 one path that files an edge, under its id and its triple and in that index,
 so ``neighbors`` is a lookup. ``adjacency`` hands out the index itself, for
 callers that read many nodes' neighbours and copy none of them.
+
+A graph is written two ways. ``to_document`` writes the checkpoint's JSON
+directly, string by string, in exactly the bytes ``json.dumps`` gives
+``to_dict``. ``to_prompt_json`` is the compact view prompts show, encoded once
+per graph state: ``add_node``, ``_insert``, ``apply_extraction`` and
+``merge_nodes`` drop the memo, and they are the only paths that add or rename
+a node or add an edge, so ids, names and edges must change through them
+alone. Evidence ids, embeddings and cluster and community ids, which the view
+leaves out, may be set anywhere.
 """
 
 from __future__ import annotations
@@ -26,6 +35,7 @@ import logging
 import re
 from collections.abc import Mapping, Set
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring
 
 import numpy as np
 
@@ -192,6 +202,8 @@ class KnowledgeGraph:
         self._adjacency: dict[str, set[str]] = {}
         self.next_node_num: int = 1
         self.next_edge_num: int = 1
+        # to_prompt_json's text while ids, names and edges stay as they are.
+        self._prompt_json: str | None = None
 
     # -- basic queries -------------------------------------------------
 
@@ -259,6 +271,7 @@ class KnowledgeGraph:
         g._adjacency = {v: set(nbrs) for v, nbrs in self._adjacency.items()}
         g.next_node_num = self.next_node_num
         g.next_edge_num = self.next_edge_num
+        g._prompt_json = self._prompt_json
         return g
 
     # -- construction helpers (used by tests) --
@@ -267,6 +280,7 @@ class KnowledgeGraph:
         nid = f"n{self.next_node_num}"
         self.next_node_num += 1
         self.nodes[nid] = KnowledgeNode(node_id=nid, name=name, is_core_entity=is_core_entity)
+        self._prompt_json = None
         return nid
 
     def add_edge(
@@ -290,6 +304,7 @@ class KnowledgeGraph:
         """File a new edge by id and triple, and in the adjacency index."""
         self.edges[edge.edge_id] = edge
         self._triples[edge.triple] = edge.edge_id
+        self._prompt_json = None
         a, b = edge.source_id, edge.target_id
         if a != b:
             self._adjacency.setdefault(a, set()).add(b)
@@ -330,7 +345,27 @@ class KnowledgeGraph:
         }
 
     def to_document(self) -> str:
-        return json.dumps(self.to_dict(), ensure_ascii=False) + "\n"
+        """``json.dumps(self.to_dict(), ensure_ascii=False)`` and a newline, written
+        directly: each string through the encoder ``json`` itself uses, each
+        other value spelled as ``json`` spells it."""
+        s = encode_basestring
+        nodes = ", ".join([
+            f'{{"node_id": {s(n.node_id)}, "knowledge": {s(n.name)}, '
+            f'"is_core_entity": {_literal(n.is_core_entity)}, '
+            f'"cluster_id": {_literal(n.cluster_id)}, "community_id": {_literal(n.community_id)}}}'
+            for n in self.nodes.values()
+        ])
+        edges = ", ".join([
+            f'{{"edge_id": {s(e.edge_id)}, "source_id": {s(e.source_id)}, '
+            f'"target_id": {s(e.target_id)}, "relation_name": {s(e.relation)}, '
+            f'"evidence_ids": [{", ".join(map(_literal, sorted(e.evidence_ids)))}]}}'
+            for e in self.edges.values()
+        ])
+        return (
+            f'{{"knowledge_nodes": [{nodes}], "knowledge_edges": [{edges}], '
+            f'"next_node_num": {_literal(self.next_node_num)}, '
+            f'"next_edge_num": {_literal(self.next_edge_num)}}}\n'
+        )
 
     @classmethod
     def from_dict(cls, doc: dict) -> "KnowledgeGraph":
@@ -410,6 +445,24 @@ class KnowledgeGraph:
                 for e in self.edges.values()
             ],
         }
+
+    def to_prompt_json(self) -> str:
+        """``to_prompt_payload`` as every prompt that shows the graph carries it,
+        encoded once per graph state (see the module docstring)."""
+        if self._prompt_json is None:
+            self._prompt_json = json.dumps(self.to_prompt_payload(), ensure_ascii=False)
+        return self._prompt_json
+
+
+def _literal(value) -> str:
+    """None, a bool or an int as ``json.dumps`` spells it."""
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    return int.__repr__(value)
 
 
 @dataclass
@@ -507,6 +560,7 @@ def apply_extraction(
             evidence.append((eid, en_ids[label]))
 
     kg.nodes.update(new_nodes)
+    kg._prompt_json = None
     kg.next_node_num += len(new_nodes)
     for edge in new_edges.values():
         kg._insert(edge)
@@ -544,6 +598,7 @@ def merge_nodes(kg: KnowledgeGraph, clusters: list[MergeCluster]) -> KnowledgeGr
                 raise ClusterError(f"node {nid} appears in more than one cluster")
             seen.add(nid)
 
+    kg._prompt_json = None
     canonical: dict[str, str] = {}
     for cluster in clusters:
         keep = min(cluster.source_node_ids, key=node_num)

@@ -37,7 +37,9 @@ makes.
 
 In particular an outline in a state is never changed in place: a revision
 builds a new one. So a state renders each outline once (``RunState.outline_text``),
-and every prompt and checkpoint that shows the outline uses that text.
+and every prompt and checkpoint that shows the outline uses that text. The
+graph keeps its own prompt text (``KnowledgeGraph.to_prompt_json``), which the
+fields phases set on its nodes leave as it is, and a clone carries it.
 
 Every model call takes one path, ``_chat_parsed``: it renders the named
 template, audits the exchange under that name, and parses the answer.
@@ -45,7 +47,6 @@ template, audits the exchange under that name, and parses the answer.
 
 from __future__ import annotations
 
-import json
 import logging
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, replace
@@ -150,11 +151,6 @@ def _chat_parsed(state, providers, name, variables, parse_fn, attempts=_RETRIES)
             last_error = exc
             log.warning("%s response rejected: %s", name, exc)
     raise ParseError(f"{name}: no valid response after {attempts + 1} attempts: {last_error}")
-
-
-def _kg_json(kg: KnowledgeGraph) -> str:
-    """The graph as every prompt that shows it carries it."""
-    return json.dumps(kg.to_prompt_payload(), ensure_ascii=False)
 
 
 # -- query handling ----------------------------------------------------
@@ -358,7 +354,7 @@ def gen_queries_from_kg(
             "QUERY_NUM": str(query_num),
             "OUTLINE": state.outline_text(),
             "EXECUTED_QUERIES": _executed_block(state),
-            "KG_PAYLOAD": _kg_json(state.kg),
+            "KG_PAYLOAD": state.kg.to_prompt_json(),
             "CANDIDATE_CHAINS": format_chains_for_prompt(chains, state.kg) or "(none)",
         },
         parse_and_check,
@@ -470,7 +466,7 @@ def update_kg(state: RunState, providers: Providers, new_by_query: dict[str, lis
         statements = "\n".join(f"{label}: {entries[j]}" for label, j in zip(labels, chunk))
         _chat_parsed(
             state, providers, "extract_knowledge",
-            {"EVIDENCE_STATEMENTS": statements, "KG_PAYLOAD": _kg_json(kg)},
+            {"EVIDENCE_STATEMENTS": statements, "KG_PAYLOAD": kg.to_prompt_json()},
             lambda text: apply_extraction(kg, parsers.parse_extraction(text), labels),
         )
 
@@ -505,7 +501,7 @@ def update_og(state: RunState, providers: Providers) -> None:
         {
             "CURRENT_OUTLINE": state.outline_text(),
             "NEW_EVIDENCE": _evidence_block(state.bank, uncited),
-            "KG_CONTEXT": "(not in use)" if state.kg is None else _kg_json(state.kg),
+            "KG_CONTEXT": "(not in use)" if state.kg is None else state.kg.to_prompt_json(),
         },
         parse_and_repair,
     )

@@ -130,10 +130,18 @@ def _require_object(value, what: str, keys: set[str]) -> dict:
 
 
 def _require_str(value, what: str, allow_empty: bool = False) -> str:
+    """A string that UTF-8 can encode: a JSON escape such as ``"\\ud800"`` decodes
+    to a lone surrogate, which no run-dir file could hold."""
     if not isinstance(value, str):
         raise SchemaViolation(f"{what}: expected a string")
     if not allow_empty and not value.strip():
         raise SchemaViolation(f"{what}: must be non-empty")
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise SchemaViolation(
+            f"{what}: holds {value[exc.start:exc.end]!r}, which UTF-8 cannot encode"
+        ) from None
     return value
 
 

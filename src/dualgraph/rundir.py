@@ -453,6 +453,12 @@ class RunDir:
     def _unlink(self, name: str) -> None:
         (self.path / name).unlink(missing_ok=True)
 
+    def _drop_replay(self) -> None:
+        """Delete replay.jsonl, and the tmp file of a spill cut before its rename,
+        which no later write would replace."""
+        self._unlink(REPLAY_FILE)
+        self._unlink(f"{REPLAY_FILE}.tmp")
+
     # -- reading
 
     def holds_run(self) -> bool:
@@ -546,9 +552,10 @@ class RunDir:
         that older versions wrote included; other files are left alone.
         state.json goes first, so no half-cleared directory still looks resumable."""
         self.path.mkdir(parents=True, exist_ok=True)
-        names = (STATE_FILE, REPORT_FILE, BANK_FILE, KG_FILE, "outline.txt", REPLAY_FILE, *_LOGS)
+        names = (STATE_FILE, REPORT_FILE, BANK_FILE, KG_FILE, "outline.txt", *_LOGS)
         for name in names:
             self._unlink(name)
+        self._drop_replay()
         for stem in _ITERATION_STEMS:
             for path in self.path.glob(f"{stem}_iter[0-9]*"):
                 self._unlink(path.name)
@@ -584,7 +591,7 @@ class RunDir:
         if state.report is not None:
             self._replace(REPORT_FILE, state.report)
         # A spilled replay holds calls made after the checkpoint before this one.
-        self._unlink(REPLAY_FILE)
+        self._drop_replay()
         self._replace(STATE_FILE, _document(state_document(state)))
 
     def reopen(self, state, config: RunConfig) -> list[tuple]:
@@ -606,4 +613,4 @@ class RunDir:
         if exchanges:
             self._replace(REPLAY_FILE, "".join(_document(_replay_record(e)) for e in exchanges))
         else:
-            self._unlink(REPLAY_FILE)
+            self._drop_replay()

@@ -245,6 +245,13 @@ DAMAGED_FILES = {
     ),
     "resume-bank-url-a-number": ("resume", "bank.jsonl", _set_in_first_line("url", 7)),
     "resume-bank-summary-a-number": ("resume", "bank.jsonl", _set_in_first_line("summary", 7)),
+    # json.dumps writes the lone surrogate as the escape \ud800.
+    "resume-bank-summary-a-lone-surrogate": (
+        "resume", "bank.jsonl", _set_in_first_line("summary", "s \ud800")
+    ),
+    "inspect-kg-knowledge-a-lone-surrogate": (
+        "inspect-kg", "kg_iter2.json", _set_node("knowledge", "\ud800")
+    ),
     "resume-bank-iteration-a-string": (
         "resume", "bank.jsonl", _set_in_first_line("iteration", "0")
     ),

@@ -1,8 +1,9 @@
 """The command line in its own process: exit statuses and the files left behind.
 
 Each check runs ``python -m dualgraph.cli`` in a child process, as the
-installed ``dualgraph`` script does. An uncaught exception also exits 1, so
-every check also requires that no traceback was printed.
+installed ``dualgraph`` script does, with ``PYTHONHASHSEED=0``: community
+detection still follows set order. An uncaught exception also exits 1, so
+every check of a failure also requires that no traceback was printed.
 """
 
 from __future__ import annotations
@@ -13,13 +14,50 @@ import pytest
 
 from dualgraph.cli import main
 
-from .builders import DEMO_FIXTURE, cli_process
+from .builders import DEMO_FIXTURE, cli_process, dir_snapshot
 
 
 def _exits_1(*args) -> None:
     done = cli_process(*args)
     assert done.returncode == 1, done.stderr
     assert "Traceback" not in done.stderr, done.stderr
+
+
+def _exits_0(*args) -> None:
+    done = cli_process(*args)
+    assert done.returncode == 0, done.stderr
+
+
+@pytest.fixture(scope="module")
+def fresh_demo(tmp_path_factory):
+    """A demo run made by its own process, never changed afterwards."""
+    run_dir = tmp_path_factory.mktemp("fresh") / "run"
+    _exits_0("run", "--run-dir", run_dir)
+    return run_dir
+
+
+def test_a_finished_run_resumes_as_a_no_op_and_reruns_by_force_as_fresh(fresh_demo, tmp_path):
+    run_dir = tmp_path / "run"
+    _exits_0("run", "--run-dir", run_dir)
+    _exits_0("resume", "--run-dir", run_dir)
+    assert dir_snapshot(run_dir) == dir_snapshot(fresh_demo)
+    _exits_0("run", "--force", "--run-dir", run_dir)
+    assert dir_snapshot(run_dir) == dir_snapshot(fresh_demo)
+
+
+def test_a_forced_rerun_deletes_a_spill_cut_before_its_rename(fresh_demo, tmp_path):
+    run_dir = tmp_path / "run"
+    _exits_0("run", "--run-dir", run_dir)
+    (run_dir / "replay.jsonl.tmp").write_text("x\n", encoding="utf-8")
+    _exits_0("run", "--force", "--run-dir", run_dir)
+    assert dir_snapshot(run_dir) == dir_snapshot(fresh_demo)
+
+
+def test_two_ablations_in_two_processes_write_the_same_bytes(tmp_path):
+    for out in ("abl-a", "abl-b"):
+        _exits_0("simulate", "--seeds", "2", "--max-iter", "4", "--out", tmp_path / out)
+    a, b = dir_snapshot(tmp_path / "abl-a"), dir_snapshot(tmp_path / "abl-b")
+    assert a and a == b
 
 
 @pytest.fixture(scope="module")

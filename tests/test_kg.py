@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 
 import numpy as np
@@ -273,6 +274,134 @@ class TestAdjacencyIndex:
         assert clone.neighbors("n1") == {"n2", "n3", "n4"}
         assert clone.neighbors("n5") == {"n3", "n4"}
         _assert_index_matches_edges(clone)
+
+
+# Characters JSON escapes, or that ensure_ascii=False writes raw: quote,
+# backslash, control characters, DEL, U+2028/U+2029 and beyond the BMP.
+_TRICKY = ('"', "\\", "\x00", "\x1f", "\n", "\t", "\x7f", "\u2028", "\u2029", "é",
+           "\U0001f600", "/", " ", "a")
+
+
+def _tricky_text(gen: random.Random) -> str:
+    return "".join(gen.choice(_TRICKY) for _ in range(gen.randint(0, 8)))
+
+
+def _tricky_graph(gen: random.Random) -> KnowledgeGraph:
+    """A random graph with tricky names and relations, None and numbered
+    cluster and community ids, and evidence sets from empty to 40 ids."""
+    kg = KnowledgeGraph()
+    for _ in range(gen.randint(0, 12)):
+        kg.add_node(_tricky_text(gen), gen.random() < 0.3)
+    ids = list(kg.nodes)
+    for _ in range(gen.randint(0, 20) if ids else 0):
+        evidence = set(gen.sample(range(1, 10**6), gen.choice((0, 1, 3, 40))))
+        kg.add_edge(gen.choice(ids), gen.choice(ids), _tricky_text(gen), evidence)
+    for node in kg.nodes.values():
+        node.cluster_id = gen.choice((None, 0, 1, 12345))
+        node.community_id = gen.choice((None, 0, 3, 10**12))
+    return kg
+
+
+def _derived_graphs(kg: KnowledgeGraph, gen: random.Random):
+    """The graph, then a merge of its concepts, a copy and a re-read of its document."""
+    yield kg
+    concepts = [v for v in kg.nodes if not kg.nodes[v].is_core_entity]
+    if len(concepts) >= 2:
+        group = gen.sample(concepts, min(len(concepts), gen.randint(2, 5)))
+        yield merge_nodes(kg, [MergeCluster(_tricky_text(gen) + "m", group)])
+    yield kg.copy()
+    yield KnowledgeGraph.from_document(kg.to_document())
+
+
+def _fresh_prompt_json(kg: KnowledgeGraph) -> str:
+    return json.dumps(kg.to_prompt_payload(), ensure_ascii=False)
+
+
+class TestWriters:
+    def test_document_is_json_dumps_of_the_dict(self, rng):
+        for _ in range(200):
+            for kg in _derived_graphs(_tricky_graph(rng), rng):
+                assert kg.to_document() == json.dumps(kg.to_dict(), ensure_ascii=False) + "\n"
+
+    def test_an_empty_graph_document(self):
+        assert KnowledgeGraph().to_document() == (
+            '{"knowledge_nodes": [], "knowledge_edges": [], '
+            '"next_node_num": 1, "next_edge_num": 1}\n'
+        )
+
+    def test_prompt_json_follows_every_mutation(self, rng):
+        for _ in range(30):
+            kg = KnowledgeGraph()
+            for _ in range(40):
+                kg.to_prompt_json()  # each step starts from a memo
+                kg = _random_step(kg, rng)
+                assert kg.to_prompt_json() == _fresh_prompt_json(kg)
+
+    @staticmethod
+    def _isolated_concepts() -> KnowledgeGraph:
+        kg = _small_graph()
+        kg.add_node("alpha", False)  # n4
+        kg.add_node("beta", False)   # n5
+        return kg
+
+    MUTATIONS = {
+        "extraction-new-node-only": lambda kg: apply_extraction(
+            kg, ExtractionResult(new_nodes=[ExtractedNode("n9", "gamma", False)]), {}
+        ),
+        "extraction-new-edge": lambda kg: apply_extraction(
+            kg, ExtractionResult(new_edges=[ExtractedEdge("e9", "n3", "n1", "feeds")]), {}
+        ),
+        "extraction-evidence-only": lambda kg: apply_extraction(
+            kg, ExtractionResult(evidences_map={"EN1": ["e2"]}), {"EN1": 7}
+        ),
+        "merge-renames-isolated-nodes": lambda kg: merge_nodes(
+            kg, [MergeCluster("alphabet", ["n4", "n5"])]
+        ),
+        "merge-with-edges": lambda kg: merge_nodes(
+            kg, [MergeCluster("grid rules", ["n2", "n3"])]
+        ),
+        "add-node": lambda kg: kg.add_node("delta", True),
+        "add-edge-new-triple": lambda kg: kg.add_edge("n3", "n1", "feeds"),
+        "add-edge-existing-triple": lambda kg: kg.add_edge("n1", "n2", "reduces", {9}),
+    }
+
+    @pytest.mark.parametrize("mutate", MUTATIONS.values(), ids=MUTATIONS)
+    def test_prompt_json_after_each_mutation_path(self, mutate):
+        kg = self._isolated_concepts()
+        before = kg.to_prompt_json()
+        mutate(kg)
+        assert kg.to_prompt_json() == _fresh_prompt_json(kg)
+        assert before == _fresh_prompt_json(self._isolated_concepts())
+
+    def test_a_merge_that_files_no_edge_drops_the_memo(self):
+        # Every merge files the surviving edges again; here there are none.
+        kg = KnowledgeGraph()
+        kg.add_node("alpha", False)
+        kg.add_node("beta", False)
+        kg.to_prompt_json()
+        merge_nodes(kg, [MergeCluster("alphabet", ["n1", "n2"])])
+        assert kg.to_prompt_json() == _fresh_prompt_json(kg)
+
+    def test_fields_the_payload_leaves_out_keep_the_memo(self):
+        kg = _small_graph()
+        text = kg.to_prompt_json()
+        kg.nodes["n1"].cluster_id = kg.nodes["n1"].community_id = 4
+        kg.nodes["n1"].embedding = np.ones(3)
+        assert kg.to_prompt_json() is text
+        assert text == _fresh_prompt_json(kg)
+
+    def test_a_copy_and_its_original_keep_their_own_memo(self):
+        kg = self._isolated_concepts()
+        text = kg.to_prompt_json()
+        clone = kg.copy()
+        assert clone.to_prompt_json() is text
+        clone.add_node("delta", True)
+        assert clone.to_prompt_json() == _fresh_prompt_json(clone)
+        assert kg.to_prompt_json() is text
+        merge_nodes(kg, [MergeCluster("alphabet", ["n4", "n5"])])
+        assert kg.to_prompt_json() == _fresh_prompt_json(kg)
+        assert clone.to_prompt_json() == _fresh_prompt_json(clone)
+        assert "alphabet" not in clone.to_prompt_json()
 
 
 class TestApplyExtraction:

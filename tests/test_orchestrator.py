@@ -1266,6 +1266,28 @@ class TestStartClearsAnEarlierRun:
             (run_dir / "audit.jsonl").read_text(encoding="utf-8").splitlines()
         )
 
+    def test_a_resume_deletes_a_spill_cut_before_its_rename(self, tmp_path):
+        fixture = load_fixture(DEMO_FIXTURE)
+        _demo_runner(tmp_path / "clean").start(fixture.root_query)
+        providers = fixture.providers()
+        _cut_after_first_pass(providers)
+        run_dir = tmp_path / "cut"
+        with pytest.raises(ProviderError):
+            Runner(RunConfig.from_dict(fixture.config), providers, run_dir).start(
+                fixture.root_query
+            )
+        # Killed between the spill's write and its rename: the resume finds no replay.
+        (run_dir / "replay.jsonl").replace(run_dir / "replay.jsonl.tmp")
+        _demo_runner(run_dir).resume()
+        assert dir_snapshot(run_dir) == dir_snapshot(tmp_path / "clean")
+
+    def test_an_empty_spill_deletes_a_stray_tmp(self, tmp_path):
+        files = RunDir(tmp_path)
+        (tmp_path / "replay.jsonl").write_text("x\n", encoding="utf-8")
+        (tmp_path / "replay.jsonl.tmp").write_text("x\n", encoding="utf-8")
+        files.spill([])
+        assert list(tmp_path.iterdir()) == []
+
     def test_rerun_failing_on_its_first_chat_call_keeps_no_old_output(self, tmp_path):
         class _Down:
             def complete(self, prompt):
@@ -2617,3 +2639,65 @@ class TestStateKeepsNoCommittedAudit:
         resumed = Runner(config, make()[1], tmp_path / "run").resume()
         assert keeps_only_uncommitted_audit(runner, resumed)
         assert len(resumed.audit) == len(state.audit)
+
+
+class _LoneSurrogateOnce:
+    """A chat over ``inner`` whose first answer that finds a page useful gets a
+    lone surrogate, escaped in its JSON, appended to that page's summary. The
+    re-ask of that prompt gets the inner answer, and the inner chat is asked
+    exactly what an uninterrupted run asks it."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.held: tuple[str, str] | None = None  # (prompt, the inner answer)
+        self.spoiled: str | None = None
+
+    def complete(self, prompt):
+        if self.held is not None:
+            held_prompt, answer = self.held
+            assert prompt == held_prompt
+            self.held = None
+            return answer
+        answer = self.inner.complete(prompt)
+        if self.spoiled is not None:
+            return answer
+        try:
+            doc = json.loads(answer)
+        except ValueError:
+            return answer
+        if not isinstance(doc, list):
+            return answer
+        useful = [d for d in doc if isinstance(d, dict) and d.get("useful")]
+        if not useful:
+            return answer
+        useful[0]["summary"] += " \ud800"
+        self.held, self.spoiled = (prompt, answer), json.dumps(doc)
+        return self.spoiled
+
+
+class TestALoneSurrogateIsReAsked:
+    def test_the_run_finishes_as_a_clean_run_does(self, tmp_path):
+        world = generate_world(0, 3, 2, 4)
+        config = RunConfig()
+        Runner(config, sim_providers(world, config.embed_dim, config.seed),
+               tmp_path / "clean").start(DEFAULT_ROOT_QUERY)
+        providers = sim_providers(world, config.embed_dim, config.seed)
+        chat = _LoneSurrogateOnce(providers.chat)
+        runner = Runner(config, replace(providers, chat=chat), tmp_path / "run")
+        assert runner.start(DEFAULT_ROOT_QUERY).stage == "done"
+        assert chat.spoiled is not None and "\\ud800" in chat.spoiled and chat.held is None
+
+        got, want = dir_snapshot(tmp_path / "run"), dir_snapshot(tmp_path / "clean")
+        got_audit, want_audit = got.pop("audit.jsonl"), want.pop("audit.jsonl")
+        got_state, want_state = json.loads(got.pop("state.json")), json.loads(want.pop("state.json"))
+        assert got == want
+        # The audit holds the rejected exchange too, just before its re-ask.
+        records = [json.loads(line) for line in got_audit.decode("utf-8").splitlines()]
+        spoiled = next(i for i, r in enumerate(records) if r["response"] == chat.spoiled)
+        assert records[spoiled]["name"] == "assess_page"
+        assert records[spoiled]["prompt"] == records[spoiled + 1]["prompt"]
+        del records[spoiled]
+        assert records == [json.loads(line) for line in want_audit.decode("utf-8").splitlines()]
+        assert got_state.pop("audit_records") == want_state.pop("audit_records") + 1
+        assert got_state == want_state
+

@@ -347,6 +347,58 @@ class TestParsePageAssessment:
             parse_page_assessment('[{"useful": true', count=1)
 
 
+def _with_lone_surrogate(doc, *path):
+    """``doc`` as JSON text, the string at ``path`` ending in an escaped lone surrogate."""
+    doc = json.loads(json.dumps(doc))
+    *parents, last = path
+    holder = doc
+    for key in parents:
+        holder = holder[key]
+    holder[last] += " \ud800"
+    return json.dumps(doc)  # ensure_ascii: the surrogate is written as \ud800
+
+
+_SELECTION = {"chains": ["chain_1"], "search queries": ["a b"], "outline queries": ["c d"]}
+_MERGE = {"clusters": [{
+    "cluster_id": "c1", "representative_concept": "storage cost",
+    "source_node_ids": ["n2", "n3"], "similarity_justification": "same notion",
+}]}
+_ASSESSMENT = [{"useful": True, "summary": "s", "salient_content": "c"}]
+
+# One case per parser that reads JSON: (parse, text, the field named).
+LONE_SURROGATES = {
+    "page-assessment-summary": (
+        lambda text: parse_page_assessment(text, count=1),
+        _with_lone_surrogate(_ASSESSMENT, 0, "summary"), r"page assessment\[0\]\.summary",
+    ),
+    "extraction-node-name": (
+        parse_extraction, _with_lone_surrogate(EXTRACTION_DOC, "new_nodes", 1, "node_name"),
+        r"new_nodes\[1\]\.node_name",
+    ),
+    "chain-selection-outline-query": (
+        lambda text: parse_chain_selection(text, chain_num=1, query_num=1),
+        _with_lone_surrogate(_SELECTION, "outline queries", 0), r"outline queries\[0\]",
+    ),
+    "merge-representative": (
+        parse_merge, _with_lone_surrogate(_MERGE, "clusters", 0, "representative_concept"),
+        r"clusters\[0\]\.representative_concept",
+    ),
+}
+
+
+@pytest.mark.parametrize("parse, text, field", LONE_SURROGATES.values(), ids=LONE_SURROGATES)
+def test_a_lone_surrogate_is_a_schema_violation(parse, text, field):
+    assert "\\ud800" in text
+    with pytest.raises(SchemaViolation, match=field + ".*UTF-8 cannot encode"):
+        parse(text)
+
+
+def test_an_escaped_surrogate_pair_is_one_character():
+    text = json.dumps([{"useful": True, "summary": "\U0001f600", "salient_content": ""}])
+    assert "\\ud83d\\ude00" in text
+    assert parse_page_assessment(text, count=1)[0].summary == "\U0001f600"
+
+
 class TestParseScores:
     def _doc(self, **overrides):
         scores = {dim: 80 for dim in SCORE_DIMENSIONS}
