@@ -37,7 +37,6 @@ from itertools import groupby, islice
 import numpy as np
 
 from .kg import (
-    _GRAM_ROWS,
     CommunityDegrees,
     CommunityPartition,
     EmbeddingMissingError,
@@ -45,6 +44,7 @@ from .kg import (
     KnowledgeGraph,
     bridging_score,
     community_degrees,
+    gram_blocks,
     gram_margin,
     node_importance,
 )
@@ -309,7 +309,7 @@ def _closest_unlinked(
     ``linked`` holds (row, column) pairs in ascending row order, and more than
     quota pairs are not linked.
 
-    The product is formed ``_GRAM_ROWS`` rows at a time. A running cut, the
+    The product is formed in ``gram_blocks``. A running cut, the
     quota-th highest entry of the pairs kept so far, drops a pair once it falls
     more than the margin below it. That cut never passes the final one, and
     the pairs above it stay kept, so the last cut is the final one and the
@@ -318,8 +318,7 @@ def _closest_unlinked(
     margin = gram_margin(a, b)
     cut = -np.inf
     kept_rows, kept_cols, kept_vals = np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0)
-    for start in range(0, len(a), _GRAM_ROWS):
-        gram = a[start : start + _GRAM_ROWS] @ b.T
+    for start, gram in gram_blocks(a, b):
         lo, hi = np.searchsorted(linked[:, 0], [start, start + len(gram)])
         gram[linked[lo:hi, 0] - start, linked[lo:hi, 1]] = -np.inf
         best = gram.max(axis=1)
@@ -330,6 +329,8 @@ def _closest_unlinked(
         # Never below the lowest float, so a linked pair's -inf never passes.
         floor = max(cut - margin, np.finfo(gram.dtype).min)
         hot = np.flatnonzero(best >= floor)
+        if not len(hot):
+            continue  # the cut did not rise either, so the kept pairs stand
         r, c = np.nonzero(gram[hot] >= floor)
         kept_rows = np.concatenate([kept_rows, hot[r] + start])
         kept_cols = np.concatenate([kept_cols, c])

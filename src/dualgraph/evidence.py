@@ -36,7 +36,7 @@ class EvidenceNotFoundError(KeyError):
     """Lookup of an evidence id that was never issued."""
 
 
-_TOKEN_RE = re.compile(r"^id_([1-9][0-9]*)$")
+_TOKEN_RE = re.compile(r"^id_([1-9][0-9]*)\Z")
 
 
 def normalize_url(url: str) -> str:

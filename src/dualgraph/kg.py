@@ -26,6 +26,11 @@ per graph state: ``add_node``, ``_insert``, ``apply_extraction`` and
 a node or add an edge, so ids, names and edges must change through them
 alone. Evidence ids, embeddings and cluster and community ids, which the view
 leaves out, may be set anywhere.
+
+``cluster_semantic`` keeps on the graph, in memory only, what its last call
+decided (``_ClusterMemo``), so the next call re-decides just the pairs of new
+or changed vectors. Copies share the memo; a graph read from a document starts
+without one.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from __future__ import annotations
 import json
 import logging
 import re
-from collections.abc import Mapping, Set
+from collections.abc import Iterable, Iterator, Mapping, Set
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring
 
@@ -69,6 +74,7 @@ __all__ = [
     "bridging_score",
     "degree_in_community",
     "node_importance",
+    "gram_blocks",
     "gram_margin",
 ]
 
@@ -105,8 +111,8 @@ class EmbeddingMissingError(KnowledgeGraphError):
     pass
 
 
-_NODE_ID_RE = re.compile(r"^n([1-9][0-9]*)$")
-_EDGE_ID_RE = re.compile(r"^e([1-9][0-9]*)$")
+_NODE_ID_RE = re.compile(r"^n([1-9][0-9]*)\Z")
+_EDGE_ID_RE = re.compile(r"^e([1-9][0-9]*)\Z")
 
 
 def node_num(node_id: str) -> int:
@@ -204,6 +210,8 @@ class KnowledgeGraph:
         self.next_edge_num: int = 1
         # to_prompt_json's text while ids, names and edges stay as they are.
         self._prompt_json: str | None = None
+        # What the last cluster_semantic decided; never written to disk.
+        self._clusters: _ClusterMemo | None = None
 
     # -- basic queries -------------------------------------------------
 
@@ -272,6 +280,7 @@ class KnowledgeGraph:
         g.next_node_num = self.next_node_num
         g.next_edge_num = self.next_edge_num
         g._prompt_json = self._prompt_json
+        g._clusters = self._clusters
         return g
 
     # -- construction helpers (used by tests) --
@@ -636,13 +645,31 @@ def merge_nodes(kg: KnowledgeGraph, clusters: list[MergeCluster]) -> KnowledgeGr
     return kg
 
 
-# Rows of the Gram matrix formed at once, so memory stays linear in nodes.
-_GRAM_ROWS = 512
+# Bytes of one Gram block. Products are formed a block of rows at a time, so
+# their memory stays flat as the graph grows.
+_GRAM_BYTES = 1 << 20
 
 
-def gram_margin(a: np.ndarray, b: np.ndarray) -> float:
+def gram_blocks(
+    a: np.ndarray, b: np.ndarray, upper: bool = False
+) -> Iterator[tuple[int, np.ndarray]]:
+    """``a @ b.T`` a block of rows at a time, as (first row, block) pairs. A
+    block holds at most ``_GRAM_BYTES``, or one row where a row holds more.
+
+    ``upper``: the block from row ``start`` is ``a[start:...] @ b[start:].T``.
+    Where ``b`` begins with the rows of ``a``, that forms each pair of them
+    once, above the diagonal, and every pair with the rest of ``b``.
+    """
+    row_bytes = len(b) * np.result_type(a, b).itemsize
+    rows = max(1, _GRAM_BYTES // max(row_bytes, 1))
+    for start in range(0, len(a), rows):
+        yield start, a[start : start + rows] @ b[start if upper else 0 :].T
+
+
+def gram_margin(a: np.ndarray, b: np.ndarray, dtypes: Iterable[np.dtype] = ()) -> float:
     """A bound on how far an entry of ``a @ b.T`` may sit from ``np.dot`` of
-    its two rows, for all entries.
+    its two rows, for all entries. ``dtypes``: others that ``np.dot`` may sum
+    in, where the rows were cast to a wider one to be stacked.
 
     Both are float sums of the same n products in some order, so each lies
     within gamma_n * |a_i| * |b_j| of the exact value, gamma_n ~ n * eps / 2
@@ -651,11 +678,27 @@ def gram_margin(a: np.ndarray, b: np.ndarray) -> float:
     largest row norms: a cut placed at a computed entry is off by one such
     distance and the entries it compares by another.
     """
-    dtype = np.result_type(a, b)
-    eps = np.finfo(dtype if dtype.kind == "f" else float).eps
+    eps = max(np.finfo(d if d.kind == "f" else float).eps for d in (np.result_type(a, b), *dtypes))
     norm_a = float(np.max(np.linalg.norm(a, axis=1), initial=0.0))
     norm_b = float(np.max(np.linalg.norm(b, axis=1), initial=0.0))
     return 4.0 * a.shape[1] * eps * norm_a * norm_b
+
+
+@dataclass(frozen=True)
+class _ClusterMemo:
+    """What one ``cluster_semantic`` call decided, for the next call to reuse.
+
+    ``rows`` is the stack of embeddings it clustered, its own copy, one row
+    per node of ``ids``, whose own embeddings had ``dtypes``; ``pairs`` holds
+    the rows (i, j), i < j, of every pair whose ``np.dot`` reached
+    ``threshold``. Never changed once made, so graph copies share it.
+    """
+
+    threshold: float
+    ids: list[str]
+    dtypes: list[np.dtype]
+    rows: np.ndarray
+    pairs: np.ndarray
 
 
 def cluster_semantic(kg: KnowledgeGraph, threshold: float = 0.85) -> dict[str, int]:
@@ -665,11 +708,74 @@ def cluster_semantic(kg: KnowledgeGraph, threshold: float = 0.85) -> dict[str, i
     labels contiguous from 0 in numeric node order. Every node must already
     carry an embedding. The decision for each pair is the per-pair
     ``np.dot``; a Gram-matrix product only picks the pairs worth deciding.
+
+    A node is clean if the graph's last call, at this threshold, clustered it
+    with an embedding of the same dtype, shape and bytes. That call's pairs
+    between clean nodes stand; only the dirty nodes' rows are multiplied
+    against the graph, and each pair of dirty nodes is decided once. A graph
+    with no memo, such as one just read from disk, has no clean node.
     """
     ids = kg.node_ids()
-    for nid in ids:
-        if kg.nodes[nid].embedding is None:
+    vectors = [n.embedding for n in kg.nodes.values()]
+    for nid, vector in zip(ids, vectors):
+        if vector is None:
             raise EmbeddingMissingError(f"node {nid} has no embedding")
+    if not ids:
+        return {}
+    stack = np.array(vectors)
+    dtypes = [v.dtype for v in vectors]
+
+    # old[i]: the memo's row for node i, or -1 where node i is dirty.
+    memo = kg._clusters
+    old = np.full(len(ids), -1, dtype=np.intp)
+    if (
+        memo is not None
+        and memo.threshold == threshold
+        and memo.rows.dtype == stack.dtype
+        and memo.rows.shape[1:] == stack.shape[1:]
+    ):
+        n = len(memo.ids)
+        if ids[:n] == memo.ids and dtypes[:n] == memo.dtypes:  # the graph only grew
+            old[:n] = np.arange(n)
+        else:
+            row = dict(zip(zip(memo.ids, memo.dtypes), range(n)))
+            old[:] = [row.get(key, -1) for key in zip(ids, dtypes)]
+        (known,) = np.nonzero(old >= 0)
+        now, then = stack[known].view(np.uint8), memo.rows[old[known]].view(np.uint8)
+        old[known[np.flatnonzero(now != then) // now.shape[1]]] = -1
+    clean = old >= 0
+
+    # The memo's pairs whose ends are both clean, in today's positions.
+    found = [np.empty((0, 2), dtype=np.intp)]
+    if memo is not None:
+        position = np.full(len(memo.rows), -1, dtype=np.intp)
+        position[old[clean]] = np.flatnonzero(clean)
+        kept = position[memo.pairs]
+        found.append(kept[(kept >= 0).all(axis=1)])
+
+    # Dirty rows first, so each block of them meets later dirty rows and all
+    # clean ones in one slice.
+    (dirty,) = np.nonzero(~clean)
+    order = np.concatenate([dirty, np.flatnonzero(clean)])
+    rows = stack[order]
+    floor = threshold - gram_margin(rows[: len(dirty)], rows, set(dtypes))
+    for start, block in gram_blocks(rows[: len(dirty)], rows, upper=True):
+        np.fill_diagonal(block, -np.inf)  # each row's entry for itself
+        close = block >= floor
+        if not close.any():
+            continue
+        r, c = np.nonzero(close)
+        above = c > r  # row start + r meets column start + c
+        i, j = order[start + r[above]], order[start + c[above]]
+        i, j = np.minimum(i, j), np.maximum(i, j)
+        near = [
+            float(np.dot(vectors[a], vectors[b])) >= threshold
+            for a, b in zip(i.tolist(), j.tolist())
+        ]
+        found.append(np.stack([i, j], axis=1)[np.array(near, dtype=bool)])
+    pairs = np.concatenate(found)
+    kg._clusters = _ClusterMemo(threshold, ids, dtypes, stack, pairs)
+
     # Union-find on positions in node order; a root is its set's first node.
     parent = list(range(len(ids)))
 
@@ -679,28 +785,16 @@ def cluster_semantic(kg: KnowledgeGraph, threshold: float = 0.85) -> dict[str, i
             x = parent[x]
         return x
 
-    vectors = [kg.nodes[nid].embedding for nid in ids]
-    if ids:
-        stack = np.array(vectors)
-        floor = threshold - gram_margin(stack, stack)
-        for start in range(0, len(ids), _GRAM_ROWS):
-            close = stack[start : start + _GRAM_ROWS] @ stack.T >= floor
-            # Row r is node start + r; keep only its pairs with later nodes.
-            for r, j in zip(*np.nonzero(np.triu(close, start + 1))):
-                i = start + int(r)
-                if float(np.dot(vectors[i], vectors[j])) >= threshold:
-                    ra, rb = find(i), find(int(j))
-                    if ra != rb:
-                        parent[max(ra, rb)] = min(ra, rb)
-
-    labels: dict[int, int] = {}
-    out: dict[str, int] = {}
-    for i, nid in enumerate(ids):
-        root = find(i)
-        if root not in labels:
-            labels[root] = len(labels)
-        out[nid] = labels[root]
-    return out
+    for a, b in pairs.tolist():
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+    root = np.arange(len(ids))
+    paired = np.flatnonzero(np.bincount(pairs.ravel(), minlength=len(ids)))
+    root[paired] = [find(x) for x in paired.tolist()]
+    # Numbering the roots in node order numbers the sets by their first nodes.
+    labels = (np.cumsum(root == np.arange(len(ids))) - 1)[root]
+    return dict(zip(ids, labels.tolist()))
 
 
 def detect_communities(kg: KnowledgeGraph, seed: int) -> CommunityPartition:

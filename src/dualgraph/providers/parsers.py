@@ -65,11 +65,11 @@ class TemplateError(ValueError):
 
 _FENCE_RE = re.compile(r"\A```[a-zA-Z0-9_-]*\n(.*)\n```\Z", re.DOTALL)
 _PLACEHOLDER_RE = re.compile(r"\$\{([A-Z_]+)\}")
-_NODE_ID_RE = re.compile(r"^n[1-9][0-9]*$")
-_EDGE_ID_RE = re.compile(r"^e[1-9][0-9]*$")
-_CLUSTER_ID_RE = re.compile(r"^c[1-9][0-9]*$")
-_EN_LABEL_RE = re.compile(r"^EN[1-9][0-9]*$")
-_CHAIN_ID_RE = re.compile(r"^chain_[1-9][0-9]*$")
+_NODE_ID_RE = re.compile(r"^n[1-9][0-9]*\Z")
+_EDGE_ID_RE = re.compile(r"^e[1-9][0-9]*\Z")
+_CLUSTER_ID_RE = re.compile(r"^c[1-9][0-9]*\Z")
+_EN_LABEL_RE = re.compile(r"^EN[1-9][0-9]*\Z")
+_CHAIN_ID_RE = re.compile(r"^chain_[1-9][0-9]*\Z")
 
 SCORE_DIMENSIONS = (
     "instruction_following",

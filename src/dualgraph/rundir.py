@@ -32,6 +32,7 @@ from __future__ import annotations
 import base64
 import json
 import os
+import re
 from collections import deque
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import asdict, dataclass
@@ -320,8 +321,32 @@ class _EmbedOnce:
         return np.array([rows[t] for t in texts])
 
 
+_LONE_SURROGATE = re.compile(r"[\ud800-\udfff]")
+
+
+def _scrub(text: str) -> str:
+    """``text`` with each lone surrogate, which UTF-8 cannot encode, replaced by U+FFFD."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return _LONE_SURROGATE.sub("\ufffd", text)
+    return text
+
+
+def _scrub_result(r: SearchResult) -> SearchResult:
+    """``r`` with its URL, title and snippet scrubbed; ``r`` itself when all are ASCII."""
+    if r.url.isascii() and r.title.isascii() and r.snippet.isascii():
+        return r
+    return SearchResult(_scrub(r.url), _scrub(r.title), _scrub(r.snippet), r.rank)
+
+
 class _Tape:
     """Chat, search, fetch and embed over ``inner`` that keep every exchange they make.
+
+    Live answers enter the engine here, so the tape scrubs their text
+    (``_scrub``): a chat answer, a search result's URL, title and snippet, a
+    fetched page and a fetch error's message. Every file the run writes can
+    then hold what the tape keeps and returns.
 
     ``exchanges`` holds each call's (kind, request, answer) in call order; a
     fetch's ``FetchError`` is its answer, re-raised to the caller, and an
@@ -344,7 +369,7 @@ class _Tape:
         self.exchanges: list[tuple] = []
         self._unprobed: dict | None = rows  # the committed memo, until the probe has run
 
-    def _call(self, kind: str, request, ask: Callable, *args):
+    def _call(self, kind: str, request, ask: Callable[[], object]):
         queue = self.queue
         if queue and queue[0][0] == kind and queue[0][1] == request:
             if kind == "embed" and self._unprobed is not None:
@@ -353,9 +378,9 @@ class _Tape:
         else:
             queue.clear()
             try:
-                answer = ask(*args)
+                answer = ask()
             except FetchError as exc:
-                answer = exc
+                answer = FetchError(_scrub(str(exc)))
         self.exchanges.append((kind, request, answer))
         if isinstance(answer, FetchError):
             raise answer
@@ -370,18 +395,20 @@ class _Tape:
             _check_width(REPLAY_FILE, replayed.shape[1], width)
 
     def complete(self, prompt: str) -> str:
-        return self._call("chat", prompt, self.inner.chat.complete, prompt)
+        return self._call("chat", prompt, lambda: _scrub(self.inner.chat.complete(prompt)))
 
     def search(self, query: str, top_n: int) -> list[SearchResult]:
-        request = {"query": query, "top_n": top_n}
-        return self._call("search", request, self.inner.search.search, query, top_n)
+        def ask() -> list[SearchResult]:
+            return [_scrub_result(r) for r in self.inner.search.search(query, top_n)]
+
+        return self._call("search", {"query": query, "top_n": top_n}, ask)
 
     def fetch(self, url: str) -> str:
-        return self._call("fetch", url, self.inner.fetch.fetch, url)
+        return self._call("fetch", url, lambda: _scrub(self.inner.fetch.fetch(url)))
 
     def embed(self, texts: Sequence[str]) -> np.ndarray:
         request = list(texts)
-        return self._call("embed", request, _embed_rows, self.inner.embed, request)
+        return self._call("embed", request, lambda: _embed_rows(self.inner.embed, request))
 
 
 class RunDir:

@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import dualgraph.chains as chains_mod
+import dualgraph.kg as kg_mod
 from dualgraph.chains import (
     ChainConfig,
     allocate_quotas,
@@ -602,15 +603,28 @@ class TestExactnessAtTheEdges:
     def test_similarity_in_row_blocks_keeps_the_whole_products_ranking(
         self, rng, monkeypatch, rows
     ):
-        # Blocks of a few rows make the running cut rise block by block.
+        # Blocks of a few rows make the running cut rise block by block. The
+        # byte budget is set to hold exactly ``rows`` rows of concepts.
         for _ in range(4):
             kg, part, case = make_case(rng, max_nodes=40, max_communities=4, dim=16)
             _share_embeddings(kg, case, rng)
             full = explore_similarity(kg)
-            monkeypatch.setattr(chains_mod, "_GRAM_ROWS", rows)
+            concepts = sum(not n.is_core_entity for n in kg.nodes.values())
+            monkeypatch.setattr(kg_mod, "_GRAM_BYTES", rows * concepts * 8)
+            heights = []
+
+            def spy(a, b):
+                for start, block in kg_mod.gram_blocks(a, b):
+                    heights.append(len(block))
+                    yield start, block
+
+            monkeypatch.setattr(chains_mod, "gram_blocks", spy)
             n = len(full)
             for quota in {*range(24), n // 2, max(n - 1, 0), n, n + 1}:
                 assert explore_similarity(kg, quota=quota) == full[:quota]
+            assert max(heights, default=0) <= rows
+            if heights:
+                assert max(heights) == min(rows, len(kg) - concepts)
             monkeypatch.undo()
 
     def test_unplaced_node_is_an_unknown_node(self):

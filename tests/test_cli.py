@@ -80,6 +80,23 @@ def _set_node(key: str, value):
     return _edit_json(lambda doc: doc["knowledge_nodes"][0].update({key: value}))
 
 
+def _newline_after_first_id(key: str):
+    """Append a newline to the first node's (``node_id``) or edge's
+    (``edge_id``) id in a graph document, and to every edge end naming that
+    node, so the id's form is the one fault."""
+
+    def edit(doc):
+        first = doc["knowledge_nodes" if key == "node_id" else "knowledge_edges"][0]
+        old = first[key]
+        first[key] = old + "\n"
+        for edge in doc["knowledge_edges"] if key == "node_id" else ():
+            for end in ("source_id", "target_id"):
+                if edge[end] == old:
+                    edge[end] = old + "\n"
+
+    return _edit_json(edit)
+
+
 def _set_report(**report):
     """Make the early-stop history one report."""
     return _set_state("early_stop_history", [report])
@@ -242,6 +259,18 @@ DAMAGED_FILES = {
     "resume-next-node-num-a-string": ("resume", "kg_iter2.json", _set_state("next_node_num", "99")),
     "inspect-kg-next-edge-num-a-float": (
         "inspect-kg", "kg_iter2.json", _set_state("next_edge_num", 99.0)
+    ),
+    "resume-node-id-ends-in-a-newline": (
+        "resume", "kg_iter2.json", _newline_after_first_id("node_id")
+    ),
+    "inspect-kg-node-id-ends-in-a-newline": (
+        "inspect-kg", "kg_iter2.json", _newline_after_first_id("node_id")
+    ),
+    "resume-edge-id-ends-in-a-newline": (
+        "resume", "kg_iter2.json", _newline_after_first_id("edge_id")
+    ),
+    "inspect-kg-edge-id-ends-in-a-newline": (
+        "inspect-kg", "kg_iter2.json", _newline_after_first_id("edge_id")
     ),
     "resume-bank-url-a-number": ("resume", "bank.jsonl", _set_in_first_line("url", 7)),
     "resume-bank-summary-a-number": ("resume", "bank.jsonl", _set_in_first_line("summary", 7)),

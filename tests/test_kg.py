@@ -8,6 +8,7 @@ import random
 import numpy as np
 import pytest
 
+import dualgraph.kg as kg_mod
 from dualgraph.kg import (
     ClusterError,
     DanglingReferenceError,
@@ -25,7 +26,9 @@ from dualgraph.kg import (
     apply_extraction,
     cluster_semantic,
     detect_communities,
+    edge_num,
     merge_nodes,
+    node_num,
 )
 
 from . import oracles
@@ -153,6 +156,18 @@ class TestGraphBasics:
             doc[key].append(doc[key][-1])
         with pytest.raises(DuplicateIdError, match="does not follow"):
             KnowledgeGraph.from_dict(doc)
+
+    @pytest.mark.parametrize("bad", ["n1\n", "e1\n"])
+    def test_an_id_with_a_trailing_newline_is_malformed(self, bad):
+        parse = node_num if bad[0] == "n" else edge_num
+        assert parse(bad[:-1]) == 1
+        with pytest.raises(KnowledgeGraphError, match="malformed"):
+            parse(bad)
+        # In a document, renamed wherever it is named, so only its form is wrong.
+        text = _small_graph().to_document().replace(f'"{bad[:-1]}"', json.dumps(bad))
+        assert json.dumps(bad) in text
+        with pytest.raises(KnowledgeGraphError, match="malformed"):
+            KnowledgeGraph.from_document(text)
 
     def test_prompt_payload_shape(self):
         payload = _small_graph().to_prompt_payload()
@@ -680,6 +695,189 @@ class TestClusterSemantic:
         # Adjacent vectors are 20 degrees apart (cos 0.94), the outer pair 40
         # (cos 0.77): only transitivity joins all three.
         assert labels["n1"] == labels["n2"] == labels["n3"]
+
+
+def _unit(gen: np.random.Generator, centers: np.ndarray) -> np.ndarray:
+    """A vector near one of ``centers`` whose float64 entries are float32 values,
+    so a cast to float32 keeps them."""
+    v = centers[gen.integers(len(centers))] + 0.25 * gen.standard_normal(centers.shape[1])
+    return (v / np.linalg.norm(v)).astype(np.float32).astype(np.float64)
+
+
+def _fresh(kg: KnowledgeGraph) -> KnowledgeGraph:
+    """The graph re-read from its document, with copies of its vectors: a graph
+    that never clustered."""
+    fresh = KnowledgeGraph.from_document(kg.to_document())
+    for nid, node in fresh.nodes.items():
+        node.embedding = kg.nodes[nid].embedding.copy()
+    return fresh
+
+
+def _check_clusters(kg: KnowledgeGraph, threshold: float) -> dict[str, int]:
+    """cluster_semantic against the oracle and against a graph that never clustered."""
+    labels = cluster_semantic(kg, threshold)
+    vectors = {nid: node.embedding for nid, node in kg.nodes.items()}
+    assert labels == ref_semantic_clusters(kg.node_ids(), vectors, threshold)
+    assert labels == cluster_semantic(_fresh(kg), threshold)
+    return labels
+
+
+class TestClusterMemo:
+    """cluster_semantic re-decides only the pairs of new or changed vectors,
+    and its labels equal a from-scratch call's whatever changed in between."""
+
+    OPS = (
+        "add", "replace", "in-place", "float32", "delete", "merge",
+        "threshold", "copy", "from-document",
+    )
+
+    def _step(self, op, pool, gen, centers, threshold):
+        """Apply ``op`` to a graph of ``pool``; returns the graph and threshold to check."""
+        kg = pool[gen.integers(len(pool))]
+        concepts = [nid for nid, n in kg.nodes.items() if not n.is_core_entity]
+        if op == "add" or len(concepts) < 3:
+            for _ in range(gen.integers(1, 5)):
+                nid = kg.add_node(f"x{kg.next_node_num}", gen.random() < 0.2)
+                if len(kg) > 1 and gen.random() < 0.3:  # an exact twin
+                    twin = kg.nodes[kg.node_ids()[gen.integers(len(kg) - 1)]].embedding
+                    kg.nodes[nid].embedding = twin.astype(np.float64)
+                else:
+                    kg.nodes[nid].embedding = _unit(gen, centers)
+        elif op == "replace":
+            kg.nodes[concepts[gen.integers(len(concepts))]].embedding = _unit(gen, centers)
+        elif op == "in-place":
+            vector = kg.nodes[concepts[gen.integers(len(concepts))]].embedding
+            vector[:] = _unit(gen, centers) if gen.random() < 0.7 else -vector
+        elif op == "float32":
+            for nid in gen.choice(concepts, size=min(3, len(concepts)), replace=False):
+                kg.nodes[nid].embedding = kg.nodes[nid].embedding.astype(np.float32)
+        elif op == "delete":
+            del kg.nodes[concepts[gen.integers(len(concepts))]]  # the graph has no edges
+        elif op == "merge":
+            group = [str(n) for n in gen.choice(concepts, size=gen.integers(2, 4), replace=False)]
+            keep = min(group, key=node_num)
+            before = kg.nodes[keep].embedding
+            merge_nodes(kg, [MergeCluster(f"m{keep}", group)])
+            # Re-embedded: the same vector, so the node stays clean, or a new one.
+            kg.nodes[keep].embedding = before.copy() if gen.random() < 0.5 else _unit(gen, centers)
+        elif op == "threshold":
+            ids = kg.node_ids()
+            a, b = gen.choice(len(ids), size=2, replace=False)
+            # Often exactly some pair's dot product, where pairs sit on the cut.
+            threshold = (
+                float(np.dot(kg.nodes[ids[a]].embedding, kg.nodes[ids[b]].embedding))
+                if gen.random() < 0.6 else float(gen.choice([0.5, 0.8, 0.9, 0.97]))
+            )
+        elif op == "copy":
+            kg = kg.copy()
+            pool.append(kg)
+        else:
+            pool[pool.index(kg)] = kg = _fresh(kg)
+        return kg, threshold
+
+    def test_random_changes_keep_the_from_scratch_labels(self):
+        for seed in range(24):
+            gen = np.random.default_rng(seed)
+            centers = gen.standard_normal((3, 8))
+            pool = [KnowledgeGraph()]
+            threshold = 0.9
+            for _ in range(30):
+                op = self.OPS[gen.integers(len(self.OPS))]
+                kg, threshold = self._step(op, pool, gen, centers, threshold)
+                _check_clusters(kg, threshold)
+
+    @pytest.mark.parametrize("float32_sum", ["lower", "higher"])
+    def test_a_cast_to_float32_re_decides_the_pair(self, float32_sum):
+        # Two float32 ends make np.dot a float32 sum of the same values, which
+        # can fall below the float64 sum at the cut, or reach a cut above it
+        # while the float64 Gram product of the stack stays below.
+        gen = np.random.default_rng(5)
+        while True:
+            a, b = (gen.standard_normal(16).astype(np.float32).astype(np.float64) for _ in "ab")
+            wide = float(np.dot(a, b))
+            narrow = float(np.dot(a.astype(np.float32), b.astype(np.float32)))
+            if wide > 1 and ((narrow < wide) if float32_sum == "lower" else (narrow > wide)):
+                break
+        c = np.full(16, 1e-3)  # a third node, far below the cut with both
+        kg = KnowledgeGraph()
+        for vector in (a, b, c):
+            kg.nodes[kg.add_node("x", False)].embedding = vector
+        threshold = wide if float32_sum == "lower" else narrow
+        labels = _check_clusters(kg, threshold)
+        assert (labels["n1"] == labels["n2"]) is (float32_sum == "lower")
+        kg.nodes["n1"].embedding = a.astype(np.float32)
+        kg.nodes["n2"].embedding = b.astype(np.float32)
+        labels = _check_clusters(kg, threshold)
+        assert (labels["n1"] == labels["n2"]) is (float32_sum == "higher")
+
+    def test_ten_new_nodes_multiply_ten_rows(self, monkeypatch):
+        gen = np.random.default_rng(0)
+        centers = gen.standard_normal((4000, 32))
+        kg = KnowledgeGraph()
+        for _ in range(2000):
+            kg.nodes[kg.add_node("x", False)].embedding = _unit(gen, centers)
+        rows = []
+        blocks = kg_mod.gram_blocks
+
+        def spy(a, b, **kwargs):
+            for start, block in blocks(a, b, **kwargs):
+                assert block.nbytes <= kg_mod._GRAM_BYTES
+                rows.append(len(block))
+                yield start, block
+
+        monkeypatch.setattr(kg_mod, "gram_blocks", spy)
+        cluster_semantic(kg)
+        assert sum(rows) == 2000
+        for _ in range(10):
+            kg.nodes[kg.add_node("x", False)].embedding = _unit(gen, centers)
+        rows.clear()
+        labels = cluster_semantic(kg)
+        assert sum(rows) == 10
+        monkeypatch.undo()
+        assert labels == cluster_semantic(_fresh(kg))
+
+    @pytest.mark.parametrize("rows", [1, 2, 7])
+    def test_blocks_of_a_few_rows_keep_the_labels(self, monkeypatch, rows):
+        gen = np.random.default_rng(rows)
+
+        def grow(kg, vectors):
+            for vector in vectors:
+                kg.nodes[kg.add_node("x", False)].embedding = vector.copy()
+            return kg
+
+        for _ in range(6):
+            centers = gen.standard_normal((4, 8))
+            start = [_unit(gen, centers) for _ in range(gen.integers(1, 40))]
+            extra = [_unit(gen, centers) for _ in range(3)]
+            thresholds = (0.6, 0.9)
+            want = {t: cluster_semantic(grow(KnowledgeGraph(), start), t) for t in thresholds}
+            grown = {
+                t: cluster_semantic(grow(grow(KnowledgeGraph(), start), extra), t)
+                for t in thresholds
+            }
+            heights = []
+            blocks = kg_mod.gram_blocks
+
+            def spy(a, b, **kwargs):
+                for first, block in blocks(a, b, **kwargs):
+                    heights.append(len(block))
+                    yield first, block
+
+            monkeypatch.setattr(kg_mod, "gram_blocks", spy)
+            for t in thresholds:
+                kg = grow(KnowledgeGraph(), start)
+                # A budget of exactly ``rows`` rows of the graph's width.
+                monkeypatch.setattr(kg_mod, "_GRAM_BYTES", rows * len(kg) * 8)
+                heights.clear()
+                assert cluster_semantic(kg, t) == want[t]
+                assert max(heights) == min(rows, len(kg))
+                grow(kg, extra)
+                monkeypatch.setattr(kg_mod, "_GRAM_BYTES", rows * len(kg) * 8)
+                heights.clear()
+                assert cluster_semantic(kg, t) == grown[t]
+                assert heights == [min(rows, 3 - k) for k in range(0, 3, rows)]
+                _check_clusters(kg, t)
+            monkeypatch.undo()
 
 
 class TestDetectCommunities:

@@ -2701,3 +2701,113 @@ class TestALoneSurrogateIsReAsked:
         assert got_state.pop("audit_records") == want_state.pop("audit_records") + 1
         assert got_state == want_state
 
+
+
+class _SpoilOnce:
+    """A chat, search or fetch over ``inner`` whose first answer with a text to
+    spoil gets ``tail`` appended to that text, as a provider that decoded raw
+    text hands it over: the summary of the first useful page of an
+    assess_page answer (written back with ``ensure_ascii=False``), the first
+    search result's snippet, or a fetched page. ``spoiled_at`` is the number
+    of the spoiled call, from 1."""
+
+    def __init__(self, inner, tail: str):
+        self.inner, self.tail = inner, tail
+        self.calls = 0
+        self.spoiled_at: int | None = None
+
+    def _spoil(self, answer, spoiled):
+        self.calls += 1
+        if self.spoiled_at is not None:
+            return answer
+        spoiled = spoiled(answer)
+        if spoiled is not None:
+            self.spoiled_at = self.calls
+            return spoiled
+        return answer
+
+    def complete(self, prompt):
+        def spoiled(answer):
+            try:
+                doc = json.loads(answer)
+            except ValueError:
+                return None
+            if not isinstance(doc, list):
+                return None
+            useful = [d for d in doc if isinstance(d, dict) and d.get("useful")]
+            if not useful:
+                return None
+            useful[0]["summary"] += self.tail
+            return json.dumps(doc, ensure_ascii=False)
+
+        return self._spoil(self.inner.complete(prompt), spoiled)
+
+    def search(self, query, top_n):
+        def spoiled(results):
+            if not results:
+                return None
+            return [replace(results[0], snippet=results[0].snippet + self.tail), *results[1:]]
+
+        return self._spoil(self.inner.search(query, top_n), spoiled)
+
+    def fetch(self, url):
+        return self._spoil(self.inner.fetch(url), lambda page: page + self.tail)
+
+
+def _spoiled_run(run_dir, kind: str, tail: str | None, cut_at: int | None = None):
+    """A Runner on the surrogate reproduction's world whose ``kind`` provider is
+    a ``_SpoilOnce`` with ``tail`` (None: no spoiling) that fails at call
+    ``cut_at``, and that spoiler."""
+    world = generate_world(0, 3, 2, 4)
+    config = RunConfig()
+    providers = sim_providers(world, config.embed_dim, config.seed)
+    spoiler = _SpoilOnce(getattr(providers, kind), tail) if tail is not None else None
+    inner = spoiler or getattr(providers, kind)
+    setattr(providers, kind, FailingAt(inner, cut_at) if cut_at is not None else inner)
+    return Runner(config, providers, run_dir), spoiler
+
+
+def _strict_utf8(run_dir) -> dict[str, bytes]:
+    """The run directory's files, each checked to decode as strict UTF-8."""
+    files = dir_snapshot(run_dir)
+    for raw in files.values():
+        raw.decode("utf-8")
+    return files
+
+
+class TestTheTapeScrubsLoneSurrogates:
+    """A lone surrogate in a live answer's raw text, which no run-dir file can
+    hold, reaches the engine as U+FFFD."""
+
+    @pytest.mark.parametrize("kind", ["chat", "search", "fetch"])
+    def test_the_run_equals_one_sent_the_replacement_character(self, tmp_path, kind):
+        runner, spoiler = _spoiled_run(tmp_path / "spoiled", kind, " \ud800")
+        assert runner.start(DEFAULT_ROOT_QUERY).stage == "done"
+        assert spoiler.spoiled_at is not None
+        runner, replaced = _spoiled_run(tmp_path / "replaced", kind, " �")
+        runner.start(DEFAULT_ROOT_QUERY)
+        assert replaced.spoiled_at == spoiler.spoiled_at
+        got = _strict_utf8(tmp_path / "spoiled")
+        assert got == dir_snapshot(tmp_path / "replaced")
+        assert any(" �".encode("utf-8") in raw for raw in got.values())
+
+    @pytest.mark.parametrize("kind", ["chat", "search", "fetch"])
+    @pytest.mark.parametrize("after", [0, 1], ids=["at-the-spoiled-call", "just-after-it"])
+    def test_a_cut_at_the_spoiled_call_resumes_to_the_same_bytes(self, tmp_path, kind, after):
+        runner, replaced = _spoiled_run(tmp_path / "replaced", kind, " �")
+        runner.start(DEFAULT_ROOT_QUERY)
+        want = dir_snapshot(tmp_path / "replaced")
+
+        run_dir = tmp_path / "cut"
+        runner, spoiler = _spoiled_run(run_dir, kind, " \ud800", replaced.spoiled_at + after)
+        with pytest.raises(ProviderError):
+            runner.start(DEFAULT_ROOT_QUERY)
+        assert spoiler.spoiled_at == (replaced.spoiled_at if after else None)
+        files = _strict_utf8(run_dir)
+        if after:  # the spoiled answer is committed or on the replay, scrubbed
+            assert any(" �".encode("utf-8") in raw for raw in files.values())
+        # A restarted process. A cut at the spoiled call asks it again, live;
+        # a cut after it replays it, so no later answer may be spoiled.
+        runner, _ = _spoiled_run(run_dir, kind, None if after else " \ud800")
+        assert runner.resume().stage == "done"
+        assert _strict_utf8(run_dir) == want

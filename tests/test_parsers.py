@@ -9,6 +9,8 @@ import zlib
 
 import pytest
 
+from dualgraph import evidence, kg
+from dualgraph.providers import parsers
 from dualgraph.providers.parsers import (
     SCORE_DIMENSIONS,
     BudgetExceeded,
@@ -397,6 +399,78 @@ def test_an_escaped_surrogate_pair_is_one_character():
     text = json.dumps([{"useful": True, "summary": "\U0001f600", "salient_content": ""}])
     assert "\\ud83d\\ude00" in text
     assert parse_page_assessment(text, count=1)[0].summary == "\U0001f600"
+
+
+def _edited(doc, edit) -> str:
+    """``doc`` as JSON text after ``edit`` of a copy of it."""
+    doc = json.loads(json.dumps(doc))
+    edit(doc)
+    return json.dumps(doc)
+
+
+def _chain_selection(text):
+    return parse_chain_selection(text, chain_num=1, query_num=1)
+
+
+# One case per id each JSON parser checks: (parse, text holding the id with a
+# trailing newline, the id as the error quotes it).
+NEWLINE_IDS = {
+    "extraction-node-id": (
+        parse_extraction, _edited(EXTRACTION_DOC, lambda d: d["new_nodes"][0].update(id="n3\n")),
+    ),
+    "extraction-edge-id": (
+        parse_extraction, _edited(EXTRACTION_DOC, lambda d: d["new_edges"][0].update(id="e2\n")),
+    ),
+    "extraction-edge-end": (
+        parse_extraction,
+        _edited(EXTRACTION_DOC, lambda d: d["new_edges"][1].update(source_id="n1\n")),
+    ),
+    "extraction-en-label": (
+        parse_extraction,
+        _edited(EXTRACTION_DOC, lambda d: d["evidences_map"].update({"EN3\n": ["e2"]})),
+    ),
+    "extraction-evidence-edge": (
+        parse_extraction,
+        _edited(EXTRACTION_DOC, lambda d: d["evidences_map"].update(EN1=["e2\n"])),
+    ),
+    "merge-cluster-id": (
+        parse_merge, _edited(_MERGE, lambda d: d["clusters"][0].update(cluster_id="c1\n")),
+    ),
+    "merge-source-node": (
+        parse_merge,
+        _edited(_MERGE, lambda d: d["clusters"][0].update(source_node_ids=["n2", "n3\n"])),
+    ),
+    "chain-selection-chain-id": (
+        _chain_selection, _edited(_SELECTION, lambda d: d.update(chains=["chain_1\n"])),
+    ),
+}
+
+
+@pytest.mark.parametrize("parse, text", NEWLINE_IDS.values(), ids=NEWLINE_IDS)
+def test_an_id_with_a_trailing_newline_is_a_schema_violation(parse, text):
+    assert "\\n" in text
+    with pytest.raises(SchemaViolation, match=r"\\n"):
+        parse(text)
+    parse(text.replace("\\n", ""))
+
+
+@pytest.mark.parametrize(
+    "pattern, valid",
+    [
+        (kg._NODE_ID_RE, "n12"),
+        (kg._EDGE_ID_RE, "e12"),
+        (evidence._TOKEN_RE, "id_12"),
+        (parsers._NODE_ID_RE, "n12"),
+        (parsers._EDGE_ID_RE, "e12"),
+        (parsers._CLUSTER_ID_RE, "c12"),
+        (parsers._EN_LABEL_RE, "EN12"),
+        (parsers._CHAIN_ID_RE, "chain_12"),
+    ],
+)
+def test_an_id_pattern_rejects_a_trailing_newline(pattern, valid):
+    assert pattern.match(valid)
+    assert pattern.match(valid + "\n") is None
+    assert pattern.match(valid + "\n\n") is None
 
 
 class TestParseScores:
