@@ -30,7 +30,7 @@ from __future__ import annotations
 import heapq
 import math
 from bisect import bisect_right
-from collections.abc import Container, Iterator
+from collections.abc import Container, Iterable, Iterator
 from dataclasses import dataclass, field
 from itertools import groupby, islice
 
@@ -274,11 +274,14 @@ def explore_similarity(kg: KnowledgeGraph, quota: int | None = None) -> list[Sea
         unlinked[linked[:, 0], linked[:, 1]] = False
         pairs = zip(*np.nonzero(unlinked))
     else:
+        core_rows = [kg.nodes[c].embedding for c in cores]
+        concept_rows = [kg.nodes[k].embedding for k in concepts]
         pairs = _closest_unlinked(
-            np.array([kg.nodes[c].embedding for c in cores]),
-            np.array([kg.nodes[k].embedding for k in concepts]),
+            np.array(core_rows),
+            np.array(concept_rows),
             linked,
             quota,
+            {v.dtype for v in core_rows + concept_rows},
         )
 
     # Row and column order is numeric node order, so indices break ties.
@@ -302,12 +305,13 @@ def explore_similarity(kg: KnowledgeGraph, quota: int | None = None) -> list[Sea
 
 
 def _closest_unlinked(
-    a: np.ndarray, b: np.ndarray, linked: np.ndarray, quota: int
+    a: np.ndarray, b: np.ndarray, linked: np.ndarray, quota: int, dtypes: Iterable[np.dtype]
 ) -> Iterator[tuple[int, int]]:
     """(row, column) of every pair not in ``linked`` whose entry of ``a @ b.T``
     is no lower than the quota-th highest such entry less ``gram_margin``.
     ``linked`` holds (row, column) pairs in ascending row order, and more than
-    quota pairs are not linked.
+    quota pairs are not linked. ``dtypes``: those of the rows before they were
+    stacked, which ``np.dot`` of two of them sums in.
 
     The product is formed in ``gram_blocks``. A running cut, the
     quota-th highest entry of the pairs kept so far, drops a pair once it falls
@@ -315,7 +319,7 @@ def _closest_unlinked(
     the pairs above it stay kept, so the last cut is the final one and the
     pairs kept are the same as from the whole product.
     """
-    margin = gram_margin(a, b)
+    margin = gram_margin(a, b, dtypes)
     cut = -np.inf
     kept_rows, kept_cols, kept_vals = np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0)
     for start, gram in gram_blocks(a, b):

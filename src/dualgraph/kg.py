@@ -26,11 +26,6 @@ per graph state: ``add_node``, ``_insert``, ``apply_extraction`` and
 a node or add an edge, so ids, names and edges must change through them
 alone. Evidence ids, embeddings and cluster and community ids, which the view
 leaves out, may be set anywhere.
-
-``cluster_semantic`` keeps on the graph, in memory only, what its last call
-decided (``_ClusterMemo``), so the next call re-decides just the pairs of new
-or changed vectors. Copies share the memo; a graph read from a document starts
-without one.
 """
 
 from __future__ import annotations
@@ -210,8 +205,6 @@ class KnowledgeGraph:
         self.next_edge_num: int = 1
         # to_prompt_json's text while ids, names and edges stay as they are.
         self._prompt_json: str | None = None
-        # What the last cluster_semantic decided; never written to disk.
-        self._clusters: _ClusterMemo | None = None
 
     # -- basic queries -------------------------------------------------
 
@@ -280,7 +273,6 @@ class KnowledgeGraph:
         g.next_node_num = self.next_node_num
         g.next_edge_num = self.next_edge_num
         g._prompt_json = self._prompt_json
-        g._clusters = self._clusters
         return g
 
     # -- construction helpers (used by tests) --
@@ -684,23 +676,6 @@ def gram_margin(a: np.ndarray, b: np.ndarray, dtypes: Iterable[np.dtype] = ()) -
     return 4.0 * a.shape[1] * eps * norm_a * norm_b
 
 
-@dataclass(frozen=True)
-class _ClusterMemo:
-    """What one ``cluster_semantic`` call decided, for the next call to reuse.
-
-    ``rows`` is the stack of embeddings it clustered, its own copy, one row
-    per node of ``ids``, whose own embeddings had ``dtypes``; ``pairs`` holds
-    the rows (i, j), i < j, of every pair whose ``np.dot`` reached
-    ``threshold``. Never changed once made, so graph copies share it.
-    """
-
-    threshold: float
-    ids: list[str]
-    dtypes: list[np.dtype]
-    rows: np.ndarray
-    pairs: np.ndarray
-
-
 def cluster_semantic(kg: KnowledgeGraph, threshold: float = 0.85) -> dict[str, int]:
     """Group nodes whose name embeddings are transitively cosine-close.
 
@@ -709,11 +684,8 @@ def cluster_semantic(kg: KnowledgeGraph, threshold: float = 0.85) -> dict[str, i
     carry an embedding. The decision for each pair is the per-pair
     ``np.dot``; a Gram-matrix product only picks the pairs worth deciding.
 
-    A node is clean if the graph's last call, at this threshold, clustered it
-    with an embedding of the same dtype, shape and bytes. That call's pairs
-    between clean nodes stand; only the dirty nodes' rows are multiplied
-    against the graph, and each pair of dirty nodes is decided once. A graph
-    with no memo, such as one just read from disk, has no clean node.
+    Every call decides every pair from scratch, each pair once, and reads the
+    graph without changing it.
     """
     ids = kg.node_ids()
     vectors = [n.embedding for n in kg.nodes.values()]
@@ -723,58 +695,23 @@ def cluster_semantic(kg: KnowledgeGraph, threshold: float = 0.85) -> dict[str, i
     if not ids:
         return {}
     stack = np.array(vectors)
-    dtypes = [v.dtype for v in vectors]
 
-    # old[i]: the memo's row for node i, or -1 where node i is dirty.
-    memo = kg._clusters
-    old = np.full(len(ids), -1, dtype=np.intp)
-    if (
-        memo is not None
-        and memo.threshold == threshold
-        and memo.rows.dtype == stack.dtype
-        and memo.rows.shape[1:] == stack.shape[1:]
-    ):
-        n = len(memo.ids)
-        if ids[:n] == memo.ids and dtypes[:n] == memo.dtypes:  # the graph only grew
-            old[:n] = np.arange(n)
-        else:
-            row = dict(zip(zip(memo.ids, memo.dtypes), range(n)))
-            old[:] = [row.get(key, -1) for key in zip(ids, dtypes)]
-        (known,) = np.nonzero(old >= 0)
-        now, then = stack[known].view(np.uint8), memo.rows[old[known]].view(np.uint8)
-        old[known[np.flatnonzero(now != then) // now.shape[1]]] = -1
-    clean = old >= 0
-
-    # The memo's pairs whose ends are both clean, in today's positions.
     found = [np.empty((0, 2), dtype=np.intp)]
-    if memo is not None:
-        position = np.full(len(memo.rows), -1, dtype=np.intp)
-        position[old[clean]] = np.flatnonzero(clean)
-        kept = position[memo.pairs]
-        found.append(kept[(kept >= 0).all(axis=1)])
-
-    # Dirty rows first, so each block of them meets later dirty rows and all
-    # clean ones in one slice.
-    (dirty,) = np.nonzero(~clean)
-    order = np.concatenate([dirty, np.flatnonzero(clean)])
-    rows = stack[order]
-    floor = threshold - gram_margin(rows[: len(dirty)], rows, set(dtypes))
-    for start, block in gram_blocks(rows[: len(dirty)], rows, upper=True):
+    floor = threshold - gram_margin(stack, stack, {v.dtype for v in vectors})
+    for start, block in gram_blocks(stack, stack, upper=True):
         np.fill_diagonal(block, -np.inf)  # each row's entry for itself
         close = block >= floor
         if not close.any():
             continue
         r, c = np.nonzero(close)
-        above = c > r  # row start + r meets column start + c
-        i, j = order[start + r[above]], order[start + c[above]]
-        i, j = np.minimum(i, j), np.maximum(i, j)
+        above = c > r  # row start + r meets row start + c
+        i, j = start + r[above], start + c[above]
         near = [
             float(np.dot(vectors[a], vectors[b])) >= threshold
             for a, b in zip(i.tolist(), j.tolist())
         ]
         found.append(np.stack([i, j], axis=1)[np.array(near, dtype=bool)])
     pairs = np.concatenate(found)
-    kg._clusters = _ClusterMemo(threshold, ids, dtypes, stack, pairs)
 
     # Union-find on positions in node order; a root is its set's first node.
     parent = list(range(len(ids)))

@@ -454,6 +454,17 @@ class TestBuildSearchChains:
                 ref_chain_pipeline(case, 16, 1, 0.1),
             )
 
+    def test_similarity_cuts_with_float32_and_float64_embeddings(self, rng):
+        # np.dot of two float32 rows sums in float32, so the cut on the float64
+        # stack must leave room for float32's rounding.
+        for _ in range(4):
+            kg, _, case = make_case(rng, max_nodes=120, dim=32)
+            _share_embeddings(kg, case, rng)
+            for node in kg.nodes.values():
+                if rng.random() < 0.5:
+                    node.embedding = node.embedding.astype(np.float32)
+            _assert_similarity_cuts(kg)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ChainConfig(total=-1)

@@ -714,17 +714,21 @@ def _fresh(kg: KnowledgeGraph) -> KnowledgeGraph:
 
 
 def _check_clusters(kg: KnowledgeGraph, threshold: float) -> dict[str, int]:
-    """cluster_semantic against the oracle and against a graph that never clustered."""
+    """cluster_semantic against the oracle and against a graph that never
+    clustered; the call leaves every attribute of the graph as it was."""
+    attributes = dict(vars(kg))
     labels = cluster_semantic(kg, threshold)
+    assert vars(kg).keys() == attributes.keys()
+    assert all(vars(kg)[name] is value for name, value in attributes.items())
     vectors = {nid: node.embedding for nid, node in kg.nodes.items()}
     assert labels == ref_semantic_clusters(kg.node_ids(), vectors, threshold)
     assert labels == cluster_semantic(_fresh(kg), threshold)
     return labels
 
 
-class TestClusterMemo:
-    """cluster_semantic re-decides only the pairs of new or changed vectors,
-    and its labels equal a from-scratch call's whatever changed in between."""
+class TestClusterFromScratch:
+    """cluster_semantic's labels equal the oracle's and a fresh graph's,
+    whatever changed between two calls."""
 
     OPS = (
         "add", "replace", "in-place", "float32", "delete", "merge",
@@ -810,31 +814,34 @@ class TestClusterMemo:
         labels = _check_clusters(kg, threshold)
         assert (labels["n1"] == labels["n2"]) is (float32_sum == "higher")
 
-    def test_ten_new_nodes_multiply_ten_rows(self, monkeypatch):
+    def test_every_call_multiplies_each_row_once(self, monkeypatch):
+        # Past 362 nodes of 8-byte rows, the default budget takes several blocks.
         gen = np.random.default_rng(0)
-        centers = gen.standard_normal((4000, 32))
+        centers = gen.standard_normal((300, 32))
         kg = KnowledgeGraph()
-        for _ in range(2000):
+        for _ in range(600):
             kg.nodes[kg.add_node("x", False)].embedding = _unit(gen, centers)
-        rows = []
+        starts, rows = [], []
         blocks = kg_mod.gram_blocks
 
         def spy(a, b, **kwargs):
             for start, block in blocks(a, b, **kwargs):
                 assert block.nbytes <= kg_mod._GRAM_BYTES
+                starts.append(start)
                 rows.append(len(block))
                 yield start, block
 
         monkeypatch.setattr(kg_mod, "gram_blocks", spy)
-        cluster_semantic(kg)
-        assert sum(rows) == 2000
-        for _ in range(10):
-            kg.nodes[kg.add_node("x", False)].embedding = _unit(gen, centers)
-        rows.clear()
-        labels = cluster_semantic(kg)
-        assert sum(rows) == 10
-        monkeypatch.undo()
-        assert labels == cluster_semantic(_fresh(kg))
+        for added in (0, 10):
+            for _ in range(added):
+                kg.nodes[kg.add_node("x", False)].embedding = _unit(gen, centers)
+            starts.clear()
+            rows.clear()
+            labels = cluster_semantic(kg)
+            assert len(rows) > 1
+            assert starts == np.cumsum([0, *rows[:-1]]).tolist()
+            assert sum(rows) == len(kg)
+            assert labels == cluster_semantic(_fresh(kg))
 
     @pytest.mark.parametrize("rows", [1, 2, 7])
     def test_blocks_of_a_few_rows_keep_the_labels(self, monkeypatch, rows):
@@ -875,7 +882,7 @@ class TestClusterMemo:
                 monkeypatch.setattr(kg_mod, "_GRAM_BYTES", rows * len(kg) * 8)
                 heights.clear()
                 assert cluster_semantic(kg, t) == grown[t]
-                assert heights == [min(rows, 3 - k) for k in range(0, 3, rows)]
+                assert heights == [min(rows, len(kg) - k) for k in range(0, len(kg), rows)]
                 _check_clusters(kg, t)
             monkeypatch.undo()
 
