@@ -10,16 +10,35 @@ Wire format (plain text, no indentation, no blank lines):
 
 Decimal numbering goes at most three levels deep with no gaps and ascending
 order at every level. Lettered lines are leaf content points; they never carry
-children. A ``<citation>...</citation>`` suffix holds evidence ids.
+children, and a heading holds at most 26 of them (a-z). A line may end in one
+``<citation>...</citation>`` suffix that holds evidence ids. A citation tag
+anywhere else, the title line included, is a parse error, so text with a tag
+inside a title is re-asked rather than kept as title text.
 
 The title may begin with a digit ("5G rollout", "1.5 degrees of warming"). An
 outline that lost its title starts with section 1, so a first line whose
 heading number is exactly ``1`` is rejected.
+
+The parser accepts more than the renderer writes. It normalises:
+
+- line breaks: lines are cut as ``str.splitlines`` cuts them, so CRLF, U+0085
+  and U+2028 end a line too;
+- leading and trailing whitespace and blank lines (an error's line number
+  counts non-blank lines);
+- a missing space after a number, and a trailing dot after any heading number;
+- leading zeros and non-ASCII decimal digits in heading numbers, read as their
+  values: ``1.01`` is ``1.1`` and ``\u0661.`` (Arabic-Indic one) is section 1;
+- spaces around citation ids (``id_1,id_2``).
+
+A line that starts with a character ``str.isdigit`` accepts but that is not a
+decimal digit, such as ``\u00b2`` (superscript two), is neither a heading nor a
+content point.
 """
 
 from __future__ import annotations
 
 import re
+import string
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
@@ -53,8 +72,9 @@ class OutlineValidationError(OutlineError):
 
 
 _HEADING_RE = re.compile(r"^(\d+(?:\.\d+)*)\.?\s*(.*)$")
-_LETTER_RE = re.compile(r"^([a-z])\.\s*(.*)$")
-_CITATION_RE = re.compile(r"<citation>(.*?)</citation>\s*$", re.DOTALL)
+_CANONICAL_IDS_RE = re.compile(r"id_[1-9][0-9]*(?:, id_[1-9][0-9]*)*")
+_OPEN, _CLOSE = "<citation>", "</citation>"
+_LETTERS = string.ascii_lowercase
 
 
 @dataclass
@@ -86,19 +106,15 @@ class OutlineGraph:
 
     def walk(self) -> Iterator[OutlineNode]:
         """All nodes in document order (pre-order)."""
-
-        def rec(nodes: Sequence[OutlineNode]) -> Iterator[OutlineNode]:
-            for n in nodes:
-                yield n
-                yield from rec(n.children)
-
-        yield from rec(self.sections)
+        stack = self.sections[::-1]
+        while stack:
+            node = stack.pop()
+            yield node
+            if node.children:
+                stack += node.children[::-1]
 
     def all_citations(self) -> set[int]:
-        out: set[int] = set()
-        for node in self.walk():
-            out |= node.citations
-        return out
+        return set().union(*[node.citations for node in self.walk()])
 
     def find(self, number: str) -> OutlineNode | None:
         for node in self.walk():
@@ -107,13 +123,23 @@ class OutlineGraph:
         return None
 
 
-def _strip_citations(text: str, lineno: int) -> tuple[str, set[int]]:
-    m = _CITATION_RE.search(text)
-    if m is None:
-        return text.rstrip(), set()
-    body = text[: m.start()].rstrip()
+def _split_citations(line: str, lineno: int) -> tuple[str, set[int]]:
+    """The body of a stripped line and the ids of its trailing citation suffix."""
+    start = line.find(_OPEN)
+    if start < 0 and _CLOSE not in line:
+        return line, set()
+    end = len(line) - len(_CLOSE)
+    if (start < 0 or not line.endswith(_CLOSE) or line.find(_CLOSE) != end
+            or line.find(_OPEN, start + 1) >= 0):
+        raise OutlineParseError(
+            f"line {lineno}: citation tag outside the line's one trailing "
+            f"<citation>...</citation> suffix"
+        )
+    payload = line[start + len(_OPEN) : end]
+    if _CANONICAL_IDS_RE.fullmatch(payload):
+        return line[:start].rstrip(), set(map(int, payload[3:].split(", id_")))
     ids: set[int] = set()
-    payload = m.group(1).strip()
+    payload = payload.strip()
     if payload:
         for token in payload.split(","):
             try:
@@ -122,21 +148,19 @@ def _strip_citations(text: str, lineno: int) -> tuple[str, set[int]]:
                 raise OutlineParseError(
                     f"line {lineno}: not a citation token: {token.strip()!r}"
                 ) from None
-    return body, ids
+    return line[:start].rstrip(), ids
 
 
 def parse_outline(text: str) -> OutlineGraph:
     """Parse the wire format; raises OutlineParseError with the offending line.
 
-    Tolerates leading indentation, blank lines, a missing space after the
-    heading number, and a trailing dot on deep numbers. Hierarchy comes from
-    the numbering alone.
+    Line numbers count non-blank lines. Hierarchy comes from the numbering
+    alone.
     """
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln]
+    lines = [stripped for line in text.splitlines() if (stripped := line.strip())]
     if not lines:
         raise OutlineParseError("empty outline: missing title line")
-    title, title_cits = _strip_citations(lines[0], 1)
+    title, title_cits = _split_citations(lines[0], 1)
     if not title:
         raise OutlineParseError("title line is empty")
     if title_cits:
@@ -147,93 +171,95 @@ def parse_outline(text: str) -> OutlineGraph:
         raise OutlineParseError(f"first line looks like a heading, not a title: {title!r}")
 
     og = OutlineGraph(title=title)
-    # Stack of (path tuple, node) for open headings.
-    stack: list[tuple[tuple[int, ...], OutlineNode]] = []
-    sibling_count: dict[tuple[int, ...], int] = {(): 0}
+    # Open headings, outermost first; the entry at index i has depth i + 1 and
+    # holds [path, node, headings below it so far, content points so far].
+    stack: list[list] = []
+    n_sections = 0
 
-    for lineno, raw in enumerate(lines[1:], start=2):
-        body, cits = _strip_citations(raw, lineno)
-        letter_m = _LETTER_RE.match(body)
-        if letter_m and not body[0].isdigit():
+    for lineno, line in enumerate(lines[1:], start=2):
+        body, cits = _split_citations(line, lineno)
+        first = body[:1]
+        if "a" <= first <= "z" and body[1:2] == ".":
             if not stack:
                 raise OutlineParseError(
                     f"line {lineno}: content point before any numbered heading"
                 )
-            parent = stack[-1][1]
-            letter = letter_m.group(1)
-            expected = chr(ord("a") + sum(c.is_content_point for c in parent.children))
-            if letter != expected:
+            frame = stack[-1]
+            n_points = frame[3]
+            if n_points == len(_LETTERS):
                 raise OutlineParseError(
-                    f"line {lineno}: content point {letter!r} out of order (expected {expected!r})"
+                    f"line {lineno}: a heading holds at most 26 content points (a-z)"
                 )
-            label = letter_m.group(2).strip()
+            if first != _LETTERS[n_points]:
+                raise OutlineParseError(
+                    f"line {lineno}: content point {first!r} out of order "
+                    f"(expected {_LETTERS[n_points]!r})"
+                )
+            label = body[2:].lstrip()
             if not label:
                 raise OutlineParseError(f"line {lineno}: content point has no text")
-            parent.children.append(OutlineNode(number=letter, title=label, citations=cits))
+            frame[3] = n_points + 1
+            frame[1].children.append(OutlineNode(first, label, cits))
             continue
 
         heading_m = _HEADING_RE.match(body)
-        if heading_m is None or not body[0].isdigit():
+        if heading_m is None:
             raise OutlineParseError(f"line {lineno}: not a heading or content point: {body!r}")
-        path = tuple(int(p) for p in heading_m.group(1).split("."))
-        if any(p < 1 for p in path):
+        number, label = heading_m.groups()
+        path = tuple(map(int, number.split(".")))
+        if 0 in path:
             raise OutlineParseError(f"line {lineno}: heading components start at 1: {body!r}")
-        if len(path) > 3:
+        depth = len(path)
+        if depth > 3:
             raise OutlineParseError(f"line {lineno}: heading deeper than 3 levels: {body!r}")
-        label = heading_m.group(2).strip()
         if not label:
             raise OutlineParseError(f"line {lineno}: heading has no title")
+        if not (number.isascii() and number[0] != "0" and ".0" not in number):
+            number = ".".join(map(str, path))
 
         # Close headings that are not ancestors of this one.
-        while stack and len(stack[-1][0]) >= len(path):
-            stack.pop()
-        parent_path = path[:-1]
-        if parent_path and (not stack or stack[-1][0] != parent_path):
-            raise OutlineParseError(
-                f"line {lineno}: heading {'.'.join(map(str, path))} has no open parent "
-                f"{'.'.join(map(str, parent_path))}"
-            )
-        expected_idx = sibling_count.get(parent_path, 0) + 1
-        if path[-1] != expected_idx:
-            raise OutlineParseError(
-                f"line {lineno}: heading {'.'.join(map(str, path))} breaks sibling order "
-                f"(expected component {expected_idx})"
-            )
-        sibling_count[parent_path] = expected_idx
-        sibling_count[path] = 0
-
-        node = OutlineNode(number=".".join(map(str, path)), title=label, citations=cits)
-        if stack:
-            stack[-1][1].children.append(node)
+        del stack[depth - 1 :]
+        if depth == 1:
+            siblings = n_sections = n_sections + 1
+        elif stack and stack[-1][0] == path[:-1]:
+            parent = stack[-1]
+            siblings = parent[2] = parent[2] + 1
         else:
-            og.sections.append(node)
-        stack.append((path, node))
+            raise OutlineParseError(
+                f"line {lineno}: heading {number} has no open parent "
+                f"{number.rpartition('.')[0]}"
+            )
+        if path[-1] != siblings:
+            raise OutlineParseError(
+                f"line {lineno}: heading {number} breaks sibling order "
+                f"(expected component {siblings})"
+            )
+        node = OutlineNode(number, label, cits)
+        (stack[-1][1].children if stack else og.sections).append(node)
+        stack.append([path, node, 0, 0])
 
     return og
 
 
-def _render_line(node: OutlineNode) -> str:
-    if node.is_content_point:
-        prefix = f"{node.number}."
-    elif node.depth == 1:
-        prefix = f"{node.number}."
-    else:
-        prefix = node.number
-    line = f"{prefix} {node.title}"
-    if node.citations:
-        ids = ", ".join(citation_token(i) for i in sorted(node.citations))
-        line += f" <citation>{ids}</citation>"
-    return line
-
-
 def render_outline(og: OutlineGraph) -> str:
     """Canonical wire form: title then one line per node, no indentation."""
-    lines = [og.title] + [_render_line(node) for node in og.walk()]
-    return "\n".join(lines) + "\n"
+    lines = [og.title]
+    for node in og.walk():
+        number = node.number
+        # Top-level headings and content points end their number with a dot.
+        line = f"{number} {node.title}" if "." in number else f"{number}. {node.title}"
+        if node.citations:
+            ids = ", ".join(map(citation_token, sorted(node.citations)))
+            line = f"{line} <citation>{ids}</citation>"
+        lines.append(line)
+    lines.append("")
+    return "\n".join(lines)
 
 
 def check_citations(og: OutlineGraph, bank: EvidenceBank) -> OutlineGraph:
     """``og`` itself; citing an id the bank does not hold is a validation error."""
+    if all(map(bank.__contains__, og.all_citations())):
+        return og
     for node in og.walk():
         for ev_id in node.citations:
             if ev_id not in bank:
@@ -260,14 +286,14 @@ def apply_revision(
     """
     og_new = check_citations(parse_outline(revised_text), bank)
     new_ids = og_new.all_citations()
+    if og_old.all_citations() <= new_ids:
+        return og_new
     # First former host in document order anchors the similarity match.
     lost: dict[int, str] = {}
     for node in og_old.walk():
         for ev_id in sorted(node.citations):
             if ev_id not in new_ids and ev_id not in lost:
                 lost[ev_id] = node.title
-    if not lost:
-        return og_new
 
     candidates: list[tuple[OutlineNode, int]] = []  # (node, depth) in document order
 

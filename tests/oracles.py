@@ -6,16 +6,20 @@ reference applies each selection rule literally and in isolation. The one
 exception is ``ref_apply_extraction``: it folds a batch into a copy of the
 graph through the graph's own ``add_node`` and ``add_edge``, one entry at a
 time, which is what the package did before it checked whole batches first.
+The outline codec reference is the package's codec from before its one-pass
+rewrite, kept line for line apart from two fixes named where they sit.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from dualgraph.evidence import EvidenceError, citation_token, parse_citation_token
 from dualgraph.kg import (
     CommunityPartition,
     DanglingReferenceError,
@@ -26,6 +30,7 @@ from dualgraph.kg import (
     UnknownEvidenceLabelError,
     UnknownNodeError,
 )
+from dualgraph.outline import OutlineGraph, OutlineNode, OutlineParseError
 
 RELATIONS = ("supports", "contradicts", "depends on", "measures", "links")
 
@@ -453,3 +458,149 @@ def make_case(
 
     partition = CommunityPartition(assignment=dict(case.labels), seed=0)
     return kg, partition, case
+
+
+# -- outline codec -----------------------------------------------------
+
+
+_REF_HEADING_RE = re.compile(r"^(\d+(?:\.\d+)*)\.?\s*(.*)$")
+_REF_LETTER_RE = re.compile(r"^([a-z])\.\s*(.*)$")
+_REF_CITATION_RE = re.compile(r"<citation>(.*?)</citation>\s*$", re.DOTALL)
+
+
+def _ref_strip_citations(text: str, lineno: int) -> tuple[str, set[int]]:
+    m = _REF_CITATION_RE.search(text)
+    # Fix: one tag pair, and only as the trailing suffix. Without this check a
+    # tag inside a title was title text, and the line failed to parse once a
+    # repaired citation was appended to it.
+    if (text.count("<citation>"), text.count("</citation>")) != ((1, 1) if m else (0, 0)):
+        raise OutlineParseError(
+            f"line {lineno}: citation tag outside the line's one trailing "
+            f"<citation>...</citation> suffix"
+        )
+    if m is None:
+        return text.rstrip(), set()
+    body = text[: m.start()].rstrip()
+    ids: set[int] = set()
+    payload = m.group(1).strip()
+    if payload:
+        for token in payload.split(","):
+            try:
+                ids.add(parse_citation_token(token))
+            except EvidenceError:
+                raise OutlineParseError(
+                    f"line {lineno}: not a citation token: {token.strip()!r}"
+                ) from None
+    return body, ids
+
+
+def ref_parse_outline(text: str) -> OutlineGraph:
+    lines = [ln.strip() for ln in text.splitlines()]
+    lines = [ln for ln in lines if ln]
+    if not lines:
+        raise OutlineParseError("empty outline: missing title line")
+    title, title_cits = _ref_strip_citations(lines[0], 1)
+    if not title:
+        raise OutlineParseError("title line is empty")
+    if title_cits:
+        raise OutlineParseError("title line must not carry citations")
+    heading_m = _REF_HEADING_RE.match(title)
+    if heading_m and heading_m.group(1) == "1":
+        # Section 1 cannot be the title; the outline lost its title.
+        raise OutlineParseError(f"first line looks like a heading, not a title: {title!r}")
+
+    og = OutlineGraph(title=title)
+    # Stack of (path tuple, node) for open headings.
+    stack: list[tuple[tuple[int, ...], OutlineNode]] = []
+    sibling_count: dict[tuple[int, ...], int] = {(): 0}
+
+    for lineno, raw in enumerate(lines[1:], start=2):
+        body, cits = _ref_strip_citations(raw, lineno)
+        letter_m = _REF_LETTER_RE.match(body)
+        if letter_m and not body[0].isdigit():
+            if not stack:
+                raise OutlineParseError(
+                    f"line {lineno}: content point before any numbered heading"
+                )
+            parent = stack[-1][1]
+            letter = letter_m.group(1)
+            n_points = sum(c.is_content_point for c in parent.children)
+            # Fix: past z the expected letter used to be named as '{'.
+            if n_points == 26:
+                raise OutlineParseError(
+                    f"line {lineno}: a heading holds at most 26 content points (a-z)"
+                )
+            expected = chr(ord("a") + n_points)
+            if letter != expected:
+                raise OutlineParseError(
+                    f"line {lineno}: content point {letter!r} out of order (expected {expected!r})"
+                )
+            label = letter_m.group(2).strip()
+            if not label:
+                raise OutlineParseError(f"line {lineno}: content point has no text")
+            parent.children.append(OutlineNode(number=letter, title=label, citations=cits))
+            continue
+
+        heading_m = _REF_HEADING_RE.match(body)
+        if heading_m is None or not body[0].isdigit():
+            raise OutlineParseError(f"line {lineno}: not a heading or content point: {body!r}")
+        path = tuple(int(p) for p in heading_m.group(1).split("."))
+        if any(p < 1 for p in path):
+            raise OutlineParseError(f"line {lineno}: heading components start at 1: {body!r}")
+        if len(path) > 3:
+            raise OutlineParseError(f"line {lineno}: heading deeper than 3 levels: {body!r}")
+        label = heading_m.group(2).strip()
+        if not label:
+            raise OutlineParseError(f"line {lineno}: heading has no title")
+
+        # Close headings that are not ancestors of this one.
+        while stack and len(stack[-1][0]) >= len(path):
+            stack.pop()
+        parent_path = path[:-1]
+        if parent_path and (not stack or stack[-1][0] != parent_path):
+            raise OutlineParseError(
+                f"line {lineno}: heading {'.'.join(map(str, path))} has no open parent "
+                f"{'.'.join(map(str, parent_path))}"
+            )
+        expected_idx = sibling_count.get(parent_path, 0) + 1
+        if path[-1] != expected_idx:
+            raise OutlineParseError(
+                f"line {lineno}: heading {'.'.join(map(str, path))} breaks sibling order "
+                f"(expected component {expected_idx})"
+            )
+        sibling_count[parent_path] = expected_idx
+        sibling_count[path] = 0
+
+        node = OutlineNode(number=".".join(map(str, path)), title=label, citations=cits)
+        if stack:
+            stack[-1][1].children.append(node)
+        else:
+            og.sections.append(node)
+        stack.append((path, node))
+
+    return og
+
+
+def _ref_walk(nodes):
+    for n in nodes:
+        yield n
+        yield from _ref_walk(n.children)
+
+
+def _ref_render_line(node: OutlineNode) -> str:
+    if node.is_content_point:
+        prefix = f"{node.number}."
+    elif node.depth == 1:
+        prefix = f"{node.number}."
+    else:
+        prefix = node.number
+    line = f"{prefix} {node.title}"
+    if node.citations:
+        ids = ", ".join(citation_token(i) for i in sorted(node.citations))
+        line += f" <citation>{ids}</citation>"
+    return line
+
+
+def ref_render_outline(og: OutlineGraph) -> str:
+    lines = [og.title] + [_ref_render_line(node) for node in _ref_walk(og.sections)]
+    return "\n".join(lines) + "\n"

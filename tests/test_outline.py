@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import random
+import re
 import string
 
 import pytest
@@ -21,6 +22,7 @@ from dualgraph.outline import (
 from dualgraph.providers.mock import HashEmbeddingProvider
 
 from .builders import bank_with, mutate_outline, random_outline
+from .oracles import ref_parse_outline, ref_render_outline
 
 SAMPLE = """\
 Grid storage and renewables
@@ -111,6 +113,51 @@ class TestParsing:
         assert og.find("1.1") is og.sections[0].children[2]
         assert og.find("9.9") is None
 
+    def test_splitlines_separators_end_a_line(self):
+        for sep in ("\u2028", "\x85", "\r\n", "\r"):
+            og = parse_outline(f"T\n1. A{sep}a. B\n")
+            assert [(c.number, c.title) for c in og.sections[0].children] == [("a", "B")]
+
+    def test_leading_zeros_are_read_as_values(self):
+        og = parse_outline("T\n1. A\n1.01 B\n")
+        assert og.sections[0].children[0].number == "1.1"
+
+    def test_non_ascii_decimal_digit_is_read_as_its_value(self):
+        og = parse_outline("T\n\u0661. A\n")  # Arabic-Indic one
+        assert [(s.number, s.title) for s in og.sections] == [("1", "A")]
+
+    def test_digit_that_is_not_decimal_starts_no_line_kind(self):
+        assert "\u00b2".isdigit() and not re.match(r"\d", "\u00b2")
+        with pytest.raises(
+            OutlineParseError, match=r"^line 3: not a heading or content point: '\u00b2\. B'$"
+        ):
+            parse_outline("T\n1. A\n\u00b2. B\n")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "T\n1. A <citation>id_1</citation> and more\n",
+            "T\n1. A <citation>id_1</citation> <citation>id_2</citation>\n",
+            "T\n1. A </citation> B <citation>id_1</citation>\n",
+            "T\n1. A <citation>id_1\n",
+            "T\n1. A </citation>\n",
+            "T <citation>id_1</citation> and more\n1. A\n",
+            "T </citation>\n1. A\n",
+        ],
+    )
+    def test_citation_tag_outside_the_suffix_rejected(self, text):
+        with pytest.raises(OutlineParseError, match=r"citation tag outside the line's one trailing"):
+            parse_outline(text)
+
+    def test_27th_content_point_names_the_cap(self):
+        points = "".join(f"{letter}. p\n" for letter in string.ascii_lowercase)
+        with pytest.raises(
+            OutlineParseError,
+            match=r"^line 29: a heading holds at most 26 content points \(a-z\)$",
+        ):
+            parse_outline(f"T\n1. A\n{points}a. one too many\n")
+        assert len(parse_outline(f"T\n1. A\n{points}").sections[0].children) == 26
+
 
 class TestRendering:
     def test_round_trip_is_identity_on_canonical_text(self):
@@ -175,6 +222,16 @@ class TestRevision:
         revised = mutate_outline(copy.deepcopy(old), gen, bank_size=8)
         new = apply_revision(old, render_outline(revised), bank, _embed())
         assert new.all_citations() >= old.all_citations()
+        # The repaired outline is what a checkpoint writes and a resume reads.
+        rendered = render_outline(new)
+        assert render_outline(parse_outline(rendered)) == rendered
+
+    def test_title_with_a_tag_is_re_asked_not_repaired_into_bad_text(self):
+        bank = bank_with(5)
+        old = parse_outline("T\n1. A <citation>id_5</citation>\n")
+        revised = "T\n1. A <citation>id_1</citation> and more\n"
+        with pytest.raises(OutlineParseError, match=r"^line 2: citation tag outside"):
+            apply_revision(old, revised, bank, _embed())
 
 
 def _corrupt(text: str, gen: random.Random) -> str:
@@ -211,3 +268,103 @@ def test_parser_total_under_corruption_of_a_cited_outline():
             pass
         # Anything else is a crash and fails the test by propagating.
     assert 0 < parsed < 10_000
+
+
+# -- differential test against the reference codec ------------------------
+
+
+def _outcome(parse, render, text):
+    """A codec's answer for ``text``: tree and bytes, or exception class and message."""
+    try:
+        og = parse(text)
+    except Exception as exc:  # any class: it must be the reference's
+        return type(exc), str(exc)
+    return og, render(og)
+
+
+def _renumbered(text: str, fix) -> str:
+    """``text`` with ``fix`` applied to the number of every numbered or lettered line."""
+    lines = text.split("\n")
+    for i, line in enumerate(lines[1:], start=1):
+        number, sep, rest = line.partition(" ")
+        if sep:
+            lines[i] = fix(number) + rest
+    return "\n".join(lines)
+
+
+def _cosmetic_variants(text: str) -> list[str]:
+    lines = text.splitlines()
+    return [
+        "\n".join(" " * (i % 3) + "\t" * (i % 2) + ln for i, ln in enumerate(lines)),
+        "\n\n".join(lines) + "\n \n",
+        "\r\n".join(lines) + "\r\n",
+        _renumbered(text, lambda n: n),  # no space after the number
+        _renumbered(text, lambda n: (n if n.endswith(".") else n + ".") + " "),
+        _renumbered(text, lambda n: ".".join("0" + c if c.isdigit() else c for c in n.split(".")) + " "),
+    ]
+
+
+EDGE_CASES = [
+    "T\n1. A\u2028a. B\u0085b. C\n",
+    "T\n1. A\n1.01 B\n",
+    "T\n\u0661. A\n\u0661.\u0661 B\n",
+    "T\n1. A\n\u00b2. B\n",
+    "T\n1. A\n" + "".join(f"{c}. p\n" for c in string.ascii_lowercase * 2),
+    "T\n" + "".join(f"{i}. S\n{i}.1 U <citation>id_{i}</citation>\n" for i in range(1, 13)),
+    "T\n1. A\n<citation>id_1</citation>\n",  # only a tag: the body is empty
+    "T\n1. A\na. <citation>id_1</citation>\n",
+    "T\n1. A <citation>id_1</citation> <citation>id_2</citation>\n",
+    "T\n1. A <citation>id_1</citation><citation>id_x</citation>\n",
+    "T\n1. A <citation></citation>\n",
+    "T\n1. A <citation>  </citation>\n",
+    "T\n1. A <citation>id_0</citation>\n",
+    "T\n1. A <citation>id_1, id_0</citation>\n",
+    "T\n1. A <citation>id_1,id_2</citation>\n",
+    "T\n1. A <citation>id_1 ,id_2 , id_3</citation>\n",
+    "T\n1. A <citation> id_1,  id_2 </citation>\n",
+    "T\n1. A <citation>id_1,,id_2</citation>\n",
+    "T\n1. A <citation>id_1, </citation>\n",
+    "T\n1. A <citation>id_</citation>\n",
+    "T\n1. A\n1.1 B\n1.1.1 C\n1.1.1.1 D\n",
+    "T\n1. A\n1.1 B\n1.1.1 C\n1.1.1.1. D\n",
+    "T\n2. A\n",
+    "T\n1. A\n1.2 B\n",
+    "T\n1. A\n1.1 B\n1.1.2 C\n",
+    "T\n1. A\n3. B\n",
+    "T\n1. A\n2.1 B\n",
+    "T\n1. A\nb. B\n",
+    "T\n1. A\na. B\nc. C\n",
+    "T\n1. A\na. B\n1.1 C\nb. D\n",
+    "1. Title\n2. A\n",
+    "1 Title\n",
+    "1.Title\n",
+    "01. Title\n1. A\n",
+    "1.5 degrees\n1. A\n",
+    "T\n1. A\n1.1\n",
+    "T\n1. A\na.\n",
+    "T\n1. A\n0.1 B\n",
+    "T\n1. A\n1..1 B\n",
+    "T\n1. A\n1.1.. B\n",
+]
+
+
+def test_codec_matches_reference():
+    gen = random.Random(20261020)
+    texts = list(EDGE_CASES)
+    for _ in range(60):
+        og = random_outline(gen, bank_size=9)
+        if gen.random() < 0.5:
+            og = mutate_outline(og, gen, bank_size=9)
+        canonical = render_outline(og)
+        variants = _cosmetic_variants(canonical)
+        for variant in variants:
+            assert parse_outline(variant) == parse_outline(canonical)
+        texts += [canonical, *variants]
+    for _ in range(300):
+        text = SAMPLE
+        for _ in range(gen.randint(1, 3)):
+            text = _corrupt(text, gen)
+        texts.append(text)
+    for text in texts:
+        want = _outcome(ref_parse_outline, ref_render_outline, text)
+        assert _outcome(parse_outline, render_outline, text) == want, text
