@@ -802,6 +802,22 @@ class TestDamagedFiles:
         assert (demo_run / "state.json").read_text(encoding="utf-8") == state
         assert path.read_text(encoding="utf-8") == damaged
 
+    def test_a_citation_tag_inside_a_title_stops_a_resume(self, demo_run, capsys):
+        # Earlier versions read such a line as title text; it no longer loads.
+        path = demo_run / "outline_iter2.txt"
+        text = path.read_text(encoding="utf-8")
+        damaged = text.replace(
+            "\n1. Background\n", "\n1. Background <citation>id_1</citation> and more\n", 1
+        )
+        assert damaged != text
+        path.write_text(damaged, encoding="utf-8")
+        state = (demo_run / "state.json").read_text(encoding="utf-8")
+        assert main(["resume", "--run-dir", str(demo_run)]) == 1
+        err = capsys.readouterr().err
+        assert "outline_iter2.txt" in err
+        assert "citation tag outside the line's one trailing" in err
+        assert (demo_run / "state.json").read_text(encoding="utf-8") == state
+
     @pytest.mark.parametrize(
         "undecodable",
         # A byte no UTF-8 text starts with, and valid JSON or text in an
