@@ -21,6 +21,7 @@ from importlib import resources
 from pathlib import Path
 
 from .evidence import citation_token
+from .ids import json_int
 from .kg import KnowledgeGraph
 from .orchestrator import ConfigError, RunConfig, Runner, RunState
 from .providers.base import ProviderError
@@ -118,8 +119,8 @@ def _resolve_config(fixture: Fixture, args) -> RunConfig:
         if not path.is_file():
             raise _UsageError(f"no config file at {path}")
         try:
-            overrides = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
+            overrides = json.loads(path.read_text(encoding="utf-8"), parse_int=json_int)
+        except ValueError as exc:  # JSONDecodeError, or an integer past ids.MAX_DIGITS
             raise _UsageError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(overrides, dict):
             raise _UsageError("config file must hold a JSON object")

@@ -2,7 +2,9 @@
 
 Every retrieved page that survives filtering becomes an EvidenceUnit with a
 monotonically increasing integer id. Ids are global across iterations and are
-rendered as ``id_N`` wherever the outline or a prompt refers to evidence.
+rendered as ``id_N`` wherever the outline or a prompt refers to evidence;
+``parse_citation_token`` reads one back through ``ids.id_number``, the one
+check of every id's form.
 Id N is the unit at list position N - 1: ``add`` issues ``len + 1`` and
 ``from_dicts`` rejects gaps, so the unit list is the id index.
 """
@@ -10,11 +12,11 @@ Id N is the unit at list position N - 1: ``add`` issues ``len + 1`` and
 from __future__ import annotations
 
 import json
-import re
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from urllib.parse import urlsplit, urlunsplit
 
+from .ids import id_number
 from .providers.parsers import _require_int, _require_str
 
 __all__ = [
@@ -36,18 +38,19 @@ class EvidenceNotFoundError(KeyError):
     """Lookup of an evidence id that was never issued."""
 
 
-_TOKEN_RE = re.compile(r"^id_([1-9][0-9]*)\Z")
-
-
 def normalize_url(url: str) -> str:
     """Canonical form used for deduplication.
 
     Lowercases scheme and host, strips any fragment and a single trailing
-    slash on the path. The query string is significant and kept as-is.
+    slash on the path. The query string is significant and kept as-is. A
+    URL that ``urlsplit`` rejects, such as ``http://[::1``, is an EvidenceError.
     """
     if not url or not url.strip():
         raise EvidenceError("url must be non-empty")
-    parts = urlsplit(url.strip())
+    try:
+        parts = urlsplit(url.strip())
+    except ValueError as exc:
+        raise EvidenceError(f"unparseable url {url!r}: {exc}") from None
     path = parts.path
     if path.endswith("/"):
         path = path[:-1]
@@ -62,10 +65,10 @@ def citation_token(evidence_id: int) -> str:
 
 
 def parse_citation_token(token: str) -> int:
-    m = _TOKEN_RE.match(token.strip())
-    if m is None:
+    evidence_id = id_number(token.strip(), "id_")
+    if evidence_id is None:
         raise EvidenceError(f"not a citation token: {token!r}")
-    return int(m.group(1))
+    return evidence_id
 
 
 @dataclass

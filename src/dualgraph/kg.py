@@ -6,7 +6,9 @@ identity is the exact (source, target, relation) triple: re-observing a triple
 unions evidence instead of duplicating the edge. The graph issues every id,
 sequentially, and never reuses one, including ids retired by node merges. In
 an extraction batch, an id the graph does not hold is only a handle local to
-the batch; ``apply_extraction`` gives it the next free id.
+the batch; ``apply_extraction`` gives it the next free id. A handle need only
+pass ``ids.is_id``, the one check of every id's form; ``node_num`` and
+``edge_num`` read an id's number where it is used.
 
 ``nodes`` and ``edges`` list ids in ascending numeric order: the graph appends
 each id it issues and never reorders either dict, and ``from_dict`` rejects a
@@ -32,7 +34,6 @@ from __future__ import annotations
 
 import json
 import logging
-import re
 from collections.abc import Iterable, Iterator, Mapping, Set
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring
@@ -40,6 +41,7 @@ from json.encoder import encode_basestring
 import numpy as np
 
 from .community import leiden_partition
+from .ids import id_number, is_id
 
 log = logging.getLogger(__name__)
 
@@ -106,22 +108,18 @@ class EmbeddingMissingError(KnowledgeGraphError):
     pass
 
 
-_NODE_ID_RE = re.compile(r"^n([1-9][0-9]*)\Z")
-_EDGE_ID_RE = re.compile(r"^e([1-9][0-9]*)\Z")
-
-
 def node_num(node_id: str) -> int:
-    m = _NODE_ID_RE.match(node_id)
-    if m is None:
+    num = id_number(node_id, "n")
+    if num is None:
         raise KnowledgeGraphError(f"malformed node id: {node_id!r}")
-    return int(m.group(1))
+    return num
 
 
 def edge_num(edge_id: str) -> int:
-    m = _EDGE_ID_RE.match(edge_id)
-    if m is None:
+    num = id_number(edge_id, "e")
+    if num is None:
         raise KnowledgeGraphError(f"malformed edge id: {edge_id!r}")
-    return int(m.group(1))
+    return num
 
 
 def _check_evidence_ids(ids, edge) -> None:
@@ -509,7 +507,8 @@ def apply_extraction(
     new_nodes: dict[str, KnowledgeNode] = {}
     node_handles: dict[str, str] = {}
     for nd in result.new_nodes:
-        node_num(nd.node_id)
+        if not is_id(nd.node_id, "n"):
+            raise KnowledgeGraphError(f"malformed node id: {nd.node_id!r}")
         nid = nd.node_id if nd.node_id in kg.nodes else node_handles.get(nd.node_id)
         if nid is not None:
             existing = kg.nodes.get(nid) or new_nodes[nid]
@@ -532,7 +531,8 @@ def apply_extraction(
     new_triples: dict[tuple[str, str, str], str] = {}
     edge_handles: dict[str, str] = {}
     for ed in result.new_edges:
-        edge_num(ed.edge_id)
+        if not is_id(ed.edge_id, "e"):
+            raise KnowledgeGraphError(f"malformed edge id: {ed.edge_id!r}")
         triple = (node(ed.source_id, ed.edge_id), node(ed.target_id, ed.edge_id), ed.relation)
         eid = ed.edge_id if ed.edge_id in kg.edges else edge_handles.get(ed.edge_id)
         if eid is not None:

@@ -56,7 +56,7 @@ import numpy as np
 
 from .chains import ChainConfig, SearchChain, build_search_chains, format_chains_for_prompt
 from .config import ConfigError, RunConfig, Variant
-from .evidence import EvidenceBank, citation_token, normalize_url
+from .evidence import EvidenceBank, EvidenceError, citation_token, normalize_url
 from .kg import (
     CommunityPartition, KnowledgeGraph, KnowledgeGraphError, apply_extraction, cluster_semantic,
     detect_communities, merge_nodes,
@@ -221,8 +221,9 @@ def run_search_pipeline(
     """Search, filter, fetch, assess and bank for one pass; returns new ids per query.
 
     Every query is searched first, in order. The pass's URLs are the results'
-    non-blank URLs that are not banked, each kept once, in query order and then
-    rank order, and credited to the first query that returned it. The filter
+    URLs that are not blank, unparseable or banked, each kept once, in query
+    order and then rank order, and credited to the first query that returned
+    it (``normalize_url`` rejects the blank and unparseable ones). The filter
     and the assessment each judge them in chunks (``_chunks``), one chat call
     per chunk with chunk-local indices, so a pass with no new URL makes no chat
     call and a malformed answer re-asks only its chunk. Selected URLs are
@@ -231,14 +232,17 @@ def run_search_pipeline(
     """
     hits: dict[str, tuple[str, SearchResult]] = {}  # normalized URL -> (first query, result)
     for query in queries:
-        found = providers.search.search(query, state.config.urls_per_query)
-        results = [r for r in found if r.url.strip()]
-        if len(results) < len(found):
-            log.warning("dropped %d blank-URL result(s) for %r", len(found) - len(results), query)
-        for r in results:
-            key = normalize_url(r.url)
+        dropped = 0
+        for r in providers.search.search(query, state.config.urls_per_query):
+            try:
+                key = normalize_url(r.url)
+            except EvidenceError:  # blank, or unparseable such as "http://[::1"
+                dropped += 1
+                continue
             if key not in hits and not state.bank.has_url(r.url):
                 hits[key] = (query, r)
+        if dropped:
+            log.warning("dropped %d blank-URL or unparseable-URL result(s) for %r", dropped, query)
 
     union = list(hits.values())
     entries = [f"{r.title}\n   query: {query}\n   {r.snippet}\n   {r.url}" for query, r in union]

@@ -32,7 +32,8 @@ The parser accepts more than the renderer writes. It normalises:
 
 A line that starts with a character ``str.isdigit`` accepts but that is not a
 decimal digit, such as ``\u00b2`` (superscript two), is neither a heading nor a
-content point.
+content point. A heading component or citation id of more than
+``ids.MAX_DIGITS`` digits is a parse error on every interpreter.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .evidence import EvidenceBank, EvidenceError, citation_token, parse_citation_token
+from .ids import MAX_DIGITS
 
 __all__ = [
     "OutlineError",
@@ -72,6 +74,7 @@ class OutlineValidationError(OutlineError):
 
 
 _HEADING_RE = re.compile(r"^(\d+(?:\.\d+)*)\.?\s*(.*)$")
+# render_outline's payloads; any other, or one past MAX_DIGITS, takes parse_citation_token.
 _CANONICAL_IDS_RE = re.compile(r"id_[1-9][0-9]*(?:, id_[1-9][0-9]*)*")
 _OPEN, _CLOSE = "<citation>", "</citation>"
 _LETTERS = string.ascii_lowercase
@@ -136,7 +139,7 @@ def _split_citations(line: str, lineno: int) -> tuple[str, set[int]]:
             f"<citation>...</citation> suffix"
         )
     payload = line[start + len(_OPEN) : end]
-    if _CANONICAL_IDS_RE.fullmatch(payload):
+    if len(payload) <= MAX_DIGITS and _CANONICAL_IDS_RE.fullmatch(payload):
         return line[:start].rstrip(), set(map(int, payload[3:].split(", id_")))
     ids: set[int] = set()
     payload = payload.strip()
@@ -206,7 +209,12 @@ def parse_outline(text: str) -> OutlineGraph:
         if heading_m is None:
             raise OutlineParseError(f"line {lineno}: not a heading or content point: {body!r}")
         number, label = heading_m.groups()
-        path = tuple(map(int, number.split(".")))
+        components = number.split(".")
+        if max(map(len, components)) > MAX_DIGITS:
+            raise OutlineParseError(
+                f"line {lineno}: heading component longer than {MAX_DIGITS} digits"
+            )
+        path = tuple(map(int, components))
         if 0 in path:
             raise OutlineParseError(f"line {lineno}: heading components start at 1: {body!r}")
         depth = len(path)

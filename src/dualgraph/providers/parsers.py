@@ -3,6 +3,8 @@
 Every parser returns a value or raises a ParseError subclass; no input text
 may crash them any other way. Tolerated cosmetic deviations are exactly:
 surrounding whitespace and one markdown code fence around the payload.
+Every id an answer names is checked by ``ids.is_id``, and a JSON integer of
+more than ``ids.MAX_DIGITS`` digits makes the answer malformed.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
 
+from ..ids import is_id, json_int
 from ..kg import ExtractedEdge, ExtractedNode, ExtractionResult, MergeCluster
 
 __all__ = [
@@ -65,11 +68,6 @@ class TemplateError(ValueError):
 
 _FENCE_RE = re.compile(r"\A```[a-zA-Z0-9_-]*\n(.*)\n```\Z", re.DOTALL)
 _PLACEHOLDER_RE = re.compile(r"\$\{([A-Z_]+)\}")
-_NODE_ID_RE = re.compile(r"^n[1-9][0-9]*\Z")
-_EDGE_ID_RE = re.compile(r"^e[1-9][0-9]*\Z")
-_CLUSTER_ID_RE = re.compile(r"^c[1-9][0-9]*\Z")
-_EN_LABEL_RE = re.compile(r"^EN[1-9][0-9]*\Z")
-_CHAIN_ID_RE = re.compile(r"^chain_[1-9][0-9]*\Z")
 
 SCORE_DIMENSIONS = (
     "instruction_following",
@@ -113,8 +111,8 @@ def strip_code_fences(text: str) -> str:
 
 def _load_json(text: str, what: str):
     try:
-        return json.loads(strip_code_fences(text))
-    except (json.JSONDecodeError, RecursionError) as exc:
+        return json.loads(strip_code_fences(text), parse_int=json_int)
+    except (ValueError, RecursionError) as exc:
         raise MalformedOutputError(f"{what}: not valid JSON ({exc})") from None
 
 
@@ -142,6 +140,13 @@ def _require_str(value, what: str, allow_empty: bool = False) -> str:
         raise SchemaViolation(
             f"{what}: holds {value[exc.start:exc.end]!r}, which UTF-8 cannot encode"
         ) from None
+    return value
+
+
+def _require_id(value, what: str, prefix: str) -> str:
+    """A string that is ``prefix`` and then a decimal number (``ids.is_id``)."""
+    if not is_id(_require_str(value, what), prefix):
+        raise SchemaViolation(f"{what}: malformed id {value!r}")
     return value
 
 
@@ -200,59 +205,35 @@ def parse_extraction(
     nodes: list[ExtractedNode] = []
     batch_node_ids: set[str] = set()
     for i, entry in enumerate(_require_list(doc["new_nodes"], "new_nodes")):
-        entry = _require_object(
-            entry, f"new_nodes[{i}]", {"id", "node_name", "is_core_entity"}
-        )
-        nid = _require_str(entry["id"], f"new_nodes[{i}].id")
-        if not _NODE_ID_RE.match(nid):
-            raise SchemaViolation(f"new_nodes[{i}]: malformed node id {nid!r}")
+        what = f"new_nodes[{i}]"
+        entry = _require_object(entry, what, {"id", "node_name", "is_core_entity"})
+        nid = _require_id(entry["id"], f"{what}.id", "n")
         if nid in batch_node_ids:
-            raise SchemaViolation(f"new_nodes[{i}]: duplicate node id {nid}")
+            raise SchemaViolation(f"{what}: duplicate node id {nid}")
         batch_node_ids.add(nid)
-        nodes.append(
-            ExtractedNode(
-                node_id=nid,
-                name=_require_str(entry["node_name"], f"new_nodes[{i}].node_name"),
-                is_core_entity=_require_bool(
-                    entry["is_core_entity"], f"new_nodes[{i}].is_core_entity"
-                ),
-            )
-        )
+        name = _require_str(entry["node_name"], f"{what}.node_name")
+        core = _require_bool(entry["is_core_entity"], f"{what}.is_core_entity")
+        nodes.append(ExtractedNode(nid, name, core))
 
     edges: list[ExtractedEdge] = []
     batch_edge_ids: set[str] = set()
     known_nodes = batch_node_ids | (existing_node_ids or set())
     for i, entry in enumerate(_require_list(doc["new_edges"], "new_edges")):
-        entry = _require_object(
-            entry, f"new_edges[{i}]", {"id", "source_id", "target_id", "relation_name"}
-        )
-        eid = _require_str(entry["id"], f"new_edges[{i}].id")
-        if not _EDGE_ID_RE.match(eid):
-            raise SchemaViolation(f"new_edges[{i}]: malformed edge id {eid!r}")
+        what = f"new_edges[{i}]"
+        entry = _require_object(entry, what, {"id", "source_id", "target_id", "relation_name"})
+        eid = _require_id(entry["id"], f"{what}.id", "e")
         if eid in batch_edge_ids:
-            raise SchemaViolation(f"new_edges[{i}]: duplicate edge id {eid}")
+            raise SchemaViolation(f"{what}: duplicate edge id {eid}")
         batch_edge_ids.add(eid)
-        src = _require_str(entry["source_id"], f"new_edges[{i}].source_id")
-        tgt = _require_str(entry["target_id"], f"new_edges[{i}].target_id")
+        src = _require_id(entry["source_id"], f"{what}.source_id", "n")
+        tgt = _require_id(entry["target_id"], f"{what}.target_id", "n")
         for endpoint in (src, tgt):
-            if not _NODE_ID_RE.match(endpoint):
-                raise SchemaViolation(
-                    f"new_edges[{i}]: malformed node id {endpoint!r}"
-                )
             if existing_node_ids is not None and endpoint not in known_nodes:
                 raise DanglingReference(
-                    f"new_edges[{i}]: endpoint {endpoint} is neither existing nor declared"
+                    f"{what}: endpoint {endpoint} is neither existing nor declared"
                 )
-        edges.append(
-            ExtractedEdge(
-                edge_id=eid,
-                source_id=src,
-                target_id=tgt,
-                relation=_require_str(
-                    entry["relation_name"], f"new_edges[{i}].relation_name"
-                ),
-            )
-        )
+        relation = _require_str(entry["relation_name"], f"{what}.relation_name")
+        edges.append(ExtractedEdge(eid, src, tgt, relation))
 
     ev_map: dict[str, list[str]] = {}
     raw_map = doc["evidences_map"]
@@ -260,22 +241,13 @@ def parse_extraction(
         raise SchemaViolation("evidences_map: expected an object")
     known_edges = batch_edge_ids | (existing_edge_ids or set())
     for label, edge_list in raw_map.items():
-        if not isinstance(label, str) or not _EN_LABEL_RE.match(label):
-            raise SchemaViolation(f"evidences_map: malformed label {label!r}")
-        ids = _require_list(edge_list, f"evidences_map[{label}]")
-        checked: list[str] = []
-        for eid in ids:
-            eid = _require_str(eid, f"evidences_map[{label}] entry")
-            if not _EDGE_ID_RE.match(eid):
-                raise SchemaViolation(
-                    f"evidences_map[{label}]: malformed edge id {eid!r}"
-                )
+        _require_id(label, "evidences_map label", "EN")
+        checked = ev_map[label] = []
+        for eid in _require_list(edge_list, f"evidences_map[{label}]"):
+            eid = _require_id(eid, f"evidences_map[{label}] entry", "e")
             if existing_edge_ids is not None and eid not in known_edges:
-                raise DanglingReference(
-                    f"evidences_map[{label}]: references absent edge {eid}"
-                )
+                raise DanglingReference(f"evidences_map[{label}]: references absent edge {eid}")
             checked.append(eid)
-        ev_map[label] = checked
 
     return ExtractionResult(new_nodes=nodes, new_edges=edges, evidences_map=ev_map)
 
@@ -285,39 +257,19 @@ def parse_merge(text: str) -> list[MergeCluster]:
     doc = _require_object(doc, "merge", {"clusters"})
     clusters: list[MergeCluster] = []
     for i, entry in enumerate(_require_list(doc["clusters"], "clusters")):
-        entry = _require_object(
-            entry,
-            f"clusters[{i}]",
-            {"cluster_id", "representative_concept", "source_node_ids", "similarity_justification"},
-        )
-        cid = _require_str(entry["cluster_id"], f"clusters[{i}].cluster_id")
-        if not _CLUSTER_ID_RE.match(cid):
-            raise SchemaViolation(f"clusters[{i}]: malformed cluster id {cid!r}")
-        sources = _require_list(entry["source_node_ids"], f"clusters[{i}].source_node_ids")
+        what = f"clusters[{i}]"
+        entry = _require_object(entry, what, {
+            "cluster_id", "representative_concept", "source_node_ids", "similarity_justification",
+        })
+        _require_id(entry["cluster_id"], f"{what}.cluster_id", "c")
+        sources = _require_list(entry["source_node_ids"], f"{what}.source_node_ids")
         if not (2 <= len(sources) <= 5):
-            raise SchemaViolation(
-                f"clusters[{i}]: {len(sources)} source nodes outside 2..5"
-            )
-        checked: list[str] = []
-        for nid in sources:
-            nid = _require_str(nid, f"clusters[{i}] source id")
-            if not _NODE_ID_RE.match(nid):
-                raise SchemaViolation(f"clusters[{i}]: malformed node id {nid!r}")
-            checked.append(nid)
-        _require_str(
-            entry["similarity_justification"],
-            f"clusters[{i}].similarity_justification",
-            allow_empty=True,
-        )
-        clusters.append(
-            MergeCluster(
-                representative_concept=_require_str(
-                    entry["representative_concept"],
-                    f"clusters[{i}].representative_concept",
-                ),
-                source_node_ids=checked,
-            )
-        )
+            raise SchemaViolation(f"{what}: {len(sources)} source nodes outside 2..5")
+        checked = [_require_id(nid, f"{what} source id", "n") for nid in sources]
+        justification = entry["similarity_justification"]
+        _require_str(justification, f"{what}.similarity_justification", allow_empty=True)
+        concept = _require_str(entry["representative_concept"], f"{what}.representative_concept")
+        clusters.append(MergeCluster(representative_concept=concept, source_node_ids=checked))
     return clusters
 
 
@@ -342,9 +294,7 @@ def parse_chain_selection(text: str, chain_num: int, query_num: int | None = Non
     doc = _require_object(doc, "chain selection", {"chains", *lists})
     chain_ids: list[str] = []
     for i, cid in enumerate(_require_list(doc["chains"], "chains")):
-        cid = _require_str(cid, f"chains[{i}]")
-        if not _CHAIN_ID_RE.match(cid):
-            raise SchemaViolation(f"chains[{i}]: malformed chain id {cid!r}")
+        cid = _require_id(cid, f"chains[{i}]", "chain_")
         if cid in chain_ids:
             raise SchemaViolation(f"chains[{i}]: duplicate chain id {cid}")
         chain_ids.append(cid)

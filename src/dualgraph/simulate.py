@@ -30,8 +30,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .evidence import EvidenceBank
-from .kg import KnowledgeGraph
+from .evidence import EvidenceBank, parse_citation_token
+from .ids import id_number, is_id
+from .kg import KnowledgeGraph, edge_num, node_num
 from .orchestrator import ConfigError, RunConfig, RunState, Variant, drive
 from .providers.base import Providers, SearchResult
 from .providers.mock import FixtureFetchProvider, HashEmbeddingProvider
@@ -258,7 +259,6 @@ def _sections(prompt: str) -> dict[str, str]:
 
 _PROFILE_RE = re.compile(r"Profile of (\S+)")
 _CITE_RE = re.compile(r"<citation>(.*?)</citation>")
-_ID_RE = re.compile(r"id_(\d+)")
 _REP_SPLIT = re.compile(r"^(.*?) - (.*?) -> (.*)$")
 _PAGE_CONTENT_RE = re.compile(r"^<content>\n(.*?)\n</content>\n</page>$", re.DOTALL | re.MULTILINE)
 
@@ -327,7 +327,7 @@ class SimChatProvider:
             cites: set[int] = set()
             cm = _CITE_RE.search(line)
             if cm:
-                cites = {int(x) for x in _ID_RE.findall(cm.group(1))}
+                cites = set(map(parse_citation_token, cm.group(1).split(",")))
             profiles.append((m.group(1), cites))
         return profiles
 
@@ -343,9 +343,9 @@ class SimChatProvider:
         current_id = None
         mentions: dict[int, set[str]] = {}
         for line in evidence.splitlines():
-            m = re.match(r"^id_(\d+) \|", line)
-            if m:
-                current_id = int(m.group(1))
+            ev_id = id_number(line.partition(" |")[0], "id_") if " |" in line else None
+            if ev_id is not None:
+                current_id = ev_id
                 continue
             if current_id is not None and line.startswith("content:"):
                 for sm in MARKER_RE.finditer(line):
@@ -437,21 +437,16 @@ class SimChatProvider:
             m = _REP_SPLIT.match(e["representation"])
             if m:
                 triple_to_edge[(m.group(1), m.group(2), m.group(3))] = e["id"]
-        next_node = 1 + max(
-            (int(n["id"][1:]) for n in payload["nodes"]), default=0
-        )
-        next_edge = 1 + max(
-            (int(e["id"][1:]) for e in payload["edges"]), default=0
-        )
+        next_node = 1 + max((node_num(n["id"]) for n in payload["nodes"]), default=0)
+        next_edge = 1 + max((edge_num(e["id"]) for e in payload["edges"]), default=0)
 
         new_nodes: list[dict] = []
         new_edges: list[dict] = []
         ev_map: dict[str, list[str]] = {}
         for line in parts["Evidence Statements"].splitlines():
-            sm = re.match(r"^(EN\d+): ", line)
-            if not sm:
+            label, sep, _ = line.partition(": ")
+            if not (sep and is_id(label, "EN")):
                 continue
-            label = sm.group(1)
             for marker in MARKER_RE.finditer(line):
                 src_name, rel, tgt_name = marker.group(1), marker.group(2), marker.group(3)
                 for name in (src_name, tgt_name):
@@ -516,7 +511,8 @@ class SimChatProvider:
     def _judge(self, prompt: str) -> str:
         parts = _sections(prompt)
         profiles = self._parse_profiles(parts["Current Outline"])
-        cited_docs = len(re.findall(r"^id_\d+: ", parts["Evidence Sources"], re.MULTILINE))
+        sources = [line.partition(": ") for line in parts["Evidence Sources"].split("\n")]
+        cited_docs = sum(bool(sep) and is_id(head, "id_") for head, sep, _ in sources)
         cov = cited_docs / len(self.world.docs) if self.world.docs else 1.0
         base = round(100.0 * min(cov, 1.0), 4)
         if profiles:
@@ -551,7 +547,7 @@ class SimChatProvider:
             body = re.sub(r"^[a-z]\. ", "", line)
             cm = _CITE_RE.search(body)
             if cm:
-                ids = sorted(int(x) for x in _ID_RE.findall(cm.group(1)))
+                ids = sorted(map(parse_citation_token, cm.group(1).split(",")))
                 body = _CITE_RE.sub("", body).strip()
                 out.append(f"{body} [{','.join(str(i) for i in ids)}].")
             else:

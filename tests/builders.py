@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 from collections import Counter
+from contextlib import contextmanager
 from pathlib import Path
 
 import dualgraph
@@ -20,6 +21,23 @@ from dualgraph.rundir import RunDir
 
 DEMO_FIXTURE = Path(dualgraph.__file__).parent / "fixtures" / "demo" / "fixture.json"
 PACKAGE_ROOT = Path(dualgraph.__file__).resolve().parents[1]
+
+# A number past CPython's default int-string limit (4,300 digits), and the
+# limits each over-long case runs under: the default, then none at all.
+LONG_NUMBER = "9" * 5000
+INT_LIMITS = (sys.int_info.default_max_str_digits, 0)
+
+
+@contextmanager
+def int_max_str_digits(limit: int):
+    """The interpreter's int-string limit set to ``limit`` (0: none) while the block runs."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
 
 WORDS = (
     "signal", "margin", "coupling", "drift", "baseline", "window",

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from dualgraph.evidence import EvidenceError, citation_token, parse_citation_token
+from dualgraph.ids import MAX_DIGITS
 from dualgraph.kg import (
     CommunityPartition,
     DanglingReferenceError,
@@ -544,6 +545,12 @@ def ref_parse_outline(text: str) -> OutlineGraph:
         heading_m = _REF_HEADING_RE.match(body)
         if heading_m is None or not body[0].isdigit():
             raise OutlineParseError(f"line {lineno}: not a heading or content point: {body!r}")
+        # Fix: a component past ids.MAX_DIGITS is a parse error on every
+        # interpreter. Without this check int() raised a bare ValueError.
+        if any(len(p) > MAX_DIGITS for p in heading_m.group(1).split(".")):
+            raise OutlineParseError(
+                f"line {lineno}: heading component longer than {MAX_DIGITS} digits"
+            )
         path = tuple(int(p) for p in heading_m.group(1).split("."))
         if any(p < 1 for p in path):
             raise OutlineParseError(f"line {lineno}: heading components start at 1: {body!r}")

@@ -12,7 +12,9 @@ import pytest
 from dualgraph.cli import main
 from dualgraph.providers.parsers import SCORE_DIMENSIONS
 
-from .builders import DEMO_FIXTURE, crash_demo_run, dir_snapshot
+from .builders import (
+    DEMO_FIXTURE, INT_LIMITS, LONG_NUMBER, crash_demo_run, dir_snapshot, int_max_str_digits,
+)
 
 
 def _run_demo(run_dir, *extra: str) -> int:
@@ -564,6 +566,19 @@ class TestRun:
 
     def test_missing_config_file_rejected(self, tmp_path):
         assert _run_demo(tmp_path / "run", "--config", str(tmp_path / "no.json")) == 1
+
+    def test_an_integer_past_max_digits_is_a_usage_error_on_every_interpreter(
+        self, tmp_path, capsys
+    ):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(f'{{"max_iter": {LONG_NUMBER}}}')
+        for limit in INT_LIMITS:
+            with int_max_str_digits(limit):
+                assert _run_demo(tmp_path / "run", "--config", str(cfg)) == 1
+            assert "config file is not valid JSON: an integer of more than 4300 digits" in (
+                capsys.readouterr().err
+            )
+        assert not (tmp_path / "run").exists()
 
 
 class TestLiveProviders:

@@ -18,6 +18,9 @@ from dualgraph.evidence import (
     normalize_url,
     parse_citation_token,
 )
+from dualgraph.ids import MAX_DIGITS
+
+from .builders import INT_LIMITS, LONG_NUMBER, int_max_str_digits
 
 
 class TestNormalizeUrl:
@@ -39,6 +42,11 @@ class TestNormalizeUrl:
         with pytest.raises(EvidenceError):
             normalize_url("   ")
 
+    @pytest.mark.parametrize("url", ["http://[::1", "http://a]b/", "https://[v1.x/"])
+    def test_a_url_urlsplit_rejects_is_an_evidence_error(self, url):
+        with pytest.raises(EvidenceError, match="unparseable url"):
+            normalize_url(url)
+
 
 class TestCitationTokens:
     def test_round_trip(self):
@@ -55,6 +63,13 @@ class TestCitationTokens:
     def test_malformed_rejected(self, bad):
         with pytest.raises(EvidenceError):
             parse_citation_token(bad)
+
+    def test_an_id_past_max_digits_is_rejected_on_every_interpreter(self):
+        for limit in INT_LIMITS:
+            with int_max_str_digits(limit):
+                assert parse_citation_token("id_" + "9" * MAX_DIGITS) == 10**MAX_DIGITS - 1
+                with pytest.raises(EvidenceError, match="not a citation token"):
+                    parse_citation_token("id_" + LONG_NUMBER)
 
 
 class TestEvidenceUnit:

@@ -30,8 +30,10 @@ from dualgraph.kg import (
     merge_nodes,
     node_num,
 )
+from dualgraph.providers.parsers import parse_extraction
 
 from . import oracles
+from .builders import INT_LIMITS, LONG_NUMBER, int_max_str_digits
 from .oracles import CaseGraph, make_case, ref_semantic_clusters
 
 
@@ -168,6 +170,17 @@ class TestGraphBasics:
         assert json.dumps(bad) in text
         with pytest.raises(KnowledgeGraphError, match="malformed"):
             KnowledgeGraph.from_document(text)
+
+    def test_an_id_number_past_max_digits_is_malformed_on_every_interpreter(self):
+        for limit in INT_LIMITS:
+            with int_max_str_digits(limit):
+                for parse, prefix in [(node_num, "n"), (edge_num, "e")]:
+                    with pytest.raises(KnowledgeGraphError, match="malformed"):
+                        parse(prefix + LONG_NUMBER)
+                doc = _small_graph().to_dict()
+                doc["knowledge_nodes"][-1]["node_id"] = "n" + LONG_NUMBER
+                with pytest.raises(KnowledgeGraphError, match="malformed"):
+                    KnowledgeGraph.from_dict(doc)
 
     def test_prompt_payload_shape(self):
         payload = _small_graph().to_prompt_payload()
@@ -451,6 +464,24 @@ class TestApplyExtraction:
         )
         with pytest.raises(DuplicateIdError):
             _apply(kg, batch, {})
+
+    def test_an_over_long_handle_is_an_ordinary_handle_on_every_interpreter(self):
+        node, edge = "n" + LONG_NUMBER, "e" + LONG_NUMBER
+        text = json.dumps({
+            "new_nodes": [{"id": node, "node_name": "blackouts", "is_core_entity": False}],
+            "new_edges": [
+                {"id": edge, "source_id": "n1", "target_id": node, "relation_name": "prevents"},
+            ],
+            "evidences_map": {"EN1": [edge]},
+        })
+        for limit in INT_LIMITS:
+            with int_max_str_digits(limit):
+                kg = _small_graph()
+                out = _apply(kg, parse_extraction(text, set(kg.nodes), set(kg.edges)), {"EN1": 5})
+                assert out.nodes["n4"].name == "blackouts"
+                assert (out.edges["e3"].triple, out.edges["e3"].evidence_ids) == (
+                    ("n1", "n4", "prevents"), {5}
+                )
 
     def test_handles_get_the_next_ids(self):
         kg = _small_graph()

@@ -538,6 +538,27 @@ class TestRunSearchPipeline:
         assert "0. ok" in state.audit[0]["prompt"] and "blank" not in state.audit[0]["prompt"]
         assert "blank-URL" in caplog.text
 
+    def test_a_url_urlsplit_rejects_is_dropped_before_the_filter(self, caplog):
+        results = [
+            SearchResult(url="http://[::1", title="bad", snippet="s", rank=0),
+            SearchResult(url="https://s.test/ok", title="ok", snippet="s", rank=1),
+        ]
+        chat = [
+            ScriptEntry(match=["screening search results"], responses=["[0]"]),
+            ScriptEntry(
+                match=["extracting evidence", "https://s.test/ok"],
+                responses=[_assessed((True, "s"))],
+            ),
+        ]
+        providers = _pipeline_providers({"q1": results}, {"https://s.test/ok": "body"}, chat)
+        state = _fresh_state(_config())
+        with caplog.at_level(logging.WARNING, logger="dualgraph.orchestrator"):
+            new = run_search_pipeline(state, providers, ["q1"], iteration=0)
+        assert new == {"q1": [1]}
+        assert [u.url for u in state.bank.units] == ["https://s.test/ok"]
+        assert "0. ok" in state.audit[0]["prompt"] and "[::1" not in state.audit[0]["prompt"]
+        assert "dropped 1 blank-URL or unparseable-URL result(s)" in caplog.text
+
 
 def _stop_providers(response: str) -> Providers:
     return Providers(
@@ -2811,3 +2832,45 @@ class TestTheTapeScrubsLoneSurrogates:
         runner, _ = _spoiled_run(run_dir, kind, None if after else " \ud800")
         assert runner.resume().stage == "done"
         assert _strict_utf8(run_dir) == want
+
+
+class _WithUnparseableUrl:
+    """A search over ``inner`` that adds a result whose URL ``urlsplit`` rejects
+    to every answer."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def search(self, query, top_n):
+        results = self.inner.search(query, top_n)
+        return [*results, SearchResult(url="http://[::1", title="bad", snippet="s", rank=len(results))]
+
+
+def _search_run(run_dir, unparseable: bool, cut_at: int | None = None) -> Runner:
+    """A Runner on the surrogate reproduction's world whose search adds an
+    unparseable URL to every answer if ``unparseable`` and fails at call ``cut_at``."""
+    world = generate_world(0, 3, 2, 4)
+    config = RunConfig()
+    providers = sim_providers(world, config.embed_dim, config.seed)
+    search = _WithUnparseableUrl(providers.search) if unparseable else providers.search
+    providers.search = FailingAt(search, cut_at)
+    return Runner(config, providers, run_dir)
+
+
+class TestAnUnparseableUrlIsDropped:
+    """A live search result whose URL ``urlsplit`` rejects costs that row, not the run."""
+
+    def test_the_run_equals_a_clean_run(self, tmp_path):
+        assert _search_run(tmp_path / "run", True).start(DEFAULT_ROOT_QUERY).stage == "done"
+        _search_run(tmp_path / "clean", False).start(DEFAULT_ROOT_QUERY)
+        assert dir_snapshot(tmp_path / "run") == dir_snapshot(tmp_path / "clean")
+
+    def test_a_cut_run_resumes_to_the_clean_runs_bytes(self, tmp_path):
+        _search_run(tmp_path / "clean", False).start(DEFAULT_ROOT_QUERY)
+        # Search calls 2 and 3 belong to one pass, so the cut at call 3
+        # leaves call 2's answer, unparseable URL and all, on the replay tape.
+        with pytest.raises(ProviderError):
+            _search_run(tmp_path / "run", True, cut_at=3).start(DEFAULT_ROOT_QUERY)
+        assert b"[::1" in (tmp_path / "run" / rundir.REPLAY_FILE).read_bytes()
+        assert _search_run(tmp_path / "run", True).resume().stage == "done"
+        assert dir_snapshot(tmp_path / "run") == dir_snapshot(tmp_path / "clean")

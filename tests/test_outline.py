@@ -9,6 +9,7 @@ import string
 
 import pytest
 
+from dualgraph.ids import MAX_DIGITS
 from dualgraph.outline import (
     OutlineError,
     OutlineGraph,
@@ -21,7 +22,9 @@ from dualgraph.outline import (
 )
 from dualgraph.providers.mock import HashEmbeddingProvider
 
-from .builders import bank_with, mutate_outline, random_outline
+from .builders import (
+    INT_LIMITS, LONG_NUMBER, bank_with, int_max_str_digits, mutate_outline, random_outline,
+)
 from .oracles import ref_parse_outline, ref_render_outline
 
 SAMPLE = """\
@@ -319,6 +322,7 @@ EDGE_CASES = [
     "T\n1. A <citation>  </citation>\n",
     "T\n1. A <citation>id_0</citation>\n",
     "T\n1. A <citation>id_1, id_0</citation>\n",
+    "T\n1. A <citation>id_1, id_02</citation>\n",
     "T\n1. A <citation>id_1,id_2</citation>\n",
     "T\n1. A <citation>id_1 ,id_2 , id_3</citation>\n",
     "T\n1. A <citation> id_1,  id_2 </citation>\n",
@@ -345,7 +349,34 @@ EDGE_CASES = [
     "T\n1. A\n0.1 B\n",
     "T\n1. A\n1..1 B\n",
     "T\n1. A\n1.1.. B\n",
+    # Numbers at and just past ids.MAX_DIGITS, for both citation paths.
+    "T\n1. A\n1." + "1" * MAX_DIGITS + " B\n",
+    "T\n1. A <citation>id_" + "7" * MAX_DIGITS + "</citation>\n",
+    "T\n1. A <citation>id_1, id_" + "7" * (MAX_DIGITS - 11) + "</citation>\n",
+    "T\n1. A <citation>id_" + "7" * (MAX_DIGITS - 3) + "</citation>\n",
+    "T\n1. A <citation>id_" + "7" * (MAX_DIGITS + 1) + "</citation>\n",
 ]
+
+# A heading component or citation id longer than int() reads at CPython's
+# default limit, on the canonical-payload path and the general one.
+LONG_NUMBERS = {
+    "heading-component": "T\n1. A\n1." + LONG_NUMBER + " B\n",
+    "section-number": "T\n1. A\n" + LONG_NUMBER + ". B\n",
+    "citation-id": "T\n1. A <citation>id_" + LONG_NUMBER + "</citation>\n",
+    "second-citation-id": "T\n1. A <citation>id_1, id_" + LONG_NUMBER + "</citation>\n",
+    "citation-id-then-space": "T\n1. A <citation>id_" + LONG_NUMBER + " </citation>\n",
+    "unspaced-citation-ids": "T\n1. A\na. B <citation>id_1,id_" + LONG_NUMBER + "</citation>\n",
+}
+EDGE_CASES += LONG_NUMBERS.values()
+
+
+@pytest.mark.parametrize("text", LONG_NUMBERS.values(), ids=LONG_NUMBERS)
+def test_a_number_past_max_digits_is_a_parse_error_on_every_interpreter(text):
+    for limit in INT_LIMITS:
+        with int_max_str_digits(limit):
+            want = _outcome(ref_parse_outline, ref_render_outline, text)
+            assert want[0] is OutlineParseError
+            assert _outcome(parse_outline, render_outline, text) == want
 
 
 def test_codec_matches_reference():

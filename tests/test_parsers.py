@@ -9,8 +9,7 @@ import zlib
 
 import pytest
 
-from dualgraph import evidence, kg
-from dualgraph.providers import parsers
+from dualgraph.ids import MAX_DIGITS, id_number, is_id, json_int
 from dualgraph.providers.parsers import (
     SCORE_DIMENSIONS,
     BudgetExceeded,
@@ -32,6 +31,7 @@ from dualgraph.providers.parsers import (
     strip_code_fences,
 )
 
+from .builders import INT_LIMITS, LONG_NUMBER, int_max_str_digits
 from .test_acceptance import _SELECTION_SEED, _corrupt
 
 EXTRACTION_DOC = {
@@ -454,23 +454,82 @@ def test_an_id_with_a_trailing_newline_is_a_schema_violation(parse, text):
     parse(text.replace("\\n", ""))
 
 
-@pytest.mark.parametrize(
-    "pattern, valid",
-    [
-        (kg._NODE_ID_RE, "n12"),
-        (kg._EDGE_ID_RE, "e12"),
-        (evidence._TOKEN_RE, "id_12"),
-        (parsers._NODE_ID_RE, "n12"),
-        (parsers._EDGE_ID_RE, "e12"),
-        (parsers._CLUSTER_ID_RE, "c12"),
-        (parsers._EN_LABEL_RE, "EN12"),
-        (parsers._CHAIN_ID_RE, "chain_12"),
-    ],
-)
-def test_an_id_pattern_rejects_a_trailing_newline(pattern, valid):
-    assert pattern.match(valid)
-    assert pattern.match(valid + "\n") is None
-    assert pattern.match(valid + "\n\n") is None
+ID_PREFIXES = ["n", "e", "c", "EN", "chain_", "id_"]
+
+
+@pytest.mark.parametrize("prefix", ID_PREFIXES)
+def test_an_id_pattern_rejects_a_trailing_newline(prefix):
+    valid = prefix + "12"
+    assert is_id(valid, prefix)
+    assert not is_id(valid + "\n", prefix)
+    assert not is_id(valid + "\n\n", prefix)
+
+
+@pytest.mark.parametrize("prefix", ID_PREFIXES)
+def test_the_id_check_takes_exactly_the_prefix_and_a_decimal_number(prefix):
+    for number in ["1", "9", "10", "1234567890", LONG_NUMBER]:
+        assert is_id(prefix + number, prefix)
+    bad = ["", "0", "01", "-1", "+1", " 1", "1 ", "1.0", "1e3", "\u0661", "\u00b2", "1_000", "x"]
+    for number in bad:
+        assert not is_id(prefix + number, prefix), number
+    assert not is_id("x" + prefix + "1", prefix)
+    assert not is_id(prefix.swapcase() + "1", prefix)
+    for value in [None, 1, [prefix + "1"]]:
+        assert not is_id(value, prefix)
+
+
+def test_an_id_number_is_read_up_to_max_digits_on_every_interpreter():
+    for limit in INT_LIMITS:
+        with int_max_str_digits(limit):
+            assert id_number("n" + "9" * MAX_DIGITS, "n") == 10**MAX_DIGITS - 1
+            assert id_number("n" + "9" * (MAX_DIGITS + 1), "n") is None
+            assert id_number("n012", "n") is None
+            assert json_int("-" + "9" * MAX_DIGITS) == 1 - 10**MAX_DIGITS
+            with pytest.raises(ValueError, match=f"more than {MAX_DIGITS} digits"):
+                json_int("9" * (MAX_DIGITS + 1))
+
+
+_SENTINEL = 424242
+
+
+def _with_long_number(doc, edit) -> str:
+    """``doc`` as JSON text after ``edit`` of a copy of it, ``_SENTINEL`` written as
+    ``LONG_NUMBER``."""
+    return _edited(doc, edit).replace(str(_SENTINEL), LONG_NUMBER)
+
+
+# One case per parser that reads JSON, each answer holding an integer longer
+# than int() reads at CPython's default limit.
+LONG_INTEGERS = {
+    "extraction": (
+        parse_extraction,
+        _with_long_number(EXTRACTION_DOC, lambda d: d["new_edges"].append(_SENTINEL)),
+    ),
+    "merge": (
+        parse_merge,
+        _with_long_number(_MERGE, lambda d: d["clusters"][0].update(cluster_id=_SENTINEL)),
+    ),
+    "chain-selection": (
+        _chain_selection, _with_long_number(_SELECTION, lambda d: d.update(chains=[_SENTINEL])),
+    ),
+    "index-selection": (lambda text: parse_index_selection(text, count=3), f"[{LONG_NUMBER}]"),
+    "page-assessment": (
+        lambda text: parse_page_assessment(text, count=1),
+        _with_long_number(_ASSESSMENT, lambda d: d[0].update(useful=_SENTINEL)),
+    ),
+    "scores": (
+        parse_scores,
+        _with_long_number(dict.fromkeys(SCORE_DIMENSIONS, 80), lambda d: d.update(depth=_SENTINEL)),
+    ),
+}
+
+
+@pytest.mark.parametrize("parse, text", LONG_INTEGERS.values(), ids=LONG_INTEGERS)
+def test_an_integer_of_more_than_max_digits_is_malformed_on_every_interpreter(parse, text):
+    assert LONG_NUMBER in text
+    for limit in INT_LIMITS:
+        with int_max_str_digits(limit), pytest.raises(MalformedOutputError, match="more than 4300"):
+            parse(text)
 
 
 class TestParseScores:
