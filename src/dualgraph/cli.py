@@ -15,18 +15,16 @@ through the library (``Providers`` and ``orchestrator.run``).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from importlib import resources
 from pathlib import Path
 
+from .checks import ParseError, SchemaViolation, loads, require_list, require_number, require_object
 from .evidence import citation_token
-from .ids import json_int
 from .kg import KnowledgeGraph
 from .orchestrator import ConfigError, RunConfig, Runner, RunState
 from .providers.base import ProviderError
 from .providers.mock import Fixture, load_fixture
-from .providers.parsers import ParseError, SchemaViolation, _require_list, _require_object
 from .rundir import RunDir
 from .simulate import run_ablation
 
@@ -119,9 +117,9 @@ def _resolve_config(fixture: Fixture, args) -> RunConfig:
         if not path.is_file():
             raise _UsageError(f"no config file at {path}")
         try:
-            overrides = json.loads(path.read_text(encoding="utf-8"), parse_int=json_int)
-        except ValueError as exc:  # JSONDecodeError, or an integer past ids.MAX_DIGITS
-            raise _UsageError(f"config file is not valid JSON: {exc}") from exc
+            overrides = loads(path.read_text(encoding="utf-8"))
+        except ValueError as exc:  # JSONDecodeError, an over-long integer or too deep a nesting
+            raise _UsageError(f"config file {path} is not valid JSON: {exc}") from exc
         if not isinstance(overrides, dict):
             raise _UsageError("config file must hold a JSON object")
         merged.update(overrides)
@@ -202,8 +200,8 @@ def _cmd_chains(args) -> int:
 
     def render(text: str) -> list[str]:
         keys = ("candidates", "selected", "queries")
-        doc = _require_object(json.loads(text), "chains", set(keys))
-        candidates, selected, queries = (_require_list(doc[key], key) for key in keys)
+        doc = require_object(loads(text), "chains", set(keys))
+        candidates, selected, queries = (require_list(doc[key], key) for key in keys)
         known = {c["chain_id"] for c in candidates}
         unknown = [cid for cid in selected if cid not in known]
         if unknown:
@@ -213,9 +211,10 @@ def _cmd_chains(args) -> int:
             mark = "*" if c["chain_id"] in selected else " "
             src = names.get(c["source_id"], c["source_id"])
             tgt = names.get(c["target_id"], c["target_id"])
+            score = require_number(c["score"], f"{c['chain_id']} score")
             lines.append(
                 f" {mark} {c['chain_id']} [{c['kind']}/{c['basis']}] "
-                f"{src} -> {c['relation']} -> {tgt} (score {c['score']:.4f})"
+                f"{src} -> {c['relation']} -> {tgt} (score {score:.4f})"
             )
         for cid, query in zip(selected, queries):
             lines.append(f"   query for {cid}: {query}")

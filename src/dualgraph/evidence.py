@@ -16,8 +16,8 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field
 from urllib.parse import urlsplit, urlunsplit
 
+from .checks import require_int, require_str
 from .ids import id_number
-from .providers.parsers import _require_int, _require_str
 
 __all__ = [
     "EvidenceError",
@@ -111,12 +111,12 @@ class EvidenceUnit:
     def from_dict(cls, d: dict) -> "EvidenceUnit":
         """Rebuild a unit from ``to_dict`` output, whose field types it checks."""
         texts = {
-            name: _require_str(d[name], name, allow_empty=True)
+            name: require_str(d[name], name, allow_empty=True)
             for name in ("url", "title", "query", "summary", "content")
         }
         return cls(
-            evidence_id=_require_int(d["evidence_id"], "evidence_id"),
-            iteration=_require_int(d["iteration"], "iteration"),
+            evidence_id=require_int(d["evidence_id"], "evidence_id"),
+            iteration=require_int(d["iteration"], "iteration"),
             **texts,
         )
 

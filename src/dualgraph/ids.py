@@ -7,6 +7,8 @@ calls it with its prefix and raises its own error class.
 No number is read with more than ``MAX_DIGITS`` digits, CPython's default
 int-string limit, past which ``int()`` raises a bare ValueError unless the
 limit is lifted; so a text has the same outcome on every interpreter.
+``checks.loads``, the one JSON reader, decodes every integer through
+``json_int``, so that holds for each JSON text the program reads.
 """
 
 __all__ = ["MAX_DIGITS", "is_id", "id_number", "json_int"]

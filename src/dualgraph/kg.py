@@ -40,6 +40,7 @@ from json.encoder import encode_basestring
 
 import numpy as np
 
+from .checks import loads, require_bool, require_int, require_str
 from .community import leiden_partition
 from .ids import id_number, is_id
 
@@ -370,11 +371,8 @@ class KnowledgeGraph:
     def from_dict(cls, doc: dict) -> "KnowledgeGraph":
         """Rebuild a graph from ``to_dict`` output; its ids must ascend and its
         fields have the types ``to_dict`` writes."""
-        # Deferred: the parsers module imports this one.
-        from .providers.parsers import _require_bool, _require_int, _require_str
-
         def optional_int(value, what: str) -> int | None:
-            return None if value is None else _require_int(value, what)
+            return None if value is None else require_int(value, what)
 
         g = cls()
         last_node = last_edge = 0
@@ -386,8 +384,8 @@ class KnowledgeGraph:
             last_node = num
             g.nodes[nid] = KnowledgeNode(
                 node_id=nid,
-                name=_require_str(nd["knowledge"], f"{nid}.knowledge", allow_empty=True),
-                is_core_entity=_require_bool(nd["is_core_entity"], f"{nid}.is_core_entity"),
+                name=require_str(nd["knowledge"], f"{nid}.knowledge", allow_empty=True),
+                is_core_entity=require_bool(nd["is_core_entity"], f"{nid}.is_core_entity"),
                 cluster_id=optional_int(nd.get("cluster_id"), f"{nid}.cluster_id"),
                 community_id=optional_int(nd.get("community_id"), f"{nid}.community_id"),
             )
@@ -397,7 +395,7 @@ class KnowledgeGraph:
                 edge_id=ed["edge_id"],
                 source_id=ed["source_id"],
                 target_id=ed["target_id"],
-                relation=_require_str(
+                relation=require_str(
                     ed["relation_name"], f"{ed['edge_id']}.relation_name", allow_empty=True
                 ),
                 evidence_ids=set(ed["evidence_ids"]),
@@ -416,8 +414,8 @@ class KnowledgeGraph:
             g._insert(edge)
         # Counters past the largest id are legal (merges retire ids); counters
         # at or below it would reissue an id that is still in use.
-        g.next_node_num = _require_int(doc.get("next_node_num", last_node + 1), "next_node_num")
-        g.next_edge_num = _require_int(doc.get("next_edge_num", last_edge + 1), "next_edge_num")
+        g.next_node_num = require_int(doc.get("next_node_num", last_node + 1), "next_node_num")
+        g.next_edge_num = require_int(doc.get("next_edge_num", last_edge + 1), "next_edge_num")
         if g.next_node_num <= last_node:
             raise DuplicateIdError(
                 f"next_node_num {g.next_node_num} would reissue n{last_node}"
@@ -430,7 +428,7 @@ class KnowledgeGraph:
 
     @classmethod
     def from_document(cls, text: str) -> "KnowledgeGraph":
-        return cls.from_dict(json.loads(text))
+        return cls.from_dict(loads(text))
 
     def to_prompt_payload(self) -> dict:
         """The compact node/edge view shown to chat providers."""

@@ -10,7 +10,6 @@ identically and texts sharing words are measurably closer than unrelated ones.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -24,8 +23,8 @@ from .base import (
     UnmatchedPromptError,
     Providers,
 )
+from ..checks import loads, require_list, require_object, require_str, require_strings
 from ..config import RunConfig
-from .parsers import SchemaViolation, _require_list, _require_str, _require_strings
 
 __all__ = [
     "ScriptEntry",
@@ -164,25 +163,18 @@ class Fixture:
         )
 
 
-def _require_dict(value, what: str) -> dict:
-    """A JSON object with any keys; ``_require_object`` pins them."""
-    if not isinstance(value, dict):
-        raise SchemaViolation(f"{what}: expected a JSON object")
-    return value
-
-
 def _script_entry(value, what: str) -> ScriptEntry:
-    e = _require_dict(value, what)
+    e = require_object(value, what)
     return ScriptEntry(
-        match=_require_strings(e["match"], f"{what}.match"),
-        responses=_require_strings(e["responses"], f"{what}.responses"),
+        match=require_strings(e["match"], f"{what}.match"),
+        responses=require_strings(e["responses"], f"{what}.responses"),
     )
 
 
 def _search_result(value, what: str, rank: int) -> SearchResult:
-    r = _require_dict(value, what)
+    r = require_object(value, what)
     url, title, snippet = (
-        _require_str(r[key], f"{what}.{key}", allow_empty=True)
+        require_str(r[key], f"{what}.{key}", allow_empty=True)
         for key in ("url", "title", "snippet")
     )
     return SearchResult(url=url, title=title, snippet=snippet, rank=rank)
@@ -190,25 +182,25 @@ def _search_result(value, what: str, rank: int) -> SearchResult:
 
 def load_fixture(path: str | Path) -> Fixture:
     """Read a fixture file; a value of the wrong shape is a SchemaViolation naming it."""
-    doc = _require_dict(json.loads(Path(path).read_text(encoding="utf-8")), "fixture")
+    doc = require_object(loads(Path(path).read_text(encoding="utf-8")), "fixture")
     entries = [
         _script_entry(e, f"chat_script[{i}]")
-        for i, e in enumerate(_require_list(doc["chat_script"], "chat_script"))
+        for i, e in enumerate(require_list(doc["chat_script"], "chat_script"))
     ]
     results = {
         query: [
             _search_result(r, f"search_results[{query!r}][{i}]", i)
-            for i, r in enumerate(_require_list(rs, f"search_results[{query!r}]"))
+            for i, r in enumerate(require_list(rs, f"search_results[{query!r}]"))
         ]
-        for query, rs in _require_dict(doc.get("search_results", {}), "search_results").items()
+        for query, rs in require_object(doc.get("search_results", {}), "search_results").items()
     }
     pages = {
-        url: _require_str(text, f"pages[{url!r}]", allow_empty=True)
-        for url, text in _require_dict(doc.get("pages", {}), "pages").items()
+        url: require_str(text, f"pages[{url!r}]", allow_empty=True)
+        for url, text in require_object(doc.get("pages", {}), "pages").items()
     }
     return Fixture(
-        root_query=_require_str(doc["root_query"], "root_query", allow_empty=True),
-        config=_require_dict(doc.get("config", {}), "config"),
+        root_query=require_str(doc["root_query"], "root_query", allow_empty=True),
+        config=require_object(doc.get("config", {}), "config"),
         chat_entries=entries,
         search_results=results,
         pages=pages,

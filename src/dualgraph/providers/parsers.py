@@ -3,19 +3,25 @@
 Every parser returns a value or raises a ParseError subclass; no input text
 may crash them any other way. Tolerated cosmetic deviations are exactly:
 surrounding whitespace and one markdown code fence around the payload.
-Every id an answer names is checked by ``ids.is_id``, and a JSON integer of
-more than ``ids.MAX_DIGITS`` digits makes the answer malformed.
+An answer is decoded by ``checks.loads`` and its values checked by the
+``checks.require_*`` functions, which every other reader shares: a text that
+does not decode (an integer of more than ``ids.MAX_DIGITS`` digits and too
+deep a nesting included) is malformed, and every id an answer names must
+pass ``ids.is_id``. ``ParseError``, ``SchemaViolation`` and
+``SCORE_DIMENSIONS`` live in ``checks`` and are re-exported here.
 """
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
 
-from ..ids import is_id, json_int
+from ..checks import (
+    SCORE_DIMENSIONS, ParseError, SchemaViolation, loads, require_bool, require_id, require_int,
+    require_list, require_object, require_scores, require_str,
+)
 from ..kg import ExtractedEdge, ExtractedNode, ExtractionResult, MergeCluster
 
 __all__ = [
@@ -42,16 +48,8 @@ __all__ = [
 ]
 
 
-class ParseError(ValueError):
-    """Base class: the response does not satisfy its output contract."""
-
-
 class MalformedOutputError(ParseError):
     """Not valid JSON (or structurally not parseable at all)."""
-
-
-class SchemaViolation(ParseError):
-    """Parseable, but keys, types or formats are wrong."""
 
 
 class DanglingReference(ParseError):
@@ -68,15 +66,6 @@ class TemplateError(ValueError):
 
 _FENCE_RE = re.compile(r"\A```[a-zA-Z0-9_-]*\n(.*)\n```\Z", re.DOTALL)
 _PLACEHOLDER_RE = re.compile(r"\$\{([A-Z_]+)\}")
-
-SCORE_DIMENSIONS = (
-    "instruction_following",
-    "depth",
-    "breadth",
-    "balance",
-    "support",
-    "insightfulness",
-)
 
 
 @lru_cache(maxsize=None)
@@ -111,80 +100,9 @@ def strip_code_fences(text: str) -> str:
 
 def _load_json(text: str, what: str):
     try:
-        return json.loads(strip_code_fences(text), parse_int=json_int)
-    except (ValueError, RecursionError) as exc:
+        return loads(strip_code_fences(text))
+    except ValueError as exc:  # JSONDecodeError, an over-long integer or too deep a nesting
         raise MalformedOutputError(f"{what}: not valid JSON ({exc})") from None
-
-
-def _require_object(value, what: str, keys: set[str]) -> dict:
-    if not isinstance(value, dict):
-        raise SchemaViolation(f"{what}: expected a JSON object")
-    got = set(value.keys())
-    if got != keys:
-        raise SchemaViolation(
-            f"{what}: expected keys {sorted(keys)}, got {sorted(got)}"
-        )
-    return value
-
-
-def _require_str(value, what: str, allow_empty: bool = False) -> str:
-    """A string that UTF-8 can encode: a JSON escape such as ``"\\ud800"`` decodes
-    to a lone surrogate, which no run-dir file could hold."""
-    if not isinstance(value, str):
-        raise SchemaViolation(f"{what}: expected a string")
-    if not allow_empty and not value.strip():
-        raise SchemaViolation(f"{what}: must be non-empty")
-    try:
-        value.encode("utf-8")
-    except UnicodeEncodeError as exc:
-        raise SchemaViolation(
-            f"{what}: holds {value[exc.start:exc.end]!r}, which UTF-8 cannot encode"
-        ) from None
-    return value
-
-
-def _require_id(value, what: str, prefix: str) -> str:
-    """A string that is ``prefix`` and then a decimal number (``ids.is_id``)."""
-    if not is_id(_require_str(value, what), prefix):
-        raise SchemaViolation(f"{what}: malformed id {value!r}")
-    return value
-
-
-def _require_bool(value, what: str) -> bool:
-    if not isinstance(value, bool):
-        raise SchemaViolation(f"{what}: expected true or false")
-    return value
-
-
-def _require_list(value, what: str) -> list:
-    if not isinstance(value, list):
-        raise SchemaViolation(f"{what}: expected an array")
-    return value
-
-
-def _require_strings(value, what: str) -> list[str]:
-    """A list of strings, any of them empty."""
-    return [_require_str(v, f"{what} entry", allow_empty=True) for v in _require_list(value, what)]
-
-
-def _require_int(value, what: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaViolation(f"{what}: expected an integer")
-    return value
-
-
-def _require_scores(value, what: str) -> dict[str, float]:
-    """The six rubric scores, each a number in 0..100, in ``SCORE_DIMENSIONS`` order."""
-    doc = _require_object(value, what, set(SCORE_DIMENSIONS))
-    out: dict[str, float] = {}
-    for dim in SCORE_DIMENSIONS:
-        score = doc[dim]
-        if isinstance(score, bool) or not isinstance(score, (int, float)):
-            raise SchemaViolation(f"{what}.{dim}: expected a number")
-        if not 0 <= score <= 100:
-            raise SchemaViolation(f"{what}.{dim}: {score} outside 0..100")
-        out[dim] = float(score)
-    return out
 
 
 def parse_extraction(
@@ -200,51 +118,49 @@ def parse_extraction(
     equality when the batch is applied.
     """
     doc = _load_json(text, "extraction")
-    doc = _require_object(doc, "extraction", {"new_nodes", "new_edges", "evidences_map"})
+    doc = require_object(doc, "extraction", {"new_nodes", "new_edges", "evidences_map"})
 
     nodes: list[ExtractedNode] = []
     batch_node_ids: set[str] = set()
-    for i, entry in enumerate(_require_list(doc["new_nodes"], "new_nodes")):
+    for i, entry in enumerate(require_list(doc["new_nodes"], "new_nodes")):
         what = f"new_nodes[{i}]"
-        entry = _require_object(entry, what, {"id", "node_name", "is_core_entity"})
-        nid = _require_id(entry["id"], f"{what}.id", "n")
+        entry = require_object(entry, what, {"id", "node_name", "is_core_entity"})
+        nid = require_id(entry["id"], f"{what}.id", "n")
         if nid in batch_node_ids:
             raise SchemaViolation(f"{what}: duplicate node id {nid}")
         batch_node_ids.add(nid)
-        name = _require_str(entry["node_name"], f"{what}.node_name")
-        core = _require_bool(entry["is_core_entity"], f"{what}.is_core_entity")
+        name = require_str(entry["node_name"], f"{what}.node_name")
+        core = require_bool(entry["is_core_entity"], f"{what}.is_core_entity")
         nodes.append(ExtractedNode(nid, name, core))
 
     edges: list[ExtractedEdge] = []
     batch_edge_ids: set[str] = set()
     known_nodes = batch_node_ids | (existing_node_ids or set())
-    for i, entry in enumerate(_require_list(doc["new_edges"], "new_edges")):
+    for i, entry in enumerate(require_list(doc["new_edges"], "new_edges")):
         what = f"new_edges[{i}]"
-        entry = _require_object(entry, what, {"id", "source_id", "target_id", "relation_name"})
-        eid = _require_id(entry["id"], f"{what}.id", "e")
+        entry = require_object(entry, what, {"id", "source_id", "target_id", "relation_name"})
+        eid = require_id(entry["id"], f"{what}.id", "e")
         if eid in batch_edge_ids:
             raise SchemaViolation(f"{what}: duplicate edge id {eid}")
         batch_edge_ids.add(eid)
-        src = _require_id(entry["source_id"], f"{what}.source_id", "n")
-        tgt = _require_id(entry["target_id"], f"{what}.target_id", "n")
+        src = require_id(entry["source_id"], f"{what}.source_id", "n")
+        tgt = require_id(entry["target_id"], f"{what}.target_id", "n")
         for endpoint in (src, tgt):
             if existing_node_ids is not None and endpoint not in known_nodes:
                 raise DanglingReference(
                     f"{what}: endpoint {endpoint} is neither existing nor declared"
                 )
-        relation = _require_str(entry["relation_name"], f"{what}.relation_name")
+        relation = require_str(entry["relation_name"], f"{what}.relation_name")
         edges.append(ExtractedEdge(eid, src, tgt, relation))
 
     ev_map: dict[str, list[str]] = {}
-    raw_map = doc["evidences_map"]
-    if not isinstance(raw_map, dict):
-        raise SchemaViolation("evidences_map: expected an object")
+    raw_map = require_object(doc["evidences_map"], "evidences_map")
     known_edges = batch_edge_ids | (existing_edge_ids or set())
     for label, edge_list in raw_map.items():
-        _require_id(label, "evidences_map label", "EN")
+        require_id(label, "evidences_map label", "EN")
         checked = ev_map[label] = []
-        for eid in _require_list(edge_list, f"evidences_map[{label}]"):
-            eid = _require_id(eid, f"evidences_map[{label}] entry", "e")
+        for eid in require_list(edge_list, f"evidences_map[{label}]"):
+            eid = require_id(eid, f"evidences_map[{label}] entry", "e")
             if existing_edge_ids is not None and eid not in known_edges:
                 raise DanglingReference(f"evidences_map[{label}]: references absent edge {eid}")
             checked.append(eid)
@@ -254,21 +170,21 @@ def parse_extraction(
 
 def parse_merge(text: str) -> list[MergeCluster]:
     doc = _load_json(text, "merge")
-    doc = _require_object(doc, "merge", {"clusters"})
+    doc = require_object(doc, "merge", {"clusters"})
     clusters: list[MergeCluster] = []
-    for i, entry in enumerate(_require_list(doc["clusters"], "clusters")):
+    for i, entry in enumerate(require_list(doc["clusters"], "clusters")):
         what = f"clusters[{i}]"
-        entry = _require_object(entry, what, {
+        entry = require_object(entry, what, {
             "cluster_id", "representative_concept", "source_node_ids", "similarity_justification",
         })
-        _require_id(entry["cluster_id"], f"{what}.cluster_id", "c")
-        sources = _require_list(entry["source_node_ids"], f"{what}.source_node_ids")
+        require_id(entry["cluster_id"], f"{what}.cluster_id", "c")
+        sources = require_list(entry["source_node_ids"], f"{what}.source_node_ids")
         if not (2 <= len(sources) <= 5):
             raise SchemaViolation(f"{what}: {len(sources)} source nodes outside 2..5")
-        checked = [_require_id(nid, f"{what} source id", "n") for nid in sources]
+        checked = [require_id(nid, f"{what} source id", "n") for nid in sources]
         justification = entry["similarity_justification"]
-        _require_str(justification, f"{what}.similarity_justification", allow_empty=True)
-        concept = _require_str(entry["representative_concept"], f"{what}.representative_concept")
+        require_str(justification, f"{what}.similarity_justification", allow_empty=True)
+        concept = require_str(entry["representative_concept"], f"{what}.representative_concept")
         clusters.append(MergeCluster(representative_concept=concept, source_node_ids=checked))
     return clusters
 
@@ -291,15 +207,15 @@ def parse_chain_selection(text: str, chain_num: int, query_num: int | None = Non
     if query_num is not None:
         lists["outline queries"] = query_num
     doc = _load_json(text, "chain selection")
-    doc = _require_object(doc, "chain selection", {"chains", *lists})
+    doc = require_object(doc, "chain selection", {"chains", *lists})
     chain_ids: list[str] = []
-    for i, cid in enumerate(_require_list(doc["chains"], "chains")):
-        cid = _require_id(cid, f"chains[{i}]", "chain_")
+    for i, cid in enumerate(require_list(doc["chains"], "chains")):
+        cid = require_id(cid, f"chains[{i}]", "chain_")
         if cid in chain_ids:
             raise SchemaViolation(f"chains[{i}]: duplicate chain id {cid}")
         chain_ids.append(cid)
     queries = {
-        key: [_require_str(q, f"{key}[{i}]") for i, q in enumerate(_require_list(doc[key], key))]
+        key: [require_str(q, f"{key}[{i}]") for i, q in enumerate(require_list(doc[key], key))]
         for key in lists
     }
     if len(chain_ids) > chain_num:
@@ -319,12 +235,10 @@ def parse_chain_selection(text: str, chain_num: int, query_num: int | None = Non
 
 
 def parse_index_selection(text: str, count: int) -> list[int]:
-    doc = _load_json(text, "index selection")
-    if not isinstance(doc, list):
-        raise SchemaViolation("index selection: expected a JSON array")
+    doc = require_list(_load_json(text, "index selection"), "index selection")
     out: list[int] = []
     for i, value in enumerate(doc):
-        _require_int(value, f"index selection[{i}]")
+        require_int(value, f"index selection[{i}]")
         if not 0 <= value < count:
             raise SchemaViolation(
                 f"index selection[{i}]: index {value} outside 0..{count - 1}"
@@ -344,22 +258,22 @@ class PageAssessment:
 
 def parse_page_assessment(text: str, count: int) -> list[PageAssessment]:
     """One assessment per page of a ``count``-page prompt, in page order."""
-    doc = _require_list(_load_json(text, "page assessment"), "page assessment")
+    doc = require_list(_load_json(text, "page assessment"), "page assessment")
     if len(doc) != count:
         raise SchemaViolation(f"page assessment: {len(doc)} objects for {count} pages")
     out: list[PageAssessment] = []
     for i, entry in enumerate(doc):
         what = f"page assessment[{i}]"
-        entry = _require_object(entry, what, {"useful", "summary", "salient_content"})
-        useful = _require_bool(entry["useful"], f"{what}.useful")
-        summary = _require_str(entry["summary"], f"{what}.summary", allow_empty=not useful)
-        content = _require_str(entry["salient_content"], f"{what}.salient_content", allow_empty=True)
+        entry = require_object(entry, what, {"useful", "summary", "salient_content"})
+        useful = require_bool(entry["useful"], f"{what}.useful")
+        summary = require_str(entry["summary"], f"{what}.summary", allow_empty=not useful)
+        content = require_str(entry["salient_content"], f"{what}.salient_content", allow_empty=True)
         out.append(PageAssessment(useful=useful, summary=summary, salient_content=content))
     return out
 
 
 def parse_scores(text: str) -> dict[str, float]:
-    return _require_scores(_load_json(text, "scores"), "scores")
+    return require_scores(_load_json(text, "scores"), "scores")
 
 
 def parse_query_lines(text: str, budget: int) -> list[str]:

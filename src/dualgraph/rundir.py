@@ -25,11 +25,16 @@ the file, with no provider call; the first call that differs drops the rest.
 The first checkpoint deletes the file, so a finished run directory holds none.
 An embed line's rows use ``embed.jsonl``'s codec; before the first of them is
 served, one probe text checks that the embedder has their width.
+
+Every file is read through ``RunDir.read``: ``checks.loads`` decodes its JSON
+and the ``checks.require_*`` functions check its values. A file that does not
+decode or check, or that the system refuses (an OSError), is a ConfigError.
 """
 
 from __future__ import annotations
 
 import base64
+import functools
 import json
 import os
 import re
@@ -42,14 +47,14 @@ from pathlib import Path
 import numpy as np
 
 from . import outline  # parse_outline is looked up at call time, as bench/spans wraps it there
+from .checks import (
+    ParseError, loads, require_bool, require_int, require_list, require_object, require_scores,
+    require_str, require_strings,
+)
 from .config import ConfigError, RunConfig, Variant
 from .evidence import EvidenceBank, EvidenceUnit
 from .kg import KnowledgeGraph
 from .providers.base import FetchError, Providers, SearchResult
-from .providers.parsers import (
-    ParseError, _require_bool, _require_int, _require_list, _require_object, _require_scores,
-    _require_str, _require_strings,
-)
 
 __all__ = ["EarlyStopReport", "Audit", "RunDir", "FORMAT_VERSION", "state_document"]
 
@@ -86,8 +91,8 @@ class EarlyStopReport:
 
     @classmethod
     def from_dict(cls, d: dict) -> "EarlyStopReport":
-        d = _require_object(d, "early-stop report", {"scores", "stop"})
-        return cls(_require_scores(d["scores"], "scores"), _require_bool(d["stop"], "stop"))
+        d = require_object(d, "early-stop report", {"scores", "stop"})
+        return cls(require_scores(d["scores"], "scores"), require_bool(d["stop"], "stop"))
 
 
 class Audit(list):
@@ -116,9 +121,10 @@ class Audit(list):
         return records
 
 
-def _committed_config(doc) -> RunConfig:
-    """The config of a state.json document, which must be of this format and
-    hold every key; a damaged one is a ConfigError naming state.json."""
+def _committed(doc) -> dict:
+    """The checked fields of a state.json document, its one reader: one of this
+    format that holds every key, whose counts are non-negative integers. A damaged
+    one is a ConfigError naming state.json, or a ValueError that ``RunDir.read`` makes one."""
     if not isinstance(doc, dict):
         raise ConfigError(f"{STATE_FILE} must hold a JSON object")
     if doc.get("format_version") != FORMAT_VERSION:
@@ -127,11 +133,28 @@ def _committed_config(doc) -> RunConfig:
     if missing:
         raise ConfigError(f"{STATE_FILE} lacks {missing}")
     try:
-        return RunConfig.from_dict(
-            _require_object(doc["config"], "config", set(RunConfig.__dataclass_fields__))
+        config = RunConfig.from_dict(
+            require_object(doc["config"], "config", set(RunConfig.__dataclass_fields__))
         )
     except ConfigError as exc:
         raise ConfigError(f"{STATE_FILE}: {exc}") from None
+    if doc["stage"] not in ("init", "loop", "done"):
+        raise ConfigError(f"{STATE_FILE}: unknown stage {doc['stage']!r}")
+    counts = ("iteration", "audit_records", "bank_units", "embedded_texts")
+    bad = [key for key in counts if type(doc[key]) is not int or doc[key] < 0]
+    if bad:
+        raise ConfigError(f"{STATE_FILE}: {bad} must be non-negative integers")
+    return {
+        **{key: doc[key] for key in ("stage", *counts)},
+        "root_query": require_str(doc["root_query"], "root_query", allow_empty=True),
+        "config": config,
+        "executed_queries": require_strings(doc["executed_queries"], "executed_queries"),
+        "early_stop_history": [
+            EarlyStopReport.from_dict(r)
+            for r in require_list(doc["early_stop_history"], "early_stop_history")
+        ],
+        "events": require_strings(doc["events"], "events"),
+    }
 
 
 def _records(log, count: int) -> Iterator:
@@ -142,7 +165,7 @@ def _records(log, count: int) -> Iterator:
     """
     line = b"\n"
     for line in islice(log, count):
-        yield json.loads(line.decode("utf-8"))
+        yield loads(line.decode("utf-8"))
     if not line.endswith(b"\n"):
         log.seek(1, os.SEEK_CUR)
 
@@ -155,7 +178,7 @@ def _vector(row: np.ndarray) -> str:
 def _row(vector, what: str, width: int | None) -> np.ndarray:
     """The row ``_vector`` encoded as ``vector``, of ``width`` floats unless None;
     one that is not the base64 of whole float64s is a ValueError."""
-    raw = base64.b64decode(_require_str(vector, what), validate=True)
+    raw = base64.b64decode(require_str(vector, what), validate=True)
     if not raw or len(raw) % 8:
         raise ValueError(f"{what} is {len(raw)} bytes, not a multiple of 8")
     if width is not None and len(raw) != 8 * width:
@@ -179,8 +202,8 @@ def _embeddings(records: list) -> dict[str, np.ndarray]:
     rows: dict[str, np.ndarray] = {}
     width = None
     for i, record in enumerate(records):
-        record = _require_object(record, f"record {i}", {"text", "vector"})
-        text = _require_str(record["text"], f"record {i} text", allow_empty=True)
+        record = require_object(record, f"record {i}", {"text", "vector"})
+        text = require_str(record["text"], f"record {i} text", allow_empty=True)
         row = _row(record["vector"], f"record {i} vector", width)
         if text in rows:
             raise ValueError(f"record {i} repeats the text {text!r}")
@@ -211,36 +234,36 @@ def _replay_exchanges(log) -> list[tuple]:
     width = None
     for i, line in enumerate(log):
         what = f"record {i}"
-        record = json.loads(line.decode("utf-8"))
+        record = loads(line.decode("utf-8"))
         outcome = "error" if isinstance(record, dict) and "error" in record else "answer"
-        record = _require_object(record, what, {"kind", "request", outcome})
+        record = require_object(record, what, {"kind", "request", outcome})
         kind, request, answer = record["kind"], record["request"], record[outcome]
         if kind == "search":
-            _require_object(request, f"{what} request", {"query", "top_n"})
-            _require_str(request["query"], f"{what} query", allow_empty=True)
-            _require_int(request["top_n"], f"{what} top_n")
+            require_object(request, f"{what} request", {"query", "top_n"})
+            require_str(request["query"], f"{what} query", allow_empty=True)
+            require_int(request["top_n"], f"{what} top_n")
         elif kind in ("chat", "fetch"):
-            _require_str(request, f"{what} request", allow_empty=True)
+            require_str(request, f"{what} request", allow_empty=True)
         elif kind == "embed":
-            if not _require_strings(request, f"{what} request"):
+            if not require_strings(request, f"{what} request"):
                 raise ValueError(f"{what}: an embed exchange asks for no text")
         else:
             raise ValueError(f"{what}: unknown kind {kind!r}")
         if outcome == "error":
             if kind != "fetch":
                 raise ValueError(f"{what}: only a fetch exchange records an error, not a {kind}")
-            answer = FetchError(_require_str(answer, f"{what} error", allow_empty=True))
+            answer = FetchError(require_str(answer, f"{what} error", allow_empty=True))
         elif kind == "search":
             results = []
-            for rank, r in enumerate(_require_list(answer, f"{what} answer")):
-                r = _require_object(r, f"{what} result {rank}", {"url", "title", "snippet", "rank"})
+            for rank, r in enumerate(require_list(answer, f"{what} answer")):
+                r = require_object(r, f"{what} result {rank}", {"url", "title", "snippet", "rank"})
                 for key in ("url", "title", "snippet"):
-                    _require_str(r[key], f"{what} result {rank} {key}", allow_empty=True)
-                _require_int(r["rank"], f"{what} result {rank} rank")
+                    require_str(r[key], f"{what} result {rank} {key}", allow_empty=True)
+                require_int(r["rank"], f"{what} result {rank} rank")
                 results.append(SearchResult(**r))
             answer = results
         elif kind == "embed":
-            vectors = _require_list(answer, f"{what} answer")
+            vectors = require_list(answer, f"{what} answer")
             if len(vectors) != len(request):
                 raise ValueError(f"{what} answers {len(request)} texts with {len(vectors)} rows")
             rows = []
@@ -249,9 +272,25 @@ def _replay_exchanges(log) -> list[tuple]:
                 width = len(rows[-1])
             answer = np.array(rows)
         else:
-            _require_str(answer, f"{what} answer", allow_empty=True)
+            require_str(answer, f"{what} answer", allow_empty=True)
         exchanges.append((kind, request, answer))
     return exchanges
+
+
+def _file_operation(method: Callable) -> Callable:
+    """``method`` of a run-dir file ``name``, where an OSError is a ConfigError that
+    names the file: a missing one, or one the system refuses (a name too long, say)."""
+
+    @functools.wraps(method)
+    def operation(self, name: str, *args):
+        try:
+            return method(self, name, *args)
+        except (FileNotFoundError, NotADirectoryError):
+            raise ConfigError(f"run directory {self.path} has no {name}") from None
+        except OSError as exc:
+            raise ConfigError(f"{name} cannot be used: {exc.strerror or exc}") from None
+
+    return operation
 
 
 def _document(doc) -> str:
@@ -431,6 +470,7 @@ class RunDir:
 
     # -- file operations
 
+    @_file_operation
     def read(self, name: str, parse: Callable):
         """``parse`` of a run-dir file opened as bytes; a missing, undecodable or
         damaged file is a ConfigError that names it."""
@@ -439,9 +479,7 @@ class RunDir:
                 value = parse(file)
                 self._read_to[name] = file.tell()
                 return value
-        except (FileNotFoundError, NotADirectoryError):
-            raise ConfigError(f"run directory {self.path} has no {name}") from None
-        except ConfigError:  # a file that parse read in turn, named already
+        except ConfigError:  # raised by parse, which names the file
             raise
         except (ValueError, KeyError, TypeError) as exc:
             raise ConfigError(f"{name} is damaged: {type(exc).__name__}: {exc}") from None
@@ -451,19 +489,27 @@ class RunDir:
         of bytes would also take UTF-16, UTF-32 and lone surrogates, which no run writes."""
         return self.read(name, lambda file: parse(file.read().decode("utf-8")))
 
+    @_file_operation
     def _exists(self, name: str) -> bool:
-        return (self.path / name).exists()
+        try:  # not Path.exists, which Python 3.13 makes False on any OSError
+            os.stat(self.path / name)
+        except (FileNotFoundError, NotADirectoryError):
+            return False
+        return True
 
+    @_file_operation
     def _replace(self, name: str, text: str) -> None:
         (self.path / f"{name}.tmp").write_text(text, encoding="utf-8")
         (self.path / f"{name}.tmp").replace(self.path / name)
 
+    @_file_operation
     def _append(self, name: str, entries: Iterable[dict]) -> None:
         """Append the entries to a log, one JSON line each; no log is rewritten."""
         rows = [_document(e) for e in entries]
         with open(self.path / name, "a", encoding="utf-8") as log_file:
             log_file.writelines(rows)
 
+    @_file_operation
     def _cut(self, name: str) -> None:
         """Cut a log in place where ``load`` stopped reading its committed lines,
         which are neither re-encoded nor rewritten; a log that ends there is not
@@ -477,6 +523,7 @@ class RunDir:
             with open(path, "ab") as log_file:
                 log_file.write(b"\n")
 
+    @_file_operation
     def _unlink(self, name: str) -> None:
         (self.path / name).unlink(missing_ok=True)
 
@@ -491,24 +538,27 @@ class RunDir:
     def holds_run(self) -> bool:
         return self._exists(STATE_FILE)
 
+    def _state(self) -> dict:
+        """The checked fields that state.json commits (``_committed``)."""
+        return self._text(STATE_FILE, lambda text: _committed(loads(text)))
+
     def config(self) -> RunConfig:
         """The config that state.json commits."""
-        return self._text(STATE_FILE, lambda text: _committed_config(json.loads(text)))
+        return self._state()["config"]
 
     def iteration(self) -> int:
         """The iteration that state.json commits."""
-        return self._text(
-            STATE_FILE, lambda text: _require_int(json.loads(text)["iteration"], "iteration")
-        )
+        return self._state()["iteration"]
 
     def has_iteration(self, stem: str, iteration: int) -> bool:
         return self._exists(_iteration_file(stem, iteration))
 
     def read_iteration(self, stem: str, iteration: int | None, parse: Callable = str):
-        """``parse`` of the text of iteration ``iteration``'s file ``stem``
-        (``outline``, ``kg`` or ``chains``); of the committed iteration when None."""
-        if iteration is None:
-            iteration = self.iteration()
+        """``parse`` of the text of iteration ``iteration``'s file ``stem`` (``outline``,
+        ``kg`` or ``chains``); of the committed iteration when None. state.json is read
+        either way, so no file of a run in another format is read."""
+        committed = self.iteration()
+        iteration = committed if iteration is None else iteration
         return self._text(_iteration_file(stem, iteration), parse)
 
     def load(self) -> dict:
@@ -517,39 +567,20 @@ class RunDir:
         The files of the committed iteration never change later, and the logs
         only grow, so a checkpoint that never committed is ignored.
         """
-        return self._text(STATE_FILE, lambda text: self._state_fields(json.loads(text)))
-
-    def _state_fields(self, doc) -> dict:
-        config = _committed_config(doc)
-        if doc["stage"] not in ("init", "loop", "done"):
-            raise ConfigError(f"{STATE_FILE}: unknown stage {doc['stage']!r}")
-        counts = ("iteration", "audit_records", "bank_units", "embedded_texts")
-        bad = [key for key in counts if type(doc[key]) is not int or doc[key] < 0]
-        if bad:
-            raise ConfigError(f"{STATE_FILE}: {bad} must be non-negative integers")
-        stage, iteration = doc["stage"], doc["iteration"]
-        fields = {
-            "root_query": _require_str(doc["root_query"], "root_query", allow_empty=True),
-            "config": config,
-            "stage": stage,
-            "iteration": iteration,
-            "executed_queries": _require_strings(doc["executed_queries"], "executed_queries"),
-            "early_stop_history": [
-                EarlyStopReport.from_dict(r)
-                for r in _require_list(doc["early_stop_history"], "early_stop_history")
-            ],
-            "events": _require_strings(doc["events"], "events"),
-        }
-        units, records, texts = doc["bank_units"], doc["audit_records"], doc["embedded_texts"]
+        fields = self._state()
+        units, records, texts = (
+            fields.pop(key) for key in ("bank_units", "audit_records", "embedded_texts")
+        )
+        stage, iteration = fields["stage"], fields["iteration"]
         bank = self.read(BANK_LOG, lambda log: EvidenceBank.from_dicts(_records(log, units)))
         if len(bank) < units:
             raise ConfigError(f"{BANK_LOG} is shorter than the checkpoint's bank_units")
         if stage != "init":
-            fields["og"] = self.read_iteration(
-                "outline", iteration,
+            fields["og"] = self._text(
+                _iteration_file("outline", iteration),
                 lambda text: outline.check_citations(outline.parse_outline(text), bank),
             )
-            if config.variant is Variant.DUAL_GRAPH:
+            if fields["config"].variant is Variant.DUAL_GRAPH:
                 kg_file = _iteration_file("kg", iteration)
                 kg = fields["kg"] = self._text(kg_file, KnowledgeGraph.from_document)
                 unplaced = [nid for nid, n in kg.nodes.items() if n.community_id is None]

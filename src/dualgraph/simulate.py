@@ -30,6 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .checks import SCORE_DIMENSIONS
 from .evidence import EvidenceBank, parse_citation_token
 from .ids import id_number, is_id
 from .kg import KnowledgeGraph, edge_num, node_num
@@ -521,16 +522,9 @@ class SimChatProvider:
             )
         else:
             support = 0.0
-        return json.dumps(
-            {
-                "instruction_following": 100.0,
-                "depth": base,
-                "breadth": base,
-                "balance": base,
-                "support": support,
-                "insightfulness": base,
-            }
-        )
+        scores = dict.fromkeys(SCORE_DIMENSIONS, base)
+        scores.update(instruction_following=100.0, support=support)
+        return json.dumps(scores)
 
     def _write_section(self, prompt: str) -> str:
         outline = _sections(prompt)["Current Section Outline"]

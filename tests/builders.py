@@ -23,14 +23,19 @@ DEMO_FIXTURE = Path(dualgraph.__file__).parent / "fixtures" / "demo" / "fixture.
 PACKAGE_ROOT = Path(dualgraph.__file__).resolve().parents[1]
 
 # A number past CPython's default int-string limit (4,300 digits), and the
-# limits each over-long case runs under: the default, then none at all.
+# limits each over-long case runs under: the default, then none at all. An
+# interpreter older than the limit (before 3.10.7) has none, so 0 twice.
 LONG_NUMBER = "9" * 5000
-INT_LIMITS = (sys.int_info.default_max_str_digits, 0)
+INT_LIMITS = (getattr(sys.int_info, "default_max_str_digits", 0), 0)
 
 
 @contextmanager
 def int_max_str_digits(limit: int):
-    """The interpreter's int-string limit set to ``limit`` (0: none) while the block runs."""
+    """The interpreter's int-string limit set to ``limit`` (0: none) while the block
+    runs; an interpreter with no limit to set runs the block unchanged."""
+    if not hasattr(sys, "get_int_max_str_digits"):
+        yield
+        return
     old = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(limit)
     try:

@@ -575,7 +575,7 @@ class TestRun:
         for limit in INT_LIMITS:
             with int_max_str_digits(limit):
                 assert _run_demo(tmp_path / "run", "--config", str(cfg)) == 1
-            assert "config file is not valid JSON: an integer of more than 4300 digits" in (
+            assert f"config file {cfg} is not valid JSON: an integer of more than 4300 digits" in (
                 capsys.readouterr().err
             )
         assert not (tmp_path / "run").exists()
@@ -797,6 +797,22 @@ class TestInspect:
         assert "state.json" in capsys.readouterr().err
         assert (demo_run / "state.json").read_text(encoding="utf-8") == damaged
 
+    @pytest.mark.parametrize("iteration", [[], ["--iter", "1"]], ids=["committed", "iter-1"])
+    @pytest.mark.parametrize(
+        "command",
+        [["inspect-kg"], ["inspect-kg", "--json"], ["inspect-og"], ["chains"]],
+        ids=" ".join,
+    )
+    def test_another_format_version_is_rejected_as_resume_rejects_it(
+        self, demo_run, capsys, command, iteration
+    ):
+        path = demo_run / "state.json"
+        path.write_text(_set_state("format_version", 7)(path.read_text(encoding="utf-8")))
+        for cmd in (["resume"], [*command, *iteration]):
+            assert main([*cmd, "--run-dir", str(demo_run)]) == 1
+            err = capsys.readouterr().err
+            assert "configuration error: unsupported state format_version 7" in err
+
     def test_missing_checkpoints_are_usage_errors(self, tmp_path):
         empty = tmp_path / "empty"
         empty.mkdir()
@@ -852,6 +868,142 @@ class TestDamagedFiles:
         assert main([*command.split(), "--run-dir", str(demo_run)]) == 1
         assert f"configuration error: {name}" in capsys.readouterr().err
         assert path.read_bytes() == damaged
+
+
+# Deeper than json's decoder recurses: a RecursionError inside json.loads.
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+# A number written where a damage put _NUMBER: LONG_NUMBER, past the int-string
+# limit, or HUGE_NUMBER, under it but too large for a file name or a float.
+_NUMBER = 987654321987
+HUGE_NUMBER = "9" * 400
+
+
+def _first_line(line: str):
+    """A damage replacing the first line of a JSON-lines log with ``line``."""
+    return lambda text: line + "\n" + text.split("\n", 1)[1]
+
+
+def _write_damage(path, damage, number: str = LONG_NUMBER) -> None:
+    """Write ``damage`` of the file at ``path`` (of "" when there is none), with
+    ``number`` in place of ``_NUMBER``."""
+    text = path.read_text(encoding="utf-8") if path.exists() else ""
+    path.write_text(damage(text).replace(str(_NUMBER), number), encoding="utf-8")
+
+
+_SCORE = _edit_json(lambda doc: doc["candidates"][0].update(score=_NUMBER))
+
+# (command, file, damage): a committed file or line that json nests too deeply to decode.
+DEEPLY_NESTED = {
+    "resume-state": ("resume", "state.json", lambda text: DEEP_JSON),
+    "inspect-og-state": ("inspect-og", "state.json", lambda text: DEEP_JSON),
+    "resume-bank-line": ("resume", "bank.jsonl", _first_line(DEEP_JSON)),
+    "resume-embed-line": ("resume", "embed.jsonl", _first_line(DEEP_JSON)),
+    "resume-audit-line": ("resume", "audit.jsonl", _first_line(DEEP_JSON)),
+    "resume-replay": ("resume", "replay.jsonl", _replay(DEEP_JSON)),
+    "inspect-kg": ("inspect-kg", "kg_iter2.json", lambda text: DEEP_JSON),
+    "chains": ("chains", "chains_iter2.json", lambda text: DEEP_JSON),
+}
+
+# (command, file, damage): a committed file holding an integer of _NUMBER's place.
+LONG_INTEGERS = {
+    "inspect-kg-cluster-id": ("inspect-kg", "kg_iter2.json", _set_node("cluster_id", _NUMBER)),
+    "chains-score": ("chains", "chains_iter2.json", _SCORE),
+    "inspect-og-iteration": ("inspect-og", "state.json", _set_state("iteration", _NUMBER)),
+    "resume-bank-evidence-id": ("resume", "bank.jsonl", _set_in_first_line("evidence_id", _NUMBER)),
+    "resume-replay-top-n": (
+        "resume", "replay.jsonl",
+        _replay(
+            f'{{"kind": "search", "request": {{"query": "q", "top_n": {_NUMBER}}}, "answer": []}}'
+        ),
+    ),
+}
+
+
+class TestEveryJsonReaderIsTotal:
+    """Each reader of a JSON file decodes it through ``checks.loads``: too deep a
+    nesting or an integer past ``ids.MAX_DIGITS`` is exit 1 naming the file, on
+    every interpreter, and the run directory keeps its bytes."""
+
+    @pytest.mark.parametrize("command, name, damage", DEEPLY_NESTED.values(), ids=DEEPLY_NESTED)
+    def test_deep_nesting_exits_1_naming_the_file(self, demo_run, capsys, command, name, damage):
+        _write_damage(demo_run / name, damage)
+        before = dir_snapshot(demo_run)
+        assert main([command, "--run-dir", str(demo_run)]) == 1
+        err = capsys.readouterr().err
+        assert f"configuration error: {name} is damaged: ValueError: nested too deeply" in err
+        assert dir_snapshot(demo_run) == before
+
+    @pytest.mark.parametrize("flag", ["--config", "--fixture"])
+    def test_deep_nesting_in_a_run_input_exits_1_naming_it(self, tmp_path, capsys, flag):
+        path = tmp_path / "input.json"
+        path.write_text(DEEP_JSON, encoding="utf-8")
+        assert _run_demo(tmp_path / "run", flag, str(path)) == 1
+        err = capsys.readouterr().err
+        assert str(path) in err and "nested too deeply to decode" in err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command, name, damage", LONG_INTEGERS.values(), ids=LONG_INTEGERS)
+    def test_an_over_long_integer_exits_1_on_every_interpreter(
+        self, demo_run, capsys, command, name, damage
+    ):
+        _write_damage(demo_run / name, damage)
+        before = dir_snapshot(demo_run)
+        outcomes = []
+        for limit in INT_LIMITS:
+            with int_max_str_digits(limit):
+                status = main([command, "--run-dir", str(demo_run)])
+            outcomes.append((status, capsys.readouterr().err))
+        assert outcomes[0] == outcomes[1]
+        status, err = outcomes[0]
+        assert status == 1
+        assert f"{name} is damaged: ValueError: an integer of more than 4300 digits" in err
+        assert dir_snapshot(demo_run) == before
+
+    def test_an_over_long_fixture_value_exits_1_on_every_interpreter(self, tmp_path, capsys):
+        fixture = tmp_path / "fixture.json"
+        config = _demo_fixture_with_item("config", to=lambda c: dict(c, max_iter=_NUMBER))
+        fixture.write_text(config.replace(str(_NUMBER), LONG_NUMBER), encoding="utf-8")
+        outcomes = []
+        for limit in INT_LIMITS:
+            with int_max_str_digits(limit):
+                status = _run_demo(tmp_path / "run", "--fixture", str(fixture))
+            outcomes.append((status, capsys.readouterr().err))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] == 1
+        assert f"fixture {fixture} is damaged: ValueError: an integer of more than 4300" in (
+            outcomes[0][1]
+        )
+        assert not (tmp_path / "run").exists()
+
+
+class TestNumbersTooLargeToUse:
+    """A number under the int-string limit that no file name or float can hold is exit 1."""
+
+    @pytest.mark.parametrize("command", ["resume", "inspect-og"])
+    def test_a_committed_iteration_too_large_for_a_file_name(self, demo_run, capsys, command):
+        _write_damage(demo_run / "state.json", _set_state("iteration", _NUMBER), HUGE_NUMBER)
+        before = dir_snapshot(demo_run)
+        assert main([command, "--run-dir", str(demo_run)]) == 1
+        err = capsys.readouterr().err
+        assert f"configuration error: outline_iter{HUGE_NUMBER}.txt cannot be used" in err
+        assert dir_snapshot(demo_run) == before
+
+    @pytest.mark.parametrize(
+        "command, name",
+        [("inspect-og", f"outline_iter{HUGE_NUMBER}.txt"),
+         ("chains", f"kg_iter{HUGE_NUMBER[:-1]}8.json")],
+        ids=["inspect-og", "chains"],
+    )
+    def test_an_iter_flag_too_large_for_a_file_name(self, demo_run, capsys, command, name):
+        before = dir_snapshot(demo_run)
+        assert main([command, "--run-dir", str(demo_run), "--iter", HUGE_NUMBER]) == 1
+        assert f"configuration error: {name} cannot be used" in capsys.readouterr().err
+        assert dir_snapshot(demo_run) == before
+
+    def test_a_chain_score_too_large_for_a_float(self, demo_run, capsys):
+        _write_damage(demo_run / "chains_iter2.json", _SCORE, HUGE_NUMBER)
+        assert main(["chains", "--run-dir", str(demo_run)]) == 1
+        assert "chain_1 score: an integer too large for a float" in capsys.readouterr().err
 
 
 class TestInspectDefaultsToCommittedIteration:

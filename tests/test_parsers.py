@@ -532,6 +532,12 @@ def test_an_integer_of_more_than_max_digits_is_malformed_on_every_interpreter(pa
             parse(text)
 
 
+@pytest.mark.parametrize("parse", [parse for parse, _ in LONG_INTEGERS.values()], ids=LONG_INTEGERS)
+def test_json_nested_too_deeply_to_decode_is_malformed(parse):
+    with pytest.raises(MalformedOutputError, match="not valid JSON \\(nested too deeply to decode\\)"):
+        parse("[" * 100_000 + "]" * 100_000)
+
+
 class TestParseScores:
     def _doc(self, **overrides):
         scores = {dim: 80 for dim in SCORE_DIMENSIONS}
