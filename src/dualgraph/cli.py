@@ -21,6 +21,7 @@ from pathlib import Path
 
 from .checks import ParseError, SchemaViolation, loads, require_list, require_number, require_object
 from .evidence import citation_token
+from .ids import MAX_DIGITS
 from .kg import KnowledgeGraph
 from .orchestrator import ConfigError, RunConfig, Runner, RunState
 from .providers.base import ProviderError
@@ -45,6 +46,18 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _integer(text: str) -> int:
+    """An integer flag's value. More than ``ids.MAX_DIGITS`` digits is a usage
+    error, as ``ids.json_int`` makes it one in JSON, so a value has the same
+    outcome on every interpreter."""
+    if len(text.strip().lstrip("+-")) > MAX_DIGITS:
+        raise argparse.ArgumentTypeError(f"an integer of more than {MAX_DIGITS} digits")
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def _build_parser() -> _ArgumentParser:
     parser = _ArgumentParser(prog="dualgraph", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_ArgumentParser)
@@ -61,24 +74,24 @@ def _build_parser() -> _ArgumentParser:
 
     kg_p = sub.add_parser("inspect-kg", help="print the knowledge graph of a run")
     kg_p.add_argument("--run-dir", required=True)
-    kg_p.add_argument("--iter", type=int, dest="iteration")
+    kg_p.add_argument("--iter", type=_integer, dest="iteration")
     kg_p.add_argument("--json", action="store_true", help="print the raw checkpoint file")
 
     og_p = sub.add_parser("inspect-og", help="print the outline of a run")
     og_p.add_argument("--run-dir", required=True)
-    og_p.add_argument("--iter", type=int, dest="iteration")
+    og_p.add_argument("--iter", type=_integer, dest="iteration")
 
     ch_p = sub.add_parser("chains", help="print the gap chains of an iteration")
     ch_p.add_argument("--run-dir", required=True)
-    ch_p.add_argument("--iter", type=int, dest="iteration")
+    ch_p.add_argument("--iter", type=_integer, dest="iteration")
 
     sim_p = sub.add_parser("simulate", help="run the paired variant comparison")
-    sim_p.add_argument("--seeds", type=int, default=10, help="number of paired seeds")
+    sim_p.add_argument("--seeds", type=_integer, default=10, help="number of paired seeds")
     sim_p.add_argument("--out", help="directory for ablation.csv and ablation.json")
-    sim_p.add_argument("--communities", type=int, default=3)
-    sim_p.add_argument("--cores", type=int, default=2)
-    sim_p.add_argument("--concepts", type=int, default=4)
-    sim_p.add_argument("--max-iter", type=int, default=12)
+    sim_p.add_argument("--communities", type=_integer, default=3)
+    sim_p.add_argument("--cores", type=_integer, default=2)
+    sim_p.add_argument("--concepts", type=_integer, default=4)
+    sim_p.add_argument("--max-iter", type=_integer, default=12)
     return parser
 
 
@@ -192,10 +205,12 @@ def _cmd_inspect_og(args) -> int:
 
 def _cmd_chains(args) -> int:
     files = RunDir(args.run_dir)
-    iteration = files.iteration() if args.iteration is None else args.iteration
+    # The one read of state.json, which rejects a run in another format.
+    committed = files.iteration()
+    iteration = committed if args.iteration is None else args.iteration
     names: dict[str, str] = {}
     if files.has_iteration("kg", iteration - 1):
-        kg = files.read_iteration("kg", iteration - 1, KnowledgeGraph.from_document)
+        kg = files.read_iteration_file("kg", iteration - 1, KnowledgeGraph.from_document)
         names = {nid: node.name for nid, node in kg.nodes.items()}
 
     def render(text: str) -> list[str]:
@@ -220,7 +235,7 @@ def _cmd_chains(args) -> int:
             lines.append(f"   query for {cid}: {query}")
         return lines
 
-    print("\n".join(files.read_iteration("chains", iteration, render)))
+    print("\n".join(files.read_iteration_file("chains", iteration, render)))
     return EXIT_OK
 
 

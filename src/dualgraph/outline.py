@@ -34,6 +34,18 @@ A line that starts with a character ``str.isdigit`` accepts but that is not a
 decimal digit, such as ``\u00b2`` (superscript two), is neither a heading nor a
 content point. A heading component or citation id of more than
 ``ids.MAX_DIGITS`` digits is a parse error on every interpreter.
+
+A revision restates the whole outline, but most of its lines repeat lines of
+the outline it revises. ``parse_outline(text, previous)`` reads such a line's
+fields from ``previous`` instead of parsing the line again; only the checks of
+a line's place in the tree (title, parent, sibling and content-point order, the
+26-point cap) run on every line, so every error and its line number is what a
+parse without ``previous`` gives. A node remembers the line it was parsed from,
+and ``render_outline`` writes that line back when it is exactly what the
+formatter writes and the node still has the number, title and citations it was
+parsed with; any other node, edited or built by hand, is formatted. These lines
+live on the outline objects: an outline keeps the lines of its own text, and
+no nodes or citation sets are shared between two outlines.
 """
 
 from __future__ import annotations
@@ -88,6 +100,8 @@ class OutlineNode:
     title: str
     citations: set[int] = field(default_factory=set)
     children: list["OutlineNode"] = field(default_factory=list)
+    # The fields of the line parse_outline built this node from (_parse_line).
+    _line: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
     def is_content_point(self) -> bool:
@@ -106,6 +120,8 @@ class OutlineGraph:
 
     title: str
     sections: list[OutlineNode] = field(default_factory=list)
+    # Each body line of the text parse_outline read -> its fields (_parse_line).
+    _lines: dict[str, tuple] = field(default_factory=dict, repr=False, compare=False)
 
     def walk(self) -> Iterator[OutlineNode]:
         """All nodes in document order (pre-order)."""
@@ -126,11 +142,11 @@ class OutlineGraph:
         return None
 
 
-def _split_citations(line: str, lineno: int) -> tuple[str, set[int]]:
+def _split_citations(line: str, lineno: int) -> tuple[str, frozenset[int]]:
     """The body of a stripped line and the ids of its trailing citation suffix."""
     start = line.find(_OPEN)
     if start < 0 and _CLOSE not in line:
-        return line, set()
+        return line, frozenset()
     end = len(line) - len(_CLOSE)
     if (start < 0 or not line.endswith(_CLOSE) or line.find(_CLOSE) != end
             or line.find(_OPEN, start + 1) >= 0):
@@ -140,7 +156,7 @@ def _split_citations(line: str, lineno: int) -> tuple[str, set[int]]:
         )
     payload = line[start + len(_OPEN) : end]
     if len(payload) <= MAX_DIGITS and _CANONICAL_IDS_RE.fullmatch(payload):
-        return line[:start].rstrip(), set(map(int, payload[3:].split(", id_")))
+        return line[:start].rstrip(), frozenset(map(int, payload[3:].split(", id_")))
     ids: set[int] = set()
     payload = payload.strip()
     if payload:
@@ -151,14 +167,51 @@ def _split_citations(line: str, lineno: int) -> tuple[str, set[int]]:
                 raise OutlineParseError(
                     f"line {lineno}: not a citation token: {token.strip()!r}"
                 ) from None
-    return line[:start].rstrip(), ids
+    return line[:start].rstrip(), frozenset(ids)
 
 
-def parse_outline(text: str) -> OutlineGraph:
+def _parse_line(line: str, lineno: int) -> tuple:
+    """The fields of a stripped body line, read from the line alone.
+
+    ``(number, title, citations, path, wire)``: ``path`` holds a heading's
+    numbers and is None for a content point; ``wire`` is the line itself when
+    the formatter writes exactly it, else None. Every check the line alone
+    decides runs here, save a content point's empty text, which
+    ``parse_outline`` reports only after the point's place in the tree.
+    """
+    body, cits = _split_citations(line, lineno)
+    first = body[:1]
+    if "a" <= first <= "z" and body[1:2] == ".":
+        number, label, path = first, body[2:].lstrip(), None
+    else:
+        heading_m = _HEADING_RE.match(body)
+        if heading_m is None:
+            raise OutlineParseError(f"line {lineno}: not a heading or content point: {body!r}")
+        number, label = heading_m.groups()
+        components = number.split(".")
+        if max(map(len, components)) > MAX_DIGITS:
+            raise OutlineParseError(
+                f"line {lineno}: heading component longer than {MAX_DIGITS} digits"
+            )
+        path = tuple(map(int, components))
+        if 0 in path:
+            raise OutlineParseError(f"line {lineno}: heading components start at 1: {body!r}")
+        if len(path) > 3:
+            raise OutlineParseError(f"line {lineno}: heading deeper than 3 levels: {body!r}")
+        if not label:
+            raise OutlineParseError(f"line {lineno}: heading has no title")
+        if not (number.isascii() and number[0] != "0" and ".0" not in number):
+            number = ".".join(map(str, path))
+    wire = line if _format_line(number, label, cits) == line else None
+    return number, label, cits, path, wire
+
+
+def parse_outline(text: str, previous: OutlineGraph | None = None) -> OutlineGraph:
     """Parse the wire format; raises OutlineParseError with the offending line.
 
     Line numbers count non-blank lines. Hierarchy comes from the numbering
-    alone.
+    alone. A body line that ``previous`` was parsed from is not parsed again:
+    its fields are read from ``previous``, which is left as it is.
     """
     lines = [stripped for line in text.splitlines() if (stripped := line.strip())]
     if not lines:
@@ -174,15 +227,20 @@ def parse_outline(text: str) -> OutlineGraph:
         raise OutlineParseError(f"first line looks like a heading, not a title: {title!r}")
 
     og = OutlineGraph(title=title)
+    known = {} if previous is None else previous._lines
+    parsed = og._lines
     # Open headings, outermost first; the entry at index i has depth i + 1 and
     # holds [path, node, headings below it so far, content points so far].
     stack: list[list] = []
     n_sections = 0
 
     for lineno, line in enumerate(lines[1:], start=2):
-        body, cits = _split_citations(line, lineno)
-        first = body[:1]
-        if "a" <= first <= "z" and body[1:2] == ".":
+        fields = known.get(line)
+        if fields is None:
+            fields = _parse_line(line, lineno)
+        parsed[line] = fields
+        number, label, cits, path, _ = fields
+        if path is None:
             if not stack:
                 raise OutlineParseError(
                     f"line {lineno}: content point before any numbered heading"
@@ -193,38 +251,18 @@ def parse_outline(text: str) -> OutlineGraph:
                 raise OutlineParseError(
                     f"line {lineno}: a heading holds at most 26 content points (a-z)"
                 )
-            if first != _LETTERS[n_points]:
+            if number != _LETTERS[n_points]:
                 raise OutlineParseError(
-                    f"line {lineno}: content point {first!r} out of order "
+                    f"line {lineno}: content point {number!r} out of order "
                     f"(expected {_LETTERS[n_points]!r})"
                 )
-            label = body[2:].lstrip()
             if not label:
                 raise OutlineParseError(f"line {lineno}: content point has no text")
             frame[3] = n_points + 1
-            frame[1].children.append(OutlineNode(first, label, cits))
+            frame[1].children.append(OutlineNode(number, label, set(cits), [], fields))
             continue
 
-        heading_m = _HEADING_RE.match(body)
-        if heading_m is None:
-            raise OutlineParseError(f"line {lineno}: not a heading or content point: {body!r}")
-        number, label = heading_m.groups()
-        components = number.split(".")
-        if max(map(len, components)) > MAX_DIGITS:
-            raise OutlineParseError(
-                f"line {lineno}: heading component longer than {MAX_DIGITS} digits"
-            )
-        path = tuple(map(int, components))
-        if 0 in path:
-            raise OutlineParseError(f"line {lineno}: heading components start at 1: {body!r}")
         depth = len(path)
-        if depth > 3:
-            raise OutlineParseError(f"line {lineno}: heading deeper than 3 levels: {body!r}")
-        if not label:
-            raise OutlineParseError(f"line {lineno}: heading has no title")
-        if not (number.isascii() and number[0] != "0" and ".0" not in number):
-            number = ".".join(map(str, path))
-
         # Close headings that are not ancestors of this one.
         del stack[depth - 1 :]
         if depth == 1:
@@ -242,24 +280,41 @@ def parse_outline(text: str) -> OutlineGraph:
                 f"line {lineno}: heading {number} breaks sibling order "
                 f"(expected component {siblings})"
             )
-        node = OutlineNode(number, label, cits)
+        node = OutlineNode(number, label, set(cits), [], fields)
         (stack[-1][1].children if stack else og.sections).append(node)
         stack.append([path, node, 0, 0])
 
     return og
 
 
+def _format_line(number: str, title: str, citations) -> str:
+    """The canonical wire line of a node."""
+    # Top-level headings and content points end their number with a dot.
+    line = f"{number} {title}" if "." in number else f"{number}. {title}"
+    if citations:
+        ids = ", ".join(map(citation_token, sorted(citations)))
+        line = f"{line} <citation>{ids}</citation>"
+    return line
+
+
 def render_outline(og: OutlineGraph) -> str:
-    """Canonical wire form: title then one line per node, no indentation."""
+    """Canonical wire form: title then one line per node, no indentation.
+
+    A node's own line is written back while it is canonical and the node still
+    has the number, title and citations it was parsed with."""
     lines = [og.title]
     for node in og.walk():
-        number = node.number
-        # Top-level headings and content points end their number with a dot.
-        line = f"{number} {node.title}" if "." in number else f"{number}. {node.title}"
-        if node.citations:
-            ids = ", ".join(map(citation_token, sorted(node.citations)))
-            line = f"{line} <citation>{ids}</citation>"
-        lines.append(line)
+        fields = node._line
+        if (
+            fields is not None
+            and fields[4] is not None
+            and fields[0] == node.number
+            and fields[1] == node.title
+            and fields[2] == node.citations
+        ):
+            lines.append(fields[4])
+        else:
+            lines.append(_format_line(node.number, node.title, node.citations))
     lines.append("")
     return "\n".join(lines)
 
@@ -288,9 +343,10 @@ def apply_revision(
     the revision are re-attached to the revised node whose title is most
     similar (embedding cosine) to the id's former host. Ties prefer the
     shallower node, then earlier document order. Citing an id the bank never
-    issued is a validation error.
+    issued is a validation error. The parse reuses the lines ``og_old`` was
+    parsed from, and ``og_old`` is left as it is.
     """
-    og_new = check_citations(parse_outline(revised_text), bank)
+    og_new = check_citations(parse_outline(revised_text, og_old), bank)
     new_ids = og_new.all_citations()
     if og_old.all_citations() <= new_ids:
         return og_new

@@ -559,6 +559,11 @@ class RunDir:
         either way, so no file of a run in another format is read."""
         committed = self.iteration()
         iteration = committed if iteration is None else iteration
+        return self.read_iteration_file(stem, iteration, parse)
+
+    def read_iteration_file(self, stem: str, iteration: int, parse: Callable = str):
+        """``read_iteration`` with no read of state.json, for a caller that has
+        read it already (``iteration``)."""
         return self._text(_iteration_file(stem, iteration), parse)
 
     def load(self) -> dict:

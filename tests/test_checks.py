@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import json
 import sys
 from pathlib import Path
 
@@ -83,6 +84,16 @@ def test_every_undecodable_text_is_a_value_error_on_every_interpreter(text, mess
     for limit in INT_LIMITS:
         with int_max_str_digits(limit), pytest.raises(ValueError, match=message):
             loads(text)
+
+
+def test_a_leading_byte_order_mark_is_rejected_as_json_loads_rejects_it():
+    text = '\ufeff{"a": 1}'
+    with pytest.raises(json.JSONDecodeError) as want:
+        json.loads(text)
+    with pytest.raises(json.JSONDecodeError) as got:
+        loads(text)
+    assert str(got.value) == str(want.value)
+    assert loads('{"a": "\ufeff"}') == {"a": "\ufeff"}
 
 
 def test_an_object_check_with_no_key_set_takes_any_keys():

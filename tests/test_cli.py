@@ -10,7 +10,9 @@ import operator
 import pytest
 
 from dualgraph.cli import main
+from dualgraph.ids import MAX_DIGITS
 from dualgraph.providers.parsers import SCORE_DIMENSIONS
+from dualgraph.rundir import RunDir
 
 from .builders import (
     DEMO_FIXTURE, INT_LIMITS, LONG_NUMBER, crash_demo_run, dir_snapshot, int_max_str_digits,
@@ -813,6 +815,19 @@ class TestInspect:
             err = capsys.readouterr().err
             assert "configuration error: unsupported state format_version 7" in err
 
+    @pytest.mark.parametrize("iteration", [[], ["--iter", "2"]], ids=["committed", "iter-2"])
+    def test_chains_reads_state_once(self, demo_run, monkeypatch, iteration):
+        names = []
+        read = RunDir.read
+
+        def counted(self, name, parse):
+            names.append(name)
+            return read(self, name, parse)
+
+        monkeypatch.setattr(RunDir, "read", counted)
+        assert main(["chains", "--run-dir", str(demo_run), *iteration]) == 0
+        assert names == ["state.json", "kg_iter1.json", "chains_iter2.json"]
+
     def test_missing_checkpoints_are_usage_errors(self, tmp_path):
         empty = tmp_path / "empty"
         empty.mkdir()
@@ -1004,6 +1019,51 @@ class TestNumbersTooLargeToUse:
         _write_damage(demo_run / "chains_iter2.json", _SCORE, HUGE_NUMBER)
         assert main(["chains", "--run-dir", str(demo_run)]) == 1
         assert "chain_1 score: an integer too large for a float" in capsys.readouterr().err
+
+
+# Each integer flag, after the arguments its command needs.
+INTEGER_FLAGS = [
+    ["inspect-kg", "--run-dir", "run", "--iter"],
+    ["inspect-og", "--run-dir", "run", "--iter"],
+    ["chains", "--run-dir", "run", "--iter"],
+    ["simulate", "--seeds"],
+    ["simulate", "--communities"],
+    ["simulate", "--cores"],
+    ["simulate", "--concepts"],
+    ["simulate", "--max-iter"],
+]
+
+
+class TestIntegerFlags:
+    """An integer flag is read as ``ids.json_int`` reads a JSON integer."""
+
+    @staticmethod
+    def _outcomes(capsys, argv) -> list[tuple[int, str]]:
+        outcomes = []
+        for limit in INT_LIMITS:
+            with int_max_str_digits(limit):
+                status = main(argv)
+            outcomes.append((status, capsys.readouterr().err))
+        return outcomes
+
+    @pytest.mark.parametrize("flag", INTEGER_FLAGS, ids=" ".join)
+    def test_an_over_long_value_is_one_usage_error_on_every_interpreter(
+        self, tmp_path, monkeypatch, capsys, flag
+    ):
+        monkeypatch.chdir(tmp_path)
+        for value in (LONG_NUMBER, "-" + LONG_NUMBER, f" +{'9' * (MAX_DIGITS + 1)} "):
+            message = f"error: argument {flag[-1]}: an integer of more than {MAX_DIGITS} digits\n"
+            assert self._outcomes(capsys, [*flag, value]) == [(1, message)] * 2
+        assert not list(tmp_path.iterdir())
+
+    def test_a_value_of_max_digits_is_read_on_every_interpreter(self, capsys):
+        value = "-" + "9" * MAX_DIGITS
+        outcomes = self._outcomes(capsys, ["simulate", "--seeds", value])
+        assert outcomes == [(1, f"error: --seeds must be >= 1, got {value}\n")] * 2
+
+    def test_a_value_int_does_not_read_is_named(self, capsys):
+        assert main(["simulate", "--cores", "2x"]) == 1
+        assert capsys.readouterr().err == "error: argument --cores: invalid int value: '2x'\n"
 
 
 class TestInspectDefaultsToCommittedIteration:

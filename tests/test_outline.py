@@ -6,9 +6,11 @@ import copy
 import random
 import re
 import string
+import zlib
 
 import pytest
 
+from dualgraph import orchestrator
 from dualgraph.ids import MAX_DIGITS
 from dualgraph.outline import (
     OutlineError,
@@ -20,10 +22,13 @@ from dualgraph.outline import (
     parse_outline,
     render_outline,
 )
-from dualgraph.providers.mock import HashEmbeddingProvider
+from dualgraph.orchestrator import RunConfig, Runner
+from dualgraph.providers.mock import HashEmbeddingProvider, load_fixture
+from dualgraph.rundir import RunDir
 
 from .builders import (
-    INT_LIMITS, LONG_NUMBER, bank_with, int_max_str_digits, mutate_outline, random_outline,
+    DEMO_FIXTURE, INT_LIMITS, LONG_NUMBER, bank_with, crash_demo_run, int_max_str_digits,
+    mutate_outline, random_outline,
 )
 from .oracles import ref_parse_outline, ref_render_outline
 
@@ -346,6 +351,7 @@ EDGE_CASES = [
     "1.5 degrees\n1. A\n",
     "T\n1. A\n1.1\n",
     "T\n1. A\na.\n",
+    "T\na.\n",
     "T\n1. A\n0.1 B\n",
     "T\n1. A\n1..1 B\n",
     "T\n1. A\n1.1.. B\n",
@@ -399,3 +405,157 @@ def test_codec_matches_reference():
     for text in texts:
         want = _outcome(ref_parse_outline, ref_render_outline, text)
         assert _outcome(parse_outline, render_outline, text) == want, text
+
+
+# -- revision chains: parses that reuse the lines of the outline they revise --
+
+
+def _reformatted(text: str, salt: int) -> str:
+    """``text`` with each body line in a form the parser normalises, chosen from
+    the line and ``salt`` so that a line repeated in a later revision keeps it:
+    leading zeros, no space after the number, unspaced citation ids, CRLF and
+    U+2028 line ends, or the canonical form."""
+    lines = text.splitlines()
+    out = [lines[0], "\n"]
+    for line in lines[1:]:
+        form = (zlib.crc32(line.encode("utf-8")) + salt) % 6
+        number, _, rest = line.partition(" ")
+        if form == 1:
+            zeros = ".".join("0" + c if c.isdigit() else c for c in number.split("."))
+            line = f"{zeros} {rest}"
+        elif form == 2:
+            line = number + rest
+        elif form == 3:
+            line = line.replace(", id_", ",id_")
+        out += [line, "\r\n" if form == 4 else "\u2028" if form == 5 else "\n"]
+    return "".join(out)
+
+
+def _edit(og: OutlineGraph, gen: random.Random) -> None:
+    """One edit in place: a node's title, number or citations, or a node built by hand."""
+    node = gen.choice(list(og.walk()))
+    op = gen.choice(("title", "number", "cite", "uncite", "hand"))
+    if op == "title":
+        node.title += " revised"
+    elif op == "number":
+        node.number = "z" if node.is_content_point else node.number + ".9"
+    elif op == "cite":
+        node.citations.add(gen.randint(1, 9))
+    elif op == "uncite":
+        node.citations.discard(min(node.citations, default=0))
+    else:
+        node.children.append(OutlineNode(number="a", title="by hand", citations={3, 1}))
+
+
+def test_revision_chains_match_reference():
+    gen = random.Random(20261022)
+    bank, embed = bank_with(9), _embed()
+    outcomes, reused, reused_noncanonical = set(), 0, 0
+    for _ in range(40):
+        salt = gen.randrange(6) if gen.random() < 0.5 else 0
+        previous = parse_outline(_reformatted(render_outline(random_outline(gen, 9)), salt))
+        for _ in range(6):
+            tree = mutate_outline(copy.deepcopy(previous), gen, bank_size=9)
+            text = _reformatted(ref_render_outline(tree), salt)
+            if gen.random() < 0.15:
+                text = _corrupt(text, gen)
+            kept = copy.deepcopy(previous), render_outline(previous)
+            want = _outcome(ref_parse_outline, ref_render_outline, text)
+            assert _outcome(lambda t: parse_outline(t, previous), render_outline, text) == want
+            assert (previous, render_outline(previous)) == kept
+            if isinstance(want[0], type):
+                outcomes.add("error")
+                continue
+            lines = [ln.strip() for ln in text.splitlines()[1:] if ln.strip()]
+            reused += sum(ln in previous._lines for ln in lines)
+            reused_noncanonical += sum(
+                ln in previous._lines and previous._lines[ln][4] is None for ln in lines
+            )
+            step = gen.choice(("parse", "repair", "edit"))
+            outcomes.add(step)
+            if step == "repair":
+                new = apply_revision(previous, text, bank, embed)
+                assert (previous, render_outline(previous)) == kept
+            else:
+                new = parse_outline(text, previous)
+                if step == "edit":
+                    for _ in range(gen.randint(1, 3)):
+                        _edit(new, gen)
+            assert render_outline(new) == ref_render_outline(new)
+            # No node or citation set of the new outline is one of the old's.
+            assert not {id(n) for n in new.walk()} & {id(n) for n in previous.walk()}
+            assert not {id(n.citations) for n in new.walk()} & {
+                id(n.citations) for n in previous.walk()
+            }
+            previous = new
+    assert outcomes == {"error", "parse", "repair", "edit"}
+    assert reused > 1000 and reused_noncanonical > 50
+
+
+def test_a_repaired_citation_is_written_by_the_formatter():
+    bank = bank_with(4)
+    old = parse_outline(SAMPLE)
+    revised = SAMPLE.replace("a. Why storage matters <citation>id_1</citation>", "a. Why storage matters")
+    new = apply_revision(old, revised, bank, _embed())
+    assert "a. Why storage matters <citation>id_1</citation>\n" in render_outline(new)
+    assert render_outline(new) == ref_render_outline(new) == SAMPLE
+
+
+# (position, line): a malformed line put after that many lines of SAMPLE, which
+# the parse reuses from an outline parsed from SAMPLE.
+MALFORMED_AFTER_REUSED = {
+    "noise": (4, "?? noise line"),
+    "bad-token": (4, "1.1 Technology families <citation>id_x</citation>"),
+    "reused-point-out-of-order": (4, "b. Scope of the question"),
+    "reused-point-before-a-heading": (1, "a. Why storage matters <citation>id_1</citation>"),
+    "reused-heading-as-sibling": (6, "1.1 Technology families"),
+    "empty-point": (4, "a."),
+    "too-deep": (4, "1.1.1.1 Deep"),
+    "skipped-section": (4, "3. Skipped"),
+}
+
+
+@pytest.mark.parametrize(
+    "position, line", MALFORMED_AFTER_REUSED.values(), ids=MALFORMED_AFTER_REUSED
+)
+def test_a_malformed_line_after_reused_lines_keeps_its_message(position, line):
+    previous = parse_outline(SAMPLE)
+    lines = SAMPLE.splitlines()
+    text = "\n".join([*lines[:position], line, *lines[position:]]) + "\n"
+    got = _outcome(lambda t: parse_outline(t, previous), render_outline, text)
+    assert got == _outcome(parse_outline, render_outline, text)
+    assert got == _outcome(ref_parse_outline, ref_render_outline, text)
+    assert got[0] is OutlineParseError and got[1].startswith(f"line {position + 1}: ")
+
+
+def test_a_reused_body_line_as_the_title_is_checked_as_a_title():
+    previous = parse_outline(SAMPLE)
+    text = SAMPLE.split("\n", 1)[1]
+    got = _outcome(lambda t: parse_outline(t, previous), render_outline, text)
+    assert got == _outcome(ref_parse_outline, ref_render_outline, text)
+    assert got[1] == "first line looks like a heading, not a title: '1. Background'"
+
+
+def test_an_outline_loaded_on_resume_is_the_previous_of_the_first_revision(
+    tmp_path, monkeypatch
+):
+    run_dir = tmp_path / "run"
+    crash_demo_run(run_dir)
+    calls = []
+    revise = orchestrator.apply_revision
+
+    def spy(og_old, text, bank, embed):
+        calls.append((og_old, text))
+        return revise(og_old, text, bank, embed)
+
+    monkeypatch.setattr(orchestrator, "apply_revision", spy)
+    fixture = load_fixture(DEMO_FIXTURE)
+    Runner(RunConfig.from_dict(fixture.config), fixture.providers(), run_dir).resume()
+    og_old, text = calls[0]
+    loaded = (run_dir / "outline_iter1.txt").read_text(encoding="utf-8")
+    assert render_outline(og_old) == loaded
+    assert set(og_old._lines) == set(loaded.splitlines()[1:])
+    assert set(og_old._lines) & {ln.strip() for ln in text.splitlines()}
+    want = _outcome(ref_parse_outline, ref_render_outline, text)
+    assert _outcome(lambda t: parse_outline(t, og_old), render_outline, text) == want
+    assert RunDir(run_dir).read_iteration("outline", 2) == want[1]
