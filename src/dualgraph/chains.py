@@ -258,31 +258,27 @@ def explore_similarity(kg: KnowledgeGraph, quota: int | None = None) -> list[Sea
     for nid in ids:
         if kg.nodes[nid].embedding is None:
             raise EmbeddingMissingError(f"node {nid} has no embedding")
-    if quota is not None and quota <= 0:
-        return []
     cores = [v for v in ids if kg.nodes[v].is_core_entity]
     concepts = [v for v in ids if not kg.nodes[v].is_core_entity]
+    if quota is None:
+        quota = len(cores) * len(concepts)
+    if quota <= 0 or not cores or not concepts:
+        return []
     column = {k: j for j, k in enumerate(concepts)}
     adjacency = kg.adjacency
     linked = np.array(
         [(i, column[k]) for i, c in enumerate(cores) for k in adjacency.get(c, ()) if k in column],
         dtype=np.intp,
     ).reshape(-1, 2)
-    if quota is None or quota >= len(cores) * len(concepts) - len(linked):
-        # Every unlinked pair makes the cut.
-        unlinked = np.ones((len(cores), len(concepts)), dtype=bool)
-        unlinked[linked[:, 0], linked[:, 1]] = False
-        pairs = zip(*np.nonzero(unlinked))
-    else:
-        core_rows = [kg.nodes[c].embedding for c in cores]
-        concept_rows = [kg.nodes[k].embedding for k in concepts]
-        pairs = _closest_unlinked(
-            np.array(core_rows),
-            np.array(concept_rows),
-            linked,
-            quota,
-            {v.dtype for v in core_rows + concept_rows},
-        )
+    core_rows = [kg.nodes[c].embedding for c in cores]
+    concept_rows = [kg.nodes[k].embedding for k in concepts]
+    pairs = _closest_unlinked(
+        np.array(core_rows),
+        np.array(concept_rows),
+        linked,
+        quota,
+        {v.dtype for v in core_rows + concept_rows},
+    )
 
     # Row and column order is numeric node order, so indices break ties.
     candidates: list[tuple[float, int, int]] = [
@@ -290,8 +286,7 @@ def explore_similarity(kg: KnowledgeGraph, quota: int | None = None) -> list[Sea
         for i, j in pairs
     ]
     candidates.sort(key=lambda t: (-t[0], t[1], t[2]))
-    if quota is not None:
-        candidates = candidates[:quota]
+    del candidates[quota:]
     return [
         SearchChain(
             basis="similarity",
@@ -309,9 +304,9 @@ def _closest_unlinked(
 ) -> Iterator[tuple[int, int]]:
     """(row, column) of every pair not in ``linked`` whose entry of ``a @ b.T``
     is no lower than the quota-th highest such entry less ``gram_margin``.
-    ``linked`` holds (row, column) pairs in ascending row order, and more than
-    quota pairs are not linked. ``dtypes``: those of the rows before they were
-    stacked, which ``np.dot`` of two of them sums in.
+    ``linked`` holds (row, column) pairs in ascending row order. ``dtypes``:
+    those of the rows before they were stacked, which ``np.dot`` of two of them
+    sums in.
 
     The product is formed in ``gram_blocks``. A running cut, the
     quota-th highest entry of the pairs kept so far, drops a pair once it falls
@@ -333,8 +328,6 @@ def _closest_unlinked(
         # Never below the lowest float, so a linked pair's -inf never passes.
         floor = max(cut - margin, np.finfo(gram.dtype).min)
         hot = np.flatnonzero(best >= floor)
-        if not len(hot):
-            continue  # the cut did not rise either, so the kept pairs stand
         r, c = np.nonzero(gram[hot] >= floor)
         kept_rows = np.concatenate([kept_rows, hot[r] + start])
         kept_cols = np.concatenate([kept_cols, c])
@@ -394,10 +387,7 @@ def explore_block(
     first, second = np.nonzero(~np.tri(len(groups), dtype=bool))
     at = np.array([block._index[c] for c in degrees.members], dtype=np.intp)
     prob = block.matrix[at[first], at[second]]
-    # Many community pairs share a probability; each distinct one is a float
-    # that bernoulli_entropy sees once.
-    distinct, inverse = np.unique(prob, return_inverse=True)
-    entropy = np.array([bernoulli_entropy(p) for p in distinct.tolist()])[inverse]
+    entropy = np.array([bernoulli_entropy(p) for p in prob.tolist()])
     first, second = first.tolist(), second.tolist()
     adjacency = kg.adjacency
 
@@ -594,8 +584,6 @@ def build_search_chains(
     counts = [min(q, len(lst)) for q, lst in zip(quotas, lists)]
     leftover = config.total - sum(counts)
     for i, lst in enumerate(lists):
-        if leftover <= 0:
-            break
         extra = min(leftover, len(lst) - counts[i])
         counts[i] += extra
         leftover -= extra

@@ -35,17 +35,11 @@ SCORE_DIMENSIONS = (
 )
 
 
-# Built once: json.loads with parse_int builds a decoder on every call.
-_DECODER = json.JSONDecoder(parse_int=json_int)
-
-
 def loads(text: str):
     """``json.loads`` of ``text``, where an integer of more than ``ids.MAX_DIGITS``
     digits and nesting deeper than the decoder's recursion limit are ValueErrors."""
-    if text.startswith("\ufeff"):  # json.loads' own check, which the decoder lacks
-        raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
     try:
-        return _DECODER.decode(text)
+        return json.loads(text, parse_int=json_int)
     except RecursionError:
         raise ValueError("nested too deeply to decode") from None
 

@@ -199,7 +199,7 @@ def _cmd_inspect_kg(args) -> int:
 
 
 def _cmd_inspect_og(args) -> int:
-    sys.stdout.write(RunDir(args.run_dir).read_iteration("outline", args.iteration) + "\n")
+    sys.stdout.write(RunDir(args.run_dir).read_iteration("outline", args.iteration))
     return EXIT_OK
 
 

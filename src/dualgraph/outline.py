@@ -86,8 +86,6 @@ class OutlineValidationError(OutlineError):
 
 
 _HEADING_RE = re.compile(r"^(\d+(?:\.\d+)*)\.?\s*(.*)$")
-# render_outline's payloads; any other, or one past MAX_DIGITS, takes parse_citation_token.
-_CANONICAL_IDS_RE = re.compile(r"id_[1-9][0-9]*(?:, id_[1-9][0-9]*)*")
 _OPEN, _CLOSE = "<citation>", "</citation>"
 _LETTERS = string.ascii_lowercase
 
@@ -154,11 +152,8 @@ def _split_citations(line: str, lineno: int) -> tuple[str, frozenset[int]]:
             f"line {lineno}: citation tag outside the line's one trailing "
             f"<citation>...</citation> suffix"
         )
-    payload = line[start + len(_OPEN) : end]
-    if len(payload) <= MAX_DIGITS and _CANONICAL_IDS_RE.fullmatch(payload):
-        return line[:start].rstrip(), frozenset(map(int, payload[3:].split(", id_")))
+    payload = line[start + len(_OPEN) : end].strip()
     ids: set[int] = set()
-    payload = payload.strip()
     if payload:
         for token in payload.split(","):
             try:
@@ -200,8 +195,7 @@ def _parse_line(line: str, lineno: int) -> tuple:
             raise OutlineParseError(f"line {lineno}: heading deeper than 3 levels: {body!r}")
         if not label:
             raise OutlineParseError(f"line {lineno}: heading has no title")
-        if not (number.isascii() and number[0] != "0" and ".0" not in number):
-            number = ".".join(map(str, path))
+        number = ".".join(map(str, path))
     wire = line if _format_line(number, label, cits) == line else None
     return number, label, cits, path, wire
 

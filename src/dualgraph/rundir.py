@@ -373,9 +373,7 @@ def _scrub(text: str) -> str:
 
 
 def _scrub_result(r: SearchResult) -> SearchResult:
-    """``r`` with its URL, title and snippet scrubbed; ``r`` itself when all are ASCII."""
-    if r.url.isascii() and r.title.isascii() and r.snippet.isascii():
-        return r
+    """``r`` with its URL, title and snippet scrubbed."""
     return SearchResult(_scrub(r.url), _scrub(r.title), _scrub(r.snippet), r.rank)
 
 
@@ -612,16 +610,16 @@ class RunDir:
 
     def clear(self) -> None:
         """Make the directory and delete every file a run writes, an outline.txt
-        that older versions wrote included; other files are left alone.
-        state.json goes first, so no half-cleared directory still looks resumable."""
+        that older versions wrote included, each with the tmp file of a write
+        cut before its rename; other files are left alone. state.json goes
+        first, so no half-cleared directory still looks resumable."""
         self.path.mkdir(parents=True, exist_ok=True)
-        names = (STATE_FILE, REPORT_FILE, BANK_FILE, KG_FILE, "outline.txt", *_LOGS)
+        names = [STATE_FILE, REPORT_FILE, BANK_FILE, KG_FILE, "outline.txt", REPLAY_FILE, *_LOGS]
+        for stem in _ITERATION_STEMS:
+            names += [path.name for path in self.path.glob(f"{stem}_iter[0-9]*")]
         for name in names:
             self._unlink(name)
-        self._drop_replay()
-        for stem in _ITERATION_STEMS:
-            for path in self.path.glob(f"{stem}_iter[0-9]*"):
-                self._unlink(path.name)
+            self._unlink(f"{name}.tmp")
         self._written = dict.fromkeys(_STATE_LOGS, 0)
 
     def _unwritten(self, name: str, entries) -> Iterator:

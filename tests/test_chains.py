@@ -51,6 +51,7 @@ from .oracles import (
     ref_block_list,
     ref_hole_list,
     ref_sbm,
+    ref_similarity_list,
 )
 
 
@@ -281,6 +282,98 @@ class TestExploreSimilarity:
         _embedded(kg, {nid: (1.0, 0.0) for nid in ("n1", "n2", "n3") if nid != bare})
         with pytest.raises(EmbeddingMissingError, match=f"node {bare} "):
             explore_similarity(kg)
+
+
+def _case_of(kg: KnowledgeGraph) -> CaseGraph:
+    """The oracles' mirror of a graph built by hand, as far as similarity reads it."""
+    return CaseGraph(
+        nodes=kg.node_ids(),
+        core={v for v, node in kg.nodes.items() if node.is_core_entity},
+        edges={
+            eid: (e.source_id, e.target_id, e.relation, frozenset(e.evidence_ids))
+            for eid, e in kg.edges.items()
+        },
+        vectors={v: node.embedding for v, node in kg.nodes.items()},
+    )
+
+
+def _assert_similarity_matches_reference(kg: KnowledgeGraph, quota: int | None) -> None:
+    expected = ref_similarity_list(_case_of(kg))
+    if quota is not None:
+        expected = expected[:quota]
+    assert [(c.source_id, c.target_id, c.score) for c in explore_similarity(kg, quota)] == [
+        (r.source, r.target, r.score) for r in expected
+    ]
+
+
+class TestSimilarityRankingHasOnePath:
+    """Every quota, None and those past the number of unlinked pairs included,
+    goes through the blocked Gram product's running cut."""
+
+    @pytest.fixture
+    def cut_quotas(self, monkeypatch):
+        quotas = []
+        closest = chains_mod._closest_unlinked
+
+        def spy(a, b, linked, quota, dtypes):
+            quotas.append(quota)
+            return closest(a, b, linked, quota, dtypes)
+
+        monkeypatch.setattr(chains_mod, "_closest_unlinked", spy)
+        return quotas
+
+    @staticmethod
+    def _one_unlinked_pair_per_row() -> KnowledgeGraph:
+        # Core n1..n3 against concepts n4..n6, each core linked to all but one,
+        # so each Gram row holds one candidate and their cosines differ.
+        kg, _ = _graph(
+            [("c1", True), ("c2", True), ("c3", True), ("k1", False), ("k2", False), ("k3", False)],
+            [(f"n{c}", f"n{k}", "r", ()) for c in (1, 2, 3) for k in (4, 5, 6) if k != c + 3],
+            [0] * 6,
+        )
+        _embedded(kg, {
+            "n1": (1.0, 0.0), "n2": (0.0, 1.0), "n3": (1.0, 1.0),
+            "n4": (1.0, 0.2), "n5": (0.6, 1.0), "n6": (-1.0, 0.3),
+        })
+        return kg
+
+    def test_no_quota_ranks_every_unlinked_pair(self, rng, cut_quotas):
+        for _ in range(30):
+            kg, _, _ = make_case(rng, max_nodes=20)
+            _assert_similarity_matches_reference(kg, None)
+        assert cut_quotas
+
+    def test_a_quota_at_or_past_the_unlinked_pairs_returns_them_all(self, rng, cut_quotas):
+        for _ in range(30):
+            kg, _, case = make_case(rng, max_nodes=20)
+            unlinked = len(ref_similarity_list(case))
+            every = len(case.core) * (len(case.nodes) - len(case.core))
+            for quota in {unlinked, unlinked + 1, every, every + 5}:
+                _assert_similarity_matches_reference(kg, quota)
+        assert cut_quotas
+
+    def test_one_unlinked_pair_per_row_where_the_cut_is_the_lowest_row_best(self, cut_quotas):
+        kg = self._one_unlinked_pair_per_row()
+        assert len(ref_similarity_list(_case_of(kg))) == 3
+        for quota in (None, 1, 2, 3, 4, 9, 100):
+            _assert_similarity_matches_reference(kg, quota)
+        assert cut_quotas == [9, 1, 2, 3, 4, 9, 100]
+
+    @pytest.mark.parametrize("quota", [None, 0, 1, 4, 100])
+    def test_no_core_no_concept_or_every_pair_linked_is_empty(self, quota, cut_quotas):
+        no_core, _ = _graph([("a", False), ("b", False)], [], [0, 0])
+        no_concept, _ = _graph([("a", True), ("b", True)], [], [0, 0])
+        all_linked, _ = _graph(
+            [("a", True), ("b", False), ("c", True)],
+            [("n1", "n2", "r", ()), ("n2", "n3", "r", ())],
+            [0, 0, 0],
+        )
+        for kg in (no_core, no_concept, all_linked):
+            _embedded(kg, {nid: (1.0, 0.5) for nid in kg.nodes})
+            assert ref_similarity_list(_case_of(kg)) == []
+            _assert_similarity_matches_reference(kg, quota)
+        # Only the graph with both kinds of node forms a Gram product.
+        assert cut_quotas == ([] if quota == 0 else [2 if quota is None else quota])
 
 
 class TestExploreBlock:

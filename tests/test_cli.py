@@ -781,6 +781,15 @@ class TestInspect:
         assert main(["inspect-og", "--run-dir", str(demo_run)]) == 0
         assert "1." in capsys.readouterr().out
 
+    @pytest.mark.parametrize("iteration", [None, 1, 2], ids=["committed", "iter-1", "iter-2"])
+    def test_inspect_og_prints_the_outline_file_byte_for_byte(
+        self, demo_run, capsysbinary, iteration
+    ):
+        flags = [] if iteration is None else ["--iter", str(iteration)]
+        assert main(["inspect-og", "--run-dir", str(demo_run), *flags]) == 0
+        shown = demo_run / f"outline_iter{iteration or 2}.txt"  # 2 is the committed one
+        assert capsysbinary.readouterr().out == shown.read_bytes()
+
     def test_chains_defaults_to_last_iteration(self, demo_run, capsys):
         assert main(["chains", "--run-dir", str(demo_run)]) == 0
         out = capsys.readouterr().out

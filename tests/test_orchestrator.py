@@ -1309,6 +1309,26 @@ class TestStartClearsAnEarlierRun:
         files.spill([])
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("name", [
+        "state.json", "report.md", "bank.json", "kg.json", "outline.txt", "replay.jsonl",
+        "audit.jsonl", "bank.jsonl", "embed.jsonl",
+        "outline_iter1.txt", "kg_iter1.json", "chains_iter1.json",
+    ])
+    def test_clear_deletes_a_stray_tmp_of_each_file_it_deletes(self, tmp_path, name):
+        # What a process killed between a write and its rename leaves behind.
+        (tmp_path / f"{name}.tmp").write_text("x\n", encoding="utf-8")
+        (tmp_path / "notes.md.tmp").write_text("kept\n", encoding="utf-8")
+        RunDir(tmp_path).clear()
+        assert [p.name for p in tmp_path.iterdir()] == ["notes.md.tmp"]
+
+    def test_outline_only_rerun_drops_a_stray_graph_tmp(self, tmp_path):
+        self._sim_run(tmp_path / "clean", "outline-only")
+        rerun = tmp_path / "rerun"
+        rerun.mkdir()
+        (rerun / "kg.json.tmp").write_text("x\n", encoding="utf-8")
+        self._sim_run(rerun, "outline-only")
+        assert dir_snapshot(rerun) == dir_snapshot(tmp_path / "clean")
+
     def test_rerun_failing_on_its_first_chat_call_keeps_no_old_output(self, tmp_path):
         class _Down:
             def complete(self, prompt):
